@@ -55,8 +55,10 @@ from .transport import (
     COST_SQ,
     cost_delta_scaled,
     monotone_plan,
+    product_transport_bound,
     transport_cost,
 )
+from .values import additive
 
 DEFAULT_TOL = 1e-6
 
@@ -120,6 +122,18 @@ def _cert(bound_id, lhs, rhs, constants, tol, notes=""):
 # Cached per-density statistics
 # ---------------------------------------------------------------------------
 
+def _exact_w2sq(mu: Density) -> float:
+    """W2^2 to the standard Gaussian, coordinate by coordinate."""
+    if isinstance(mu, Density1D):
+        return transport_cost(mu, None, COST_SQ).value
+    if isinstance(mu, ProductDensity):
+        return product_transport_bound(mu, COST_SQ).value
+    raise HypothesisError(
+        "exact quadratic transport distance unavailable: coupled 2D grids "
+        "only admit the per-coordinate upper bound"
+    )
+
+
 _TENSOR_COSTS = (COST_DELTA, COST_SQ, COST_ABS)
 
 
@@ -170,20 +184,9 @@ class _Stats:
         return self._get("tv", lambda: total_variation(self.mu, None).value)
 
     # -- transport against gamma -------------------------------------------
-    def _exact_w2sq(self) -> float:
-        mu = self.mu
-        if isinstance(mu, Density1D):
-            return transport_cost(mu, None, COST_SQ).value
-        if isinstance(mu, ProductDensity):
-            return math.fsum(transport_cost(f, None, COST_SQ).value for f in mu.factors)
-        raise HypothesisError(
-            "exact quadratic transport distance unavailable: coupled 2D grids "
-            "only admit the per-coordinate upper bound"
-        )
-
     @property
     def w2sq(self) -> float:
-        return self._get("w2sq", self._exact_w2sq)
+        return self._get("w2sq", lambda: _exact_w2sq(self.mu))
 
     @property
     def w2(self) -> float:
@@ -449,9 +452,9 @@ def _w2sq_between(mu: Density, nu: Density) -> float:
         and isinstance(nu, ProductDensity)
         and mu.dim == nu.dim
     ):
-        return math.fsum(
-            transport_cost(a, b, COST_SQ).value for a, b in zip(mu.factors, nu.factors)
-        )
+        return additive(
+            transport_cost(a, b, COST_SQ) for a, b in zip(mu.factors, nu.factors)
+        ).value
     raise HypothesisError(
         "exact quadratic transport distance unavailable for this pair of shapes"
     )
@@ -636,28 +639,13 @@ def _eval_thm14(s, opts, tol):
     eps = _require_eps(s)
     c = LINEAR_BAND_CONSTANT
     notes = ""
-    if isinstance(s.mu, Density1D):
-        w2sq_bar = transport_cost(s.recentered.recentered, None, COST_SQ).value
-    elif isinstance(s.mu, ProductDensity):
-        w2sq_bar = math.fsum(
-            transport_cost(f, None, COST_SQ).value
-            for f in s.recentered.recentered.factors
-        )
-    else:
+    if isinstance(s.mu, Grid2DDensity):
         w2sq_bar = s.recentered_part_sum("sq")
         notes = "quadratic cost via per-coordinate upper bound"
-    rhs = c * min(1.0, eps) * w2sq_bar
-    mean = s.mean_vec
-    if isinstance(s.mu, Grid2DDensity):
-        translated = s.mu.translated(-float(mean[0]), -float(mean[1]))
-        companion = math.fsum(tensorise(translated, costs=(COST_SQ,)).T_parts)
-    elif isinstance(s.mu, ProductDensity):
-        companion = math.fsum(
-            transport_cost(f.shifted(-float(m)), None, COST_SQ).value
-            for f, m in zip(s.mu.factors, mean)
-        )
     else:
-        companion = transport_cost(s.mu.shifted(-float(mean[0])), None, COST_SQ).value
+        w2sq_bar = _exact_w2sq(s.recentered.recentered)
+    rhs = c * min(1.0, eps) * w2sq_bar
+    companion = _w2sq_to_mean_translate(s.mu, s.mean_vec)
     constants = {
         "c": c,
         "c_provenance": "registry-fixed",
@@ -670,6 +658,16 @@ def _eval_thm14(s, opts, tol):
         notes=(notes + ("; " if notes else "")
                + "companion mean-translate distance reported, not certified"),
     )
+
+
+def _w2sq_to_mean_translate(mu: Density, mean: np.ndarray) -> float:
+    """W2^2 from mu translated by -mean to the standard Gaussian (the
+    per-coordinate upper bound for coupled 2D grids)."""
+    if isinstance(mu, Grid2DDensity):
+        translated = mu.translated(-float(mean[0]), -float(mean[1]))
+        return math.fsum(tensorise(translated, costs=(COST_SQ,)).T_parts)
+    offset = -mean if isinstance(mu, ProductDensity) else -float(mean[0])
+    return _exact_w2sq(mu.shifted(offset))
 
 
 _CHEEGER_LAMBDA = math.sqrt(2.0 / math.pi)
@@ -858,19 +856,7 @@ def certify_suite(
 
 def equality_probe(mu: Density) -> dict:
     """Deficit together with the distance to the best Gaussian translate."""
-    deficit = lsi_deficit(mu).value
+    deficit = lsi_deficit(mu).value  # refuses unsupported density types
     mean = np.atleast_1d(np.asarray(mu.mean(), dtype=float))
-    if isinstance(mu, Density1D):
-        shifted = mu.shifted(-float(mean[0]))
-        w2sq = transport_cost(shifted, None, COST_SQ).value
-    elif isinstance(mu, ProductDensity):
-        w2sq = math.fsum(
-            transport_cost(f.shifted(-float(m)), None, COST_SQ).value
-            for f, m in zip(mu.factors, mean)
-        )
-    elif isinstance(mu, Grid2DDensity):
-        translated = mu.translated(-float(mean[0]), -float(mean[1]))
-        w2sq = math.fsum(tensorise(translated, costs=(COST_SQ,)).T_parts)
-    else:
-        raise ArgumentError(f"unsupported density type {type(mu).__name__}")
+    w2sq = _w2sq_to_mean_translate(mu, mean)
     return {"deficit": deficit, "w2_to_best_translate": math.sqrt(max(w2sq, 0.0))}

@@ -40,7 +40,7 @@ from .functionals import (
     total_variation,
 )
 from .specio import load as load_density_file
-from .transport import COST_ABS, COST_DELTA, COST_SQ, transport_cost
+from .transport import COST_ABS, COST_DELTA, COST_SQ, product_transport_bound, transport_cost
 from .values import FunctionalValue
 
 try:  # version string only decorates report metadata
@@ -94,12 +94,7 @@ def _exact_cost(mu: Density, ref: Density | None, cost) -> FunctionalValue:
     if isinstance(mu, Density1D):
         return transport_cost(mu, ref, cost)
     if isinstance(mu, ProductDensity) and ref is None:
-        parts = [transport_cost(f, None, cost) for f in mu.factors]
-        return FunctionalValue(
-            parts[0].name,
-            math.fsum(p.value for p in parts),
-            math.fsum(p.error_estimate for p in parts),
-        )
+        return product_transport_bound(mu, cost)
     raise HypothesisError(
         "exact transport distances need one dimensional or product input "
         "with a standard Gaussian reference"
@@ -307,7 +302,7 @@ def _cmd_sweep(args) -> int:
         metadata={
             "grid_points": config.default_grid_points(),
             "grid_points_2d": config.DEFAULT_GRID_POINTS_2D,
-            "support_radius": config.DEFAULT_SUPPORT_RADIUS,
+            "support_radius": config.support_radius(),
             "tol": args.tol,
             "tool": f"lsdeficit {_VERSION}",
         },
@@ -364,7 +359,7 @@ def _cmd_report(args) -> int:
         "tol": args.tol,
         "metadata": {
             "grid_points": config.default_grid_points(),
-            "support_radius": config.DEFAULT_SUPPORT_RADIUS,
+            "support_radius": config.support_radius(),
             "tool": f"lsdeficit {_VERSION}",
         },
     }
@@ -418,17 +413,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_numeric_flags(args) -> None:
-    if args.grid_points is not None:
-        if args.grid_points < 16:
-            raise ArgumentError(f"--grid-points must be >= 16, got {args.grid_points}")
-        os.environ[config.ENV_GRID_POINTS] = str(args.grid_points)
-    if args.support_radius is not None:
-        if not args.support_radius > 0:
-            raise ArgumentError(f"--support-radius must be positive, got {args.support_radius}")
-        config.DEFAULT_SUPPORT_RADIUS = args.support_radius
+def _numeric_policy(args) -> config.NumericPolicy:
+    """The policy of one invocation; the flags never outlive it."""
+    if args.grid_points is not None and args.grid_points < 16:
+        raise ArgumentError(f"--grid-points must be >= 16, got {args.grid_points}")
+    if args.support_radius is not None and not args.support_radius > 0:
+        raise ArgumentError(f"--support-radius must be positive, got {args.support_radius}")
     if not (args.tol >= 0 and math.isfinite(args.tol)):
         raise ArgumentError(f"--tol must be a nonnegative number, got {args.tol}")
+    return config.NumericPolicy(
+        grid_points=args.grid_points,
+        support_radius=args.support_radius or config.DEFAULT_SUPPORT_RADIUS,
+    )
 
 
 def _fuse_range_flag(argv: list[str]) -> list[str]:
@@ -451,8 +447,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(_fuse_range_flag(argv))
     try:
-        _apply_numeric_flags(args)
-        return args.fn(args)
+        with config.scoped_policy(_numeric_policy(args)):
+            return args.fn(args)
     except (SpecParseError, ArgumentError, SupportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_PARSE

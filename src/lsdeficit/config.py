@@ -1,13 +1,20 @@
-"""Global numeric policy: grid sizes, support radius, floor constants.
+"""Numeric policy: grid sizes, support radius, floor constants.
 
-The defaults here are deliberately conservative; every closed-form check in
-the test suite runs against them.  ``LSD_GRID_POINTS`` overrides the 1D grid
-size process-wide, the CLI flags override per invocation.
+The module-level values are read-only constants; every closed-form check in
+the test suite runs against them.  Two settings may differ from them, and
+only inside a ``scoped_policy`` block: the 1D grid size and the support
+radius.  The CLI opens one such block per invocation for its
+``--grid-points`` and ``--support-radius`` flags, so no call changes the
+numbers of the next.  ``LSD_GRID_POINTS`` overrides the default 1D grid
+size; it is read at call time and never written.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 
 from .errors import ArgumentError
 
@@ -28,8 +35,41 @@ NEG_INF = float("-inf")
 ENV_GRID_POINTS = "LSD_GRID_POINTS"
 
 
+@dataclass(frozen=True)
+class NumericPolicy:
+    """The settings one scope may override.
+
+    ``grid_points`` None defers to ``LSD_GRID_POINTS``, then to
+    ``DEFAULT_GRID_POINTS``.
+    """
+
+    grid_points: int | None = None
+    support_radius: float = DEFAULT_SUPPORT_RADIUS
+
+
+_POLICY: ContextVar[NumericPolicy] = ContextVar("numeric_policy", default=NumericPolicy())
+
+
+@contextmanager
+def scoped_policy(policy: NumericPolicy):
+    """Apply ``policy`` to every computation inside the block."""
+    token = _POLICY.set(policy)
+    try:
+        yield policy
+    finally:
+        _POLICY.reset(token)
+
+
+def support_radius() -> float:
+    """Support truncation radius of the current scope."""
+    return _POLICY.get().support_radius
+
+
 def default_grid_points() -> int:
-    """Resolve the 1D grid size, honouring the environment override."""
+    """Resolve the 1D grid size: scope, then environment, then default."""
+    scoped = _POLICY.get().grid_points
+    if scoped is not None:
+        return scoped
     raw = os.environ.get(ENV_GRID_POINTS)
     if raw is None:
         return DEFAULT_GRID_POINTS

@@ -27,10 +27,7 @@ from scipy import special
 from scipy.integrate import cumulative_simpson
 
 from . import config
-from .errors import (
-    ArgumentError,
-    DegenerateSliceError,
-)
+from .errors import ArgumentError
 from .quadrature import GridSpec, integrate_values, integrate_values_2d, simpson_weights
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -68,13 +65,14 @@ class NodeTable(NamedTuple):
     score: np.ndarray
 
 
-def _finite_diff_log(log_p: np.ndarray, step: float) -> np.ndarray:
-    """(log p)' at the nodes: central differences, one-sided at the ends."""
-    score = np.empty_like(log_p)
-    score[1:-1] = (log_p[2:] - log_p[:-2]) / (2.0 * step)
-    score[0] = (log_p[1] - log_p[0]) / step
-    score[-1] = (log_p[-1] - log_p[-2]) / step
-    return score
+def _finite_diff_log(log_p: np.ndarray, step: float, axis: int = 0) -> np.ndarray:
+    """(log p)' along ``axis``: central differences, one-sided at the ends."""
+    g = np.moveaxis(log_p, axis, 0)
+    score = np.empty_like(g)
+    score[1:-1] = (g[2:] - g[:-2]) / (2.0 * step)
+    score[0] = (g[1] - g[0]) / step
+    score[-1] = (g[-1] - g[-2]) / step
+    return np.moveaxis(score, 0, axis)
 
 
 def _strictly_increasing_table(xs: np.ndarray, ys: np.ndarray):
@@ -163,7 +161,7 @@ class GaussianDensity(Density1D):
         self._mean = mean
         self._var = var
         self._sigma = math.sqrt(var)
-        self._radius = float(support_radius or config.DEFAULT_SUPPORT_RADIUS)
+        self._radius = float(support_radius or config.support_radius())
         self._eps = 1.0 / var  # exact: the potential is quadratic
 
     @property
@@ -240,7 +238,7 @@ class MixtureDensity(Density1D):
         self._m = np.array([c[1] for c in comps])
         self._v = np.array([c[2] for c in comps])
         self._s = np.sqrt(self._v)
-        self._radius = float(support_radius or config.DEFAULT_SUPPORT_RADIUS)
+        self._radius = float(support_radius or config.support_radius())
         self._eps = None
         if convexity_lower_bound is not None:
             self._eps = self._verify_eps(float(convexity_lower_bound))
@@ -322,6 +320,7 @@ class MixtureDensity(Density1D):
     def shifted(self, offset: float) -> "MixtureDensity":
         return MixtureDensity(
             [(w, m + offset, v) for (w, m, v) in self.components],
+            convexity_lower_bound=self._eps,
             support_radius=self._radius,
         )
 
@@ -356,7 +355,7 @@ class TiltedDensity(Density1D):
             )
         self._poly = np.polynomial.Polynomial(coeffs)
         self._dpoly = self._poly.deriv()
-        self._radius = float(support_radius or config.DEFAULT_SUPPORT_RADIUS)
+        self._radius = float(support_radius or config.support_radius())
         self._lo, self._hi = self._fit_support()
         self._log_z = self._normalise()
         self._eps = None
@@ -466,8 +465,7 @@ class GridDensity(Density1D):
 
     Queries interpolate log_p linearly; outside the support the log density
     is the -inf sentinel.  The score uses central differences at interior
-    nodes and one-sided differences at the two boundary nodes (flagged via
-    ``score(..., with_flags=True)``).
+    nodes and one-sided differences at the two boundary nodes.
     """
 
     def __init__(
@@ -520,16 +518,10 @@ class GridDensity(Density1D):
         out = np.where(outside, config.NEG_INF, out)
         return _maybe_scalar(out, scalar)
 
-    def score(self, x, with_flags: bool = False):
+    def score(self, x):
         pts, scalar = _as_points(x)
         t = self.table
-        out = np.interp(pts, t.nodes, t.score)
-        if not with_flags:
-            return _maybe_scalar(out, scalar)
-        one_sided = (pts <= t.nodes[1]) | (pts >= t.nodes[-2])
-        return _maybe_scalar(out, scalar), {
-            "one_sided": bool(one_sided.all()) if scalar else one_sided
-        }
+        return _maybe_scalar(np.interp(pts, t.nodes, t.score), scalar)
 
     @cached_property
     def _cdf_table(self) -> np.ndarray:
@@ -620,6 +612,14 @@ class ProductDensity:
         return f"ProductDensity({list(self._factors)!r})"
 
 
+class RowStats(NamedTuple):
+    """Per-row Simpson sums over x2 of exp(log p - shift) for a 2D grid."""
+
+    shift: np.ndarray  # row maximum of log p
+    mass: np.ndarray  # sum of w_y exp(log p - shift)
+    first: np.ndarray  # sum of w_y y exp(log p - shift)
+
+
 class Grid2DDensity:
     """Bivariate density as log values on a rectangular grid (rows = x1).
 
@@ -701,41 +701,37 @@ class Grid2DDensity:
         return np.where(outside, config.NEG_INF, val)
 
     @cached_property
-    def _row_log_mass(self) -> np.ndarray:
-        """log of the x1-marginal density at each row, Simpson over x2."""
+    def row_stats(self) -> RowStats:
+        """One Simpson pass over x2 per row: shift, mass and first moment."""
         wy = simpson_weights(self._spec_y.n_points, self._spec_y.step)
-        shift = self._log_p.max(axis=1, keepdims=True)
-        mass = (np.exp(self._log_p - shift) * wy[None, :]).sum(axis=1)
-        out = np.log(np.maximum(mass, 1e-320)) + shift[:, 0]
+        shift = self._log_p.max(axis=1)
+        p = np.exp(self._log_p - shift[:, None])
+        mass = (p * wy[None, :]).sum(axis=1)
+        first = (p * (wy * self._spec_y.nodes())[None, :]).sum(axis=1)
+        for arr in (shift, mass, first):
+            arr.flags.writeable = False
+        return RowStats(shift, mass, first)
+
+    @cached_property
+    def _row_log_mass(self) -> np.ndarray:
+        """log of the x1-marginal density at each row."""
+        rows = self.row_stats
+        out = np.log(np.maximum(rows.mass, 1e-320)) + rows.shift
         out.flags.writeable = False
         return out
 
     def marginal_x(self) -> GridDensity:
         return GridDensity(self._spec_x, self._row_log_mass)
 
-    def _interp_log_row(self, x1: float) -> np.ndarray:
-        sx = self._spec_x
-        if not (sx.x_lo <= x1 <= sx.x_hi):
-            raise ArgumentError(f"x1={x1} outside grid range [{sx.x_lo}, {sx.x_hi}]")
-        fx = np.clip((x1 - sx.x_lo) / sx.step, 0.0, sx.n_points - 1.0)
-        ix = min(int(fx), sx.n_points - 2)
-        tx = fx - ix
-        return (1.0 - tx) * self._log_p[ix] + tx * self._log_p[ix + 1]
+    def row_marginal(self) -> np.ndarray:
+        """x1-marginal density at the row nodes."""
+        rows = self.row_stats
+        return rows.mass * np.exp(rows.shift)
 
-    def conditional_slice(self, x1: float) -> GridDensity:
-        """Normalised p(x2 | x1), interpolating log-linearly between rows."""
-        row = self._interp_log_row(float(x1))
-        shift = row.max()
-        wy = simpson_weights(self._spec_y.n_points, self._spec_y.step)
-        mass = float((np.exp(row - shift) * wy).sum() * math.exp(shift))
-        if mass < 1e-12:
-            raise DegenerateSliceError(
-                f"conditional slice at x1={x1} has row mass {mass:.3e} < 1e-12"
-            )
-        return GridDensity(self._spec_y, row)
-
-    def conditional_mean(self, x1: float) -> float:
-        return self.conditional_slice(x1).mean()
+    def conditional_means(self) -> np.ndarray:
+        """E[X2 | X1 = x1] at the row nodes."""
+        rows = self.row_stats
+        return rows.first / np.maximum(rows.mass, 1e-300)
 
     def swapped(self) -> "Grid2DDensity":
         """Coordinates exchanged: rows become columns."""
@@ -812,7 +808,7 @@ def bivariate_gaussian_grid(
     if not -1.0 < rho < 1.0:
         raise ArgumentError(f"correlation must lie in (-1, 1), got {rho}")
     n = n_points or config.DEFAULT_GRID_POINTS_2D
-    r = support_radius or config.DEFAULT_SUPPORT_RADIUS
+    r = support_radius or config.support_radius()
     s1, s2 = math.sqrt(var[0]), math.sqrt(var[1])
     spec_x = GridSpec(mean[0] - r * s1, mean[0] + r * s1, n)
     spec_y = GridSpec(mean[1] - r * s2, mean[1] + r * s2, n)
@@ -848,12 +844,13 @@ def _output_spec(lo: float, hi: float, base_step: float) -> GridSpec:
 def gaussian_convolve(density: Density1D, t: float) -> GridDensity:
     """Distribution of X + sqrt(t) Z as a grid density, by direct quadrature.
 
-    The output support extends the input's by 10*sqrt(t) on both sides.
+    The output support extends the input's by R*sqrt(t) on both sides, with
+    R the support radius (10 by default).
     """
     if not t > 0:
         raise ArgumentError(f"convolution time must be positive, got {t}")
     table = density.table
-    pad = config.DEFAULT_SUPPORT_RADIUS * math.sqrt(t)
+    pad = config.support_radius() * math.sqrt(t)
     out_spec = _output_spec(
         table.spec.x_lo - pad, table.spec.x_hi + pad, table.spec.step
     )
@@ -894,7 +891,7 @@ def gaussian_convolve_2d(density: Grid2DDensity, t: float) -> Grid2DDensity:
     convolution runs separably along each axis."""
     if not t > 0:
         raise ArgumentError(f"convolution time must be positive, got {t}")
-    pad = config.DEFAULT_SUPPORT_RADIUS * math.sqrt(t)
+    pad = config.support_radius() * math.sqrt(t)
     sx, sy = density.spec_x, density.spec_y
     nx = _odd(min(2 * sx.n_points - 1, sx.n_points + int(math.ceil(2 * pad / sx.step))))
     ny = _odd(min(2 * sy.n_points - 1, sy.n_points + int(math.ceil(2 * pad / sy.step))))

@@ -30,10 +30,6 @@ class HypothesisError(LsdError):
     """
 
 
-class DegenerateSliceError(LsdError):
-    """Conditional slice requested at a coordinate with negligible mass."""
-
-
 class DegeneratePlanError(LsdError):
     """Monotone transport map is ill-defined (flat CDF / failed pushforward)."""
 

@@ -28,12 +28,13 @@ import math
 import numpy as np
 
 from . import config
-from .values import FunctionalValue
+from .values import FunctionalValue, additive
 from .densities import (
     Density1D,
     GaussianDensity,
     Grid2DDensity,
     ProductDensity,
+    _finite_diff_log,
     gaussian_convolve,
     gaussian_convolve_2d,
     standard_gaussian,
@@ -60,6 +61,19 @@ def _require_1d(nu, caller: str) -> Density1D:
     return nu
 
 
+def _per_factor(fn, mu: ProductDensity, nu, caller: str) -> FunctionalValue:
+    """fn(factor, reference factor) summed over the coordinates of a product."""
+    if nu is None:
+        refs = [standard_gaussian() for _ in mu.factors]
+    elif isinstance(nu, ProductDensity) and nu.dim == mu.dim:
+        refs = nu.factors
+    else:
+        raise ArgumentError(
+            f"{caller}: product density needs a product reference of equal dimension"
+        )
+    return additive(fn(f, g) for f, g in zip(mu.factors, refs))
+
+
 # ---------------------------------------------------------------------------
 # Relative entropy
 # ---------------------------------------------------------------------------
@@ -84,21 +98,7 @@ def relative_entropy(mu, nu=None) -> FunctionalValue:
     if isinstance(mu, Density1D):
         return _relative_entropy_1d(mu, _require_1d(nu, "relative_entropy"))
     if isinstance(mu, ProductDensity):
-        if nu is None:
-            parts = [_relative_entropy_1d(f, standard_gaussian()) for f in mu.factors]
-        elif isinstance(nu, ProductDensity) and nu.dim == mu.dim:
-            parts = [
-                _relative_entropy_1d(f, g) for f, g in zip(mu.factors, nu.factors)
-            ]
-        else:
-            raise ArgumentError(
-                "relative_entropy: product density needs a product reference of equal dimension"
-            )
-        return FunctionalValue(
-            "D",
-            math.fsum(p.value for p in parts),
-            math.fsum(p.error_estimate for p in parts),
-        )
+        return _per_factor(_relative_entropy_1d, mu, nu, "relative_entropy")
     if isinstance(mu, Grid2DDensity):
         log_q = _reference_log_pdf_2d(mu, nu)
         p = np.exp(mu.log_values)
@@ -166,16 +166,10 @@ def _fisher_information_1d(mu: Density1D) -> FunctionalValue:
 
 def _grid2d_score_fields(mu: Grid2DDensity) -> tuple[np.ndarray, np.ndarray]:
     g = mu.log_values
-    hx, hy = mu.spec_x.step, mu.spec_y.step
-    gx = np.empty_like(g)
-    gx[1:-1] = (g[2:] - g[:-2]) / (2 * hx)
-    gx[0] = (g[1] - g[0]) / hx
-    gx[-1] = (g[-1] - g[-2]) / hx
-    gy = np.empty_like(g)
-    gy[:, 1:-1] = (g[:, 2:] - g[:, :-2]) / (2 * hy)
-    gy[:, 0] = (g[:, 1] - g[:, 0]) / hy
-    gy[:, -1] = (g[:, -1] - g[:, -2]) / hy
-    return gx, gy
+    return (
+        _finite_diff_log(g, mu.spec_x.step, axis=0),
+        _finite_diff_log(g, mu.spec_y.step, axis=1),
+    )
 
 
 def fisher_information(mu) -> FunctionalValue:
@@ -183,12 +177,7 @@ def fisher_information(mu) -> FunctionalValue:
     if isinstance(mu, Density1D):
         return _fisher_information_1d(mu)
     if isinstance(mu, ProductDensity):
-        parts = [_fisher_information_1d(f) for f in mu.factors]
-        return FunctionalValue(
-            "I_plain",
-            math.fsum(p.value for p in parts),
-            math.fsum(p.error_estimate for p in parts),
-        )
+        return additive(_fisher_information_1d(f) for f in mu.factors)
     if isinstance(mu, Grid2DDensity):
         p = np.exp(mu.log_values)
         gx, gy = _grid2d_score_fields(mu)
@@ -214,19 +203,7 @@ def relative_fisher(mu, nu=None) -> FunctionalValue:
     if isinstance(mu, Density1D):
         return _relative_fisher_1d(mu, _require_1d(nu, "relative_fisher"))
     if isinstance(mu, ProductDensity):
-        if nu is None:
-            parts = [_relative_fisher_1d(f, standard_gaussian()) for f in mu.factors]
-        elif isinstance(nu, ProductDensity) and nu.dim == mu.dim:
-            parts = [_relative_fisher_1d(f, g) for f, g in zip(mu.factors, nu.factors)]
-        else:
-            raise ArgumentError(
-                "relative_fisher: product density needs a product reference of equal dimension"
-            )
-        return FunctionalValue(
-            "I_rel",
-            math.fsum(p.value for p in parts),
-            math.fsum(p.error_estimate for p in parts),
-        )
+        return _per_factor(_relative_fisher_1d, mu, nu, "relative_fisher")
     if isinstance(mu, Grid2DDensity):
         if nu is not None:
             raise ArgumentError(
@@ -262,12 +239,7 @@ def shannon_entropy(mu) -> FunctionalValue:
     if isinstance(mu, Density1D):
         return _shannon_entropy_1d(mu)
     if isinstance(mu, ProductDensity):
-        parts = [_shannon_entropy_1d(f) for f in mu.factors]
-        return FunctionalValue(
-            "h",
-            math.fsum(p.value for p in parts),
-            math.fsum(p.error_estimate for p in parts),
-        )
+        return additive(_shannon_entropy_1d(f) for f in mu.factors)
     if isinstance(mu, Grid2DDensity):
         p = np.exp(mu.log_values)
         live = p >= config.LOG_ZERO_FLOOR

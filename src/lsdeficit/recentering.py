@@ -31,6 +31,7 @@ from .densities import (
     Grid2DDensity,
     GridDensity,
     ProductDensity,
+    _finite_diff_log,
     standard_gaussian,
 )
 from .errors import ArgumentError, NumericalError
@@ -61,27 +62,6 @@ class RecenteredDensity:
     shifts: tuple
 
 
-def _row_weights(mu: Grid2DDensity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(marginal pdf on x-nodes, x Simpson weights, y Simpson weights)."""
-    wx = simpson_weights(mu.spec_x.n_points, mu.spec_x.step)
-    wy = simpson_weights(mu.spec_y.n_points, mu.spec_y.step)
-    log_rows = mu.log_values
-    shift = log_rows.max(axis=1, keepdims=True)
-    marg = (np.exp(log_rows - shift) * wy[None, :]).sum(axis=1) * np.exp(shift[:, 0])
-    return marg, wx, wy
-
-
-def _conditional_means(mu: Grid2DDensity) -> np.ndarray:
-    _, _, wy = _row_weights(mu)
-    ys = mu.spec_y.nodes()
-    log_rows = mu.log_values
-    shift = log_rows.max(axis=1, keepdims=True)
-    p = np.exp(log_rows - shift)
-    mass = (p * wy[None, :]).sum(axis=1)
-    first = (p * (wy * ys)[None, :]).sum(axis=1)
-    return first / np.maximum(mass, 1e-300)
-
-
 def _shift_rows(log_rows: np.ndarray, spec_y: GridSpec, offsets: np.ndarray) -> np.ndarray:
     """Row i becomes its own values sampled at y + offsets[i].
 
@@ -106,18 +86,18 @@ def _shift_rows(log_rows: np.ndarray, spec_y: GridSpec, offsets: np.ndarray) -> 
 
 
 def _recenter_grid2d(mu: Grid2DDensity) -> RecenteredDensity:
-    marg, wx, _ = _row_weights(mu)
-    xs = mu.spec_x.nodes()
-    t1 = math.fsum(wx * xs * marg)
-    t2 = _conditional_means(mu)
     sx = mu.spec_x
+    wx = simpson_weights(sx.n_points, sx.step)
+    t1 = math.fsum(wx * sx.nodes() * mu.row_marginal())
+    t2 = mu.conditional_means()
     new_spec_x = GridSpec(sx.x_lo - t1, sx.x_hi - t1, sx.n_points)
     log_rows = _shift_rows(mu.log_values, mu.spec_y, t2)
     recentered = Grid2DDensity(new_spec_x, mu.spec_y, log_rows)
 
-    marg_r, wx_r, _ = _row_weights(recentered)
+    marg_r = recentered.row_marginal()
+    wx_r = simpson_weights(new_spec_x.n_points, new_spec_x.step)
     mean1 = math.fsum(wx_r * new_spec_x.nodes() * marg_r)
-    cond = _conditional_means(recentered)
+    cond = recentered.conditional_means()
     relevant = marg_r > 1e-9 * marg_r.max()
     worst = float(np.abs(cond[relevant]).max())
     if abs(mean1) > _MEAN_TOL or worst > _MEAN_TOL:
@@ -172,25 +152,22 @@ def _tensorise_grid2d(mu: Grid2DDensity, costs: tuple[CostFn, ...]) -> TensorDec
     )
     t1 = {c.id: float(arr[0]) for c, arr in zip(costs, marg_costs)}
 
-    marg, wx, wy = _row_weights(mu)
-    weights = wx * marg  # integrates row functionals against the x1-marginal
-    ys = mu.spec_y.nodes()
+    sx, sy = mu.spec_x, mu.spec_y
+    wx = simpson_weights(sx.n_points, sx.step)
+    wy = simpson_weights(sy.n_points, sy.step)
+    # integrates row functionals against the x1-marginal
+    weights = wx * mu.row_marginal()
+    ys = sy.nodes()
     log_rows = mu.log_values
-    shift = log_rows.max(axis=1, keepdims=True)
-    p = np.exp(log_rows - shift)
-    mass = (p * wy[None, :]).sum(axis=1)
-    log_cond = log_rows - (np.log(np.maximum(mass, 1e-300)) + shift[:, 0])[:, None]
+    rows = mu.row_stats
+    log_cond = log_rows - (np.log(np.maximum(rows.mass, 1e-300)) + rows.shift)[:, None]
     cond = np.exp(log_cond)
 
     log_ref = gauss.log_pdf(ys)
     d_rows = ((log_cond - log_ref[None, :]) * cond * wy[None, :]).sum(axis=1)
     d2 = math.fsum(weights * d_rows)
 
-    hy = mu.spec_y.step
-    score = np.empty_like(log_cond)
-    score[:, 1:-1] = (log_cond[:, 2:] - log_cond[:, :-2]) / (2 * hy)
-    score[:, 0] = (log_cond[:, 1] - log_cond[:, 0]) / hy
-    score[:, -1] = (log_cond[:, -1] - log_cond[:, -2]) / hy
+    score = _finite_diff_log(log_cond, sy.step, axis=1)
     i_rows = (((score + ys[None, :]) ** 2) * cond * wy[None, :]).sum(axis=1)
     i2 = math.fsum(weights * i_rows)
 
@@ -220,19 +197,17 @@ def tensorise(mu: Density, costs: Sequence[CostFn] = (COST_DELTA,)) -> TensorDec
     costs = tuple(costs)
     if not costs:
         raise ArgumentError("need at least one transport cost")
-    if isinstance(mu, ProductDensity):
-        d = tuple(relative_entropy(f, None).value for f in mu.factors)
-        i = tuple(relative_fisher(f, None).value for f in mu.factors)
-        cost_parts = {
-            c.id: tuple(transport_cost(f, None, c).value for f in mu.factors)
-            for c in costs
-        }
-        return TensorDecomposition(d, i, cost_parts[costs[0].id], costs[0].id, cost_parts)
     if isinstance(mu, Grid2DDensity):
         return _tensorise_grid2d(mu, costs)
-    if isinstance(mu, Density1D):
-        d = (relative_entropy(mu, None).value,)
-        i = (relative_fisher(mu, None).value,)
-        cost_parts = {c.id: (transport_cost(mu, None, c).value,) for c in costs}
-        return TensorDecomposition(d, i, cost_parts[costs[0].id], costs[0].id, cost_parts)
-    raise ArgumentError(f"cannot tensorise {type(mu).__name__}")
+    if isinstance(mu, ProductDensity):
+        factors = mu.factors
+    elif isinstance(mu, Density1D):
+        factors = (mu,)
+    else:
+        raise ArgumentError(f"cannot tensorise {type(mu).__name__}")
+    d = tuple(relative_entropy(f, None).value for f in factors)
+    i = tuple(relative_fisher(f, None).value for f in factors)
+    cost_parts = {
+        c.id: tuple(transport_cost(f, None, c).value for f in factors) for c in costs
+    }
+    return TensorDecomposition(d, i, cost_parts[costs[0].id], costs[0].id, cost_parts)

@@ -8,9 +8,13 @@ every transport cost reduces to a single quadrature:
 
 The costs used here (squared distance, absolute distance, and the convex
 gap delta(|x - z|), optionally with an inner scale) are all even in the
-displacement, which makes the optimal cost symmetric in its arguments;
-internal fast paths exploit this by always mapping toward the side with
-an analytic quantile.
+displacement, which makes the optimal cost symmetric in its arguments.
+``transport_cost`` integrates over the source (the standard Gaussian by
+default) and inverts the target's quantile: analytic for Gaussians,
+interpolated in a CDF table otherwise, with Newton steps on the analytic CDF
+for mixtures.  Only the 2D row path, ``costs_to_standard_gaussian_rows``,
+uses the symmetry: it maps each row toward the Gaussian, whose quantile is
+analytic.
 
 A discrete oracle provides independent ground truth: north-west-corner
 matching on sorted atoms (exact for convex costs), cross-checked for
@@ -34,7 +38,7 @@ from .deltafn import delta
 from .densities import Density1D, GaussianDensity, ProductDensity, standard_gaussian
 from .errors import ArgumentError, DegeneratePlanError
 from .quadrature import GridSpec, integrate, simpson_weights
-from .values import FunctionalValue
+from .values import FunctionalValue, additive
 
 # Quantile arguments are clipped into this window before inversion; the
 # excluded tail mass is ~1e-300 on the low side and one ulp on the high
@@ -169,12 +173,7 @@ def product_transport_bound(mu: ProductDensity, cost: CostFn = COST_SQ) -> Funct
     """Coordinatewise upper bound: sum of factor costs to the standard Gaussian."""
     if not isinstance(mu, ProductDensity):
         raise ArgumentError("product_transport_bound needs a product density")
-    parts = [transport_cost(f, None, cost) for f in mu.factors]
-    return FunctionalValue(
-        f"T[{cost.id}]",
-        math.fsum(p.value for p in parts),
-        math.fsum(p.error_estimate for p in parts),
-    )
+    return additive(transport_cost(f, None, cost) for f in mu.factors)
 
 
 # ---------------------------------------------------------------------------

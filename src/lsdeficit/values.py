@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import ArgumentError, NumericalError
 
@@ -30,3 +32,17 @@ class FunctionalValue:
             )
         if self.name == "N" and not self.value > 0:
             raise NumericalError(f"entropy power must be positive, got {self.value}")
+
+
+def additive(parts: Iterable[FunctionalValue]) -> FunctionalValue:
+    """Sum of per-coordinate parts of one functional.
+
+    Values and error estimates both add (exactly rounded), as they do for
+    independent coordinates; the parts share the name of the sum.
+    """
+    parts = list(parts)
+    return FunctionalValue(
+        parts[0].name,
+        math.fsum(p.value for p in parts),
+        math.fsum(p.error_estimate for p in parts),
+    )

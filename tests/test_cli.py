@@ -11,6 +11,7 @@ from lsdeficit import config
 from lsdeficit.bounds import BOUND_IDS, BoundCertificate
 from lsdeficit.cli import _fuse_range_flag, _parse_range, main
 from lsdeficit.densities import GaussianDensity, MixtureDensity, ProductDensity, standard_gaussian
+from lsdeficit.functionals import relative_entropy
 from lsdeficit.specio import dumps
 
 
@@ -22,18 +23,6 @@ def spec_file(tmp_path):
         return str(path)
 
     return write
-
-
-@pytest.fixture(autouse=True)
-def _restore_numeric_config():
-    env_before = os.environ.get(config.ENV_GRID_POINTS)
-    radius_before = config.DEFAULT_SUPPORT_RADIUS
-    yield
-    if env_before is None:
-        os.environ.pop(config.ENV_GRID_POINTS, None)
-    else:
-        os.environ[config.ENV_GRID_POINTS] = env_before
-    config.DEFAULT_SUPPORT_RADIUS = radius_before
 
 
 def run_json(capsys, argv):
@@ -264,11 +253,29 @@ class TestReport:
 class TestNumericFlags:
     """Shared numeric flags and their validation."""
 
-    def test_grid_points_env_roundtrip(self, spec_file, capsys):
-        path = spec_file("g.json", GaussianDensity(0.0, 4.0))
-        code = main(["distance", "--dist", path, "--metric", "kl", "--grid-points", "1024"])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--family", "gaussian-sigma", "--range", "1:1:1", "--format", "json"],
+        ["report", "--density"],
+    ], ids=["sweep", "report"])
+    def test_flags_apply_to_one_call_only(self, command, spec_file, capsys, monkeypatch):
+        monkeypatch.delenv(config.ENV_GRID_POINTS, raising=False)
+        fresh = relative_entropy(GaussianDensity(0.0, 4.0))
+        if command[0] == "report":
+            command = command + [spec_file("g.json", GaussianDensity(0.0, 4.0))]
+        code, out = run_json(
+            capsys, command + ["--grid-points", "1024", "--support-radius", "8"]
+        )
         assert code == 0
-        assert os.environ[config.ENV_GRID_POINTS] == "1024"
+        assert out["metadata"]["grid_points"] == 1024
+        assert out["metadata"]["support_radius"] == 8.0
+        assert config.ENV_GRID_POINTS not in os.environ
+        assert relative_entropy(GaussianDensity(0.0, 4.0)) == fresh
+
+    def test_grid_points_env_read_at_call_time(self, monkeypatch):
+        monkeypatch.setenv(config.ENV_GRID_POINTS, "1024")
+        assert config.default_grid_points() == 1024
+        monkeypatch.setenv(config.ENV_GRID_POINTS, "2048")
+        assert GaussianDensity(0.0, 1.0).eval_spec().n_points == 2048
 
     def test_grid_points_minimum(self, spec_file, capsys):
         path = spec_file("g.json", standard_gaussian())

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lsdeficit.bounds import evaluate_bound
 from lsdeficit.densities import (
     GaussianDensity,
     MixtureDensity,
@@ -41,6 +42,14 @@ class TestRecenter1D:
     def test_already_centered_is_noop(self):
         out = recenter(standard_gaussian())
         np.testing.assert_allclose(out.shifts[0], 0.0, atol=1e-12)
+
+    def test_mixture_keeps_certified_convexity_floor(self):
+        mix = MixtureDensity([(0.3, -0.5, 1.0), (0.7, 0.5, 1.0)], convexity_lower_bound=0.5)
+        assert mix.convexity_lower_bound == 0.5
+        centered = recenter(mix).recentered
+        assert centered.convexity_lower_bound == 0.5
+        # the centered form is what the convexity-gated bound certifies
+        assert evaluate_bound("thm4.2", centered).constants["eps"] == 0.5
 
 
 class TestRecenterProduct:
