@@ -143,9 +143,9 @@ class _Stats:
     def __init__(self, mu: Density):
         self.mu = mu
         self.n = dim_of(mu)
-        self._memo: dict[str, object] = {}
+        self._memo: dict[object, object] = {}
 
-    def _get(self, key: str, fn: Callable[[], object]):
+    def _get(self, key, fn: Callable[[], object]):
         if key not in self._memo:
             self._memo[key] = fn()
         return self._memo[key]
@@ -182,6 +182,10 @@ class _Stats:
     @property
     def tv(self) -> float:
         return self._get("tv", lambda: total_variation(self.mu, None).value)
+
+    def evolved(self, t: float) -> Density:
+        """Law of X + sqrt(t) Z (the heat flow at time t), memoised per t."""
+        return self._get(("evolved", t), lambda: _evolved(self.mu, t))
 
     # -- transport against gamma -------------------------------------------
     @property
@@ -399,10 +403,10 @@ def _eval_stam(s, opts, tol):
 def _eval_epi(s, opts, tol):
     other = opts.get("other")
     if other is None:
-        summed = _evolved(s.mu, 1.0)
+        summed = s.evolved(1.0)
         other_pow = entropy_power(_default_other(s)).value
     elif isinstance(other, GaussianDensity) and isinstance(s.mu, Density1D):
-        summed = _evolved(s.mu, other.variance())
+        summed = s.evolved(other.variance())
         other_pow = entropy_power(other).value
     elif isinstance(other, Density1D) and isinstance(s.mu, Density1D):
         summed = convolve(s.mu, other)
@@ -467,14 +471,14 @@ def _eval_lem32(s, opts, tol):
         raise ArgumentError(f"lem3.2 needs t > 0, got {t}")
     other = opts.get("other") or _default_other(s)
     lhs = _w2sq_between(s.mu, other) / (2.0 * t)
-    rhs = relative_entropy(_evolved(s.mu, t), _heat(other, t)).value
+    rhs = relative_entropy(s.evolved(t), _heat(other, t)).value
     return _cert("lem3.2", lhs, rhs, {"t": t}, tol)
 
 
 def _eval_lem33(s, opts, tol):
     other = opts.get("other")
     if other is None:
-        summed = _evolved(s.mu, 1.0)
+        summed = s.evolved(1.0)
         other_fisher = float(s.n)
     elif isinstance(other, Density1D) and isinstance(s.mu, Density1D):
         if isinstance(other, GaussianDensity):

@@ -31,9 +31,6 @@ from .errors import ArgumentError
 from .quadrature import GridSpec, integrate_values, integrate_values_2d, simpson_weights
 
 _LOG_2PI = math.log(2.0 * math.pi)
-# exp(-745) is still a normal positive float; used to floor log densities
-# produced by convolution quadrature so grids stay strictly positive.
-_LOG_FLOOR = -740.0
 
 
 def _table_cdf(p: np.ndarray, step: float) -> np.ndarray:
@@ -827,63 +824,80 @@ def bivariate_gaussian_grid(
 # ---------------------------------------------------------------------------
 # Convolution engines
 # ---------------------------------------------------------------------------
-
-_MAX_CONV_POINTS = 8193
-
+# 1D convolutions share one kernel: output nodes on the input's own lattice
+# (same step, or a whole fraction of it for coarse tables; odd node count for
+# pure Simpson; no cap on the count) and one direct Toeplitz sum.  The 2D heat step stays separable: two dense kernel
+# matrices and two BLAS products, whose exp calls are a small share of it.
 
 def _odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
 
 
-def _output_spec(lo: float, hi: float, base_step: float) -> GridSpec:
-    n = int(math.ceil((hi - lo) / base_step)) + 1
-    n = _odd(max(config.default_grid_points(), min(_MAX_CONV_POINTS, n)))
-    return GridSpec(lo, hi, n)
+def _lattice_convolve(table: NodeTable, kernel, lo: float, hi: float) -> GridDensity:
+    """Density of X + Y, X tabulated in ``table`` and Y with density ``kernel``.
+
+    The output nodes continue the table's own lattice: [lo, hi] is widened
+    outward to whole steps h, plus one more node at the top when needed for
+    an odd node count (pure Simpson).  A table too coarse to give the default
+    node count that way gets r output nodes per step h instead.  Every
+    difference y_i - x_j is then a multiple of h/r, so one sampled kernel
+    vector serves the whole Toeplitz sum sum_j w_j p_j k(y_i - x_j), which
+    runs as a direct sum: all terms are positive, so the far tails keep full
+    relative accuracy (an FFT's roundoff floor, ~1e-16 of the peak, does not).
+    """
+    spec, h = table.spec, table.spec.step
+    n_in = spec.n_points
+    before = max(0, math.ceil((spec.x_lo - lo) / h))
+    steps = before + n_in - 1 + max(0, math.ceil((hi - spec.x_hi) / h))
+    r = max(1, math.ceil((config.default_grid_points() - 1) / steps))
+    n_out = _odd(r * steps + 1)
+    step = h / r
+    out_spec = GridSpec(
+        spec.x_lo - before * h,
+        spec.x_hi + (n_out - 1 - r * (before + n_in - 1)) * step,
+        n_out,
+    )
+    # every y_i - x_j = (i - r (before + j)) h/r, over all output i and input j
+    k = kernel(np.arange(-r * (before + n_in - 1), n_out - r * before) * step)
+    weighted = simpson_weights(n_in, h) * table.p
+    out = np.empty(n_out)
+    for phase in range(r):
+        out[phase::r] = np.convolve(k[phase::r], weighted, mode="valid")
+    log_out = np.log(np.maximum(out, 1e-320))
+    return GridDensity(out_spec, log_out)
 
 
 def gaussian_convolve(density: Density1D, t: float) -> GridDensity:
     """Distribution of X + sqrt(t) Z as a grid density, by direct quadrature.
 
-    The output support extends the input's by R*sqrt(t) on both sides, with
-    R the support radius (10 by default).
+    The output lies on the input table's lattice (same step unless the table
+    is coarser than the default grid, odd node count) and covers the input's
+    support widened by R*sqrt(t) on both sides, R the support radius (10 by
+    default), rounded outward to whole steps; the node count is not capped.
+    Each output node is the Simpson-weighted sum over the input nodes,
+    summed directly.
     """
     if not t > 0:
         raise ArgumentError(f"convolution time must be positive, got {t}")
     table = density.table
     pad = config.support_radius() * math.sqrt(t)
-    out_spec = _output_spec(
-        table.spec.x_lo - pad, table.spec.x_hi + pad, table.spec.step
-    )
-    weighted = simpson_weights(table.spec.n_points, table.spec.step) * table.p
-    out = np.empty(out_spec.n_points)
     norm = 1.0 / math.sqrt(2.0 * math.pi * t)
-    ys = out_spec.nodes()
-    for start in range(0, out_spec.n_points, 512):
-        block = ys[start : start + 512, None] - table.nodes[None, :]
-        kernel = np.exp(block * block / (-2.0 * t))
-        out[start : start + 512] = kernel @ weighted
-    log_out = np.log(np.maximum(out * norm, 1e-320))
-    return GridDensity(out_spec, log_out)
+    return _lattice_convolve(
+        table,
+        lambda z: np.exp(z * z / (-2.0 * t)) * norm,
+        table.spec.x_lo - pad,
+        table.spec.x_hi + pad,
+    )
 
 
 def convolve(a: Density1D, b: Density1D) -> GridDensity:
-    """Distribution of the independent sum X + Y on the summed support."""
-    ta, tb = a.table, b.table
-    out_spec = _output_spec(
-        ta.spec.x_lo + tb.spec.x_lo,
-        ta.spec.x_hi + tb.spec.x_hi,
-        min(ta.spec.step, tb.spec.step),
-    )
-    weighted = simpson_weights(ta.spec.n_points, ta.spec.step) * ta.p
-    ys = out_spec.nodes()
-    out = np.empty(out_spec.n_points)
-    for start in range(0, out_spec.n_points, 512):
-        block = ys[start : start + 512, None] - ta.nodes[None, :]
-        out[start : start + 512] = np.asarray(b.pdf(block.ravel())).reshape(
-            block.shape
-        ) @ weighted
-    log_out = np.log(np.maximum(out, 1e-320))
-    return GridDensity(out_spec, log_out)
+    """Distribution of the independent sum X + Y on the summed support.
+
+    Quadrature runs over a's table; b's density is sampled on a's lattice,
+    which the output nodes continue (odd node count).
+    """
+    ta, sb = a.table, b.eval_spec()
+    return _lattice_convolve(ta, b.pdf, ta.spec.x_lo + sb.x_lo, ta.spec.x_hi + sb.x_hi)
 
 
 def gaussian_convolve_2d(density: Grid2DDensity, t: float) -> Grid2DDensity:

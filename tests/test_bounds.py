@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lsdeficit import functionals
 from lsdeficit.battery import standard_battery
 from lsdeficit.bounds import (
     BOUND_IDS,
@@ -325,3 +326,46 @@ class TestSuiteAndProbe:
         p = ProductDensity([GaussianDensity(1.0, 4.0), GaussianDensity(0.0, 1.0)])
         out = equality_probe(p)
         np.testing.assert_allclose(out["w2_to_best_translate"], 1.0, atol=1e-6)
+
+
+def _count_heat_flows(monkeypatch) -> list:
+    calls = []
+    for name in ("gaussian_convolve", "gaussian_convolve_2d"):
+        def counted(density, t, _flow=getattr(functionals, name)):
+            calls.append(t)
+            return _flow(density, t)
+
+        monkeypatch.setattr(functionals, name, counted)
+    return calls
+
+
+class TestHeatFlowMemo:
+    """One Workspace runs the heat flow of a density once per time."""
+
+    @pytest.mark.parametrize(
+        "mu,flows",
+        [
+            (MIX2, 1),
+            (ProductDensity([GaussianDensity(0.0, 0.25), MIX2]), 2),
+            (bivariate_gaussian_grid(0.5), 1),
+        ],
+        ids=["1d", "product", "grid2d"],
+    )
+    def test_heat_flow_bounds_share_one_flow(self, monkeypatch, mu, flows):
+        calls = _count_heat_flows(monkeypatch)
+        ws = Workspace()
+        for bid in ("epi", "lem3.2", "lem3.3"):
+            try:
+                evaluate_bound(bid, mu, workspace=ws)
+            except HypothesisError:
+                assert isinstance(mu, Grid2DDensity) and bid == "lem3.2"
+        assert calls == [1.0] * flows
+
+    def test_new_time_adds_one_flow(self, monkeypatch):
+        calls = _count_heat_flows(monkeypatch)
+        ws = Workspace()
+        for bid in ("epi", "lem3.2", "lem3.3"):
+            evaluate_bound(bid, MIX2, workspace=ws)
+        evaluate_bound("lem3.2", MIX2, opts={"t": 0.5}, workspace=ws)
+        evaluate_bound("lem3.2", MIX2, opts={"t": 0.5}, workspace=ws)
+        assert calls == [1.0, 0.5]

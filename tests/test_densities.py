@@ -19,7 +19,8 @@ from lsdeficit.densities import (
     standard_gaussian,
 )
 from lsdeficit.errors import ArgumentError
-from lsdeficit.quadrature import GridSpec, integrate, integrate_values_2d
+from lsdeficit.functionals import fisher_information
+from lsdeficit.quadrature import GridSpec, integrate, integrate_values_2d, simpson_weights
 
 
 def _gaussian_like_grid(mean=0.3, var=1.44, n=2049):
@@ -206,6 +207,87 @@ class TestConvolution:
     def test_time_must_be_positive(self):
         with pytest.raises(ArgumentError):
             gaussian_convolve(GaussianDensity(0.0, 1.0), 0.0)
+
+
+def _dense_convolve(table, kernel, out_spec):
+    """Reference: the full kernel matrix k(y_i - x_j) at arbitrary output
+    nodes, 512 rows at a time, times the Simpson-weighted input."""
+    weighted = simpson_weights(table.spec.n_points, table.spec.step) * table.p
+    ys = out_spec.nodes()
+    out = np.empty(out_spec.n_points)
+    for start in range(0, out_spec.n_points, 512):
+        block = ys[start : start + 512, None] - table.nodes[None, :]
+        out[start : start + 512] = np.asarray(kernel(block)) @ weighted
+    return GridDensity(out_spec, np.log(np.maximum(out, 1e-320)))
+
+
+def _heat_kernel(t):
+    return lambda z: np.exp(z * z / (-2.0 * t)) / math.sqrt(2.0 * math.pi * t)
+
+
+def _max_log_gap(got, want):
+    keep = want.log_values > -40.0  # window truncation owns the far tail
+    return np.max(np.abs(got.log_values[keep] - want.log_values[keep]))
+
+
+class TestLatticeKernel:
+    """The step-aligned direct sum against the dense kernel matrix."""
+
+    @pytest.mark.parametrize("t", [0.25, 1.0])
+    @pytest.mark.parametrize("index", range(5))
+    def test_heat_flow_matches_dense_oracle(self, index, t):
+        mu = _one_d_family()[index]
+        out = gaussian_convolve(mu, t)
+        assert _max_log_gap(out, _dense_convolve(mu.table, _heat_kernel(t), out.spec)) < 1e-8
+
+    def test_general_convolve_matches_dense_oracle(self):
+        a = MixtureDensity([(0.3, -1.0, 1.0), (0.7, 2.0, 0.25)])
+        b = TiltedDensity([0.0, 0.0, 0.25, 0.0, 0.05])
+        out = convolve(a, b)
+        assert _max_log_gap(out, _dense_convolve(a.table, b.pdf, out.spec)) < 1e-8
+
+    @pytest.mark.parametrize("t", [0.3, 1.0, 2.5])
+    def test_output_continues_input_lattice(self, t):
+        mu = MixtureDensity([(0.3, -1.0, 1.0), (0.7, 2.0, 0.25)])
+        spec = mu.table.spec
+        out = gaussian_convolve(mu, t).spec
+        assert out.n_points % 2 == 1
+        assert out.step == pytest.approx(spec.step, rel=1e-12)
+        offset = (spec.x_lo - out.x_lo) / spec.step
+        assert offset == pytest.approx(round(offset), abs=1e-6)
+        pad = 10.0 * math.sqrt(t)
+        assert out.x_lo <= spec.x_lo - pad and out.x_hi >= spec.x_hi + pad
+
+    def test_heat_flowed_mixture_fisher_information(self):
+        # X + Z with X the +-1 mixture is the same mixture with variance 2;
+        # an FFT's roundoff floor empties the tails and this diverges
+        mu = MixtureDensity([(0.5, -1.0, 1.0), (0.5, 1.0, 1.0)])
+        got = fisher_information(gaussian_convolve(mu, 1.0)).value
+        want = fisher_information(MixtureDensity([(0.5, -1.0, 2.0), (0.5, 1.0, 2.0)])).value
+        assert got == pytest.approx(want, abs=1e-6)
+
+    def test_coarse_table_gets_refined_output(self):
+        # 129 input nodes: the output takes r nodes per input step, so the
+        # finite-difference score of the result stays as fine as the default
+        mix = MixtureDensity([(0.5, -1.0, 1.0), (0.5, 1.0, 1.0)])
+        spec = GridSpec(-11.0, 11.0, 129)
+        mu = GridDensity(spec, mix.log_pdf(spec.nodes()))
+        out = gaussian_convolve(mu, 1.0)
+        assert out.spec.n_points % 2 == 1 and out.spec.n_points >= 4096
+        r = spec.step / out.spec.step
+        assert r == pytest.approx(round(r), rel=1e-12) and round(r) > 1
+        assert _max_log_gap(out, _dense_convolve(mu.table, _heat_kernel(1.0), out.spec)) < 1e-8
+        got = fisher_information(out).value
+        want = fisher_information(MixtureDensity([(0.5, -1.0, 2.0), (0.5, 1.0, 2.0)])).value
+        assert got == pytest.approx(want, abs=2e-6)
+
+    def test_narrow_input_closed_form_at_nodes(self):
+        out = gaussian_convolve(GaussianDensity(0.0, 0.0025), 1.0)
+        ref = GaussianDensity(0.0, 1.0025)
+        x = out.spec.nodes()[::8]
+        keep = np.asarray(ref.log_pdf(x)) > -40.0
+        diff = np.abs(np.asarray(out.log_pdf(x)) - np.asarray(ref.log_pdf(x)))
+        assert np.max(diff[keep]) < 1e-8
 
 
 class TestBivariateGrid:

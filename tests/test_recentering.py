@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from lsdeficit.bounds import evaluate_bound
 from lsdeficit.densities import (
@@ -15,7 +16,15 @@ from lsdeficit.densities import (
 )
 from lsdeficit.errors import ArgumentError
 from lsdeficit.functionals import relative_entropy, relative_fisher
-from lsdeficit.recentering import RecenteredDensity, TensorDecomposition, recenter, tensorise
+from lsdeficit import recentering
+from lsdeficit.quadrature import GridSpec
+from lsdeficit.recentering import (
+    RecenteredDensity,
+    TensorDecomposition,
+    _shift_rows,
+    recenter,
+    tensorise,
+)
 from lsdeficit.transport import COST_ABS, COST_DELTA, COST_SQ
 
 
@@ -117,6 +126,57 @@ class TestRecenterGrid2D:
     def test_rejects_unknown_type(self):
         with pytest.raises(ArgumentError):
             recenter("density")
+
+
+def _shift_rows_per_row(log_rows, spec_y, offsets, drop=745.0):
+    """Reference: one spline build per moved row."""
+    ys = spec_y.nodes()
+    out = np.empty_like(log_rows)
+    floor = float(log_rows.max()) - drop
+    for i, off in enumerate(offsets):
+        if off == 0.0:
+            out[i] = log_rows[i]
+            continue
+        q = ys + off
+        inside = (q >= spec_y.x_lo) & (q <= spec_y.x_hi)
+        row = np.full(ys.shape, floor)
+        if inside.any():
+            s = CubicSpline(ys, log_rows[i], bc_type="not-a-knot")
+            row[inside] = s(q[inside])
+        out[i] = np.maximum(row, floor)
+    return out
+
+
+class TestShiftRows:
+    """The batched spline build reproduces the per-row builds bit for bit."""
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            lambda: bivariate_gaussian_grid(0.5),
+            lambda: bivariate_gaussian_grid(-0.4, var=(0.8, 1.2), mean=(0.3, -0.4)),
+        ],
+    )
+    def test_matches_per_row_splines(self, grid, swap):
+        mu = grid()
+        if swap:
+            mu = mu.swapped()
+        offsets = mu.conditional_means()
+        got = _shift_rows(mu.log_values, mu.spec_y, offsets)
+        assert np.array_equal(got, _shift_rows_per_row(mu.log_values, mu.spec_y, offsets))
+
+    @pytest.mark.parametrize("block", [1, 4, recentering._SPLINE_BLOCK])
+    def test_unmoved_and_off_grid_rows(self, monkeypatch, block):
+        # small blocks split the moved rows unevenly, with unmoved rows between
+        monkeypatch.setattr(recentering, "_SPLINE_BLOCK", block)
+        spec = GridSpec(-4.0, 4.0, 65)
+        rng = np.random.default_rng(5)
+        log_rows = -0.5 * spec.nodes()[None, :] ** 2 + rng.normal(size=(9, 65))
+        offsets = np.array([0.0, 0.3, -1.1, 0.0, 9.0, -8.5, 2.0, 0.0, 1e-3])
+        got = _shift_rows(log_rows, spec, offsets)
+        assert np.array_equal(got, _shift_rows_per_row(log_rows, spec, offsets))
+        assert np.array_equal(_shift_rows(log_rows, spec, np.zeros(9)), log_rows)
 
 
 class TestTensorise:
