@@ -35,6 +35,7 @@ from .densities import (
     ProductDensity,
     convolve,
     standard_gaussian,
+    standard_gaussian_product,
 )
 from .errors import ArgumentError, HypothesisError, NumericalError
 from .functionals import (
@@ -53,9 +54,10 @@ from .transport import (
     COST_ABS,
     COST_DELTA,
     COST_SQ,
+    CostFn,
+    TransportPlan1D,
     cost_delta_scaled,
     monotone_plan,
-    product_transport_bound,
     transport_cost,
 )
 from .values import additive
@@ -122,23 +124,34 @@ def _cert(bound_id, lhs, rhs, constants, tol, notes=""):
 # Cached per-density statistics
 # ---------------------------------------------------------------------------
 
-def _exact_w2sq(mu: Density) -> float:
-    """W2^2 to the standard Gaussian, coordinate by coordinate."""
-    if isinstance(mu, Density1D):
-        return transport_cost(mu, None, COST_SQ).value
-    if isinstance(mu, ProductDensity):
-        return product_transport_bound(mu, COST_SQ).value
+def _w2sq_between(mu: Density, nu: Density | None = None) -> float:
+    """W2^2 from mu to nu (default: the standard Gaussian), coordinate by
+    coordinate; coupled 2D grids and mismatched shapes are refused."""
+    if isinstance(mu, Density1D) and (nu is None or isinstance(nu, Density1D)):
+        return transport_cost(mu, nu, COST_SQ).value
+    if isinstance(mu, ProductDensity) and (
+        nu is None or (isinstance(nu, ProductDensity) and nu.dim == mu.dim)
+    ):
+        refs = [None] * mu.dim if nu is None else nu.factors
+        return additive(
+            transport_cost(a, b, COST_SQ) for a, b in zip(mu.factors, refs)
+        ).value
     raise HypothesisError(
-        "exact quadratic transport distance unavailable: coupled 2D grids "
-        "only admit the per-coordinate upper bound"
+        "exact quadratic transport distance unavailable for this pair of shapes"
     )
 
 
 _TENSOR_COSTS = (COST_DELTA, COST_SQ, COST_ABS)
+_COST_DELTA_SCALED = cost_delta_scaled(math.sqrt(2.0 * math.pi))
 
 
 class _Stats:
-    """Lazy, memoised functionals of one density against gamma_n."""
+    """Lazy, memoised functionals of one density against gamma_n.
+
+    Evaluators read every transport cost, transport plan, heat flow and
+    centered quantity of their density through this memo, so one Workspace
+    computes each of them once.
+    """
 
     def __init__(self, mu: Density):
         self.mu = mu
@@ -190,25 +203,31 @@ class _Stats:
     # -- transport against gamma -------------------------------------------
     @property
     def w2sq(self) -> float:
-        return self._get("w2sq", lambda: _exact_w2sq(self.mu))
+        return self._get("w2sq", lambda: _w2sq_between(self.mu))
 
     @property
     def w2(self) -> float:
         return math.sqrt(max(self.w2sq, 0.0))
 
-    @property
-    def w1(self) -> float:
+    def cost_1d(self, cost: CostFn) -> float:
+        """Exact optimal ``cost`` to the standard Gaussian, for 1D input."""
         mu = self.mu
         if not isinstance(mu, Density1D):
-            raise HypothesisError("exact first-order transport distance is 1D-only")
-        return self._get("w1", lambda: transport_cost(mu, None, COST_ABS).value)
+            raise HypothesisError(f"exact transport cost {cost.id!r} is 1D-only")
+        return self._get(("cost", cost.id), lambda: transport_cost(mu, None, cost).value)
+
+    @property
+    def w1(self) -> float:
+        return self.cost_1d(COST_ABS)
 
     @property
     def tdelta(self) -> float:
-        mu = self.mu
-        if not isinstance(mu, Density1D):
-            raise HypothesisError("exact convex-gap transport cost is 1D-only")
-        return self._get("tdelta", lambda: transport_cost(mu, None, COST_DELTA).value)
+        return self.cost_1d(COST_DELTA)
+
+    @property
+    def plan(self) -> TransportPlan1D:
+        """Monotone map carrying the standard Gaussian onto a 1D density."""
+        return self._get("plan", lambda: monotone_plan(self.mu, None))
 
     # -- recentering and per-coordinate decomposition -----------------------
     @property
@@ -293,11 +312,7 @@ def _require_exact_w2(s: _Stats) -> None:
 
 
 def _default_other(s: _Stats) -> Density:
-    if isinstance(s.mu, Density1D):
-        return standard_gaussian()
-    if isinstance(s.mu, ProductDensity):
-        return ProductDensity([standard_gaussian() for _ in range(s.n)])
-    return ProductDensity([standard_gaussian(), standard_gaussian()])
+    return standard_gaussian() if s.n == 1 else standard_gaussian_product(s.n)
 
 
 def _check_opts(bound_id: str, opts: Mapping, allowed: frozenset[str]) -> None:
@@ -400,24 +415,27 @@ def _eval_stam(s, opts, tol):
     return _cert("stam", lhs, float(s.n), {"two_pi_e": _TWO_PI_E}, tol)
 
 
+def _sum_law(s: _Stats, other: Density | None) -> Density:
+    """Law of X + Y for independent X ~ mu and Y ~ other (default: the
+    standard Gaussian), up to a translation.  Entropy and Fisher information
+    ignore translations, so a Gaussian Y reads the memoised heat flow at its
+    variance."""
+    if other is None:
+        return s.evolved(1.0)
+    if isinstance(s.mu, Density1D) and isinstance(other, Density1D):
+        if isinstance(other, GaussianDensity):
+            return s.evolved(other.variance())
+        return convolve(s.mu, other)
+    raise HypothesisError(
+        "independent-sum hypothesis unsupported: multi-coordinate input "
+        "admits only the standard Gaussian as the second summand"
+    )
+
+
 def _eval_epi(s, opts, tol):
     other = opts.get("other")
-    if other is None:
-        summed = s.evolved(1.0)
-        other_pow = entropy_power(_default_other(s)).value
-    elif isinstance(other, GaussianDensity) and isinstance(s.mu, Density1D):
-        summed = s.evolved(other.variance())
-        other_pow = entropy_power(other).value
-    elif isinstance(other, Density1D) and isinstance(s.mu, Density1D):
-        summed = convolve(s.mu, other)
-        other_pow = entropy_power(other).value
-    else:
-        raise HypothesisError(
-            "independent-sum hypothesis unsupported: multi-coordinate input "
-            "admits only the standard Gaussian as the second summand"
-        )
-    lhs = entropy_power(summed).value
-    rhs = s.entropy_power + other_pow
+    lhs = entropy_power(_sum_law(s, other)).value
+    rhs = s.entropy_power + entropy_power(other or _default_other(s)).value
     return _cert("epi", lhs, rhs, {}, tol)
 
 
@@ -448,50 +466,22 @@ def _heat(other: Density, t: float) -> Density:
     return _evolved(other, t)
 
 
-def _w2sq_between(mu: Density, nu: Density) -> float:
-    if isinstance(mu, Density1D) and isinstance(nu, Density1D):
-        return transport_cost(mu, nu, COST_SQ).value
-    if (
-        isinstance(mu, ProductDensity)
-        and isinstance(nu, ProductDensity)
-        and mu.dim == nu.dim
-    ):
-        return additive(
-            transport_cost(a, b, COST_SQ) for a, b in zip(mu.factors, nu.factors)
-        ).value
-    raise HypothesisError(
-        "exact quadratic transport distance unavailable for this pair of shapes"
-    )
-
-
 def _eval_lem32(s, opts, tol):
     _require_exact_w2(s)
     t = float(opts.get("t", 1.0))
     if not t > 0:
         raise ArgumentError(f"lem3.2 needs t > 0, got {t}")
-    other = opts.get("other") or _default_other(s)
-    lhs = _w2sq_between(s.mu, other) / (2.0 * t)
-    rhs = relative_entropy(s.evolved(t), _heat(other, t)).value
+    other = opts.get("other")
+    w2sq = s.w2sq if other is None else _w2sq_between(s.mu, other)
+    lhs = w2sq / (2.0 * t)
+    rhs = relative_entropy(s.evolved(t), _heat(other or _default_other(s), t)).value
     return _cert("lem3.2", lhs, rhs, {"t": t}, tol)
 
 
 def _eval_lem33(s, opts, tol):
     other = opts.get("other")
-    if other is None:
-        summed = s.evolved(1.0)
-        other_fisher = float(s.n)
-    elif isinstance(other, Density1D) and isinstance(s.mu, Density1D):
-        if isinstance(other, GaussianDensity):
-            summed = _evolved(s.mu.shifted(other.mean()), other.variance())
-        else:
-            summed = convolve(s.mu, other)
-        other_fisher = fisher_information(other).value
-    else:
-        raise HypothesisError(
-            "independent-sum hypothesis unsupported: multi-coordinate input "
-            "admits only the standard Gaussian as the second summand"
-        )
-    lhs = 1.0 / fisher_information(summed).value
+    lhs = 1.0 / fisher_information(_sum_law(s, other)).value
+    other_fisher = float(s.n) if other is None else fisher_information(other).value
     rhs = 1.0 / s.i_plain + 1.0 / other_fisher
     return _cert("lem3.3", lhs, rhs, {}, tol)
 
@@ -526,19 +516,17 @@ def _eval_thm3t(s, opts, tol):
 
 def _eval_thm41(s, opts, tol):
     mu = _require_1d(s, "the reinforced quadratic transport bound")
-    median_variant = bool(opts.get("median_variant", False))
-    scaled_cost = cost_delta_scaled(math.sqrt(2.0 * math.pi))
-    t_scaled = transport_cost(mu, None, scaled_cost).value
-    if median_variant:
+    if opts.get("median_variant", False):
         med = float(mu.quantile(0.5))
         if abs(med) > _MEAN_TOL:
             raise HypothesisError(
                 f"median-zero hypothesis violated: median = {med:.3e}"
             )
-        rhs = 0.5 * s.w2sq + 1.0 * t_scaled
+        t_scaled = s.cost_1d(_COST_DELTA_SCALED)
+        rhs = 0.5 * s.w2sq + t_scaled
         constants = {
             "variant_constant": 1.0,
-            "scaled_cost": scaled_cost.id,
+            "scaled_cost": _COST_DELTA_SCALED.id,
             "t_scaled": t_scaled,
         }
         return _cert(
@@ -546,12 +534,13 @@ def _eval_thm41(s, opts, tol):
             notes="median-centered variant of the inner-scaled cost form",
         )
     _require_mean_zero(s)
+    t_scaled = s.cost_1d(_COST_DELTA_SCALED)
     rhs = 0.5 * s.w2sq + s.tdelta / (8.0 * math.pi)
     constants = {
         "coef_tdelta": 1.0 / (8.0 * math.pi),
         "variant_constant": 0.25,
         "rhs_scaled_cost_variant": 0.5 * s.w2sq + 0.25 * t_scaled,
-        "scaled_cost": scaled_cost.id,
+        "scaled_cost": _COST_DELTA_SCALED.id,
     }
     return _cert("thm4.1", s.d, rhs, constants, tol)
 
@@ -566,16 +555,23 @@ def _eval_thm42(s, opts, tol):
     return _cert("thm4.2", s.d, rhs, constants, tol)
 
 
+def _ratio_or_zero(num: float, den: float) -> float:
+    """num / den, or 0 where den <= 0 (at the reference measure); a NaN
+    denominator stays NaN."""
+    if den <= 0.0:
+        return 0.0
+    return num / den
+
+
 def _eval_cor43(s, opts, tol):
     _require_1d(s, "the one dimensional self-improvement")
-    centered = s.recentered.recentered
-    t_bar = transport_cost(centered, None, COST_DELTA).value
-    w2sq_bar = transport_cost(centered, None, COST_SQ).value
-    d_bar = relative_entropy(centered, None).value
+    t_bar = s.recentered_part_sum("delta")
+    w2sq_bar = s.recentered_part_sum("sq")
+    d_bar = s.d_recentered
     c_ratio = 4.0 * math.pi * (math.sqrt(1.0 + 1.0 / (4.0 * math.pi)) - 1.0)
     c_entropy = 1.0 / (128.0 * math.pi**2)
-    rhs = 0.5 * c_entropy * t_bar**2 / d_bar if d_bar > 0 else 0.0
-    rhs_w2_form = c_ratio * t_bar**2 / w2sq_bar if w2sq_bar > 0 else 0.0
+    rhs = _ratio_or_zero(0.5 * c_entropy * t_bar**2, d_bar)
+    rhs_w2_form = _ratio_or_zero(c_ratio * t_bar**2, w2sq_bar)
     constants = {
         "c_entropy_form": c_entropy,
         "c_w2_form": c_ratio,
@@ -603,12 +599,6 @@ def _eval_cor44(s, opts, tol):
     return _cert("cor4.4", s.deficit, rhs, constants, tol)
 
 
-def _ratio_or_zero(num_sq: float, den: float) -> float:
-    if den <= 0.0:
-        return 0.0
-    return num_sq / den
-
-
 def _eval_thm13(s, opts, tol):
     c = 1.0 / (256.0 * math.pi**2)
     t_bar = s.recentered_part_sum("delta")
@@ -627,11 +617,9 @@ def _eval_eq112(s, opts, tol):
         raise HypothesisError(
             f"entropy-smallness hypothesis violated: centered D = {d_bar:.6f} > 1"
         )
-    if isinstance(s.mu, Density1D):
-        w1_bar = transport_cost(s.recentered.recentered, None, COST_ABS).value
-        notes = ""
-    else:
-        w1_bar = s.recentered_part_sum("abs")
+    w1_bar = s.recentered_part_sum("abs")
+    notes = ""
+    if not isinstance(s.mu, Density1D):
         notes = "first-order cost via per-coordinate upper bound"
     c = LINEAR_BAND_CONSTANT**2 / (256.0 * math.pi**2)
     rhs = c * _ratio_or_zero(w1_bar**4, d_bar)
@@ -642,14 +630,14 @@ def _eval_eq112(s, opts, tol):
 def _eval_thm14(s, opts, tol):
     eps = _require_eps(s)
     c = LINEAR_BAND_CONSTANT
-    notes = ""
-    if isinstance(s.mu, Grid2DDensity):
-        w2sq_bar = s.recentered_part_sum("sq")
-        notes = "quadratic cost via per-coordinate upper bound"
-    else:
-        w2sq_bar = _exact_w2sq(s.recentered.recentered)
+    w2sq_bar = s.recentered_part_sum("sq")
     rhs = c * min(1.0, eps) * w2sq_bar
-    companion = _w2sq_to_mean_translate(s.mu, s.mean_vec)
+    notes = "companion mean-translate distance reported, not certified"
+    # the mean translate of 1D and product input is its recentered density
+    companion = w2sq_bar
+    if isinstance(s.mu, Grid2DDensity):
+        notes = "quadratic cost via per-coordinate upper bound; " + notes
+        companion = _w2sq_to_mean_translate(s.mu, s.mean_vec)
     constants = {
         "c": c,
         "c_provenance": "registry-fixed",
@@ -657,11 +645,7 @@ def _eval_thm14(s, opts, tol):
         "w2sq_recentered": w2sq_bar,
         "companion_w2sq_to_mean_translate": companion,
     }
-    return _cert(
-        "thm1.4", s.deficit, rhs, constants, tol,
-        notes=(notes + ("; " if notes else "")
-               + "companion mean-translate distance reported, not certified"),
-    )
+    return _cert("thm1.4", s.deficit, rhs, constants, tol, notes=notes)
 
 
 def _w2sq_to_mean_translate(mu: Density, mean: np.ndarray) -> float:
@@ -671,7 +655,7 @@ def _w2sq_to_mean_translate(mu: Density, mean: np.ndarray) -> float:
         translated = mu.translated(-float(mean[0]), -float(mean[1]))
         return math.fsum(tensorise(translated, costs=(COST_SQ,)).T_parts)
     offset = -mean if isinstance(mu, ProductDensity) else -float(mean[0])
-    return _exact_w2sq(mu.shifted(offset))
+    return _w2sq_between(mu.shifted(offset))
 
 
 _CHEEGER_LAMBDA = math.sqrt(2.0 / math.pi)
@@ -690,11 +674,11 @@ def _gamma_median(fn: Callable[[np.ndarray], np.ndarray]) -> float:
 
 
 def _eval_cheeger(s, opts, tol):
-    mu = _require_1d(s, "the first-order isoperimetric comparison")
+    _require_1d(s, "the first-order isoperimetric comparison")
     f = opts.get("f")
     f_prime = opts.get("f_prime")
     if f is None:
-        plan = monotone_plan(mu, None)
+        plan = s.plan
         f = lambda x: np.asarray(plan.map_at(x)) - np.asarray(x, dtype=float)
         f_prime = lambda x: np.asarray(plan.derivative(x)) - 1.0
     elif f_prime is None:
@@ -724,8 +708,8 @@ def _eval_cheeger(s, opts, tol):
 
 
 def _eval_talagrand_map(s, opts, tol):
-    mu = _require_1d(s, "the transport-map refinement")
-    plan = monotone_plan(mu, None)
+    _require_1d(s, "the transport-map refinement")
+    plan = s.plan
     spec = GridSpec(-10.0, 10.0, 4097)
 
     def integrand(x):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import config
 from .battery import standard_battery
-from .bounds import BOUND_IDS, DEFAULT_TOL, Workspace, evaluate_bound
+from .bounds import BOUND_IDS, DEFAULT_TOL, Workspace, _ratio_or_zero, evaluate_bound
 from .densities import Density, Density1D, ProductDensity
 from .errors import (
     ArgumentError,
@@ -268,10 +268,6 @@ _FAMILY_PARAM = {
 }
 
 
-def _ratio0(num: float, den: float) -> float:
-    return num / den if den > 0 else 0.0
-
-
 def _cmd_sweep(args) -> int:
     values = _parse_range(args.range)
     family = args.family
@@ -286,8 +282,8 @@ def _cmd_sweep(args) -> int:
         d = s.d
         columns["deficit"].append(s.deficit)
         columns["w2sq"].append(s.w2sq)
-        columns["tdelta_sq_over_d"].append(_ratio0(s.tdelta**2, d))
-        columns["w1_4_over_d"].append(_ratio0(s.w1**4, d))
+        columns["tdelta_sq_over_d"].append(_ratio_or_zero(s.tdelta**2, d))
+        columns["w1_4_over_d"].append(_ratio_or_zero(s.w1**4, d))
         for bid in BOUND_IDS:
             try:
                 cert = evaluate_bound(bid, mu, tol=args.tol, workspace=ws)

@@ -52,6 +52,14 @@ def _maybe_scalar(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
+def _unit_points(u) -> tuple[np.ndarray, bool]:
+    """Quantile arguments as points; each must lie strictly inside (0, 1)."""
+    pts, scalar = _as_points(u)
+    if np.any(pts <= 0.0) or np.any(pts >= 1.0):
+        raise ArgumentError("quantile argument must lie strictly inside (0, 1)")
+    return pts, scalar
+
+
 class NodeTable(NamedTuple):
     """Density evaluated on its canonical grid: the quadrature workhorse."""
 
@@ -184,9 +192,7 @@ class GaussianDensity(Density1D):
         return _maybe_scalar(special.ndtr((pts - self._mean) / self._sigma), scalar)
 
     def quantile(self, u):
-        pts, scalar = _as_points(u)
-        if np.any(pts <= 0.0) or np.any(pts >= 1.0):
-            raise ArgumentError("quantile argument must lie strictly inside (0, 1)")
+        pts, scalar = _unit_points(u)
         return _maybe_scalar(self._mean + self._sigma * special.ndtri(pts), scalar)
 
     def mean(self) -> float:
@@ -274,9 +280,7 @@ class MixtureDensity(Density1D):
         return _maybe_scalar(out, scalar)
 
     def quantile(self, u):
-        pts, scalar = _as_points(u)
-        if np.any(pts <= 0.0) or np.any(pts >= 1.0):
-            raise ArgumentError("quantile argument must lie strictly inside (0, 1)")
+        pts, scalar = _unit_points(u)
         t = self.table
         cdf_nodes = np.asarray(self.cdf(t.nodes))
         xs, ys = _strictly_increasing_table(cdf_nodes, t.nodes)
@@ -325,7 +329,27 @@ class MixtureDensity(Density1D):
         return f"MixtureDensity({list(self.components)!r})"
 
 
-class TiltedDensity(Density1D):
+class _TabulatedCDF(Density1D):
+    """CDF and quantile interpolated in the Simpson-accumulated CDF of the
+    node table, for densities without an analytic CDF."""
+
+    @cached_property
+    def _cdf_table(self) -> np.ndarray:
+        t = self.table
+        return _table_cdf(t.p, t.spec.step)
+
+    def cdf(self, x):
+        pts, scalar = _as_points(x)
+        out = np.interp(pts, self.table.nodes, self._cdf_table, left=0.0, right=1.0)
+        return _maybe_scalar(out, scalar)
+
+    def quantile(self, u):
+        pts, scalar = _unit_points(u)
+        xs, ys = _strictly_increasing_table(self._cdf_table, self.table.nodes)
+        return _maybe_scalar(np.interp(pts, xs, ys), scalar)
+
+
+class TiltedDensity(_TabulatedCDF):
     """exp(-v(x)) / Z for a polynomial potential v with even positive leading term.
 
     ``convexity_lower_bound`` is verified analytically: the exact minimum of
@@ -411,27 +435,6 @@ class TiltedDensity(Density1D):
         pts, scalar = _as_points(x)
         return _maybe_scalar(-self._dpoly(pts), scalar)
 
-    def cdf(self, x):
-        pts, scalar = _as_points(x)
-        t = self.table
-        cdf_nodes = self._cdf_table
-        out = np.interp(pts, t.nodes, cdf_nodes, left=0.0, right=1.0)
-        return _maybe_scalar(out, scalar)
-
-    @cached_property
-    def _cdf_table(self) -> np.ndarray:
-        t = self.table
-        return _table_cdf(t.p, t.spec.step)
-
-    def quantile(self, u):
-        pts, scalar = _as_points(u)
-        if np.any(pts <= 0.0) or np.any(pts >= 1.0):
-            raise ArgumentError("quantile argument must lie strictly inside (0, 1)")
-        t = self.table
-        xs, ys = _strictly_increasing_table(self._cdf_table, t.nodes)
-        x = np.interp(pts, xs, ys)
-        return _maybe_scalar(np.asarray(x, dtype=float), scalar)
-
     def _support_hint(self) -> tuple[float, float]:
         return self._lo, self._hi
 
@@ -457,7 +460,7 @@ class TiltedDensity(Density1D):
         return f"TiltedDensity(coeffs={self.potential_coeffs!r}, eps={self._eps!r})"
 
 
-class GridDensity(Density1D):
+class GridDensity(_TabulatedCDF):
     """Density stored as log values on a uniform grid, renormalised on build.
 
     Queries interpolate log_p linearly; outside the support the log density
@@ -519,22 +522,6 @@ class GridDensity(Density1D):
         pts, scalar = _as_points(x)
         t = self.table
         return _maybe_scalar(np.interp(pts, t.nodes, t.score), scalar)
-
-    @cached_property
-    def _cdf_table(self) -> np.ndarray:
-        return _table_cdf(self.table.p, self._spec.step)
-
-    def cdf(self, x):
-        pts, scalar = _as_points(x)
-        out = np.interp(pts, self.table.nodes, self._cdf_table, left=0.0, right=1.0)
-        return _maybe_scalar(out, scalar)
-
-    def quantile(self, u):
-        pts, scalar = _as_points(u)
-        if np.any(pts <= 0.0) or np.any(pts >= 1.0):
-            raise ArgumentError("quantile argument must lie strictly inside (0, 1)")
-        xs, ys = _strictly_increasing_table(self._cdf_table, self.table.nodes)
-        return _maybe_scalar(np.interp(pts, xs, ys), scalar)
 
     def _support_hint(self) -> tuple[float, float]:
         return self._spec.x_lo, self._spec.x_hi

@@ -53,6 +53,13 @@ def _number(obj: dict, key: str, ctx: str) -> float:
     return val
 
 
+def _count(obj: dict, key: str, ctx: str) -> int:
+    val = _number(obj, key, ctx)
+    if val != int(val) or val < 1:
+        raise SpecParseError(f"{ctx}: {key!r} must be a positive integer, got {obj[key]!r}")
+    return int(val)
+
+
 def _number_array(obj: dict, key: str, ctx: str) -> np.ndarray:
     if key not in obj:
         raise SpecParseError(f"{ctx}: missing required key {key!r}")
@@ -114,12 +121,9 @@ def parse_density(obj: Any, ctx: str = "density spec") -> Density:
             return MixtureDensity(triples, convexity_lower_bound=_optional_eps(obj, ctx))
         if kind == "grid":
             _check_keys(obj, {"type", "x_lo", "x_hi", "log_p", "eps"}, ctx)
-            spec = GridSpec(
-                _number(obj, "x_lo", ctx),
-                _number(obj, "x_hi", ctx),
-                len(obj.get("log_p") or ()),
-            )
+            x_lo, x_hi = _number(obj, "x_lo", ctx), _number(obj, "x_hi", ctx)
             log_p = _number_array(obj, "log_p", ctx)
+            spec = GridSpec(x_lo, x_hi, log_p.size)
             return GridDensity(spec, log_p, convexity_lower_bound=_optional_eps(obj, ctx))
         if kind == "tilted":
             _check_keys(obj, {"type", "coeffs", "eps"}, ctx)
@@ -153,8 +157,7 @@ def parse_density(obj: Any, ctx: str = "density spec") -> Density:
                 log_p = np.stack(rows)
             else:
                 flat = _number_array(obj, "log_p", ctx)
-                n_x = int(_number(obj, "n_x", ctx))
-                n_y = int(_number(obj, "n_y", ctx))
+                n_x, n_y = _count(obj, "n_x", ctx), _count(obj, "n_y", ctx)
                 if n_x * n_y != flat.size:
                     raise SpecParseError(
                         f"{ctx}: log_p has {flat.size} entries, expected n_x*n_y = {n_x * n_y}"

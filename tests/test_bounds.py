@@ -1,11 +1,12 @@
 """Certificate engine: registry, equality families, hypothesis gating."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from lsdeficit import functionals
+from lsdeficit import bounds, functionals
 from lsdeficit.battery import standard_battery
 from lsdeficit.bounds import (
     BOUND_IDS,
@@ -369,3 +370,85 @@ class TestHeatFlowMemo:
         evaluate_bound("lem3.2", MIX2, opts={"t": 0.5}, workspace=ws)
         evaluate_bound("lem3.2", MIX2, opts={"t": 0.5}, workspace=ws)
         assert calls == [1.0, 0.5]
+
+
+class TestGaussianSummand:
+    """epi and lem3.3 with a shifted Gaussian as the second summand."""
+
+    TILT = TiltedDensity((0.0, 0.0, 0.25, 0.0, 0.05), convexity_lower_bound=0.5)
+
+    # sides computed by the earlier shifted-flow code, which lem3.3 used
+    @pytest.mark.parametrize(
+        "mu,other,epi,lem",
+        [
+            (MIX2, GaussianDensity(0.7, 2.0),
+             (68.26472156541094, 67.65871137856493), (3.986595924174074, 3.8168588450178094)),
+            (TILT, GaussianDensity(0.7, 2.0),
+             (51.33615238037946, 50.97921777872749), (3.004131090766578, 2.906011903723478)),
+            (TILT, GaussianDensity(-0.3, 0.5),
+             (25.64294150585146, 25.360015110706783), (1.4849330704179196, 1.4060119037234786)),
+            (GaussianDensity(0.4, 1.7), GaussianDensity(-0.3, 0.5),
+             (37.574830579763706, 37.5748305797637), (2.2, 2.1999999999999997)),
+        ],
+        ids=["mixture", "tilt", "tilt-narrow", "gaussian"],
+    )
+    def test_sides_and_one_shared_flow(self, monkeypatch, mu, other, epi, lem):
+        calls = _count_heat_flows(monkeypatch)
+        ws = Workspace()
+        for bid, want in (("epi", epi), ("lem3.3", lem)):
+            cert = evaluate_bound(bid, mu, opts={"other": other}, workspace=ws)
+            np.testing.assert_allclose((cert.lhs, cert.rhs), want, rtol=1e-12, atol=0)
+            assert cert.passed
+        assert calls == [other.variance()]
+
+    def test_non_gaussian_summand_is_convolved(self):
+        other = MixtureDensity([(0.5, -0.5, 0.5), (0.5, 0.5, 0.5)])
+        for bid in ("epi", "lem3.3"):
+            assert evaluate_bound(bid, GaussianDensity(0.2, 1.3), opts={"other": other}).passed
+
+
+def _count_transport(monkeypatch) -> tuple[Counter, Counter]:
+    costs, plans = Counter(), Counter()
+
+    def counted_cost(target, source=None, cost=bounds.COST_SQ, _cost=bounds.transport_cost):
+        costs[(repr(target), repr(source), cost.id)] += 1
+        return _cost(target, source, cost)
+
+    def counted_plan(target, source=None, _plan=bounds.monotone_plan):
+        plans[repr(target)] += 1
+        return _plan(target, source)
+
+    monkeypatch.setattr(bounds, "transport_cost", counted_cost)
+    monkeypatch.setattr(bounds, "monotone_plan", counted_plan)
+    return costs, plans
+
+
+class TestTransportMemo:
+    """One Workspace computes each transport cost and plan of a density once."""
+
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            GaussianDensity(0.5, 2.0),
+            MIX2,
+            ProductDensity([GaussianDensity(0.0, 0.25), MIX2]),
+        ],
+        ids=["gaussian", "mixture", "product"],
+    )
+    def test_full_registry_repeats_no_cost(self, monkeypatch, mu):
+        costs, plans = _count_transport(monkeypatch)
+        ws = Workspace()
+        for bid in BOUND_IDS:
+            try:
+                evaluate_bound(bid, mu, workspace=ws)
+            except HypothesisError:
+                pass
+        assert costs and {k: n for k, n in costs.items() if n > 1} == {}
+        assert list(plans.values()) == ([] if isinstance(mu, ProductDensity) else [1])
+
+    def test_refused_scaled_cost_variant_costs_nothing(self, monkeypatch):
+        costs, _ = _count_transport(monkeypatch)
+        for opts in ({}, {"median_variant": True}):
+            with pytest.raises(HypothesisError, match="-zero hypothesis"):
+                evaluate_bound("thm4.1", GaussianDensity(1.0, 1.0), opts=opts)
+        assert costs == Counter()

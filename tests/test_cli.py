@@ -95,6 +95,23 @@ class TestDistance:
         code = main(["distance", "--dist", str(bad), "--metric", "kl"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "grid", "x_lo": -1.0, "x_hi": 1.0, "log_p": 5},
+            {"type": "grid2d", "x_lo": -1.0, "x_hi": 1.0, "y_lo": -1.0, "y_hi": 1.0,
+             "n_x": 16.5, "n_y": 16, "log_p": [0.0] * 256},
+        ],
+        ids=["grid-scalar-log-p", "grid2d-fractional-count"],
+    )
+    def test_malformed_grid_spec_is_a_parse_error(self, tmp_path, capsys, spec):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        code = main(["distance", "--dist", str(bad), "--metric", "kl"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_exact_cost_needs_tractable_shape(self, spec_file, capsys):
         mu = spec_file("p.json", ProductDensity([standard_gaussian(), standard_gaussian()]))
         ref = spec_file("r.json", ProductDensity([GaussianDensity(1.0, 1.0), standard_gaussian()]))

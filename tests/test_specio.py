@@ -129,3 +129,29 @@ class TestParseErrors:
     def test_invalid_json_text(self):
         with pytest.raises(SpecParseError, match="JSON"):
             loads("{not json")
+
+    @pytest.mark.parametrize("log_p", [5, "0 0 0", None, {"0": 1.0}])
+    def test_grid_log_p_must_be_an_array(self, log_p):
+        with pytest.raises(SpecParseError, match="'log_p' must be a non-empty array"):
+            parse_density({"type": "grid", "x_lo": -1.0, "x_hi": 1.0, "log_p": log_p})
+
+    @pytest.mark.parametrize("n_x,n_y", [(16.5, 16), (16, 15.9), (-16, -16), (0, 17)])
+    def test_grid2d_counts_must_be_positive_integers(self, n_x, n_y):
+        with pytest.raises(SpecParseError, match="must be a positive integer"):
+            parse_density(
+                {
+                    "type": "grid2d",
+                    "x_lo": -1.0,
+                    "x_hi": 1.0,
+                    "y_lo": -1.0,
+                    "y_hi": 1.0,
+                    "n_x": n_x,
+                    "n_y": n_y,
+                    "log_p": [0.0] * 256,
+                }
+            )
+
+    def test_grid2d_integral_float_counts_accepted(self):
+        spec = density_to_spec(bivariate_gaussian_grid(0.5, n_points=17))
+        spec["n_x"] = float(spec["n_x"])
+        assert parse_density(spec).log_values.shape == (17, 17)
