@@ -5,8 +5,13 @@ count uses the classic 1-4-2-...-4-1 stencil; an odd interval count keeps
 Simpson on the leading intervals and closes with the 3/8 rule, so the
 global O(h^4) order holds for every grid size >= 16 points.
 
-Summation is exact (``math.fsum`` over the weighted node values), which
-makes results bit-stable across runs regardless of vectorisation.
+Every sum of weighted node values is correctly rounded: ``_exact_sum``
+returns the float nearest the exact sum (ties to even), the value
+``math.fsum`` gives, so results are bit-stable across runs.  It writes each
+term as an integer mantissa times a power of two and adds the pieces into
+integer bins keyed by exponent.  Every bin sum stays an integer below 2**53,
+so the float accumulation is exact; the bins join into one Python integer,
+and one correctly rounded division by a power of two gives the result.
 
 Error estimates come from Richardson comparison: integrating again with
 doubled resolution (callable integrands) or halved resolution (stored node
@@ -94,21 +99,76 @@ def simpson_weights(n_points: int, step: float) -> np.ndarray:
     return w
 
 
-def _check_finite(values: np.ndarray, nodes: np.ndarray) -> None:
+# _exact_sum bins.  frexp writes a nonzero float as mant * 2**exp with
+# 0.5 <= |mant| < 1 and -1073 <= exp <= 1024.  With e = exp + _SUM_BIAS and
+# r = e % 8, scaled = mant * 2**(26 + r) splits into an integer part below
+# 2**33 and a fraction whose 2**32 multiple is an integer (mant has 53 bits).
+# The integer part weighs 2**(8 * (e // 8) - _SUM_LSB), so it goes to bin
+# e // 8 and the scaled fraction to bin e // 8 - 4.  Over one block of
+# _SUM_BLOCK terms every bin sum is an integer below 2**46: bincount adds
+# the floats exactly, and int64 carries the totals across blocks.  Blocks
+# keep the temporaries below 128 KiB, the allocator's mmap threshold.
+_SUM_BLOCK = 8192
+_SUM_BIAS = 1108
+_SUM_LSB = _SUM_BIAS + 26  # 1134: bin b weighs 2**(8 * b - _SUM_LSB)
+_SUM_BINS = 272  # top bin (1024 + _SUM_BIAS) // 8 = 266, rounded up to a multiple of 8
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """Correctly rounded sum of a float array: what ``math.fsum`` returns.
+
+    Two differences from ``math.fsum`` on finite terms: an exact sum
+    outside the float range raises ``OverflowError`` ("integer division
+    result too large for a float"), and partial sums never overflow, so
+    terms that ``math.fsum`` refuses with "intermediate overflow" get their
+    finite exact sum.  A non-finite term makes the result the IEEE sum of
+    the terms (inf or nan).
+    """
+    x = np.asarray(terms, dtype=float).ravel()
+    if not np.isfinite(x).all():
+        return float(x.sum())
+    bins = np.zeros(_SUM_BINS, dtype=np.int64)
+    # equal blocks, so a 2**k + 1 grid does not leave a one-term block
+    n_blocks = -(-x.size // _SUM_BLOCK)
+    size = -(-x.size // n_blocks) if n_blocks else 1
+    for start in range(0, x.size, size):
+        mant, exp = np.frexp(x[start : start + size])
+        exp += _SUM_BIAS
+        shift = exp & 7
+        shift += 26
+        scaled = np.ldexp(mant, shift, out=mant)
+        whole = np.floor(scaled)
+        scaled -= whole
+        scaled *= 2.0**32
+        exp >>= 3
+        top = exp.astype(np.intp)
+        block_bins = np.bincount(top, weights=whole, minlength=_SUM_BINS)
+        block_bins[:-4] += np.bincount(top, weights=scaled, minlength=_SUM_BINS)[4:]
+        bins += block_bins.astype(np.int64)
+    # sum_b bins[b] * 2**(8b): bins 8 apart are 64 bits apart, so the bins of
+    # one residue mod 8 read as one unsigned int.from_bytes; the negative
+    # bins then borrow 2**64 each
+    phases = np.ascontiguousarray(bins.reshape(-1, 8).T, dtype="<i8").tobytes()
+    width = len(phases) // 8
+    exact = -(int.from_bytes((bins < 0).tobytes(), "little") << 64)
+    for j in range(8):
+        exact += int.from_bytes(phases[j * width : (j + 1) * width], "little") << (8 * j)
+    return exact / (1 << _SUM_LSB)
+
+
+def _check_finite(values: np.ndarray, spec: GridSpec) -> None:
     bad = ~np.isfinite(values)
     if bad.any():
         i = int(np.argmax(bad))
         raise IntegrandError(
-            f"non-finite integrand value {values[i]!r} at node index {i}, x={nodes[i]!r}"
+            f"non-finite integrand value {values[i]!r} at node index {i}, x={spec.nodes()[i]!r}"
         )
 
 
 def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    """Exactly-rounded weighted sum plus its roundoff-mass companion."""
+    """Correctly rounded weighted sum plus its roundoff mass sum |w f|."""
     prod = values * weights
-    total = math.fsum(prod.tolist())
-    mass = math.fsum(np.abs(prod).tolist())
-    return total, mass
+    return _exact_sum(prod), _exact_sum(np.abs(prod))
 
 
 def integrate_values(
@@ -124,24 +184,20 @@ def integrate_values(
         raise ArgumentError(
             f"value array of shape {values.shape} does not match grid of {spec.n_points} nodes"
         )
-    _check_finite(values, spec.nodes())
+    _check_finite(values, spec)
     total, mass = _weighted_sum(values, simpson_weights(spec.n_points, spec.step))
     floor = _ROUNDOFF * mass
     if not refine:
         return QuadResult(total, floor, spec.n_points)
     if spec.n_points % 2 == 1:
         coarse_vals = values[::2]
-        coarse, _ = _weighted_sum(
-            coarse_vals, simpson_weights(coarse_vals.size, 2.0 * spec.step)
-        )
+        coarse = _exact_sum(coarse_vals * simpson_weights(coarse_vals.size, 2.0 * spec.step))
     else:
         # Halve the odd-count head exactly; close the last interval with a
         # trapezoid (its own error is O(h^3) on one cell, folded into the
         # Richardson difference).
         head = values[:-1:2]
-        coarse_head, _ = _weighted_sum(
-            head, simpson_weights(head.size, 2.0 * spec.step)
-        )
+        coarse_head = _exact_sum(head * simpson_weights(head.size, 2.0 * spec.step))
         coarse = coarse_head + 0.5 * spec.step * (values[-2] + values[-1])
     est = _RICHARDSON * abs(total - coarse) + floor
     return QuadResult(total, est, spec.n_points)
@@ -160,17 +216,16 @@ def integrate(
     values = np.asarray(f(nodes), dtype=float)
     if values.shape != nodes.shape:
         raise ArgumentError("integrand must return one value per node")
-    _check_finite(values, nodes)
+    _check_finite(values, spec)
     total, mass = _weighted_sum(values, simpson_weights(spec.n_points, spec.step))
     floor = _ROUNDOFF * mass
     if not refine:
         return QuadResult(total, floor, spec.n_points)
     fine_spec = spec.refined()
-    fine_nodes = fine_spec.nodes()
-    fine_values = np.asarray(f(fine_nodes), dtype=float)
-    _check_finite(fine_values, fine_nodes)
-    fine_total, _ = _weighted_sum(
-        fine_values, simpson_weights(fine_spec.n_points, fine_spec.step)
+    fine_values = np.asarray(f(fine_spec.nodes()), dtype=float)
+    _check_finite(fine_values, fine_spec)
+    fine_total = _exact_sum(
+        fine_values * simpson_weights(fine_spec.n_points, fine_spec.step)
     )
     est = _RICHARDSON * abs(fine_total - total) + floor
     return QuadResult(total, est, spec.n_points + fine_spec.n_points)

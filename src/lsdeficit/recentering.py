@@ -36,7 +36,7 @@ from .densities import (
 )
 from .errors import ArgumentError, NumericalError
 from .functionals import relative_entropy, relative_fisher
-from .quadrature import GridSpec, simpson_weights
+from .quadrature import GridSpec, _exact_sum, simpson_weights
 from .transport import COST_DELTA, CostFn, costs_to_standard_gaussian_rows, transport_cost
 
 # Shifted row values that land outside the grid window are floored here,
@@ -97,7 +97,7 @@ def _shift_rows(log_rows: np.ndarray, spec_y: GridSpec, offsets: np.ndarray) -> 
 def _recenter_grid2d(mu: Grid2DDensity) -> RecenteredDensity:
     sx = mu.spec_x
     wx = simpson_weights(sx.n_points, sx.step)
-    t1 = math.fsum(wx * sx.nodes() * mu.row_marginal())
+    t1 = _exact_sum(wx * sx.nodes() * mu.row_marginal())
     t2 = mu.conditional_means()
     new_spec_x = GridSpec(sx.x_lo - t1, sx.x_hi - t1, sx.n_points)
     log_rows = _shift_rows(mu.log_values, mu.spec_y, t2)
@@ -105,7 +105,7 @@ def _recenter_grid2d(mu: Grid2DDensity) -> RecenteredDensity:
 
     marg_r = recentered.row_marginal()
     wx_r = simpson_weights(new_spec_x.n_points, new_spec_x.step)
-    mean1 = math.fsum(wx_r * new_spec_x.nodes() * marg_r)
+    mean1 = _exact_sum(wx_r * new_spec_x.nodes() * marg_r)
     cond = recentered.conditional_means()
     relevant = marg_r > 1e-9 * marg_r.max()
     worst = float(np.abs(cond[relevant]).max())
@@ -174,15 +174,15 @@ def _tensorise_grid2d(mu: Grid2DDensity, costs: tuple[CostFn, ...]) -> TensorDec
 
     log_ref = gauss.log_pdf(ys)
     d_rows = ((log_cond - log_ref[None, :]) * cond * wy[None, :]).sum(axis=1)
-    d2 = math.fsum(weights * d_rows)
+    d2 = _exact_sum(weights * d_rows)
 
     score = _finite_diff_log(log_cond, sy.step, axis=1)
     i_rows = (((score + ys[None, :]) ** 2) * cond * wy[None, :]).sum(axis=1)
-    i2 = math.fsum(weights * i_rows)
+    i2 = _exact_sum(weights * i_rows)
 
     t_rows = costs_to_standard_gaussian_rows(log_rows, mu.spec_y, costs)
     t2 = {
-        c.id: math.fsum(weights * row_costs)
+        c.id: _exact_sum(weights * row_costs)
         for c, row_costs in zip(costs, t_rows)
     }
 

@@ -1,13 +1,19 @@
 """Quadrature layer: weights, exactness, error estimates, 2D rule."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lsdeficit import quadrature, recentering
+from lsdeficit.densities import bivariate_gaussian_grid
 from lsdeficit.errors import ArgumentError, IntegrandError
 from lsdeficit.quadrature import (
     GridSpec,
+    _exact_sum,
     expectation,
     integrate,
     integrate_values,
@@ -152,3 +158,182 @@ class Test2D:
         vals[3, 5] = np.inf
         with pytest.raises(IntegrandError):
             integrate_values_2d(vals, sx, sy)
+
+
+def _fsum_weighted_sum(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+    """The summation before the binned kernel, kept as the oracle."""
+    prod = values * weights
+    total = math.fsum(prod.tolist())
+    mass = math.fsum(np.abs(prod).tolist())
+    return total, mass
+
+
+def _fsum(terms) -> float:
+    return math.fsum(np.asarray(terms, dtype=float).ravel().tolist())
+
+
+@pytest.fixture
+def fsum_oracle(monkeypatch):
+    """Route quadrature and recentering through ``math.fsum`` for the test."""
+
+    def use():
+        monkeypatch.setattr(quadrature, "_weighted_sum", _fsum_weighted_sum)
+        monkeypatch.setattr(quadrature, "_exact_sum", _fsum)
+        monkeypatch.setattr(recentering, "_exact_sum", _fsum)
+
+    return use
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return a.hex() == b.hex()
+
+
+def _gauss_tail(n: int, rng) -> np.ndarray:
+    # exp(-x^2 / 2) on [-37, 37] runs from about 1e-298 up to 1
+    x = np.linspace(-37.0, 37.0, n)
+    return rng.uniform(0.5, 1.0) * np.exp(-0.5 * x * x)
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("n", [1, 2, 4095, 4096, 4097, 8191, 8192, 8193, 16385])
+    def test_gaussian_tails(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            x = _gauss_tail(n, rng) * rng.choice([-1.0, 1.0], n)
+            assert _same_bits(_exact_sum(x), _fsum(x))
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193])
+    def test_cancellation_to_exact_zero(self, n):
+        rng = np.random.default_rng(100 + n)
+        half = rng.standard_normal(n // 2 + 1) * 10.0 ** rng.integers(-300, 300, n // 2 + 1)
+        x = np.concatenate((half, -half))
+        rng.shuffle(x)
+        assert _same_bits(_exact_sum(x), 0.0) and _same_bits(_fsum(x), 0.0)
+
+    def test_subnormals(self):
+        rng = np.random.default_rng(5)
+        assert _same_bits(_exact_sum(np.array([5e-324])), 5e-324)
+        assert _same_bits(_exact_sum(np.array([5e-324] * 3)), 1.5e-323)
+        for n in (1, 7, 4097, 9000):
+            x = rng.integers(-(2**52), 2**52, n) * 5e-324
+            x[::3] = rng.choice([5e-324, -5e-324, 2.2250738585072014e-308], x[::3].size)
+            assert _same_bits(_exact_sum(x), _fsum(x))
+
+    def test_huge_pairs_and_mixed_scales(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 4096, 4097):
+            x = rng.choice([1e300, -1e300, 1.0, -1e-300, 5e-324, -0.0], n) * rng.uniform(0.5, 1.0, n)
+            assert _same_bits(_exact_sum(x), _fsum(x))
+        x = np.array([1e300, 3.0, -1e300, 1e-300, 1e300, -1e300])
+        assert _same_bits(_exact_sum(x), _fsum(x))
+
+    def test_signed_zeros_and_empty(self):
+        for x in ([], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0]):
+            assert _same_bits(_exact_sum(np.array(x, dtype=float)), math.fsum(x))
+
+    def test_int64_bin_totals_past_2_to_53(self):
+        # 2**21 + 1 terms in [4, 8) put their 33-bit integer parts into one
+        # bin, whose total passes 2**53, where a float accumulator rounds
+        x = np.random.default_rng(3).uniform(4.0, 8.0, 2**21 + 1)
+        ulps = (x * 2.0**50).astype(np.int64)  # terms in [4, 8) are multiples of 2**-50
+        exact = (int((ulps >> 26).sum()) << 26) + int((ulps & (2**26 - 1)).sum())
+        assert _same_bits(_exact_sum(x), exact / 2**50)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_correctly_rounded_exact_sum(self, xs):
+        exact = sum(map(Fraction, xs), Fraction(0))
+        try:
+            want = float(exact)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _exact_sum(np.array(xs, dtype=float))
+            return
+        assert _same_bits(_exact_sum(np.array(xs, dtype=float)), want)
+
+    def test_overflowing_sum_raises(self):
+        for x in ([1e308, 1e308], [1.7976931348623157e308, 1e292], [-1e308] * 5):
+            with pytest.raises(OverflowError, match="too large"):
+                _exact_sum(np.array(x))
+            with pytest.raises(OverflowError):
+                math.fsum(x)
+
+    def test_intermediate_overflow_is_finite(self):
+        x = [1e308, 1e308, -1e308]
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            math.fsum(x)
+        assert _exact_sum(np.array(x)) == 1e308
+
+    def test_non_finite_terms_follow_ieee(self):
+        assert _exact_sum(np.array([1.0, np.inf])) == np.inf
+        assert _exact_sum(np.array([-np.inf, 1e308])) == -np.inf
+        assert math.isnan(_exact_sum(np.array([1.0, np.nan])))
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(_exact_sum(np.array([np.inf, -np.inf])))
+
+    @pytest.mark.parametrize("n", [513, 514, 4097, 4096])
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_integrators_match_fsum_oracle(self, n, refine, fsum_oracle):
+        spec = GridSpec(-37.0, 37.0, n)
+        sx, sy = GridSpec(-9.0, 9.0, n // 8 + 1), GridSpec(-9.0, 9.0, n // 8)
+        f = lambda x: np.exp(-0.5 * x * x) * (1.0 + np.sin(3.0 * x))  # noqa: E731
+        values = f(spec.nodes())
+        grid = np.exp(-0.5 * (sx.nodes()[:, None] ** 2 + 2.0 * sy.nodes()[None, :] ** 2))
+
+        def run():
+            return [
+                integrate(f, spec, refine=refine),
+                integrate_values(values, spec, refine=refine),
+                integrate_values_2d(grid, sx, sy, refine=refine),
+                integrate_values_2d(grid.T.copy(), sy, sx, refine=refine),
+                integrate_values_2d(grid[:-1, :-1].copy(), GridSpec(-9.0, 9.0 - sx.step, sx.n_points - 1),
+                                    GridSpec(-9.0, 9.0 - sy.step, sy.n_points - 1), refine=refine),
+            ]
+
+        got = run()
+        fsum_oracle()
+        want = run()
+        for a, b in zip(got, want):
+            assert _same_bits(a.value, b.value)
+            assert _same_bits(a.abs_error_estimate, b.abs_error_estimate)
+            assert a.n_evals == b.n_evals
+
+    def test_recentering_matches_fsum_oracle(self, fsum_oracle):
+        mu = bivariate_gaussian_grid(0.5, var=(0.8, 1.2), mean=(0.3, -0.4), n_points=129)
+        got_r = recentering.recenter(mu)
+        got_t = recentering.tensorise(mu)
+        fsum_oracle()
+        want_r = recentering.recenter(mu)
+        want_t = recentering.tensorise(mu)
+        assert _same_bits(got_r.shifts[0], want_r.shifts[0])
+        assert np.array_equal(got_r.shifts[1], want_r.shifts[1])
+        assert np.array_equal(got_r.recentered.log_values, want_r.recentered.log_values)
+        assert got_t == want_t
+
+    def test_richardson_passes_skip_the_mass(self, monkeypatch):
+        calls = []
+
+        def counting(terms):
+            calls.append(np.asarray(terms).size)
+            return _fsum(terms)
+
+        monkeypatch.setattr(quadrature, "_exact_sum", counting)
+        spec = GridSpec(0.0, 1.0, 65)
+        integrate(np.exp, spec, refine=True)
+        assert calls == [65, 65, 129]  # total, mass, doubled-grid total
+        calls.clear()
+        integrate_values(np.exp(spec.nodes()), spec, refine=True)
+        assert calls == [65, 65, 33]  # total, mass, half-grid total
+
+    def test_nodes_built_only_for_the_error_message(self, monkeypatch):
+        spec = GridSpec(0.0, 1.0, 17)
+        built = []
+        nodes = GridSpec.nodes
+        monkeypatch.setattr(GridSpec, "nodes", lambda self: built.append(self) or nodes(self))
+        integrate_values(np.ones(17), spec, refine=True)
+        assert built == []
+        values = np.ones(17)
+        values[4] = np.nan
+        with pytest.raises(IntegrandError, match=r"node index 4, x=\S*0\.25"):
+            integrate_values(values, spec)
+        assert built == [spec]
