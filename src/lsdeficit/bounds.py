@@ -242,8 +242,29 @@ class _Stats:
         )
 
     @property
-    def tensor_direct(self) -> TensorDecomposition:
-        return self._get("tensor_dir", lambda: tensorise(self.mu, costs=_TENSOR_COSTS))
+    def w2sq_upper(self) -> float:
+        """The W2^2 to gamma_n a bound may use: exact for 1D and product
+        input, the per-coordinate upper bound for coupled 2D grids."""
+        if not isinstance(self.mu, Grid2DDensity):
+            return self.w2sq
+        return self._get(
+            "w2sq_upper", lambda: math.fsum(tensorise(self.mu, costs=(COST_SQ,)).T_parts)
+        )
+
+    @property
+    def w2sq_to_mean_translate(self) -> float:
+        """w2sq_upper of mu moved by -E X.
+
+        The mean translate of 1D and product input is its recentered
+        density.  On 2D grids the translation identity
+        W2^2(mu(. + m), gamma) = W2^2(mu, gamma) - |m|^2 holds for the
+        marginal and for every row (gamma has mean zero, and a rigid move
+        leaves each row's CDF table unchanged), so it holds for the sum.
+        """
+        if not isinstance(self.mu, Grid2DDensity):
+            return _w2sq_between(self.recentered.recentered)
+        m = self.mean_vec
+        return self.w2sq_upper - float(m @ m)
 
     def recentered_part_sum(self, cost_id: str) -> float:
         return math.fsum(self.tensor_recentered.cost_parts[cost_id])
@@ -386,24 +407,21 @@ def _eval_hwi_eps(s, opts, tol):
     return _cert("hwi-eps", lhs, s.d, {"eps": eps, "kappa": 1.0}, tol)
 
 
-def _eval_talagrand(s, opts, tol):
-    notes = ""
+def _per_coordinate_note(s: _Stats) -> str:
+    """Note of the bounds that read ``s.w2sq_upper``."""
     if isinstance(s.mu, Grid2DDensity):
-        rhs = math.fsum(s.tensor_direct.cost_parts["sq"])
-        notes = "quadratic cost via per-coordinate upper bound"
-    else:
-        rhs = s.w2sq
-    return _cert("talagrand", 2.0 * s.d, rhs, {}, tol, notes=notes)
+        return "quadratic cost via per-coordinate upper bound"
+    return ""
+
+
+def _eval_talagrand(s, opts, tol):
+    return _cert("talagrand", 2.0 * s.d, s.w2sq_upper, {}, tol, notes=_per_coordinate_note(s))
 
 
 def _eval_eq14(s, opts, tol):
-    notes = ""
-    if isinstance(s.mu, Grid2DDensity):
-        rhs = math.sqrt(max(math.fsum(s.tensor_direct.cost_parts["sq"]), 0.0))
-        notes = "quadratic cost via per-coordinate upper bound"
-    else:
-        rhs = s.w2
-    return _cert("eq1.4", math.sqrt(max(s.i_rel, 0.0)), rhs, {}, tol, notes=notes)
+    lhs = math.sqrt(max(s.i_rel, 0.0))
+    rhs = math.sqrt(max(s.w2sq_upper, 0.0))
+    return _cert("eq1.4", lhs, rhs, {}, tol, notes=_per_coordinate_note(s))
 
 
 def _eval_pinsker(s, opts, tol):
@@ -637,7 +655,7 @@ def _eval_thm14(s, opts, tol):
     companion = w2sq_bar
     if isinstance(s.mu, Grid2DDensity):
         notes = "quadratic cost via per-coordinate upper bound; " + notes
-        companion = _w2sq_to_mean_translate(s.mu, s.mean_vec)
+        companion = s.w2sq_to_mean_translate
     constants = {
         "c": c,
         "c_provenance": "registry-fixed",
@@ -646,16 +664,6 @@ def _eval_thm14(s, opts, tol):
         "companion_w2sq_to_mean_translate": companion,
     }
     return _cert("thm1.4", s.deficit, rhs, constants, tol, notes=notes)
-
-
-def _w2sq_to_mean_translate(mu: Density, mean: np.ndarray) -> float:
-    """W2^2 from mu translated by -mean to the standard Gaussian (the
-    per-coordinate upper bound for coupled 2D grids)."""
-    if isinstance(mu, Grid2DDensity):
-        translated = mu.translated(-float(mean[0]), -float(mean[1]))
-        return math.fsum(tensorise(translated, costs=(COST_SQ,)).T_parts)
-    offset = -mean if isinstance(mu, ProductDensity) else -float(mean[0])
-    return _w2sq_between(mu.shifted(offset))
 
 
 _CHEEGER_LAMBDA = math.sqrt(2.0 / math.pi)
@@ -845,6 +853,5 @@ def certify_suite(
 def equality_probe(mu: Density) -> dict:
     """Deficit together with the distance to the best Gaussian translate."""
     deficit = lsi_deficit(mu).value  # refuses unsupported density types
-    mean = np.atleast_1d(np.asarray(mu.mean(), dtype=float))
-    w2sq = _w2sq_to_mean_translate(mu, mean)
+    w2sq = _Stats(mu).w2sq_to_mean_translate
     return {"deficit": deficit, "w2_to_best_translate": math.sqrt(max(w2sq, 0.0))}

@@ -14,6 +14,7 @@ violation, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -367,7 +368,9 @@ def _cmd_report(args) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="certificate tolerance (default %(default)s)")

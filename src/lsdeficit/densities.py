@@ -28,7 +28,7 @@ from scipy.integrate import cumulative_simpson
 
 from . import config
 from .errors import ArgumentError
-from .quadrature import GridSpec, integrate_values, integrate_values_2d, simpson_weights
+from .quadrature import GridSpec, _exact_sum, integrate_values, integrate_values_2d, simpson_weights
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -723,24 +723,12 @@ class Grid2DDensity:
             self._spec_y, self._spec_x, self._log_p.T, convexity_lower_bound=self._eps
         )
 
-    def translated(self, dx: float, dy: float) -> "Grid2DDensity":
-        """Rigidly moved grid; curvature metadata carries over unverified."""
-        sx, sy = self._spec_x, self._spec_y
-        out = Grid2DDensity(
-            GridSpec(sx.x_lo + dx, sx.x_hi + dx, sx.n_points),
-            GridSpec(sy.x_lo + dy, sy.x_hi + dy, sy.n_points),
-            self._log_p,
-        )
-        out._eps = self._eps
-        return out
-
     def mean(self) -> np.ndarray:
+        """(E X1, E X2) from the row statistics."""
+        rows = self.row_stats
         wx = simpson_weights(self._spec_x.n_points, self._spec_x.step)
-        marg = np.exp(self._row_log_mass)
-        m1 = float((wx * self._spec_x.nodes() * marg).sum())
-        wy = simpson_weights(self._spec_y.n_points, self._spec_y.step)
-        col = (np.exp(self._log_p).T @ wx)
-        m2 = float((wy * self._spec_y.nodes() * col).sum())
+        m1 = _exact_sum(wx * self._spec_x.nodes() * self.row_marginal())
+        m2 = _exact_sum(wx * rows.first * np.exp(rows.shift))
         return np.array([m1, m2])
 
     def second_moment(self) -> float:

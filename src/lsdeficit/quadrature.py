@@ -161,7 +161,8 @@ def _check_finite(values: np.ndarray, spec: GridSpec) -> None:
     if bad.any():
         i = int(np.argmax(bad))
         raise IntegrandError(
-            f"non-finite integrand value {values[i]!r} at node index {i}, x={spec.nodes()[i]!r}"
+            f"non-finite integrand value {float(values[i])} at node index {i}, "
+            f"x={float(spec.nodes()[i])}"
         )
 
 
@@ -261,7 +262,7 @@ def integrate_values_2d(
         i, j = np.unravel_index(int(np.argmax(~np.isfinite(values))), values.shape)
         raise IntegrandError(
             f"non-finite integrand at node ({i}, {j}), "
-            f"x={spec_x.nodes()[i]!r}, y={spec_y.nodes()[j]!r}"
+            f"x={float(spec_x.nodes()[i])}, y={float(spec_y.nodes()[j])}"
         )
     wy = simpson_weights(spec_y.n_points, spec_y.step)
     rows = values @ wy  # deterministic: fixed-shape BLAS matvec

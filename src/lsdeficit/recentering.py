@@ -8,17 +8,15 @@ deficit bounds.  For 1D densities this is plain mean-centering; for
 products the conditional means are constants, so every factor is
 centered on its own.
 
-tensorise() splits relative entropy, relative Fisher information and
-transport costs against the standard Gaussian into the contribution of
-the first coordinate's marginal plus averaged contributions of the
-conditional slices.  For true products the D and I splits are exact;
-for coupled 2D grids the transport split is the upper bound obtained by
-coupling slice by slice.
+tensorise() splits relative entropy and transport costs against the
+standard Gaussian into the contribution of the first coordinate's
+marginal plus averaged contributions of the conditional slices.  For
+true products the D split is exact; for coupled 2D grids the transport
+split is the upper bound obtained by coupling slice by slice.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -29,13 +27,11 @@ from .densities import (
     Density,
     Density1D,
     Grid2DDensity,
-    GridDensity,
     ProductDensity,
-    _finite_diff_log,
     standard_gaussian,
 )
 from .errors import ArgumentError, NumericalError
-from .functionals import relative_entropy, relative_fisher
+from .functionals import relative_entropy
 from .quadrature import GridSpec, _exact_sum, simpson_weights
 from .transport import COST_DELTA, CostFn, costs_to_standard_gaussian_rows, transport_cost
 
@@ -96,16 +92,14 @@ def _shift_rows(log_rows: np.ndarray, spec_y: GridSpec, offsets: np.ndarray) -> 
 
 def _recenter_grid2d(mu: Grid2DDensity) -> RecenteredDensity:
     sx = mu.spec_x
-    wx = simpson_weights(sx.n_points, sx.step)
-    t1 = _exact_sum(wx * sx.nodes() * mu.row_marginal())
+    t1 = float(mu.mean()[0])
     t2 = mu.conditional_means()
     new_spec_x = GridSpec(sx.x_lo - t1, sx.x_hi - t1, sx.n_points)
     log_rows = _shift_rows(mu.log_values, mu.spec_y, t2)
     recentered = Grid2DDensity(new_spec_x, mu.spec_y, log_rows)
 
+    mean1 = float(recentered.mean()[0])
     marg_r = recentered.row_marginal()
-    wx_r = simpson_weights(new_spec_x.n_points, new_spec_x.step)
-    mean1 = _exact_sum(wx_r * new_spec_x.nodes() * marg_r)
     cond = recentered.conditional_means()
     relevant = marg_r > 1e-9 * marg_r.max()
     worst = float(np.abs(cond[relevant]).max())
@@ -140,20 +134,15 @@ class TensorDecomposition:
     """
 
     D_parts: tuple[float, ...]
-    I_parts: tuple[float, ...]
     T_parts: tuple[float, ...]
     cost_id: str
     cost_parts: Mapping[str, tuple[float, ...]]
-
-    def total(self, parts: Sequence[float]) -> float:
-        return math.fsum(parts)
 
 
 def _tensorise_grid2d(mu: Grid2DDensity, costs: tuple[CostFn, ...]) -> TensorDecomposition:
     gauss = standard_gaussian()
     marginal = mu.marginal_x()
     d1 = relative_entropy(marginal, None).value
-    i1 = relative_fisher(marginal, None).value
     # same node-aligned fast path as the rows, so all parts share one
     # accuracy floor (off-node CDF interpolation is much coarser)
     marg_costs = costs_to_standard_gaussian_rows(
@@ -176,10 +165,6 @@ def _tensorise_grid2d(mu: Grid2DDensity, costs: tuple[CostFn, ...]) -> TensorDec
     d_rows = ((log_cond - log_ref[None, :]) * cond * wy[None, :]).sum(axis=1)
     d2 = _exact_sum(weights * d_rows)
 
-    score = _finite_diff_log(log_cond, sy.step, axis=1)
-    i_rows = (((score + ys[None, :]) ** 2) * cond * wy[None, :]).sum(axis=1)
-    i2 = _exact_sum(weights * i_rows)
-
     t_rows = costs_to_standard_gaussian_rows(log_rows, mu.spec_y, costs)
     t2 = {
         c.id: _exact_sum(weights * row_costs)
@@ -190,7 +175,6 @@ def _tensorise_grid2d(mu: Grid2DDensity, costs: tuple[CostFn, ...]) -> TensorDec
     primary = costs[0].id
     return TensorDecomposition(
         D_parts=(d1, d2),
-        I_parts=(i1, i2),
         T_parts=cost_parts[primary],
         cost_id=primary,
         cost_parts=cost_parts,
@@ -198,7 +182,7 @@ def _tensorise_grid2d(mu: Grid2DDensity, costs: tuple[CostFn, ...]) -> TensorDec
 
 
 def tensorise(mu: Density, costs: Sequence[CostFn] = (COST_DELTA,)) -> TensorDecomposition:
-    """Split D, I and transport costs against gamma_n per coordinate.
+    """Split D and transport costs against gamma_n per coordinate.
 
     The density is decomposed as is; recenter first when the centered
     parts are wanted.
@@ -215,8 +199,7 @@ def tensorise(mu: Density, costs: Sequence[CostFn] = (COST_DELTA,)) -> TensorDec
     else:
         raise ArgumentError(f"cannot tensorise {type(mu).__name__}")
     d = tuple(relative_entropy(f, None).value for f in factors)
-    i = tuple(relative_fisher(f, None).value for f in factors)
     cost_parts = {
         c.id: tuple(transport_cost(f, None, c).value for f in factors) for c in costs
     }
-    return TensorDecomposition(d, i, cost_parts[costs[0].id], costs[0].id, cost_parts)
+    return TensorDecomposition(d, cost_parts[costs[0].id], costs[0].id, cost_parts)

@@ -27,6 +27,9 @@ from lsdeficit.densities import (
     standard_gaussian,
 )
 from lsdeficit.errors import ArgumentError, HypothesisError, NumericalError
+from lsdeficit.quadrature import GridSpec
+from lsdeficit.recentering import tensorise
+from lsdeficit.transport import COST_SQ
 
 MIX2 = MixtureDensity([(0.5, -1.0, 1.0), (0.5, 1.0, 1.0)])
 D_G4 = 0.5 * (4.0 - 1.0 - math.log(4.0))
@@ -370,6 +373,79 @@ class TestHeatFlowMemo:
         evaluate_bound("lem3.2", MIX2, opts={"t": 0.5}, workspace=ws)
         evaluate_bound("lem3.2", MIX2, opts={"t": 0.5}, workspace=ws)
         assert calls == [1.0, 0.5]
+
+
+class TestTensoriseCalls:
+    """The full registry through one Workspace tensorises a 2D grid twice
+    (recentered with every part, as is with the quadratic cost only) and
+    other input once."""
+
+    @pytest.mark.parametrize(
+        "mu,calls",
+        [
+            (GaussianDensity(0.3, 2.0), 1),
+            (ProductDensity([GaussianDensity(0.0, 0.25), MIX2]), 1),
+            (bivariate_gaussian_grid(0.5, var=(0.8, 1.6), mean=(0.4, -0.7)), 2),
+        ],
+        ids=["1d", "product", "grid2d"],
+    )
+    def test_full_registry(self, monkeypatch, mu, calls):
+        seen = []
+
+        def counted(density, costs, _tensorise=bounds.tensorise):
+            seen.append(density)
+            return _tensorise(density, costs)
+
+        monkeypatch.setattr(bounds, "tensorise", counted)
+        ws = Workspace()
+        for bid in BOUND_IDS:
+            try:
+                evaluate_bound(bid, mu, workspace=ws)
+            except HypothesisError:
+                pass
+        assert len(seen) == calls
+
+
+def _w2sq_of_moved_grid(mu: Grid2DDensity) -> float:
+    """Per-coordinate W2^2 of the grid rigidly moved by -E X: the mean
+    translate tensorised directly, against which the translation identity
+    is checked."""
+    m1, m2 = mu.mean()
+    sx, sy = mu.spec_x, mu.spec_y
+    moved = Grid2DDensity(
+        GridSpec(sx.x_lo - m1, sx.x_hi - m1, sx.n_points),
+        GridSpec(sy.x_lo - m2, sy.x_hi - m2, sy.n_points),
+        mu.log_values,
+    )
+    return math.fsum(tensorise(moved, costs=(COST_SQ,)).T_parts)
+
+
+class TestMeanTranslateCompanion:
+    """On 2D grids thm1.4 and equality_probe take W2^2 to the mean translate
+    from the translation identity W2^2(mu - m) = W2^2(mu) - |m|^2."""
+
+    @pytest.mark.parametrize(
+        "rho,var,mean",
+        [
+            (0.5, (0.8, 1.6), (0.4, -0.7)),
+            (-0.35, (1.7, 0.9), (-0.6, 0.25)),
+            (0.2, (1.3, 0.6), (0.9, 0.3)),
+        ],
+    )
+    def test_identity_matches_moved_grid(self, rho, var, mean):
+        mu = bivariate_gaussian_grid(rho, var=var, mean=mean)
+        want = _w2sq_of_moved_grid(mu)
+        bound = 1e-13 * (1.0 + abs(want))
+        cert = evaluate_bound("thm1.4", mu)
+        assert abs(cert.constants["companion_w2sq_to_mean_translate"] - want) <= bound
+        assert abs(equality_probe(mu)["w2_to_best_translate"] ** 2 - want) <= bound
+        # marginal N(0, v1) plus rows N(rho s2/s1 x, v2 (1 - rho^2))
+        exact = (
+            (math.sqrt(var[0]) - 1.0) ** 2
+            + rho**2 * var[1]
+            + (math.sqrt(var[1] * (1.0 - rho**2)) - 1.0) ** 2
+        )
+        assert want == pytest.approx(exact, abs=1e-6)
 
 
 class TestGaussianSummand:

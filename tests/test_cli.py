@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from lsdeficit import config
+from lsdeficit import cli, config
 from lsdeficit.bounds import BOUND_IDS, BoundCertificate
 from lsdeficit.cli import _fuse_range_flag, _parse_range, main
 from lsdeficit.densities import GaussianDensity, MixtureDensity, ProductDensity, standard_gaussian
@@ -265,6 +265,21 @@ class TestReport:
         code = main(["report", "--density", str(bad)])
         assert code == 2
         assert "broken.json" in capsys.readouterr().err
+
+
+class TestParser:
+    """One argparse tree serves every call in a process."""
+
+    def test_two_calls_build_the_tree_once(self, spec_file, capsys):
+        path = spec_file("g.json", GaussianDensity(0.5, 2.0))
+        argv = ["distance", "--dist", path, "--metric", "w2sq"]
+        cli._build_parser.cache_clear()
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert cli._build_parser.cache_info().misses == 1
+        assert outs[0] == outs[1]
 
 
 class TestNumericFlags:

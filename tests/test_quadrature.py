@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsdeficit import quadrature, recentering
+from lsdeficit import densities, quadrature, recentering
 from lsdeficit.densities import bivariate_gaussian_grid
 from lsdeficit.errors import ArgumentError, IntegrandError
 from lsdeficit.quadrature import (
@@ -160,6 +160,24 @@ class Test2D:
             integrate_values_2d(vals, sx, sy)
 
 
+class TestIntegrandErrorText:
+    """Node values and coordinates print as plain floats."""
+
+    def test_1d_message(self):
+        values = np.ones(17)
+        values[4] = np.nan
+        with pytest.raises(IntegrandError) as info:
+            integrate_values(values, GridSpec(0.0, 1.0, 17))
+        assert str(info.value) == "non-finite integrand value nan at node index 4, x=0.25"
+
+    def test_2d_message(self):
+        vals = np.ones((17, 17))
+        vals[6, 10] = -np.inf
+        with pytest.raises(IntegrandError) as info:
+            integrate_values_2d(vals, GridSpec(-1.0, 1.0, 17), GridSpec(0.0, 1.0, 17))
+        assert str(info.value) == "non-finite integrand at node (6, 10), x=-0.25, y=0.625"
+
+
 def _fsum_weighted_sum(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     """The summation before the binned kernel, kept as the oracle."""
     prod = values * weights
@@ -174,11 +192,12 @@ def _fsum(terms) -> float:
 
 @pytest.fixture
 def fsum_oracle(monkeypatch):
-    """Route quadrature and recentering through ``math.fsum`` for the test."""
+    """Route quadrature, the 2D mean and recentering through ``math.fsum``."""
 
     def use():
         monkeypatch.setattr(quadrature, "_weighted_sum", _fsum_weighted_sum)
         monkeypatch.setattr(quadrature, "_exact_sum", _fsum)
+        monkeypatch.setattr(densities, "_exact_sum", _fsum)
         monkeypatch.setattr(recentering, "_exact_sum", _fsum)
 
     return use

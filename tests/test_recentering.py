@@ -15,12 +15,11 @@ from lsdeficit.densities import (
     standard_gaussian,
 )
 from lsdeficit.errors import ArgumentError
-from lsdeficit.functionals import relative_entropy, relative_fisher
+from lsdeficit.functionals import relative_entropy
 from lsdeficit import recentering
 from lsdeficit.quadrature import GridSpec
 from lsdeficit.recentering import (
     RecenteredDensity,
-    TensorDecomposition,
     _shift_rows,
     recenter,
     tensorise,
@@ -180,24 +179,20 @@ class TestShiftRows:
 
 
 class TestTensorise:
-    """Per-coordinate D, I and transport parts."""
+    """Per-coordinate D and transport parts."""
 
     def test_1d_matches_direct_functionals(self):
         mu = GaussianDensity(0.0, 4.0)
         dec = tensorise(mu, costs=(COST_SQ,))
         assert dec.cost_id == "sq"
         np.testing.assert_allclose(dec.D_parts[0], relative_entropy(mu).value, rtol=1e-12)
-        np.testing.assert_allclose(dec.I_parts[0], relative_fisher(mu).value, rtol=1e-12)
         np.testing.assert_allclose(dec.T_parts[0], 1.0, atol=1e-7)
 
     def test_product_parts_sum_to_totals(self):
         p = ProductDensity([GaussianDensity(0.0, 0.25), MixtureDensity([(0.5, -1.0, 1.0), (0.5, 1.0, 1.0)])])
         dec = tensorise(p, costs=(COST_DELTA, COST_SQ))
         np.testing.assert_allclose(
-            dec.total(dec.D_parts), relative_entropy(p).value, rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            dec.total(dec.I_parts), relative_fisher(p).value, rtol=1e-12
+            math.fsum(dec.D_parts), relative_entropy(p).value, rtol=1e-12
         )
         assert set(dec.cost_parts) == {"delta", "sq"}
         assert dec.T_parts == dec.cost_parts["delta"]
@@ -208,14 +203,6 @@ class TestTensorise:
         dec = tensorise(bivariate_gaussian_grid(0.5), costs=(COST_SQ,))
         np.testing.assert_allclose(dec.D_parts[0], 0.0, atol=1e-7)
         np.testing.assert_allclose(dec.D_parts[1], -0.5 * math.log(0.75), atol=1e-6)
-
-    def test_grid2d_information_parts(self):
-        # E_x I(N(x/2, 3/4) | gamma) = 1/4 + 1/12; conditional information
-        # is smaller than the joint's 2/3 because the x1-score of the joint
-        # also feels the conditional mean moving
-        dec = tensorise(bivariate_gaussian_grid(0.5), costs=(COST_SQ,))
-        np.testing.assert_allclose(dec.I_parts[0], 0.0, atol=1e-6)
-        np.testing.assert_allclose(dec.I_parts[1], 0.25 + 1.0 / 12.0, atol=1e-5)
 
     def test_grid2d_transport_parts(self):
         # E_x W2^2(N(x/2, 3/4), gamma) = 1/4 + (sqrt(3)/2 - 1)^2
@@ -236,7 +223,3 @@ class TestTensorise:
     def test_rejects_unknown_type(self):
         with pytest.raises(ArgumentError):
             tensorise(3.14)
-
-    def test_total_helper(self):
-        dec = TensorDecomposition((0.1, 0.2), (0.3,), (0.0,), "sq", {"sq": (0.0,)})
-        np.testing.assert_allclose(dec.total(dec.D_parts), 0.3, rtol=1e-15)
