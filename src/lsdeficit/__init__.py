@@ -68,7 +68,6 @@ from .transport import (
     delta_transport_cost,
     discrete_ot_cost,
     monotone_plan,
-    product_transport_bound,
     quantile_discretization,
     transport_cost,
     w1_distance,
@@ -139,7 +138,6 @@ __all__ = [
     "lsi_deficit",
     "monotone_plan",
     "parse_density",
-    "product_transport_bound",
     "quantile_discretization",
     "recenter",
     "relative_entropy",

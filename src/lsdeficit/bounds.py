@@ -15,6 +15,10 @@ quantity the chain of one dimensional inequalities actually controls;
 certificates note when this substitution is in effect.  Bounds whose
 weaker side would need the joint cost (where the substitution would cut
 the wrong way) refuse 2D input instead.
+
+Centered quantities (cor4.3, thm1.3, eq1.12, thm1.4) are read off the
+given density against gamma_n moved by the conditional means; no moved
+density is built.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .functionals import (
     total_variation,
 )
 from .quadrature import GridSpec, integrate
-from .recentering import RecenteredDensity, TensorDecomposition, recenter, tensorise
+from .recentering import decompose_grid2d
 from .transport import (
     COST_ABS,
     COST_DELTA,
@@ -60,7 +64,6 @@ from .transport import (
     monotone_plan,
     transport_cost,
 )
-from .values import additive
 
 DEFAULT_TOL = 1e-6
 
@@ -124,23 +127,6 @@ def _cert(bound_id, lhs, rhs, constants, tol, notes=""):
 # Cached per-density statistics
 # ---------------------------------------------------------------------------
 
-def _w2sq_between(mu: Density, nu: Density | None = None) -> float:
-    """W2^2 from mu to nu (default: the standard Gaussian), coordinate by
-    coordinate; coupled 2D grids and mismatched shapes are refused."""
-    if isinstance(mu, Density1D) and (nu is None or isinstance(nu, Density1D)):
-        return transport_cost(mu, nu, COST_SQ).value
-    if isinstance(mu, ProductDensity) and (
-        nu is None or (isinstance(nu, ProductDensity) and nu.dim == mu.dim)
-    ):
-        refs = [None] * mu.dim if nu is None else nu.factors
-        return additive(
-            transport_cost(a, b, COST_SQ) for a, b in zip(mu.factors, refs)
-        ).value
-    raise HypothesisError(
-        "exact quadratic transport distance unavailable for this pair of shapes"
-    )
-
-
 _TENSOR_COSTS = (COST_DELTA, COST_SQ, COST_ABS)
 _COST_DELTA_SCALED = cost_delta_scaled(math.sqrt(2.0 * math.pi))
 
@@ -150,7 +136,8 @@ class _Stats:
 
     Evaluators read every transport cost, transport plan, heat flow and
     centered quantity of their density through this memo, so one Workspace
-    computes each of them once.
+    computes each of them once.  Mean-zero input reads its centered
+    quantities from the as-is entries.
     """
 
     def __init__(self, mu: Density):
@@ -201,45 +188,65 @@ class _Stats:
         return self._get(("evolved", t), lambda: _evolved(self.mu, t))
 
     # -- transport against gamma -------------------------------------------
+    def cost(self, cost: CostFn, ref: Density | None = None) -> float:
+        """Exact optimal ``cost`` from 1D or product input to ``ref``
+        (default: gamma_n), memoised per ``ref`` object."""
+        return self._get(
+            ("cost", cost.id, ref), lambda: transport_cost(self.mu, ref, cost).value
+        )
+
     @property
     def w2sq(self) -> float:
-        return self._get("w2sq", lambda: _w2sq_between(self.mu))
+        return self.cost(COST_SQ)
 
     @property
     def w2(self) -> float:
         return math.sqrt(max(self.w2sq, 0.0))
 
-    def cost_1d(self, cost: CostFn) -> float:
-        """Exact optimal ``cost`` to the standard Gaussian, for 1D input."""
-        mu = self.mu
-        if not isinstance(mu, Density1D):
-            raise HypothesisError(f"exact transport cost {cost.id!r} is 1D-only")
-        return self._get(("cost", cost.id), lambda: transport_cost(mu, None, cost).value)
-
     @property
     def w1(self) -> float:
-        return self.cost_1d(COST_ABS)
+        return self.cost(COST_ABS)
 
     @property
     def tdelta(self) -> float:
-        return self.cost_1d(COST_DELTA)
+        return self.cost(COST_DELTA)
 
     @property
     def plan(self) -> TransportPlan1D:
         """Monotone map carrying the standard Gaussian onto a 1D density."""
         return self._get("plan", lambda: monotone_plan(self.mu, None))
 
-    # -- recentering and per-coordinate decomposition -----------------------
+    # -- recentering by moving the reference -------------------------------
     @property
-    def recentered(self) -> RecenteredDensity:
-        return self._get("recentered", lambda: recenter(self.mu))
+    def mean_gamma(self) -> Density | None:
+        """gamma_n moved by E X (1D and product input); None when E X = 0."""
+
+        def build():
+            moved = [GaussianDensity(float(m), 1.0) for m in self.mean_vec]
+            return moved[0] if self.n == 1 else ProductDensity(moved)
+
+        return self._get("mean_gamma", build) if self.mean_vec.any() else None
+
+    def _grid2d_pass(self) -> tuple[float, dict[str, float]]:
+        """w2sq_upper and the centered parts of a 2D grid, from one row pass."""
+        shifts = (float(self.mean_vec[0]), self.mu.conditional_means())
+        plain, dec = decompose_grid2d(self.mu, (COST_SQ,), _TENSOR_COSTS, shifts)
+        centered = {cid: math.fsum(parts) for cid, parts in dec.cost_parts.items()}
+        return math.fsum(plain["sq"]), {"D": math.fsum(dec.D_parts), **centered}
 
     @property
-    def tensor_recentered(self) -> TensorDecomposition:
-        return self._get(
-            "tensor_rec",
-            lambda: tensorise(self.recentered.recentered, costs=_TENSOR_COSTS),
-        )
+    def centered(self) -> dict[str, float]:
+        """D and the delta, sq and abs costs after conditional recentering
+        (per-coordinate upper bounds on 2D grids), all computed on first read."""
+        if isinstance(self.mu, Grid2DDensity):
+            return self._get("grid2d", self._grid2d_pass)[1]
+
+        def build():
+            ref = self.mean_gamma
+            d = self.d if ref is None else relative_entropy(self.mu, ref).value
+            return {"D": d, **{c.id: self.cost(c, ref) for c in _TENSOR_COSTS}}
+
+        return self._get("centered", build)
 
     @property
     def w2sq_upper(self) -> float:
@@ -247,31 +254,22 @@ class _Stats:
         input, the per-coordinate upper bound for coupled 2D grids."""
         if not isinstance(self.mu, Grid2DDensity):
             return self.w2sq
-        return self._get(
-            "w2sq_upper", lambda: math.fsum(tensorise(self.mu, costs=(COST_SQ,)).T_parts)
-        )
+        return self._get("grid2d", self._grid2d_pass)[0]
 
     @property
     def w2sq_to_mean_translate(self) -> float:
         """w2sq_upper of mu moved by -E X.
 
-        The mean translate of 1D and product input is its recentered
-        density.  On 2D grids the translation identity
+        For 1D and product input that is W2^2 to gamma_n moved by E X.  On
+        2D grids the translation identity
         W2^2(mu(. + m), gamma) = W2^2(mu, gamma) - |m|^2 holds for the
         marginal and for every row (gamma has mean zero, and a rigid move
         leaves each row's CDF table unchanged), so it holds for the sum.
         """
         if not isinstance(self.mu, Grid2DDensity):
-            return _w2sq_between(self.recentered.recentered)
+            return self.cost(COST_SQ, self.mean_gamma)
         m = self.mean_vec
         return self.w2sq_upper - float(m @ m)
-
-    def recentered_part_sum(self, cost_id: str) -> float:
-        return math.fsum(self.tensor_recentered.cost_parts[cost_id])
-
-    @property
-    def d_recentered(self) -> float:
-        return math.fsum(self.tensor_recentered.D_parts)
 
 
 class Workspace:
@@ -490,8 +488,11 @@ def _eval_lem32(s, opts, tol):
     if not t > 0:
         raise ArgumentError(f"lem3.2 needs t > 0, got {t}")
     other = opts.get("other")
-    w2sq = s.w2sq if other is None else _w2sq_between(s.mu, other)
-    lhs = w2sq / (2.0 * t)
+    if other is not None and (isinstance(other, Grid2DDensity) or dim_of(other) != s.n):
+        raise HypothesisError(
+            "exact quadratic transport distance unavailable for this pair of shapes"
+        )
+    lhs = s.cost(COST_SQ, other) / (2.0 * t)
     rhs = relative_entropy(s.evolved(t), _heat(other or _default_other(s), t)).value
     return _cert("lem3.2", lhs, rhs, {"t": t}, tol)
 
@@ -540,7 +541,7 @@ def _eval_thm41(s, opts, tol):
             raise HypothesisError(
                 f"median-zero hypothesis violated: median = {med:.3e}"
             )
-        t_scaled = s.cost_1d(_COST_DELTA_SCALED)
+        t_scaled = s.cost(_COST_DELTA_SCALED)
         rhs = 0.5 * s.w2sq + t_scaled
         constants = {
             "variant_constant": 1.0,
@@ -552,7 +553,7 @@ def _eval_thm41(s, opts, tol):
             notes="median-centered variant of the inner-scaled cost form",
         )
     _require_mean_zero(s)
-    t_scaled = s.cost_1d(_COST_DELTA_SCALED)
+    t_scaled = s.cost(_COST_DELTA_SCALED)
     rhs = 0.5 * s.w2sq + s.tdelta / (8.0 * math.pi)
     constants = {
         "coef_tdelta": 1.0 / (8.0 * math.pi),
@@ -583,9 +584,7 @@ def _ratio_or_zero(num: float, den: float) -> float:
 
 def _eval_cor43(s, opts, tol):
     _require_1d(s, "the one dimensional self-improvement")
-    t_bar = s.recentered_part_sum("delta")
-    w2sq_bar = s.recentered_part_sum("sq")
-    d_bar = s.d_recentered
+    t_bar, w2sq_bar, d_bar = (s.centered[k] for k in ("delta", "sq", "D"))
     c_ratio = 4.0 * math.pi * (math.sqrt(1.0 + 1.0 / (4.0 * math.pi)) - 1.0)
     c_entropy = 1.0 / (128.0 * math.pi**2)
     rhs = _ratio_or_zero(0.5 * c_entropy * t_bar**2, d_bar)
@@ -619,8 +618,7 @@ def _eval_cor44(s, opts, tol):
 
 def _eval_thm13(s, opts, tol):
     c = 1.0 / (256.0 * math.pi**2)
-    t_bar = s.recentered_part_sum("delta")
-    d_bar = s.d_recentered
+    t_bar, d_bar = s.centered["delta"], s.centered["D"]
     rhs = c * _ratio_or_zero(t_bar**2, d_bar)
     constants: dict = {"c": c, "t_delta_centered": t_bar, "d_centered": d_bar}
     notes = ""
@@ -630,12 +628,12 @@ def _eval_thm13(s, opts, tol):
 
 
 def _eval_eq112(s, opts, tol):
-    d_bar = s.d_recentered
+    d_bar = s.centered["D"]
     if d_bar > 1.0 + _MOMENT_SLACK:
         raise HypothesisError(
             f"entropy-smallness hypothesis violated: centered D = {d_bar:.6f} > 1"
         )
-    w1_bar = s.recentered_part_sum("abs")
+    w1_bar = s.centered["abs"]
     notes = ""
     if not isinstance(s.mu, Density1D):
         notes = "first-order cost via per-coordinate upper bound"
@@ -648,20 +646,17 @@ def _eval_eq112(s, opts, tol):
 def _eval_thm14(s, opts, tol):
     eps = _require_eps(s)
     c = LINEAR_BAND_CONSTANT
-    w2sq_bar = s.recentered_part_sum("sq")
+    w2sq_bar = s.centered["sq"]
     rhs = c * min(1.0, eps) * w2sq_bar
     notes = "companion mean-translate distance reported, not certified"
-    # the mean translate of 1D and product input is its recentered density
-    companion = w2sq_bar
     if isinstance(s.mu, Grid2DDensity):
         notes = "quadratic cost via per-coordinate upper bound; " + notes
-        companion = s.w2sq_to_mean_translate
     constants = {
         "c": c,
         "c_provenance": "registry-fixed",
         "eps": eps,
         "w2sq_recentered": w2sq_bar,
-        "companion_w2sq_to_mean_translate": companion,
+        "companion_w2sq_to_mean_translate": s.w2sq_to_mean_translate,
     }
     return _cert("thm1.4", s.deficit, rhs, constants, tol, notes=notes)
 

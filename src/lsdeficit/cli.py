@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import config
 from .battery import standard_battery
-from .bounds import BOUND_IDS, DEFAULT_TOL, Workspace, _ratio_or_zero, evaluate_bound
+from .bounds import BOUND_IDS, DEFAULT_TOL, Workspace, _ratio_or_zero, certify_suite, evaluate_bound
 from .densities import Density, Density1D, ProductDensity
 from .errors import (
     ArgumentError,
@@ -41,7 +41,7 @@ from .functionals import (
     total_variation,
 )
 from .specio import load as load_density_file
-from .transport import COST_ABS, COST_DELTA, COST_SQ, product_transport_bound, transport_cost
+from .transport import COST_ABS, COST_DELTA, COST_SQ, transport_cost
 from .values import FunctionalValue
 
 try:  # version string only decorates report metadata
@@ -92,10 +92,8 @@ def _load(path: str) -> Density:
 # ---------------------------------------------------------------------------
 
 def _exact_cost(mu: Density, ref: Density | None, cost) -> FunctionalValue:
-    if isinstance(mu, Density1D):
+    if isinstance(mu, Density1D) or (isinstance(mu, ProductDensity) and ref is None):
         return transport_cost(mu, ref, cost)
-    if isinstance(mu, ProductDensity) and ref is None:
-        return product_transport_bound(mu, cost)
     raise HypothesisError(
         "exact transport distances need one dimensional or product input "
         "with a standard Gaussian reference"
@@ -331,23 +329,16 @@ def _cmd_report(args) -> int:
     else:
         members = standard_battery()
 
-    ws = Workspace()
-    per_bound: dict[str, dict] = {}
-    totals = {"pass": 0, "fail": 0, "skip": 0}
-    for bid in BOUND_IDS:
-        row = {"pass": 0, "fail": 0, "skip": 0, "worst_slack": None}
-        for label, mu in members:
-            try:
-                cert = evaluate_bound(bid, mu, tol=args.tol, workspace=ws)
-            except HypothesisError:
-                row["skip"] += 1
-                continue
-            row["pass" if cert.passed else "fail"] += 1
-            if row["worst_slack"] is None or cert.slack < row["worst_slack"]:
-                row["worst_slack"] = cert.slack
-        for key in totals:
-            totals[key] += row[key]
-        per_bound[bid] = row
+    per_bound = {bid: {"pass": 0, "fail": 0, "skip": 0, "worst_slack": None} for bid in BOUND_IDS}
+    for entry in certify_suite(members, tol=args.tol):
+        row, cert = per_bound[entry.bound_id], entry.certificate
+        if cert is None:
+            row["skip"] += 1
+            continue
+        row["pass" if cert.passed else "fail"] += 1
+        if row["worst_slack"] is None or cert.slack < row["worst_slack"]:
+            row["worst_slack"] = cert.slack
+    totals = {key: sum(row[key] for row in per_bound.values()) for key in ("pass", "fail", "skip")}
     report = {
         "suite": args.suite,
         "members": [label for label, _ in members],

@@ -584,14 +584,6 @@ class ProductDensity:
         """E |X|^2 summed over coordinates."""
         return math.fsum(f.second_moment() for f in self._factors)
 
-    def shifted(self, offsets) -> "ProductDensity":
-        offsets = np.asarray(offsets, dtype=float)
-        if offsets.shape != (self.dim,):
-            raise ArgumentError(f"need {self.dim} offsets, got shape {offsets.shape}")
-        return ProductDensity(
-            [f.shifted(float(o)) for f, o in zip(self._factors, offsets)]
-        )
-
     def __repr__(self) -> str:
         return f"ProductDensity({list(self._factors)!r})"
 

@@ -31,7 +31,6 @@ from . import config
 from .values import FunctionalValue, additive
 from .densities import (
     Density1D,
-    GaussianDensity,
     Grid2DDensity,
     ProductDensity,
     _finite_diff_log,

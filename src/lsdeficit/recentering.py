@@ -6,13 +6,16 @@ second given the first.  Its pushforward has E X1 = 0 and vanishing
 conditional means, which is the normal form used by the multi-coordinate
 deficit bounds.  For 1D densities this is plain mean-centering; for
 products the conditional means are constants, so every factor is
-centered on its own.
+centered on its own.  ``recenter`` builds the moved density; certificates
+do not, because D and even costs against gamma only see the difference of
+density and reference: moving mu by -t equals moving gamma by +t.
 
 tensorise() splits relative entropy and transport costs against the
 standard Gaussian into the contribution of the first coordinate's
 marginal plus averaged contributions of the conditional slices.  For
 true products the D split is exact; for coupled 2D grids the transport
-split is the upper bound obtained by coupling slice by slice.
+split is the upper bound obtained by coupling slice by slice.  On 2D grids
+one row pass, ``decompose_grid2d``, gives the split as is and recentered.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from scipy.interpolate import CubicSpline, PPoly
 from .densities import (
     Density,
     Density1D,
+    GaussianDensity,
     Grid2DDensity,
     ProductDensity,
     standard_gaussian,
@@ -139,59 +143,61 @@ class TensorDecomposition:
     cost_parts: Mapping[str, tuple[float, ...]]
 
 
-def _tensorise_grid2d(mu: Grid2DDensity, costs: tuple[CostFn, ...]) -> TensorDecomposition:
-    gauss = standard_gaussian()
+def decompose_grid2d(
+    mu: Grid2DDensity,
+    costs: tuple[CostFn, ...],
+    moved_costs: tuple[CostFn, ...],
+    shifts: tuple[float, np.ndarray],
+) -> tuple[dict[str, tuple[float, float]], TensorDecomposition]:
+    """One row pass: the marginal and each row are mapped toward gamma once.
+
+    Returns the (marginal, rows) parts of ``costs`` against gamma, and the
+    decomposition of D and ``moved_costs`` against gamma moved by t1 along
+    x1 and by t2[i] along row i, for ``shifts`` = (t1, t2).  With the
+    conditional means as shifts these are the recentered parts.
+    """
+    t1, t2 = shifts
     marginal = mu.marginal_x()
-    d1 = relative_entropy(marginal, None).value
+    d1 = relative_entropy(marginal, GaussianDensity(t1, 1.0)).value
     # same node-aligned fast path as the rows, so all parts share one
     # accuracy floor (off-node CDF interpolation is much coarser)
     marg_costs = costs_to_standard_gaussian_rows(
-        marginal.log_values[None, :], marginal.spec, costs
+        marginal.log_values[None, :], marginal.spec, costs, moved_costs, t1
     )
-    t1 = {c.id: float(arr[0]) for c, arr in zip(costs, marg_costs)}
 
     sx, sy = mu.spec_x, mu.spec_y
     wx = simpson_weights(sx.n_points, sx.step)
     wy = simpson_weights(sy.n_points, sy.step)
     # integrates row functionals against the x1-marginal
     weights = wx * mu.row_marginal()
-    ys = sy.nodes()
     log_rows = mu.log_values
     rows = mu.row_stats
     log_cond = log_rows - (np.log(np.maximum(rows.mass, 1e-300)) + rows.shift)[:, None]
     cond = np.exp(log_cond)
 
-    log_ref = gauss.log_pdf(ys)
-    d_rows = ((log_cond - log_ref[None, :]) * cond * wy[None, :]).sum(axis=1)
+    log_ref = standard_gaussian().log_pdf(sy.nodes()[None, :] - t2[:, None])
+    d_rows = ((log_cond - log_ref) * cond * wy[None, :]).sum(axis=1)
     d2 = _exact_sum(weights * d_rows)
 
-    t_rows = costs_to_standard_gaussian_rows(log_rows, mu.spec_y, costs)
-    t2 = {
-        c.id: _exact_sum(weights * row_costs)
-        for c, row_costs in zip(costs, t_rows)
-    }
-
-    cost_parts = {c.id: (t1[c.id], t2[c.id]) for c in costs}
-    primary = costs[0].id
-    return TensorDecomposition(
-        D_parts=(d1, d2),
-        T_parts=cost_parts[primary],
-        cost_id=primary,
-        cost_parts=cost_parts,
-    )
+    row_costs = costs_to_standard_gaussian_rows(log_rows, sy, costs, moved_costs, t2)
+    parts = [(float(m[0]), _exact_sum(weights * r)) for m, r in zip(marg_costs, row_costs)]
+    plain = {c.id: p for c, p in zip(costs, parts)}
+    moved = {c.id: p for c, p in zip(moved_costs, parts[len(costs):])}
+    primary = moved_costs[0].id
+    return plain, TensorDecomposition((d1, d2), moved[primary], primary, moved)
 
 
 def tensorise(mu: Density, costs: Sequence[CostFn] = (COST_DELTA,)) -> TensorDecomposition:
     """Split D and transport costs against gamma_n per coordinate.
 
-    The density is decomposed as is; recenter first when the centered
-    parts are wanted.
+    The density is decomposed as is (on 2D grids, ``decompose_grid2d``
+    with zero shifts).
     """
     costs = tuple(costs)
     if not costs:
         raise ArgumentError("need at least one transport cost")
     if isinstance(mu, Grid2DDensity):
-        return _tensorise_grid2d(mu, costs)
+        return decompose_grid2d(mu, (), costs, (0.0, np.zeros(mu.spec_x.n_points)))[1]
     if isinstance(mu, ProductDensity):
         factors = mu.factors
     elif isinstance(mu, Density1D):

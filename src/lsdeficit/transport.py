@@ -12,9 +12,10 @@ displacement, which makes the optimal cost symmetric in its arguments.
 ``transport_cost`` integrates over the source (the standard Gaussian by
 default) and inverts the target's quantile: analytic for Gaussians,
 interpolated in a CDF table otherwise, with Newton steps on the analytic CDF
-for mixtures.  Only the 2D row path, ``costs_to_standard_gaussian_rows``,
-uses the symmetry: it maps each row toward the Gaussian, whose quantile is
-analytic.
+for mixtures; products sum their factor costs (``functionals._per_factor``).
+Only the 2D row path, ``costs_to_standard_gaussian_rows``, uses the
+symmetry: it maps each row toward the Gaussian, whose quantile is analytic,
+and that one mapping serves two moves of the Gaussian (none, and per row).
 
 A discrete oracle provides independent ground truth: north-west-corner
 matching on sorted atoms (exact for convex costs), cross-checked for
@@ -35,10 +36,11 @@ from scipy import special
 from scipy.integrate import cumulative_simpson
 
 from .deltafn import delta
-from .densities import Density1D, GaussianDensity, ProductDensity, standard_gaussian
+from .densities import Density1D, ProductDensity, standard_gaussian
 from .errors import ArgumentError, DegeneratePlanError
 from .quadrature import GridSpec, integrate, simpson_weights
-from .values import FunctionalValue, additive
+from .functionals import _per_factor
+from .values import FunctionalValue
 
 # Quantile arguments are clipped into this window before inversion; the
 # excluded tail mass is ~1e-300 on the low side and one ulp on the high
@@ -135,9 +137,20 @@ def monotone_plan(target: Density1D, source: Density1D | None = None) -> Transpo
 
 
 def transport_cost(
-    target: Density1D, source: Density1D | None = None, cost: CostFn = COST_SQ
+    target: Density1D | ProductDensity,
+    source: Density1D | ProductDensity | None = None,
+    cost: CostFn = COST_SQ,
 ) -> FunctionalValue:
-    """Optimal cost int c(T(x) - x) d source for the monotone map T."""
+    """Optimal cost int c(T(x) - x) d source for the monotone map T; a
+    product sums its factor costs against a product source (default gamma_n)."""
+    if isinstance(target, ProductDensity):
+        return _per_factor(
+            lambda f, g: _transport_cost_1d(f, g, cost), target, source, "transport_cost"
+        )
+    return _transport_cost_1d(target, source, cost)
+
+
+def _transport_cost_1d(target: Density1D, source, cost: CostFn) -> FunctionalValue:
     plan = monotone_plan(target, source)
     nu = plan.source
     spec = _odd_spec(nu.eval_spec())
@@ -169,26 +182,25 @@ def delta_transport_cost(
     return transport_cost(target, source, cost)
 
 
-def product_transport_bound(mu: ProductDensity, cost: CostFn = COST_SQ) -> FunctionalValue:
-    """Coordinatewise upper bound: sum of factor costs to the standard Gaussian."""
-    if not isinstance(mu, ProductDensity):
-        raise ArgumentError("product_transport_bound needs a product density")
-    return additive(transport_cost(f, None, cost) for f in mu.factors)
-
-
 # ---------------------------------------------------------------------------
-# Vectorised row fast path (used by the tensorised 2D quantities)
+# Vectorised row fast path (used by the per-coordinate 2D quantities)
 # ---------------------------------------------------------------------------
 
 def costs_to_standard_gaussian_rows(
-    log_rows: np.ndarray, spec: GridSpec, costs: tuple[CostFn, ...]
+    log_rows: np.ndarray,
+    spec: GridSpec,
+    costs: tuple[CostFn, ...],
+    moved_costs: tuple[CostFn, ...] = (),
+    offsets: np.ndarray | float = 0.0,
 ) -> list[np.ndarray]:
-    """Per-row optimal costs to the standard Gaussian, one array per cost.
+    """Per-row optimal costs to the standard Gaussian, one array per cost,
+    then one per moved cost: to the Gaussian moved by offsets[i] on row i.
 
     Each row of ``log_rows`` is a log density on ``spec``.  The even costs
     make the optimal value symmetric, so instead of inverting each row's
     CDF we map every row toward the Gaussian: T(x) = ndtri(F_row(x)),
-    integrated with the row's own weights.
+    integrated with the row's own weights.  The map toward the moved
+    Gaussian is offsets[i] + T, so moved costs reuse the mapping.
     """
     rows = np.exp(log_rows - log_rows.max(axis=1, keepdims=True))
     step = spec.step
@@ -200,7 +212,11 @@ def costs_to_standard_gaussian_rows(
     disp = mapped - spec.nodes()[None, :]
     weights = simpson_weights(spec.n_points, step)[None, :]
     norm = rows / (rows * weights).sum(axis=1, keepdims=True)
-    return [(cost(disp) * norm * weights).sum(axis=1) for cost in costs]
+    out = [(cost(disp) * norm * weights).sum(axis=1) for cost in costs]
+    if moved_costs:
+        moved = disp + np.reshape(offsets, (-1, 1))
+        out += [(cost(moved) * norm * weights).sum(axis=1) for cost in moved_costs]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,9 @@ run shows one line per criterion both from the test id and from the print.
 import math
 
 import numpy as np
-import pytest
 
 from lsdeficit.battery import standard_battery
-from lsdeficit.bounds import BOUND_IDS, Workspace, certify_suite, equality_probe, evaluate_bound
+from lsdeficit.bounds import BOUND_IDS, certify_suite, equality_probe, evaluate_bound
 from lsdeficit.cli import _parse_range
 from lsdeficit.deltafn import LINEAR_BAND_CONSTANT, delta, delta_quadratic_floor, delta_scale
 from lsdeficit.densities import (
@@ -18,7 +17,6 @@ from lsdeficit.densities import (
     MixtureDensity,
     ProductDensity,
     bivariate_gaussian_grid,
-    standard_gaussian,
 )
 from lsdeficit.functionals import de_bruijn_residual, lsi_deficit, relative_entropy, relative_fisher
 from lsdeficit.quadrature import GridSpec, integrate

@@ -1,12 +1,13 @@
 """Certificate engine: registry, equality families, hypothesis gating."""
 
 import math
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from lsdeficit import bounds, functionals
+from lsdeficit import bounds, functionals, recentering, transport
 from lsdeficit.battery import standard_battery
 from lsdeficit.bounds import (
     BOUND_IDS,
@@ -375,35 +376,90 @@ class TestHeatFlowMemo:
         assert calls == [1.0, 0.5]
 
 
-class TestTensoriseCalls:
-    """The full registry through one Workspace tensorises a 2D grid twice
-    (recentered with every part, as is with the quadratic cost only) and
-    other input once."""
+def _count_recentering(monkeypatch) -> tuple[list, list]:
+    """Count recenter calls, and the rows of every row mapping toward gamma,
+    under each name the package binds them to."""
+    recenters, rows = [], []
+    real = {
+        "recenter": recentering.recenter,
+        "costs_to_standard_gaussian_rows": transport.costs_to_standard_gaussian_rows,
+    }
+
+    def counted_recenter(mu, _real=real["recenter"]):
+        recenters.append(mu)
+        return _real(mu)
+
+    def counted_rows(log_rows, *args, _real=real["costs_to_standard_gaussian_rows"]):
+        rows.append(len(log_rows))
+        return _real(log_rows, *args)
+
+    counted = {"recenter": counted_recenter, "costs_to_standard_gaussian_rows": counted_rows}
+    for name, module in list(sys.modules.items()):
+        if name == "lsdeficit" or name.startswith("lsdeficit."):
+            for attr, fn in real.items():
+                if getattr(module, attr, None) is fn:
+                    monkeypatch.setattr(module, attr, counted[attr])
+    return recenters, rows
+
+
+class TestRecenterFree:
+    """The full registry through one Workspace builds no recentered density:
+    centered quantities are read against a moved reference.  The rows of a
+    2D grid are mapped toward gamma once (and its marginal once)."""
 
     @pytest.mark.parametrize(
-        "mu,calls",
+        "mu",
         [
-            (GaussianDensity(0.3, 2.0), 1),
-            (ProductDensity([GaussianDensity(0.0, 0.25), MIX2]), 1),
-            (bivariate_gaussian_grid(0.5, var=(0.8, 1.6), mean=(0.4, -0.7)), 2),
+            GaussianDensity(0.3, 2.0),
+            ProductDensity([GaussianDensity(0.0, 0.25), MIX2]),
+            bivariate_gaussian_grid(0.5, var=(0.8, 1.6), mean=(0.4, -0.7)),
         ],
         ids=["1d", "product", "grid2d"],
     )
-    def test_full_registry(self, monkeypatch, mu, calls):
-        seen = []
-
-        def counted(density, costs, _tensorise=bounds.tensorise):
-            seen.append(density)
-            return _tensorise(density, costs)
-
-        monkeypatch.setattr(bounds, "tensorise", counted)
+    def test_full_registry(self, monkeypatch, mu):
+        recenters, rows = _count_recentering(monkeypatch)
         ws = Workspace()
         for bid in BOUND_IDS:
             try:
                 evaluate_bound(bid, mu, workspace=ws)
             except HypothesisError:
                 pass
-        assert len(seen) == calls
+        assert recenters == []
+        if isinstance(mu, Grid2DDensity):
+            assert sorted(rows) == [1, mu.spec_x.n_points]
+        else:
+            assert rows == []
+
+
+class TestLem32Shapes:
+    """lem3.2 refuses an ``other`` of another shape as a hypothesis (a skip
+    in suites); a product of equal dimension is transported factor by factor."""
+
+    PRODUCT = ProductDensity([GaussianDensity(0.0, 0.25), MIX2])
+
+    @pytest.mark.parametrize(
+        "mu,other",
+        [
+            (GaussianDensity(0.2, 1.3), ProductDensity([standard_gaussian()] * 2)),
+            (PRODUCT, standard_gaussian()),
+            (PRODUCT, ProductDensity([standard_gaussian()] * 3)),
+        ],
+        ids=["1d-with-product", "product-with-1d", "unequal-dimension"],
+    )
+    def test_mismatched_other_is_refused(self, mu, other):
+        with pytest.raises(HypothesisError, match="pair of shapes"):
+            evaluate_bound("lem3.2", mu, opts={"other": other})
+        (entry,) = certify_suite([mu], ["lem3.2"], opts={"other": other})
+        assert entry.certificate is None and "pair of shapes" in entry.skipped
+
+    def test_product_other(self):
+        other = ProductDensity([GaussianDensity(0.1, 1.0), GaussianDensity(-0.2, 1.5)])
+        cert = evaluate_bound("lem3.2", self.PRODUCT, opts={"other": other})
+        want = math.fsum(
+            transport.transport_cost(f, g).value for f, g in zip(self.PRODUCT.factors, other.factors)
+        )
+        assert cert.lhs == pytest.approx(0.5 * want, rel=1e-15)
+        assert cert.passed
 
 
 def _w2sq_of_moved_grid(mu: Grid2DDensity) -> float:

@@ -13,7 +13,6 @@ from scipy import special
 from lsdeficit.densities import (
     GaussianDensity,
     GridDensity,
-    Grid2DDensity,
     MixtureDensity,
     ProductDensity,
     bivariate_gaussian_grid,

@@ -1,0 +1,74 @@
+"""Every module-level import of the package and of its tests is used.
+
+An ``ast`` scan: a name bound by a module-level import (outside any def or
+class) must be referenced somewhere in the same module, in code or in an
+annotation.  The package ``__init__`` re-exports its imports and is exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(
+    p
+    for p in [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]
+    if p.name != "__init__.py"
+)
+
+
+def _module_imports(node: ast.AST):
+    """Import statements outside every def and class body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _module_imports(child)
+
+
+def _bound_names(stmt: ast.Import | ast.ImportFrom):
+    if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+        return
+    for alias in stmt.names:
+        if alias.name != "*":
+            yield alias.asname or alias.name.split(".")[0]
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            ann = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            ann = node.returns
+        else:
+            continue
+        if ann is not None:
+            yield ann
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # quoted annotations name their types in a string
+    for ann in _annotations(tree):
+        for const in ast.walk(ann):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                try:
+                    inner = ast.parse(const.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names |= {n.id for n in ast.walk(inner) if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_module_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = _referenced(tree)
+    unused = sorted(
+        name
+        for stmt in _module_imports(tree)
+        for name in _bound_names(stmt)
+        if name not in used
+    )
+    assert unused == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from lsdeficit.bounds import evaluate_bound
+from lsdeficit.bounds import Workspace, evaluate_bound
 from lsdeficit.densities import (
     GaussianDensity,
     MixtureDensity,
@@ -19,7 +19,6 @@ from lsdeficit.functionals import relative_entropy
 from lsdeficit import recentering
 from lsdeficit.quadrature import GridSpec
 from lsdeficit.recentering import (
-    RecenteredDensity,
     _shift_rows,
     recenter,
     tensorise,
@@ -223,3 +222,42 @@ class TestTensorise:
     def test_rejects_unknown_type(self):
         with pytest.raises(ArgumentError):
             tensorise(3.14)
+
+
+# The eight correlated grids of the grid2d-certify benchmark at seed 11
+# (rho, (v1, v2), mean), then the two 2D members of the standard battery.
+_CENTERED_GRIDS = [
+    (0.3072868983263567, (1.15625, 1.734375), (0.5941677419830237, 0.9828222753675749)),
+    (-0.5822466269077855, (0.78125, 1.171875), (-0.535262227231049, -0.41794736955440326)),
+    (0.15799875834521993, (1.90625, 2.859375), (0.3117711085008225, 0.8219824154006351)),
+    (0.2115895213790988, (1.53125, 2.296875), (0.520365886064444, 0.3494304032803339)),
+    (-0.6370722063758585, (1.34375, 0.8958333333333333), (-0.9063498774253308, -0.4869538228430519)),
+    (-0.4314534645190993, (0.96875, 0.6458333333333333), (-0.28199442500923433, 0.9112879708193593)),
+    (0.5086565511089673, (0.59375, 0.3958333333333333), (0.12976721863968582, -0.2806920587450974)),
+    (-0.7573334524297765, (1.71875, 1.1458333333333333), (-0.9155209050060046, 0.7276249798626679)),
+    (0.0, (1.0, 1.0), (0.0, 0.0)),
+    (0.5, (1.0, 1.0), (0.0, 0.0)),
+]
+
+
+class TestCenteredParts2D:
+    """Certificates read the recentered parts of a 2D grid against gamma
+    moved by the conditional means; the materialised recentered grid is
+    the reference."""
+
+    @pytest.mark.parametrize("rho,var,mean", _CENTERED_GRIDS)
+    def test_against_recentered_grid(self, rho, var, mean):
+        mu = bivariate_gaussian_grid(rho, var=var, mean=mean)
+        got = Workspace().stats(mu).centered
+        ref = tensorise(recenter(mu).recentered, costs=(COST_DELTA, COST_SQ, COST_ABS))
+        for value, parts in ((got["D"], ref.D_parts), (got["sq"], ref.cost_parts["sq"])):
+            want = math.fsum(parts)
+            assert abs(value - want) <= 1e-13 * (1.0 + abs(want))
+        want = math.fsum(ref.cost_parts["delta"])
+        assert abs(got["delta"] - want) <= 1e-8 * (1.0 + abs(want))
+        # W1 between centered 1D Gaussians is |sigma - 1| sqrt(2/pi): the
+        # marginal N(0, v1) plus the rows N(0, v2 (1 - rho^2))
+        exact = math.sqrt(2.0 / math.pi) * (
+            abs(math.sqrt(var[0]) - 1.0) + abs(math.sqrt(var[1] * (1.0 - rho * rho)) - 1.0)
+        )
+        assert abs(got["abs"] - exact) <= 1e-5 * (1.0 + exact)

@@ -8,7 +8,7 @@ import pytest
 from lsdeficit.battery import standard_battery
 from lsdeficit.densities import GaussianDensity, MixtureDensity, ProductDensity, standard_gaussian
 from lsdeficit.deltafn import LINEAR_BAND_CONSTANT, delta
-from lsdeficit.errors import ArgumentError, NumericalError
+from lsdeficit.errors import ArgumentError
 from lsdeficit.quadrature import GridSpec
 from lsdeficit.transport import (
     COST_ABS,
@@ -20,7 +20,6 @@ from lsdeficit.transport import (
     delta_transport_cost,
     discrete_ot_cost,
     monotone_plan,
-    product_transport_bound,
     quantile_discretization,
     transport_cost,
     w1_distance,
@@ -158,12 +157,26 @@ class TestProductBound:
 
     def test_sums_gaussian_parts(self):
         p = ProductDensity([GaussianDensity(0.0, 4.0), GaussianDensity(0.5, 1.0)])
-        got = product_transport_bound(p).value
-        np.testing.assert_allclose(got, 1.0 + 0.25, atol=1e-7)
+        got = transport_cost(p)
+        np.testing.assert_allclose(got.value, 1.0 + 0.25, atol=1e-7)
+        parts = [transport_cost(f) for f in p.factors]
+        assert got.value == math.fsum(v.value for v in parts)
+        assert got.error_estimate == math.fsum(v.error_estimate for v in parts)
+        # against a product source, factor by factor
+        moved = ProductDensity([GaussianDensity(0.0, 1.0), GaussianDensity(0.5, 1.0)])
+        np.testing.assert_allclose(transport_cost(p, moved).value, 1.0, atol=1e-7)
 
     def test_rejects_non_product(self):
+        # a product target needs a product source of its own dimension
+        p = ProductDensity([GaussianDensity(0.0, 4.0), GaussianDensity(0.5, 1.0)])
+        for source in (
+            standard_gaussian(),
+            ProductDensity([standard_gaussian()] * 3),
+        ):
+            with pytest.raises(ArgumentError, match="product reference"):
+                transport_cost(p, source, COST_ABS)
         with pytest.raises(ArgumentError):
-            product_transport_bound(standard_gaussian())
+            transport_cost(standard_gaussian(), p)
 
 
 class TestRowFastPath:
