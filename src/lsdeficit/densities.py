@@ -24,7 +24,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
-from scipy.integrate import cumulative_simpson
 
 from . import config
 from .errors import ArgumentError
@@ -33,14 +32,59 @@ from .quadrature import GridSpec, _exact_sum, integrate_values, integrate_values
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _table_cdf(p: np.ndarray, step: float) -> np.ndarray:
-    """Normalised CDF on table nodes; Simpson accumulation, forced monotone."""
-    cdf = cumulative_simpson(p, dx=step, initial=0.0)
-    cdf = np.maximum.accumulate(np.maximum(cdf, 0.0))
-    cdf /= cdf[-1]
-    cdf[-1] = 1.0
-    cdf.flags.writeable = False
-    return cdf
+# Probabilities are clipped up to this before Phi^-1: the excluded tail mass
+# (~1e-300) sits far below every quadrature weight it could multiply.
+_U_LO = 1e-300
+
+
+def _table_tails(p: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """(F, 1 - F) on table nodes along the last axis, each forced monotone
+    and normalised.
+
+    Each interval's integral is Simpson's on the quadratic through its two
+    nodes and one neighbour: the right one on even intervals, the left one
+    on odd intervals and on the last (what ``cumulative_simpson`` sums, bit
+    for bit).  F adds them from the left end and 1 - F from the right end,
+    so each tail keeps full relative accuracy.
+    """
+    d = step / 3.0
+    a, b, c = p[..., :-2:2], p[..., 1:-1:2], p[..., 2::2]
+    pieces = np.empty(p.shape[:-1] + (p.shape[-1] - 1,))
+    pieces[..., :-1:2] = d * (5 * a / 4 + 2 * b - c / 4)
+    pieces[..., 1::2] = d * (5 * c / 4 + 2 * b - a / 4)
+    pieces[..., -1] = d * (5 * p[..., -1] / 4 + 2 * p[..., -2] - p[..., -3] / 4)
+    zero = np.zeros(p.shape[:-1] + (1,))
+    cdf = np.concatenate((zero, np.cumsum(pieces, axis=-1)), axis=-1)
+    sf = np.concatenate((zero, np.cumsum(pieces[..., ::-1], axis=-1)), axis=-1)
+    if (pieces < 0.0).any():  # a quadratic dipped: force monotone sums
+        cdf = np.maximum.accumulate(np.maximum(cdf, 0.0), axis=-1)
+        sf = np.maximum.accumulate(np.maximum(sf, 0.0), axis=-1)
+    sf = sf[..., ::-1]
+    cdf /= cdf[..., -1:]
+    cdf[..., -1] = 1.0
+    sf /= sf[..., :1]
+    sf[..., 0] = 1.0
+    for arr in (cdf, sf):
+        arr.flags.writeable = False
+    return cdf, sf
+
+
+def _normal_scores(cdf: np.ndarray, sf: np.ndarray) -> np.ndarray:
+    """Phi^-1 of a CDF, read off the survival function above the median:
+    each tail keeps the relative accuracy of its own probabilities."""
+    upper = cdf > 0.5
+    z = np.where(upper, sf, cdf)
+    z = special.ndtri(np.clip(z, _U_LO, 1.0, out=z), out=z)
+    return np.negative(z, out=z, where=upper)
+
+
+class NormalScores(NamedTuple):
+    """Phi^-1(F) at the table nodes: the monotone map carrying a density
+    onto the standard Gaussian, and a bound on its error per node (zero
+    where F is analytic; the roundoff of the arithmetic is not included)."""
+
+    z: np.ndarray
+    error: np.ndarray | float
 
 
 def _as_points(x) -> tuple[np.ndarray, bool]:
@@ -106,6 +150,16 @@ class Density1D:
     def quantile(self, u):  # pragma: no cover - abstract
         raise NotImplementedError
 
+    @property
+    def _node_tails(self) -> tuple[np.ndarray, np.ndarray]:  # pragma: no cover - abstract
+        """(F, 1 - F) at the table nodes from the analytic CDF."""
+        raise NotImplementedError
+
+    @property
+    def _value_key(self) -> tuple:  # pragma: no cover - abstract
+        """Class, parameters and table grid: equal keys, equal densities."""
+        raise NotImplementedError
+
     def _support_hint(self) -> tuple[float, float]:  # pragma: no cover
         raise NotImplementedError
 
@@ -133,6 +187,13 @@ class Density1D:
         for arr in (nodes, log_p, p, score):
             arr.flags.writeable = False
         return NodeTable(spec, nodes, log_p, p, score)
+
+    @cached_property
+    def normal_scores(self) -> NormalScores:
+        """Phi^-1(F(x)) on the table nodes, for the transport kernel."""
+        out = _normal_scores(*self._node_tails)
+        out.flags.writeable = False
+        return NormalScores(out, 0.0)
 
     def moment(self, k: int, refine: bool = False):
         """k-th raw moment, k in 1..4, by quadrature on the canonical grid."""
@@ -194,6 +255,15 @@ class GaussianDensity(Density1D):
     def quantile(self, u):
         pts, scalar = _unit_points(u)
         return _maybe_scalar(self._mean + self._sigma * special.ndtri(pts), scalar)
+
+    @property
+    def _node_tails(self) -> tuple[np.ndarray, np.ndarray]:
+        z = (self.table.nodes - self._mean) / self._sigma
+        return special.ndtr(z), special.ndtr(-z)
+
+    @property
+    def _value_key(self) -> tuple:
+        return (GaussianDensity, self._mean, self._var, self.table.spec)
 
     def mean(self) -> float:
         return self._mean
@@ -259,16 +329,21 @@ class MixtureDensity(Density1D):
             + np.log(self._w)[None, :]
         )
 
+    def _shifted_components(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row maximum of the component log densities, and the components
+        scaled by its exponential (the largest is 1)."""
+        logs = self._component_logs(pts)
+        peak = logs.max(axis=1, keepdims=True)
+        return peak[:, 0], np.exp(logs - peak)
+
     def log_pdf(self, x):
         pts, scalar = _as_points(x)
-        out = special.logsumexp(self._component_logs(pts), axis=1)
-        return _maybe_scalar(out, scalar)
+        peak, r = self._shifted_components(pts)
+        return _maybe_scalar(peak + np.log(r.sum(axis=1)), scalar)
 
     def score(self, x):
         pts, scalar = _as_points(x)
-        logs = self._component_logs(pts)
-        peak = logs.max(axis=1, keepdims=True)
-        r = np.exp(logs - peak)
+        _, r = self._shifted_components(pts)
         comp_score = -(pts[:, None] - self._m[None, :]) / self._v[None, :]
         out = (r * comp_score).sum(axis=1) / r.sum(axis=1)
         return _maybe_scalar(out, scalar)
@@ -279,11 +354,23 @@ class MixtureDensity(Density1D):
         out = special.ndtr(z) @ self._w
         return _maybe_scalar(out, scalar)
 
+    @cached_property
+    def _node_cdf(self) -> np.ndarray:
+        return np.asarray(self.cdf(self.table.nodes))
+
+    @property
+    def _node_tails(self) -> tuple[np.ndarray, np.ndarray]:
+        z = (self.table.nodes[:, None] - self._m[None, :]) / self._s[None, :]
+        return self._node_cdf, special.ndtr(-z) @ self._w
+
+    @property
+    def _value_key(self) -> tuple:
+        return (MixtureDensity, self.components, self.table.spec)
+
     def quantile(self, u):
         pts, scalar = _unit_points(u)
         t = self.table
-        cdf_nodes = np.asarray(self.cdf(t.nodes))
-        xs, ys = _strictly_increasing_table(cdf_nodes, t.nodes)
+        xs, ys = _strictly_increasing_table(self._node_cdf, t.nodes)
         x = np.interp(pts, xs, ys)
         # Newton polish against the analytic CDF; the seed is already within
         # O(step^2), so two clipped steps reach full precision.
@@ -336,7 +423,7 @@ class _TabulatedCDF(Density1D):
     @cached_property
     def _cdf_table(self) -> np.ndarray:
         t = self.table
-        return _table_cdf(t.p, t.spec.step)
+        return _table_tails(t.p, t.spec.step)[0]
 
     def cdf(self, x):
         pts, scalar = _as_points(x)
@@ -347,6 +434,25 @@ class _TabulatedCDF(Density1D):
         pts, scalar = _unit_points(u)
         xs, ys = _strictly_increasing_table(self._cdf_table, self.table.nodes)
         return _maybe_scalar(np.interp(pts, xs, ys), scalar)
+
+    @cached_property
+    def normal_scores(self) -> NormalScores:
+        """Phi^-1 of the CDF and survival tables.  The error bound per node is
+        the change of the scores when the tables are built on every second
+        node: the accumulation is O(h^4), so that is about 15 times the
+        error of the full tables at those nodes."""
+        t = self.table
+        n, step = t.spec.n_points, t.spec.step
+        z = _normal_scores(*_table_tails(t.p, step))
+        half = t.p[::2] if n % 2 == 1 else t.p[:-1:2]
+        coarse = _normal_scores(*_table_tails(half, 2.0 * step))
+        diff = np.abs(z[: 2 * half.size : 2] - coarse)
+        # a node between two coarse nodes takes the larger of their errors
+        error = np.repeat(diff, 2)[:n]
+        error[1 : 2 * half.size - 1 : 2] = np.maximum(diff[:-1], diff[1:])
+        for arr in (z, error):
+            arr.flags.writeable = False
+        return NormalScores(z, error)
 
 
 class TiltedDensity(_TabulatedCDF):
@@ -438,6 +544,10 @@ class TiltedDensity(_TabulatedCDF):
     def _support_hint(self) -> tuple[float, float]:
         return self._lo, self._hi
 
+    @property
+    def _value_key(self) -> tuple:
+        return (TiltedDensity, self.potential_coeffs, self.table.spec)
+
     def _verify_eps(self, eps: float) -> float | None:
         vpp = self._dpoly.deriv()
         crit = vpp.deriv().roots()
@@ -525,6 +635,10 @@ class GridDensity(_TabulatedCDF):
 
     def _support_hint(self) -> tuple[float, float]:
         return self._spec.x_lo, self._spec.x_hi
+
+    @cached_property
+    def _value_key(self) -> tuple:
+        return (GridDensity, self._spec, self._log_p.tobytes())
 
     def _verify_eps(self, eps: float) -> float | None:
         second = np.diff(-self._log_p, 2) / self._spec.step**2

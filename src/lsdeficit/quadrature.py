@@ -18,6 +18,12 @@ doubled resolution (callable integrands) or halved resolution (stored node
 values) and scaling the difference by the order-4 factor 16/15.  A roundoff
 floor proportional to the total weighted mass is always added, so the
 estimate stays meaningful when truncation error is below machine precision.
+
+An integrand holding |f| for a smooth f has a kink wherever f changes sign,
+which costs Simpson O(h^2) that Richardson does not see.  Given f's node
+values, ``integrate_values`` integrates |f| exactly on f's cubic interpolant
+over each Simpson panel where f changes sign, at both resolutions, and adds
+the change from the quadratic interpolant to the estimate.
 """
 
 from __future__ import annotations
@@ -172,13 +178,73 @@ def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> tuple[float, float
     return _exact_sum(prod), _exact_sum(np.abs(prod))
 
 
+def _abs_integral(t1: np.ndarray, t2: np.ndarray, coef: tuple) -> np.ndarray:
+    """Integral of |q| over a panel t in [0, 2], q the cubic with monomial
+    coefficients ``coef``, split at 0 <= t1 <= t2 <= 2, which hold q's roots."""
+    c0, c1, c2, c3 = coef
+    antider = lambda t: t * (c0 + t * (c1 / 2.0 + t * (c2 / 3.0 + t * (c3 / 4.0))))
+    q1, q2 = antider(t1), antider(t2)
+    return np.abs(q1) + np.abs(q2 - q1) + np.abs(antider(2.0) - q2)
+
+
+def _kink_defect(f: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Simpson's kink error for |f|, per row of ``f``.
+
+    ``f`` holds node values of a smooth function along its last axis.  For
+    the Simpson panels [x_2k, x_2k+2] of ``simpson_weights`` where f changes
+    sign (a 3/8 closing panel keeps its kinks), returns per row: the
+    integral of |q| minus Simpson's value for |f|, q the cubic through the
+    panel's nodes and the next (the previous at the grid's end); and the
+    change of that integral from the quadratic through the panel's nodes,
+    which bounds how far it can be from the integral of |f| (the cubic's
+    own error is an order of h smaller).  Both split the panel at the
+    quadratic's roots; the cubic's lie within O(h^3) of them, which moves
+    its integral by O(h^6) only.
+    """
+    f = np.atleast_2d(f)
+    n = f.shape[-1]
+    head = n if n % 2 == 1 else n - 3
+    sign = np.signbit(f)
+    s0, s1, s2 = sign[:, 0 : head - 2 : 2], sign[:, 1 : head - 1 : 2], sign[:, 2:head:2]
+    rows, panels = np.nonzero((s0 != s1) | (s1 != s2))
+    if rows.size == 0:
+        zero = np.zeros(f.shape[0])
+        return zero, zero
+    start = 2 * panels
+    a0, a1, a2 = f[rows, start], f[rows, start + 1], f[rows, start + 2]
+    after = start + 3 < n
+    t3 = np.where(after, 3.0, -1.0)
+    a3 = f[rows, np.where(after, start + 3, start - 1)]
+    # quadratic a0 + b t + c t^2 through t = 0, 1, 2 (x = x_2k + t h); the
+    # cubic through t3 as well adds e t (t - 1) (t - 2)
+    b = 0.5 * (4.0 * a1 - 3.0 * a0 - a2)
+    c = 0.5 * (a0 - 2.0 * a1 + a2)
+    e = (a3 - (a0 + t3 * (b + t3 * c))) / (t3 * (t3 - 1.0) * (t3 - 2.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qq = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * c * a0, 0.0)), b))
+        # roots outside the panel, or undefined, collapse onto its ends
+        r1, r2 = (np.where(np.isfinite(r), np.clip(r, 0.0, 2.0), 0.0) for r in (qq / c, a0 / qq))
+    t1, t2 = np.minimum(r1, r2), np.maximum(r1, r2)
+    quadratic = _abs_integral(t1, t2, (a0, b, c, 0.0))
+    exact = _abs_integral(t1, t2, (a0, b + 2.0 * e, c - 3.0 * e, e))
+    simpson = (np.abs(a0) + 4.0 * np.abs(a1) + np.abs(a2)) / 3.0
+    per_row = lambda v: np.bincount(rows, weights=step * v, minlength=f.shape[0])
+    return per_row(exact - simpson), per_row(np.abs(exact - quadratic))
+
+
 def integrate_values(
-    values: np.ndarray, spec: GridSpec, refine: bool = False
+    values: np.ndarray,
+    spec: GridSpec,
+    refine: bool = False,
+    kinked: np.ndarray | None = None,
 ) -> QuadResult:
     """Integrate stored node values over spec's grid.
 
     With ``refine`` the estimate compares against the half-resolution rule
     (every second node), scaled by the Richardson order factor.
+    ``kinked`` holds the node values of a smooth f whose absolute value is
+    a term of the integrand: the panels where f changes sign integrate |f|
+    on its cubic interpolant, at both resolutions (``_kink_defect``).
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (spec.n_points,):
@@ -188,18 +254,22 @@ def integrate_values(
     _check_finite(values, spec)
     total, mass = _weighted_sum(values, simpson_weights(spec.n_points, spec.step))
     floor = _ROUNDOFF * mass
+    if kinked is not None:
+        defect, interp = _kink_defect(kinked, spec.step)
+        total += float(defect[0])
+        floor += float(interp[0])
     if not refine:
         return QuadResult(total, floor, spec.n_points)
-    if spec.n_points % 2 == 1:
-        coarse_vals = values[::2]
-        coarse = _exact_sum(coarse_vals * simpson_weights(coarse_vals.size, 2.0 * spec.step))
-    else:
-        # Halve the odd-count head exactly; close the last interval with a
-        # trapezoid (its own error is O(h^3) on one cell, folded into the
-        # Richardson difference).
-        head = values[:-1:2]
-        coarse_head = _exact_sum(head * simpson_weights(head.size, 2.0 * spec.step))
-        coarse = coarse_head + 0.5 * spec.step * (values[-2] + values[-1])
+    # Halve the odd-count head exactly; with an even node count, close the
+    # last interval with a trapezoid (its own error is O(h^3) on one cell,
+    # folded into the Richardson difference).
+    half = slice(None, None, 2) if spec.n_points % 2 == 1 else slice(None, -1, 2)
+    head = values[half]
+    coarse = _exact_sum(head * simpson_weights(head.size, 2.0 * spec.step))
+    if spec.n_points % 2 == 0:
+        coarse += 0.5 * spec.step * (values[-2] + values[-1])
+    if kinked is not None:
+        coarse += float(_kink_defect(kinked[half], 2.0 * spec.step)[0][0])
     est = _RICHARDSON * abs(total - coarse) + floor
     return QuadResult(total, est, spec.n_points)
 

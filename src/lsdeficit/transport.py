@@ -1,21 +1,33 @@
 """One-dimensional optimal transport via monotone rearrangement.
 
 For distributions on the line with convex translation-invariant costs
-c(x - z), the monotone map T = F_target^{-1} o F_source is optimal, so
-every transport cost reduces to a single quadrature:
+c(x - z), the monotone map T = F_target^{-1} o F_source is optimal
+(Villani, Topics in Optimal Transportation, Thm 2.18), so every transport
+cost reduces to a single quadrature:
 
     cost(target, source) = int c(T(x) - x) d source(x).
 
 The costs used here (squared distance, absolute distance, and the convex
 gap delta(|x - z|), optionally with an inner scale) are all even in the
 displacement, which makes the optimal cost symmetric in its arguments.
-``transport_cost`` integrates over the source (the standard Gaussian by
-default) and inverts the target's quantile: analytic for Gaussians,
-interpolated in a CDF table otherwise, with Newton steps on the analytic CDF
-for mixtures; products sum their factor costs (``functionals._per_factor``).
-Only the 2D row path, ``costs_to_standard_gaussian_rows``, uses the
-symmetry: it maps each row toward the Gaussian, whose quantile is analytic,
-and that one mapping serves two moves of the Gaussian (none, and per row).
+
+Every cost against a Gaussian N(m, s^2) (gamma itself, gamma moved by a
+mean, each factor of a product through ``functionals._per_factor``) uses
+that symmetry: one nodewise kernel maps the density toward the Gaussian,
+T(x) = m + s Phi^-1(F(x)), on the density's own table, with F analytic for
+Gaussians and mixtures and Simpson-tabulated otherwise, read off the
+survival function above the median (``Density1D.normal_scores``).  The
+kernel needs no quantile of the density on any node.  The 2D row path,
+``costs_to_standard_gaussian_rows``, shares the displacement step, and
+one mapping there serves two moves of the Gaussian (none, and per row).
+A kinked cost (W1) has its Simpson kink error removed at every sign
+change of the displacement (``quadrature._kink_defect``).
+
+``TransportPlan1D`` carries the standard Gaussian (or any source) onto a
+target by inverting the target's quantile: analytic for Gaussians,
+interpolated in a CDF table otherwise, with Newton steps on the analytic
+CDF for mixtures.  It serves the costs between two non-Gaussian densities
+and the bounds that read the map itself.
 
 A discrete oracle provides independent ground truth: north-west-corner
 matching on sorted atoms (exact for convex costs), cross-checked for
@@ -28,25 +40,35 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy import special
-from scipy.integrate import cumulative_simpson
 
 from .deltafn import delta
-from .densities import Density1D, ProductDensity, standard_gaussian
+from .densities import (
+    _U_LO,
+    Density1D,
+    GaussianDensity,
+    ProductDensity,
+    _normal_scores,
+    _table_tails,
+    standard_gaussian,
+)
 from .errors import ArgumentError, DegeneratePlanError
-from .quadrature import GridSpec, integrate, simpson_weights
+from .quadrature import GridSpec, _kink_defect, integrate, integrate_values, simpson_weights
 from .functionals import _per_factor
 from .values import FunctionalValue
 
-# Quantile arguments are clipped into this window before inversion; the
+# Quantile arguments are clipped into [_U_LO, _U_HI] before inversion; the
 # excluded tail mass is ~1e-300 on the low side and one ulp on the high
 # side, both far below every quadrature weight they could multiply.
-_U_LO = 1e-300
 _U_HI = 1.0 - 1.1e-16
+
+# Each displacement m + s z - x is charged this many ulps of |x| + |T(x)|
+# for its roundoff.
+_DISP_ULPS = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -67,6 +89,16 @@ class CostFn:
 
     def __call__(self, displacement):
         return self.fn(np.asarray(displacement, dtype=float))
+
+    @cached_property
+    def kink(self) -> float:
+        """The slope c'(0+), from two steps t and 2t by Richardson; positive
+        for a cost (W1) that puts a kink in the integrand wherever the
+        displacement changes sign, and 0 below 1e-6."""
+        t = 2.0**-20
+        c1, c2 = np.asarray(self.fn(np.array([t, 2.0 * t])), dtype=float)
+        slope = (4.0 * c1 - c2) / (2.0 * t)
+        return float(slope) if slope > 1e-6 else 0.0
 
 
 COST_SQ = CostFn("sq", lambda d: d * d)
@@ -151,6 +183,8 @@ def transport_cost(
 
 
 def _transport_cost_1d(target: Density1D, source, cost: CostFn) -> FunctionalValue:
+    if source is None or isinstance(source, GaussianDensity):
+        return _cost_to_gaussian(target, source or standard_gaussian(), cost)
     plan = monotone_plan(target, source)
     nu = plan.source
     spec = _odd_spec(nu.eval_spec())
@@ -161,6 +195,50 @@ def _transport_cost_1d(target: Density1D, source, cost: CostFn) -> FunctionalVal
 
     r = integrate(integrand, spec, refine=True)
     return FunctionalValue(f"T[{cost.id}]", max(r.value, 0.0), r.abs_error_estimate)
+
+
+def _check_pushforward(mu: Density1D, sigma: float) -> None:
+    """The map's pushforward check: at 20 midpoint quantiles of ``mu``, F
+    must return the quantile's level within 1e-5, and the map's derivative
+    p(x) / phi_ref(T(x)) toward a Gaussian of scale ``sigma`` must be
+    finite."""
+    us = (np.arange(20) + 0.5) / 20.0
+    xs = np.asarray(mu.quantile(us), dtype=float)
+    levels = np.asarray(mu.cdf(xs), dtype=float)
+    err = np.abs(levels - us)
+    if not (np.isfinite(xs).all() and err.max() <= 1e-5):
+        raise DegeneratePlanError(
+            f"monotone map fails the pushforward check: max CDF error {err.max():.3e}"
+        )
+    z = special.ndtri(np.clip(levels, _U_LO, _U_HI))
+    phi_ref = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
+    if not np.isfinite(np.asarray(mu.pdf(xs), dtype=float) / phi_ref).all():
+        raise DegeneratePlanError("monotone map has a non-finite derivative")
+
+
+def _cost_to_gaussian(mu: Density1D, ref: GaussianDensity, cost: CostFn) -> FunctionalValue:
+    """int c(T(x) - x) dmu for T(x) = m + s Phi^-1(F(x)), the monotone map
+    pushing ``mu`` onto ref = N(m, s^2), on mu's own table.
+
+    The error adds to the Richardson estimate what moving each displacement
+    by its roundoff and by the table error of F (``normal_scores``) can
+    change: a convex even cost grows most when |d| grows.
+    """
+    if not isinstance(mu, Density1D):
+        raise ArgumentError("transport costs to a Gaussian need a 1D density")
+    m, s = ref.mean_param, math.sqrt(ref.var_param)
+    _check_pushforward(mu, s)
+    t = mu.table
+    scores = mu.normal_scores
+    mapped = m + s * scores.z
+    disp = mapped - t.nodes
+    kinked = cost.kink * disp * t.p if cost.kink else None
+    r = integrate_values(cost(disp) * t.p, t.spec, refine=True, kinked=kinked)
+    size = np.abs(disp)
+    slack = _DISP_ULPS * (np.abs(t.nodes) + np.abs(mapped)) + s * scores.error
+    moved = (cost(size + slack) - cost(size)) * t.p
+    charge = float(moved @ simpson_weights(t.spec.n_points, t.spec.step))
+    return FunctionalValue(f"T[{cost.id}]", max(r.value, 0.0), r.abs_error_estimate + charge)
 
 
 def w2_squared(target: Density1D, source: Density1D | None = None) -> FunctionalValue:
@@ -196,26 +274,30 @@ def costs_to_standard_gaussian_rows(
     """Per-row optimal costs to the standard Gaussian, one array per cost,
     then one per moved cost: to the Gaussian moved by offsets[i] on row i.
 
-    Each row of ``log_rows`` is a log density on ``spec``.  The even costs
-    make the optimal value symmetric, so instead of inverting each row's
-    CDF we map every row toward the Gaussian: T(x) = ndtri(F_row(x)),
-    integrated with the row's own weights.  The map toward the moved
-    Gaussian is offsets[i] + T, so moved costs reuse the mapping.
+    Each row of ``log_rows`` is a log density on ``spec``.  As in the 1D
+    kernel, every row is mapped toward the Gaussian, T(x) = Phi^-1(F_row(x))
+    with the survival table above the median, and integrated with the
+    row's own weights; a kinked cost gets the kink correction at each row's
+    own sign changes.  The map toward the moved Gaussian is offsets[i] + T,
+    so moved costs reuse the mapping.
     """
     rows = np.exp(log_rows - log_rows.max(axis=1, keepdims=True))
     step = spec.step
-    cdf = cumulative_simpson(rows, dx=step, axis=1, initial=0.0)
-    # quadratic interpolation may dip; restore monotonicity before inverting
-    cdf = np.maximum.accumulate(np.maximum(cdf, 0.0), axis=1)
-    cdf /= cdf[:, -1:]
-    mapped = special.ndtri(np.clip(cdf, _U_LO, _U_HI))
-    disp = mapped - spec.nodes()[None, :]
+    scores = _normal_scores(*_table_tails(rows, step))
+    disp = scores - spec.nodes()[None, :]
     weights = simpson_weights(spec.n_points, step)[None, :]
     norm = rows / (rows * weights).sum(axis=1, keepdims=True)
-    out = [(cost(disp) * norm * weights).sum(axis=1) for cost in costs]
+
+    def row_costs(cost: CostFn, d: np.ndarray) -> np.ndarray:
+        out = (cost(d) * norm * weights).sum(axis=1)
+        if cost.kink:
+            out += _kink_defect(cost.kink * d * norm, step)[0]
+        return out
+
+    out = [row_costs(cost, disp) for cost in costs]
     if moved_costs:
         moved = disp + np.reshape(offsets, (-1, 1))
-        out += [(cost(moved) * norm * weights).sum(axis=1) for cost in moved_costs]
+        out += [row_costs(cost, moved) for cost in moved_costs]
     return out
 
 

@@ -118,6 +118,34 @@ class TestIntegrateValues:
         res = integrate_values(vals, spec, refine=True)
         assert res.value == pytest.approx(1.0 / 3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [64, 65])
+    @pytest.mark.parametrize("kink", [0.3, -0.51, 0.28125])
+    def test_kink_integrated_exactly(self, n, kink):
+        # |x - k| is |q| on every panel, q its linear interpolant, so each
+        # resolution is exact; 0.28125 is the middle node of a panel at n = 65
+        spec = GridSpec(-1.0, 1.0, n)
+        f = spec.nodes() - kink
+        exact = 0.5 * ((1.0 + kink) ** 2 + (1.0 - kink) ** 2)
+        plain = integrate_values(np.abs(f), spec, refine=True)
+        res = integrate_values(np.abs(f), spec, refine=True, kinked=f)
+        assert res.value == pytest.approx(exact, abs=1e-14)
+        assert res.abs_error_estimate < 1e-13
+        assert abs(plain.value - exact) > 1e-5  # Simpson's O(h^2) kink error
+
+    def test_kink_error_bar_covers_a_curved_kink(self):
+        # |sin(3x)| e^x changes sign at -pi/3, 0 and pi/3
+        spec = GridSpec(-1.3, 1.7, 301)
+        x = spec.nodes()
+        f = np.sin(3.0 * x) * np.exp(x)
+        a, b = -1.3, 1.7
+        anti = lambda t: np.exp(t) * (np.sin(3.0 * t) - 3.0 * np.cos(3.0 * t)) / 10.0
+        cuts = [a, -math.pi / 3.0, 0.0, math.pi / 3.0, b]
+        exact = sum(abs(anti(hi) - anti(lo)) for lo, hi in zip(cuts, cuts[1:]))
+        plain = integrate_values(np.abs(f), spec, refine=True)
+        res = integrate_values(np.abs(f), spec, refine=True, kinked=f)
+        assert abs(res.value - exact) <= res.abs_error_estimate
+        assert abs(res.value - exact) < 1e-2 * abs(plain.value - exact)
+
 
 class TestExpectation:
     def test_second_moment_of_gaussian(self):

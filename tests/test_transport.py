@@ -1,14 +1,25 @@
 """Monotone transport maps, optimal costs, and the discrete oracle."""
 
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from lsdeficit import cli, config, transport
 from lsdeficit.battery import standard_battery
-from lsdeficit.densities import GaussianDensity, MixtureDensity, ProductDensity, standard_gaussian
+from lsdeficit.bounds import BOUND_IDS, certify_suite
+from lsdeficit.densities import (
+    GaussianDensity,
+    MixtureDensity,
+    ProductDensity,
+    TiltedDensity,
+    bivariate_gaussian_grid,
+    standard_gaussian,
+)
 from lsdeficit.deltafn import LINEAR_BAND_CONSTANT, delta
-from lsdeficit.errors import ArgumentError
+from lsdeficit.errors import ArgumentError, DegeneratePlanError
 from lsdeficit.quadrature import GridSpec
 from lsdeficit.transport import (
     COST_ABS,
@@ -26,6 +37,17 @@ from lsdeficit.transport import (
     w2_distance,
     w2_squared,
 )
+
+
+def gaussian_w1(mean, var):
+    """W1(N(mean, var), gamma) = E|mean + a Z| for the affine map, a = sigma - 1."""
+    a = abs(math.sqrt(var) - 1.0)
+    if a == 0.0:
+        return abs(mean)
+    tail = 0.5 * math.erfc(mean / (a * math.sqrt(2.0)))
+    return a * math.sqrt(2.0 / math.pi) * math.exp(-mean * mean / (2.0 * a * a)) + mean * (
+        1.0 - 2.0 * tail
+    )
 
 
 def random_atoms_with_unit(rng, units):
@@ -49,6 +71,12 @@ class TestCostFns:
         np.testing.assert_allclose(COST_ABS(np.array([-3.0, 2.0])), [3.0, 2.0])
         d = np.array([-1.5, 0.5])
         np.testing.assert_allclose(COST_DELTA(d), delta(np.abs(d)))
+
+    def test_kink_is_the_slope_at_zero(self):
+        from lsdeficit.transport import CostFn
+
+        assert (COST_SQ.kink, COST_ABS.kink, COST_DELTA.kink) == (0.0, 1.0, 0.0)
+        assert CostFn("abs2", lambda d: 2.0 * np.abs(d) + d * d).kink == pytest.approx(2.0)
 
     def test_scaled_gap_cost(self):
         s = math.sqrt(2.0 * math.pi)
@@ -102,6 +130,22 @@ class TestMonotonePlan:
             TransportPlan1D(standard_gaussian(), "gamma")
 
 
+class TestPushforwardCheck:
+    """The kernel refuses a density whose quantile and CDF disagree."""
+
+    def test_inconsistent_quantile_refused(self):
+        class Skewed(GaussianDensity):
+            def quantile(self, u):
+                return super().quantile(u) + 0.01
+
+        with pytest.raises(DegeneratePlanError, match="pushforward"):
+            transport_cost(Skewed(0.0, 2.0), None, COST_SQ)
+
+    def test_non_1d_density_refused(self):
+        with pytest.raises(ArgumentError, match="1D density"):
+            transport_cost(bivariate_gaussian_grid(0.0, n_points=33), None, COST_SQ)
+
+
 class TestClosedForms:
     """Quadratic and absolute costs at Gaussians."""
 
@@ -126,10 +170,94 @@ class TestClosedForms:
     def test_w1_pure_shift(self):
         np.testing.assert_allclose(w1_distance(GaussianDensity(1.3, 1.0)), 1.3, atol=1e-8)
 
+    @pytest.mark.parametrize("mean,var", [(0.3, 0.5), (1.4, 0.3), (-1.2, 3.1), (0.0, 0.25)])
+    def test_w1_kink_inside_the_error_bar(self, mean, var):
+        # the displacement changes sign between nodes; Simpson alone misses
+        # N(0.3, 0.5) by 1.7e-7 there, outside its Richardson estimate
+        got = transport_cost(GaussianDensity(mean, var), None, COST_ABS)
+        err = abs(got.value - gaussian_w1(mean, var))
+        assert err <= 1e-10
+        assert err <= got.error_estimate
+
+    @pytest.mark.parametrize("var", [1.0 + 1e-4, 1.0 - 1e-4, 1.0 + 1e-6, 1.0 - 1e-6])
+    def test_near_equality_keeps_relative_accuracy(self, var):
+        # sigma - 1 without cancellation: var - 1 is exact
+        gap = (var - 1.0) / (math.sqrt(var) + 1.0)
+        mu = GaussianDensity(0.0, var)
+        for cost, exact in ((COST_SQ, gap * gap), (COST_ABS, abs(gap) * math.sqrt(2.0 / math.pi))):
+            got = transport_cost(mu, None, cost)
+            err = abs(got.value - exact)
+            assert err <= 1e-9 * exact, cost.id
+            assert err <= got.error_estimate, cost.id
+
     def test_between_two_gaussians(self):
         a = GaussianDensity(1.0, 4.0)
         b = GaussianDensity(-1.0, 0.25)
         np.testing.assert_allclose(w2_squared(a, b).value, 4.0 + 2.25, atol=1e-7)
+
+
+class TestAgainstRefinedGrid:
+    """Costs of densities without a closed form, against 32768 nodes."""
+
+    MEMBERS = {
+        "tilt": lambda: TiltedDensity([0.0, 0.0, 0.25, 0.0, 0.05]),
+        "mixture": lambda: MixtureDensity([(0.5, -1.0, 1.0), (0.5, 1.0, 1.0)]),
+        "mixture-skew": lambda: MixtureDensity([(0.3, -1.0, 0.49), (0.7, 1.2, 1.0)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MEMBERS))
+    @pytest.mark.parametrize("cost", [COST_SQ, COST_ABS, COST_DELTA], ids=lambda c: c.id)
+    def test_within_reported_error(self, name, cost):
+        make = self.MEMBERS[name]
+        with config.scoped_policy(config.NumericPolicy(grid_points=32768)):
+            ref = transport_cost(make(), None, cost).value
+        got = transport_cost(make(), None, cost)
+        assert abs(got.value - ref) <= got.error_estimate
+
+
+def _count_plans(monkeypatch) -> list[str]:
+    """Patch monotone_plan under every lsdeficit binding; record the module
+    whose binding was called."""
+    calls = []
+    original = transport.monotone_plan
+    for name, module in list(sys.modules.items()):
+        if name == "lsdeficit" or name.startswith("lsdeficit."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+
+                    def counted(target, source=None, _name=name):
+                        calls.append(_name)
+                        return original(target, source)
+
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestPlanFree:
+    """Costs against a Gaussian build no transport plan."""
+
+    def test_battery_plans_only_for_map_bounds(self, monkeypatch):
+        calls = _count_plans(monkeypatch)
+        map_bounds = ("cheeger", "talagrand-map")
+        certify_suite(standard_battery(), [b for b in BOUND_IDS if b not in map_bounds])
+        assert calls == []
+        certify_suite(standard_battery(), map_bounds)
+        one_d = sum(getattr(mu, "dim", 1) == 1 for _, mu in standard_battery())
+        assert calls == ["lsdeficit.bounds"] * one_d
+
+    def test_distance_metrics_build_no_plan(self, monkeypatch, tmp_path):
+        calls = _count_plans(monkeypatch)
+        spec = tmp_path / "mix.json"
+        spec.write_text(json.dumps({"type": "mixture", "components": [
+            {"w": 0.4, "mean": -1.0, "var": 0.5}, {"w": 0.6, "mean": 0.8, "var": 1.2}]}))
+        out = str(tmp_path / "out.json")
+        for metric in cli._METRICS:
+            assert cli.main(["distance", "--dist", str(spec), "--metric", metric, "--out", out]) == 0
+        assert calls == []
+        # a non-Gaussian reference still goes through the plan
+        assert cli.main(["distance", "--dist", str(spec), "--ref", str(spec),
+                         "--metric", "w1", "--out", out]) == 0
+        assert calls == ["lsdeficit.transport"]
 
 
 class TestGapCostOrdering:
@@ -198,6 +326,14 @@ class TestRowFastPath:
             for j, m in enumerate(members):
                 want = transport_cost(m, None, cost).value
                 np.testing.assert_allclose(arr[j], want, atol=1e-8)
+
+    def test_row_kinks_each_corrected(self):
+        # every row puts the sign change of its displacement at its own y
+        spec = GridSpec(-10.0, 10.0, 2049)
+        params = [(0.3, 0.5), (1.4, 0.3), (-0.7, 0.6), (0.05, 2.0)]
+        log_rows = np.stack([GaussianDensity(m, v).log_pdf(spec.nodes()) for m, v in params])
+        (w1,) = costs_to_standard_gaussian_rows(log_rows, spec, (COST_ABS,))
+        np.testing.assert_allclose(w1, [gaussian_w1(m, v) for m, v in params], rtol=0, atol=1e-9)
 
     def test_wide_row_limited_by_window(self):
         # a sigma=2 row only reaches 5 sigma on this window; the conditional
