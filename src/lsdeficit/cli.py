@@ -92,11 +92,12 @@ def _load(path: str) -> Density:
 # ---------------------------------------------------------------------------
 
 def _exact_cost(mu: Density, ref: Density | None, cost) -> FunctionalValue:
-    if isinstance(mu, Density1D) or (isinstance(mu, ProductDensity) and ref is None):
+    product_ref = ref is None or isinstance(ref, ProductDensity) and ref.dim == mu.dim
+    if isinstance(mu, Density1D) or (isinstance(mu, ProductDensity) and product_ref):
         return transport_cost(mu, ref, cost)
     raise HypothesisError(
-        "exact transport distances need one dimensional or product input "
-        "with a standard Gaussian reference"
+        "exact transport distances need one dimensional input, or product input "
+        "with a standard Gaussian or equal-dimension product reference"
     )
 
 

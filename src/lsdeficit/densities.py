@@ -7,6 +7,10 @@ functionals.  Analytic forms are used where they exist (Gaussian and
 mixture CDFs, polynomial-potential scores); grid variants interpolate
 ``log_p`` linearly, which keeps densities positive and CDFs monotone.
 
+Each 1D density has one inverse of its normal-score table Phi^-1(F(x)),
+x(z) = m + s z for Gaussians and otherwise a quintic Hermite interpolant in
+z; ``quantile(u)`` reads it at Phi^-1(u).
+
 Support policy: parametric densities are evaluated on
 [mean - R*sigma_eff, mean + R*sigma_eff] with R = 10 by default, wide
 enough that truncated tail mass (~1e-22) sits far below every tolerance
@@ -96,14 +100,6 @@ def _maybe_scalar(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
-def _unit_points(u) -> tuple[np.ndarray, bool]:
-    """Quantile arguments as points; each must lie strictly inside (0, 1)."""
-    pts, scalar = _as_points(u)
-    if np.any(pts <= 0.0) or np.any(pts >= 1.0):
-        raise ArgumentError("quantile argument must lie strictly inside (0, 1)")
-    return pts, scalar
-
-
 class NodeTable(NamedTuple):
     """Density evaluated on its canonical grid: the quadrature workhorse."""
 
@@ -124,12 +120,79 @@ def _finite_diff_log(log_p: np.ndarray, step: float, axis: int = 0) -> np.ndarra
     return np.moveaxis(score, 0, axis)
 
 
-def _strictly_increasing_table(xs: np.ndarray, ys: np.ndarray):
-    """Subsequence where xs strictly increases, for safe inverse interpolation."""
-    keep = np.empty(xs.shape, dtype=bool)
-    keep[0] = True
-    np.greater(xs[1:], np.maximum.accumulate(xs)[:-1], out=keep[1:])
-    return xs[keep], ys[keep]
+def _hermite(q, t: np.ndarray, v: np.ndarray, d: np.ndarray, c: np.ndarray, derivative=False):
+    """The quintic Hermite interpolant through values v, first derivatives d
+    and second derivatives c at increasing nodes t, or its derivative, at q
+    (clipped into [t[0], t[-1]]).  A piece whose end slopes stray from its
+    secant by more than a factor of 3 (at a table end, where z jumps over
+    clipped tail probabilities) is the straight secant instead."""
+    q = np.clip(q, t[0], t[-1])
+    i = np.clip(np.searchsorted(t, q, side="right") - 1, 0, t.size - 2)
+    h = t[i + 1] - t[i]
+    s, dv = (q - t[i]) / h, v[i + 1] - v[i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        m0, m1, c0, c1 = h * d[i], h * d[i + 1], h * h * c[i], h * h * c[i + 1]
+        curved = (m0 > dv / 3) & (m0 < 3 * dv) & (m1 > dv / 3) & (m1 < 3 * dv)
+    m0, m1 = np.where(curved, m0, dv), np.where(curved, m1, dv)
+    c0, c1 = np.where(curved, c0, 0.0), np.where(curved, c1, 0.0)
+    r0, r1, r2 = dv - m0 - c0 / 2, m1 - m0 - c0, c1 - c0
+    a3, a4, a5 = 10 * r0 - 4 * r1 + r2 / 2, -15 * r0 + 7 * r1 - r2, 6 * r0 - 3 * r1 + r2 / 2
+    if derivative:
+        return (m0 + s * (c0 + s * (3 * a3 + s * (4 * a4 + s * 5 * a5)))) / h
+    return v[i] + s * (m0 + s * (c0 / 2 + s * (a3 + s * (a4 + s * a5))))
+
+
+class ScoreInverse:
+    """x(z), the inverse of a normal-score table (the map carrying gamma onto
+    the density) through the nodes where z strictly increases, so each tail
+    keeps the accuracy of its own scores; z beyond them reads the end nodes.
+    x' = phi(z) / p(x) and x'' = x' (-z - x' (log p)'(x)) at the nodes."""
+
+    def __init__(self, scores: NormalScores, table: NodeTable):
+        keep = np.append(True, scores.z[1:] > np.maximum.accumulate(scores.z)[:-1])
+        z = scores.z[keep]
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = np.exp(-0.5 * z * z - 0.5 * _LOG_2PI - table.log_p[keep])
+            curve = slope * (-z - slope * table.score[keep])
+        self._nodes = (z, table.nodes[keep], slope, curve)
+        self._table_error = np.broadcast_to(scores.error, keep.shape)[keep]
+
+    @cached_property
+    def _forward(self) -> tuple[np.ndarray, ...]:
+        z, x, slope, curve = self._nodes
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return x, z, 1.0 / slope, -curve / slope**3
+
+    def __call__(self, z) -> np.ndarray:
+        return _hermite(z, *self._nodes)
+
+    def scores(self, x) -> np.ndarray:
+        """z(x) through the same nodes, slopes 1 / x'(z) and second
+        derivatives -x'' / x'^3: it reads x(z) back to O(h^6)."""
+        return _hermite(x, *self._forward)
+
+    def error(self, z, z_error) -> np.ndarray:
+        """Error bound of x(z) for z off by ``z_error``: x'(z) times z_error
+        and the scores' table error, plus the change of x(z) when built on
+        every second node (about 64 times its own O(h^6) error)."""
+        n = self._nodes[0].size
+        coarse = [a[np.r_[0 : n - 1 : 2, n - 1]] for a in self._nodes]
+        z_error = z_error + np.interp(z, self._nodes[0], self._table_error)
+        moved = np.abs(self(z) - _hermite(z, *coarse))
+        return _hermite(z, *self._nodes, derivative=True) * z_error + moved
+
+
+class _AffineInverse(NamedTuple):
+    """x(z) = m + s z, exact: a Gaussian's inverse."""
+
+    m: float
+    s: float
+
+    def __call__(self, z):
+        return self.m + self.s * z
+
+    def error(self, z, z_error):
+        return self.s * z_error
 
 
 class Density1D:
@@ -145,9 +208,6 @@ class Density1D:
         raise NotImplementedError
 
     def cdf(self, x):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def quantile(self, u):  # pragma: no cover - abstract
         raise NotImplementedError
 
     @property
@@ -194,6 +254,18 @@ class Density1D:
         out = _normal_scores(*self._node_tails)
         out.flags.writeable = False
         return NormalScores(out, 0.0)
+
+    @cached_property
+    def score_inverse(self) -> ScoreInverse | _AffineInverse:
+        """x(z), the inverse of ``normal_scores``."""
+        return ScoreInverse(self.normal_scores, self.table)
+
+    def quantile(self, u):
+        """x(Phi^-1(u)) for u strictly inside (0, 1)."""
+        pts, scalar = _as_points(u)
+        if np.any(pts <= 0.0) or np.any(pts >= 1.0):
+            raise ArgumentError("quantile argument must lie strictly inside (0, 1)")
+        return _maybe_scalar(self.score_inverse(special.ndtri(pts)), scalar)
 
     def moment(self, k: int, refine: bool = False):
         """k-th raw moment, k in 1..4, by quadrature on the canonical grid."""
@@ -252,9 +324,9 @@ class GaussianDensity(Density1D):
         pts, scalar = _as_points(x)
         return _maybe_scalar(special.ndtr((pts - self._mean) / self._sigma), scalar)
 
-    def quantile(self, u):
-        pts, scalar = _unit_points(u)
-        return _maybe_scalar(self._mean + self._sigma * special.ndtri(pts), scalar)
+    @cached_property
+    def score_inverse(self) -> _AffineInverse:
+        return _AffineInverse(self._mean, self._sigma)
 
     @property
     def _node_tails(self) -> tuple[np.ndarray, np.ndarray]:
@@ -354,32 +426,14 @@ class MixtureDensity(Density1D):
         out = special.ndtr(z) @ self._w
         return _maybe_scalar(out, scalar)
 
-    @cached_property
-    def _node_cdf(self) -> np.ndarray:
-        return np.asarray(self.cdf(self.table.nodes))
-
     @property
     def _node_tails(self) -> tuple[np.ndarray, np.ndarray]:
         z = (self.table.nodes[:, None] - self._m[None, :]) / self._s[None, :]
-        return self._node_cdf, special.ndtr(-z) @ self._w
+        return special.ndtr(z) @ self._w, special.ndtr(-z) @ self._w
 
     @property
     def _value_key(self) -> tuple:
         return (MixtureDensity, self.components, self.table.spec)
-
-    def quantile(self, u):
-        pts, scalar = _unit_points(u)
-        t = self.table
-        xs, ys = _strictly_increasing_table(self._node_cdf, t.nodes)
-        x = np.interp(pts, xs, ys)
-        # Newton polish against the analytic CDF; the seed is already within
-        # O(step^2), so two clipped steps reach full precision.
-        for _ in range(3):
-            step = (np.asarray(self.cdf(x)) - pts) / np.maximum(
-                np.asarray(self.pdf(x)), 1e-300
-            )
-            x = np.clip(x - step, t.spec.x_lo, t.spec.x_hi)
-        return _maybe_scalar(np.asarray(x, dtype=float), scalar)
 
     def mean(self) -> float:
         return float(self._w @ self._m)
@@ -417,23 +471,13 @@ class MixtureDensity(Density1D):
 
 
 class _TabulatedCDF(Density1D):
-    """CDF and quantile interpolated in the Simpson-accumulated CDF of the
-    node table, for densities without an analytic CDF."""
-
-    @cached_property
-    def _cdf_table(self) -> np.ndarray:
-        t = self.table
-        return _table_tails(t.p, t.spec.step)[0]
+    """For densities without an analytic CDF: F = Phi(z(x)), z(x) read off
+    the Simpson-accumulated normal-score table (``ScoreInverse.scores``), so
+    ``cdf`` and ``quantile`` invert each other."""
 
     def cdf(self, x):
         pts, scalar = _as_points(x)
-        out = np.interp(pts, self.table.nodes, self._cdf_table, left=0.0, right=1.0)
-        return _maybe_scalar(out, scalar)
-
-    def quantile(self, u):
-        pts, scalar = _unit_points(u)
-        xs, ys = _strictly_increasing_table(self._cdf_table, self.table.nodes)
-        return _maybe_scalar(np.interp(pts, xs, ys), scalar)
+        return _maybe_scalar(special.ndtr(self.score_inverse.scores(pts)), scalar)
 
     @cached_property
     def normal_scores(self) -> NormalScores:

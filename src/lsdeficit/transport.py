@@ -11,23 +11,15 @@ The costs used here (squared distance, absolute distance, and the convex
 gap delta(|x - z|), optionally with an inner scale) are all even in the
 displacement, which makes the optimal cost symmetric in its arguments.
 
-Every cost against a Gaussian N(m, s^2) (gamma itself, gamma moved by a
-mean, each factor of a product through ``functionals._per_factor``) uses
-that symmetry: one nodewise kernel maps the density toward the Gaussian,
-T(x) = m + s Phi^-1(F(x)), on the density's own table, with F analytic for
-Gaussians and mixtures and Simpson-tabulated otherwise, read off the
-survival function above the median (``Density1D.normal_scores``).  The
-kernel needs no quantile of the density on any node.  The 2D row path,
-``costs_to_standard_gaussian_rows``, shares the displacement step, and
-one mapping there serves two moves of the Gaussian (none, and per row).
-A kinked cost (W1) has its Simpson kink error removed at every sign
+Each density has one map to the standard Gaussian, z(x) = Phi^-1(F(x)), and
+one inverse of it, x(z) (``Density1D.normal_scores``, ``score_inverse``).
+Every 1D cost is one nodewise kernel on mu's table, T(x) = x_ref(z_mu(x));
+a lone Gaussian side is the reference, T(x) = m + s z_mu(x), in either
+argument order.  The 2D row path (``costs_to_standard_gaussian_rows``)
+shares the score step.  W1 has its Simpson kink error removed at every sign
 change of the displacement (``quadrature._kink_defect``).
-
-``TransportPlan1D`` carries the standard Gaussian (or any source) onto a
-target by inverting the target's quantile: analytic for Gaussians,
-interpolated in a CDF table otherwise, with Newton steps on the analytic
-CDF for mixtures.  It serves the costs between two non-Gaussian densities
-and the bounds that read the map itself.
+``TransportPlan1D`` is the map as a callable, for ``cheeger`` and
+``talagrand-map``.
 
 A discrete oracle provides independent ground truth: north-west-corner
 matching on sorted atoms (exact for convex costs), cross-checked for
@@ -44,7 +36,6 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .deltafn import delta
 from .densities import (
@@ -57,13 +48,12 @@ from .densities import (
     standard_gaussian,
 )
 from .errors import ArgumentError, DegeneratePlanError
-from .quadrature import GridSpec, _kink_defect, integrate, integrate_values, simpson_weights
+from .quadrature import GridSpec, _kink_defect, integrate_values, simpson_weights
 from .functionals import _per_factor
 from .values import FunctionalValue
 
-# Quantile arguments are clipped into [_U_LO, _U_HI] before inversion; the
-# excluded tail mass is ~1e-300 on the low side and one ulp on the high
-# side, both far below every quadrature weight they could multiply.
+# Levels are clipped into [_U_LO, _U_HI] before inversion: the tail mass left
+# out (~1e-300 below, one ulp above) is far below every quadrature weight.
 _U_HI = 1.0 - 1.1e-16
 
 # Each displacement m + s z - x is charged this many ulps of |x| + |T(x)|
@@ -113,30 +103,13 @@ def cost_delta_scaled(scale: float) -> CostFn:
     return CostFn(f"delta_scaled({scale:g})", lambda d: delta(np.abs(d) / scale))
 
 
-def _odd_spec(spec: GridSpec) -> GridSpec:
-    """Same window with an odd node count (pure Simpson; symmetric grids
-    put displacement kinks exactly on a node)."""
-    n = spec.n_points
-    return spec if n % 2 == 1 else GridSpec(spec.x_lo, spec.x_hi, n + 1)
-
-
 class TransportPlan1D:
     """Monotone rearrangement pushing ``source`` onto ``target``."""
 
     def __init__(self, target: Density1D, source: Density1D):
-        if not isinstance(target, Density1D) or not isinstance(source, Density1D):
-            raise ArgumentError("transport plans connect two 1D densities")
+        _check_pushforward(source, target)
         self._target = target
         self._source = source
-        self._validate()
-
-    @property
-    def target(self) -> Density1D:
-        return self._target
-
-    @property
-    def source(self) -> Density1D:
-        return self._source
 
     def map_at(self, x):
         u = np.clip(np.asarray(self._source.cdf(x), dtype=float), _U_LO, _U_HI)
@@ -149,18 +122,6 @@ class TransportPlan1D:
         num = np.asarray(self._source.pdf(x), dtype=float)
         den = np.asarray(self._target.pdf(t), dtype=float)
         return num / np.maximum(den, 1e-300)
-
-    def _validate(self) -> None:
-        us = (np.arange(20) + 0.5) / 20.0
-        xs = np.asarray(self._source.quantile(us))
-        mapped = self.map_at(xs)
-        err = np.abs(np.asarray(self._target.cdf(mapped)) - us)
-        if not np.isfinite(mapped).all() or err.max() > 1e-5:
-            raise DegeneratePlanError(
-                f"monotone map fails the pushforward check: max CDF error {err.max():.3e}"
-            )
-        if not np.isfinite(self.derivative(xs)).all():
-            raise DegeneratePlanError("monotone map has a non-finite derivative")
 
 
 def monotone_plan(target: Density1D, source: Density1D | None = None) -> TransportPlan1D:
@@ -182,60 +143,48 @@ def transport_cost(
     return _transport_cost_1d(target, source, cost)
 
 
-def _transport_cost_1d(target: Density1D, source, cost: CostFn) -> FunctionalValue:
-    if source is None or isinstance(source, GaussianDensity):
-        return _cost_to_gaussian(target, source or standard_gaussian(), cost)
-    plan = monotone_plan(target, source)
-    nu = plan.source
-    spec = _odd_spec(nu.eval_spec())
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        disp = plan.map_at(x) - x
-        return cost(disp) * np.asarray(nu.pdf(x), dtype=float)
-
-    r = integrate(integrand, spec, refine=True)
-    return FunctionalValue(f"T[{cost.id}]", max(r.value, 0.0), r.abs_error_estimate)
-
-
-def _check_pushforward(mu: Density1D, sigma: float) -> None:
-    """The map's pushforward check: at 20 midpoint quantiles of ``mu``, F
-    must return the quantile's level within 1e-5, and the map's derivative
-    p(x) / phi_ref(T(x)) toward a Gaussian of scale ``sigma`` must be
-    finite."""
+def _check_pushforward(mu: Density1D, ref: Density1D) -> None:
+    """At 20 midpoint quantiles x of ``mu`` and T(x) = Q_ref(F_mu(x)),
+    |F_mu(x) - u| + |F_ref(T(x)) - F_mu(x)| must stay within 1e-5 (each
+    quantile inverts its CDF) and p_mu(x) / p_ref(T(x)) must be finite."""
+    if not isinstance(mu, Density1D) or not isinstance(ref, Density1D):
+        raise ArgumentError("transport maps need a 1D density on each side")
     us = (np.arange(20) + 0.5) / 20.0
     xs = np.asarray(mu.quantile(us), dtype=float)
     levels = np.asarray(mu.cdf(xs), dtype=float)
-    err = np.abs(levels - us)
-    if not (np.isfinite(xs).all() and err.max() <= 1e-5):
+    mapped = np.asarray(ref.quantile(np.clip(levels, _U_LO, _U_HI)), dtype=float)
+    err = np.abs(levels - us) + np.abs(np.asarray(ref.cdf(mapped), dtype=float) - levels)
+    if not (np.isfinite(mapped).all() and err.max() <= 1e-5):
         raise DegeneratePlanError(
             f"monotone map fails the pushforward check: max CDF error {err.max():.3e}"
         )
-    z = special.ndtri(np.clip(levels, _U_LO, _U_HI))
-    phi_ref = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
-    if not np.isfinite(np.asarray(mu.pdf(xs), dtype=float) / phi_ref).all():
+    with np.errstate(divide="ignore"):
+        slope = np.asarray(mu.pdf(xs), dtype=float) / np.asarray(ref.pdf(mapped), dtype=float)
+    if not np.isfinite(slope).all():
         raise DegeneratePlanError("monotone map has a non-finite derivative")
 
 
-def _cost_to_gaussian(mu: Density1D, ref: GaussianDensity, cost: CostFn) -> FunctionalValue:
-    """int c(T(x) - x) dmu for T(x) = m + s Phi^-1(F(x)), the monotone map
-    pushing ``mu`` onto ref = N(m, s^2), on mu's own table.
-
-    The error adds to the Richardson estimate what moving each displacement
-    by its roundoff and by the table error of F (``normal_scores``) can
-    change: a convex even cost grows most when |d| grows.
-    """
-    if not isinstance(mu, Density1D):
-        raise ArgumentError("transport costs to a Gaussian need a 1D density")
-    m, s = ref.mean_param, math.sqrt(ref.var_param)
-    _check_pushforward(mu, s)
+def _transport_cost_1d(mu: Density1D, ref: Density1D | None, cost: CostFn) -> FunctionalValue:
+    """int c(T(x) - x) dmu on mu's own table, for T(x) = x_ref(z_mu(x)) the
+    monotone map pushing ``mu`` onto ``ref`` (default gamma).  The cost is
+    even, so a lone Gaussian side is made the reference.  The error adds
+    what moving each displacement by its roundoff and by the error of
+    x_ref(z_mu) (``error`` of ref's inverse) can change: an even convex
+    cost grows most when |d| grows."""
+    ref = standard_gaussian() if ref is None else ref
+    if isinstance(mu, GaussianDensity) and not isinstance(ref, GaussianDensity):
+        mu, ref = ref, mu
+    _check_pushforward(mu, ref)
     t = mu.table
     scores = mu.normal_scores
-    mapped = m + s * scores.z
+    inverse = ref.score_inverse
+    mapped = inverse(scores.z)
     disp = mapped - t.nodes
     kinked = cost.kink * disp * t.p if cost.kink else None
     r = integrate_values(cost(disp) * t.p, t.spec, refine=True, kinked=kinked)
     size = np.abs(disp)
-    slack = _DISP_ULPS * (np.abs(t.nodes) + np.abs(mapped)) + s * scores.error
+    slack = _DISP_ULPS * (np.abs(t.nodes) + np.abs(mapped))
+    slack += inverse.error(scores.z, scores.error)
     moved = (cost(size + slack) - cost(size)) * t.p
     charge = float(moved @ simpson_weights(t.spec.n_points, t.spec.step))
     return FunctionalValue(f"T[{cost.id}]", max(r.value, 0.0), r.abs_error_estimate + charge)

@@ -10,9 +10,16 @@ import pytest
 from lsdeficit import cli, config
 from lsdeficit.bounds import BOUND_IDS, BoundCertificate
 from lsdeficit.cli import _fuse_range_flag, _parse_range, main
-from lsdeficit.densities import GaussianDensity, MixtureDensity, ProductDensity, standard_gaussian
+from lsdeficit.densities import (
+    GaussianDensity,
+    MixtureDensity,
+    ProductDensity,
+    bivariate_gaussian_grid,
+    standard_gaussian,
+)
 from lsdeficit.functionals import relative_entropy
 from lsdeficit.specio import dumps
+from lsdeficit.transport import transport_cost
 
 
 @pytest.fixture
@@ -113,10 +120,28 @@ class TestDistance:
         assert err.startswith("error: ") and "Traceback" not in err
 
     def test_exact_cost_needs_tractable_shape(self, spec_file, capsys):
-        mu = spec_file("p.json", ProductDensity([standard_gaussian(), standard_gaussian()]))
+        mu = spec_file("g.json", bivariate_gaussian_grid(0.5, n_points=33))
         ref = spec_file("r.json", ProductDensity([GaussianDensity(1.0, 1.0), standard_gaussian()]))
         code = main(["distance", "--dist", mu, "--metric", "w2sq", "--ref", ref])
         assert code == 3
+        assert "product input" in capsys.readouterr().err
+
+    def test_exact_cost_product_reference(self, spec_file, capsys):
+        # a product reference of equal dimension is summed factor by factor
+        mix = MixtureDensity([(0.5, -1.0, 1.0), (0.5, 1.0, 1.0)])
+        prod = ProductDensity([GaussianDensity(0.5, 2.0), mix])
+        mu = spec_file("p.json", prod)
+        for metric in ("w2sq", "w1", "tdelta"):
+            argv = ["distance", "--dist", mu, "--ref", mu, "--metric", metric]
+            code, out = run_json(capsys, argv)
+            assert code == 0
+            assert 0.0 <= out["value"] <= out["error"]
+        ref = spec_file("r.json", ProductDensity([GaussianDensity(1.0, 1.0), standard_gaussian()]))
+        code, out = run_json(capsys, ["distance", "--dist", mu, "--ref", ref, "--metric", "w2sq"])
+        assert code == 0
+        # W2^2 of N(0.5, 2) to N(1, 1), plus the mixture's cost to gamma
+        want = 0.25 + (math.sqrt(2.0) - 1.0) ** 2 + transport_cost(mix).value
+        np.testing.assert_allclose(out["value"], want, rtol=0, atol=1e-9)
 
 
 class TestCertify:

@@ -3,9 +3,11 @@
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from quantile_reference import TiltQuantile, mixture_quantile, quantile_space_costs
 
 from lsdeficit import cli, config, transport
 from lsdeficit.battery import standard_battery
@@ -130,6 +132,16 @@ class TestMonotonePlan:
             TransportPlan1D(standard_gaussian(), "gamma")
 
 
+class _SkewedGaussian(GaussianDensity):
+    def quantile(self, u):
+        return super().quantile(u) + 0.01
+
+
+class _SkewedMixture(MixtureDensity):
+    def quantile(self, u):
+        return super().quantile(u) + 0.01
+
+
 class TestPushforwardCheck:
     """The kernel refuses a density whose quantile and CDF disagree."""
 
@@ -140,6 +152,20 @@ class TestPushforwardCheck:
 
         with pytest.raises(DegeneratePlanError, match="pushforward"):
             transport_cost(Skewed(0.0, 2.0), None, COST_SQ)
+
+    @pytest.mark.parametrize("make", [
+        lambda: _SkewedGaussian(0.0, 2.0),
+        lambda: _SkewedMixture([(0.3, -1.0, 0.49), (0.7, 1.2, 1.0)]),
+    ], ids=["gaussian", "mixture"])
+    @pytest.mark.parametrize("bad_first", [True, False], ids=["first", "second"])
+    def test_refused_in_either_position(self, make, bad_first):
+        bad = make()
+        other = TiltedDensity([0.0, 0.0, 0.25, 0.0, 0.05])
+        pair = (bad, other) if bad_first else (other, bad)
+        with pytest.raises(DegeneratePlanError, match="pushforward"):
+            monotone_plan(*pair)
+        with pytest.raises(DegeneratePlanError, match="pushforward"):
+            transport_cost(*pair, COST_ABS)
 
     def test_non_1d_density_refused(self):
         with pytest.raises(ArgumentError, match="1D density"):
@@ -215,6 +241,54 @@ class TestAgainstRefinedGrid:
         assert abs(got.value - ref) <= got.error_estimate
 
 
+_TILT = (0.0, 0.0, 0.25, 0.0, 0.05)
+_MIX = [(0.5, -1.0, 1.0), (0.5, 1.0, 1.0)]
+_SKEW = [(0.3, -1.0, 0.49), (0.7, 1.2, 1.0)]
+_PAIRS = {
+    "tilt-mixture": (lambda: TiltedDensity(_TILT), lambda: MixtureDensity(_MIX)),
+    "skew-shifted_tilt": (lambda: MixtureDensity(_SKEW), lambda: TiltedDensity(_TILT).shifted(0.4)),
+    "tilt-shifted_tilt": (lambda: TiltedDensity(_TILT), lambda: TiltedDensity(_TILT).shifted(0.4)),
+    "mixture-skew": (lambda: MixtureDensity(_MIX), lambda: MixtureDensity(_SKEW)),
+}
+_COSTS = (COST_SQ, COST_ABS, COST_DELTA)
+
+
+def _independent_quantile(density):
+    if isinstance(density, MixtureDensity):
+        return lambda z: mixture_quantile(density.components, z)
+    return TiltQuantile(density.potential_coeffs)
+
+
+@lru_cache(maxsize=None)
+def _reference_costs(pair: str) -> dict[str, float]:
+    a, b = (make() for make in _PAIRS[pair])
+    values = quantile_space_costs(_independent_quantile(a), _independent_quantile(b), _COSTS)
+    return {cost.id: v for cost, v in zip(_COSTS, values)}
+
+
+class TestBetweenTwoDensities:
+    """Costs between two non-Gaussian densities, against quantile-space
+    quadrature that reads none of the library's tables."""
+
+    @pytest.mark.parametrize("pair", sorted(_PAIRS))
+    @pytest.mark.parametrize("cost", _COSTS, ids=lambda c: c.id)
+    def test_within_reported_error(self, pair, cost):
+        want = _reference_costs(pair)[cost.id]
+        a, b = (make() for make in _PAIRS[pair])
+        for target, source in ((a, b), (b, a)):
+            got = transport_cost(target, source, cost)
+            assert abs(got.value - want) <= got.error_estimate, (repr(target), got)
+
+    @pytest.mark.parametrize("cost", _COSTS, ids=lambda c: c.id)
+    def test_gaussian_side_is_the_reference(self, cost):
+        # the cost is even, so exactly one Gaussian side gives one map, in
+        # either argument order
+        gauss = GaussianDensity(0.2, 1.5)
+        for other in (MixtureDensity(_SKEW), TiltedDensity(_TILT)):
+            one, two = transport_cost(gauss, other, cost), transport_cost(other, gauss, cost)
+            assert (one.value, one.error_estimate) == (two.value, two.error_estimate)
+
+
 def _count_plans(monkeypatch) -> list[str]:
     """Patch monotone_plan under every lsdeficit binding; record the module
     whose binding was called."""
@@ -234,7 +308,7 @@ def _count_plans(monkeypatch) -> list[str]:
 
 
 class TestPlanFree:
-    """Costs against a Gaussian build no transport plan."""
+    """Transport costs build no transport plan."""
 
     def test_battery_plans_only_for_map_bounds(self, monkeypatch):
         calls = _count_plans(monkeypatch)
@@ -254,10 +328,10 @@ class TestPlanFree:
         for metric in cli._METRICS:
             assert cli.main(["distance", "--dist", str(spec), "--metric", metric, "--out", out]) == 0
         assert calls == []
-        # a non-Gaussian reference still goes through the plan
+        # a non-Gaussian reference goes through the same kernel, with no plan
         assert cli.main(["distance", "--dist", str(spec), "--ref", str(spec),
                          "--metric", "w1", "--out", out]) == 0
-        assert calls == ["lsdeficit.transport"]
+        assert calls == []
 
 
 class TestGapCostOrdering:
