@@ -25,36 +25,43 @@ def _symmetric_mixture(gap: float) -> MixtureDensity:
     return MixtureDensity([(0.5, -h, 1.0), (0.5, h, 1.0)])
 
 
+BATTERY_LABELS: tuple[str, ...] = (
+    "gauss-narrow",
+    "gauss-sub",
+    "gauss-super",
+    "gauss-wide",
+    "gauss-shift-pos",
+    "gauss-shift-neg",
+    "mixture-gap1",
+    "mixture-gap2",
+    "tilted-quartic",
+    "product-mixed",
+    "product-tilted",
+    "grid2d-uncorrelated",
+    "grid2d-correlated",
+)
+
+
 def standard_battery() -> list[tuple[str, Density]]:
-    """Fresh instances each call; labels are stable across calls."""
-    tilt = TiltedDensity(list(_TILT_COEFFS), convexity_lower_bound=0.5)
-    members: list[tuple[str, Density]] = [
-        ("gauss-narrow", GaussianDensity(0.0, 0.25)),
-        ("gauss-sub", GaussianDensity(0.0, 0.64)),
-        ("gauss-super", GaussianDensity(0.0, 1.5625)),
-        ("gauss-wide", GaussianDensity(0.0, 4.0)),
-        ("gauss-shift-pos", GaussianDensity(1.0, 1.0)),
-        ("gauss-shift-neg", GaussianDensity(-1.0, 1.0)),
-        ("mixture-gap1", _symmetric_mixture(1.0)),
-        ("mixture-gap2", _symmetric_mixture(2.0)),
-        ("tilted-quartic", tilt),
-        (
-            "product-mixed",
-            ProductDensity([GaussianDensity(0.0, 0.25), _symmetric_mixture(2.0)]),
+    """Fresh instances each call, labelled by ``BATTERY_LABELS`` in order."""
+    members: list[Density] = [
+        GaussianDensity(0.0, 0.25),
+        GaussianDensity(0.0, 0.64),
+        GaussianDensity(0.0, 1.5625),
+        GaussianDensity(0.0, 4.0),
+        GaussianDensity(1.0, 1.0),
+        GaussianDensity(-1.0, 1.0),
+        _symmetric_mixture(1.0),
+        _symmetric_mixture(2.0),
+        TiltedDensity(list(_TILT_COEFFS), convexity_lower_bound=0.5),
+        ProductDensity([GaussianDensity(0.0, 0.25), _symmetric_mixture(2.0)]),
+        ProductDensity(
+            [
+                TiltedDensity(list(_TILT_COEFFS), convexity_lower_bound=0.5),
+                GaussianDensity(0.5, 1.0),
+            ]
         ),
-        (
-            "product-tilted",
-            ProductDensity(
-                [
-                    TiltedDensity(list(_TILT_COEFFS), convexity_lower_bound=0.5),
-                    GaussianDensity(0.5, 1.0),
-                ]
-            ),
-        ),
-        ("grid2d-uncorrelated", bivariate_gaussian_grid(0.0)),
-        ("grid2d-correlated", bivariate_gaussian_grid(0.5)),
+        bivariate_gaussian_grid(0.0),
+        bivariate_gaussian_grid(0.5),
     ]
-    return members
-
-
-BATTERY_LABELS: tuple[str, ...] = tuple(label for label, _ in standard_battery())
+    return list(zip(BATTERY_LABELS, members, strict=True))

@@ -236,6 +236,22 @@ class _Stats:
         """Monotone map carrying the standard Gaussian onto a 1D density."""
         return self._get("plan", lambda: monotone_plan(self.mu, None))
 
+    @property
+    def gamma_map(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The plan's map T at each point array of ``_gamma_points`` and its
+        derivative T' on the two integration grids, each evaluated once."""
+
+        def build():
+            plan = self.plan
+            points = _gamma_points()
+            mapped = [np.asarray(plan.map_at(x)) for x in points]
+            slopes = [
+                np.asarray(plan.derivative(x, t), dtype=float) for x, t in zip(points[:2], mapped)
+            ]
+            return mapped, slopes
+
+        return self._get("gamma_map", build)
+
     # -- recentering by moving the reference -------------------------------
     @property
     def mean_gamma(self) -> Density | None:
@@ -684,17 +700,29 @@ def _eval_thm14(s, opts, tol):
 
 
 _CHEEGER_LAMBDA = math.sqrt(2.0 / math.pi)
+# Gamma integrals of the map bounds: Simpson on these nodes, and the doubled
+# grid for the error estimate.
+_GAMMA_SPEC = GridSpec(-10.0, 10.0, 4097)
 
 
-def _gamma_integral(fn: Callable[[np.ndarray], np.ndarray]) -> float:
-    spec = GridSpec(-10.0, 10.0, 4097)
-    phi = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return integrate(lambda x: np.asarray(fn(x), dtype=float) * phi(x), spec, refine=True).value
-
-
-def _gamma_median(fn: Callable[[np.ndarray], np.ndarray]) -> float:
+def _gamma_points() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the map bounds read their functions: the nodes of the gamma
+    integrals, of the doubled grid, and the 8191 midpoint quantiles of gamma
+    for the median."""
     us = (np.arange(8191) + 0.5) / 8191.0
-    vals = np.sort(np.asarray(fn(special.ndtri(us)), dtype=float))
+    return _GAMMA_SPEC.nodes(), _GAMMA_SPEC.refined().nodes(), special.ndtri(us)
+
+
+def _gamma_integral(values: Sequence[np.ndarray]) -> float:
+    """int g dgamma from g's values on the two grids of ``_gamma_points``."""
+    on_grid = {v.size: v for v in values}
+    phi = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return integrate(lambda x: on_grid[x.size] * phi(x), _GAMMA_SPEC, refine=True).value
+
+
+def _gamma_median(values: np.ndarray) -> float:
+    """Median of g(X), X ~ gamma, from g at the quantiles of ``_gamma_points``."""
+    vals = np.sort(values)
     return float(vals[vals.size // 2])
 
 
@@ -702,22 +730,24 @@ def _eval_cheeger(s, opts, tol):
     _require_1d(s, "the first-order isoperimetric comparison")
     f = opts.get("f")
     f_prime = opts.get("f_prime")
+    points = _gamma_points()
     if f is None:
-        plan = s.plan
-        f = lambda x: np.asarray(plan.map_at(x)) - np.asarray(x, dtype=float)
-        f_prime = lambda x: np.asarray(plan.derivative(x)) - 1.0
-    elif f_prime is None:
-        h = 1e-6
-        f_prime = lambda x, _f=f: (
-            np.asarray(_f(np.asarray(x) + h)) - np.asarray(_f(np.asarray(x) - h))
-        ) / (2.0 * h)
-    med = _gamma_median(f)
-    lhs = _gamma_integral(lambda x: np.abs(f_prime(x)))
-    rhs = _CHEEGER_LAMBDA * _gamma_integral(lambda x: np.abs(np.asarray(f(x)) - med))
-    gen_lhs = _gamma_integral(
-        lambda x: delta(2.0 * np.abs(f_prime(x)) / _CHEEGER_LAMBDA)
-    )
-    gen_rhs = _gamma_integral(lambda x: delta(np.abs(np.asarray(f(x)) - med)))
+        mapped, slopes = s.gamma_map
+        f_vals = [t - np.asarray(x, dtype=float) for t, x in zip(mapped, points)]
+        f_prime_vals = [tp - 1.0 for tp in slopes]
+    else:
+        if f_prime is None:
+            h = 1e-6
+            f_prime = lambda x, _f=f: (
+                np.asarray(_f(np.asarray(x) + h)) - np.asarray(_f(np.asarray(x) - h))
+            ) / (2.0 * h)
+        f_vals = [np.asarray(f(x), dtype=float) for x in points]
+        f_prime_vals = [np.asarray(f_prime(x), dtype=float) for x in points[:2]]
+    med = _gamma_median(f_vals[2])
+    lhs = _gamma_integral([np.abs(v) for v in f_prime_vals])
+    rhs = _CHEEGER_LAMBDA * _gamma_integral([np.abs(v - med) for v in f_vals[:2]])
+    gen_lhs = _gamma_integral([delta(2.0 * np.abs(v) / _CHEEGER_LAMBDA) for v in f_prime_vals])
+    gen_rhs = _gamma_integral([delta(np.abs(v - med)) for v in f_vals[:2]])
     constants = {
         "lambda": _CHEEGER_LAMBDA,
         "median": med,
@@ -734,17 +764,10 @@ def _eval_cheeger(s, opts, tol):
 
 def _eval_talagrand_map(s, opts, tol):
     _require_1d(s, "the transport-map refinement")
-    plan = s.plan
-    spec = GridSpec(-10.0, 10.0, 4097)
-
-    def integrand(x):
-        tp = np.asarray(plan.derivative(x), dtype=float)
-        if np.any(tp <= 0):
-            raise NumericalError("transport map derivative must stay positive")
-        phi = np.exp(-0.5 * np.asarray(x) ** 2) / math.sqrt(2.0 * math.pi)
-        return delta(tp - 1.0) * phi
-
-    gap = integrate(integrand, spec, refine=True).value
+    slopes = s.gamma_map[1]
+    if any(np.any(tp <= 0) for tp in slopes):
+        raise NumericalError("transport map derivative must stay positive")
+    gap = _gamma_integral([delta(tp - 1.0) for tp in slopes])
     rhs = 0.5 * s.w2sq + gap
     return _cert(
         "talagrand-map", s.d, rhs, {"map_gap_integral": gap}, tol,

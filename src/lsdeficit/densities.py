@@ -31,7 +31,14 @@ from scipy import special
 
 from . import config
 from .errors import ArgumentError
-from .quadrature import GridSpec, _exact_sum, integrate_values, integrate_values_2d, simpson_weights
+from .quadrature import (
+    GridSpec,
+    _exact_sum,
+    integrate_rows_2d,
+    integrate_values,
+    row_blocks,
+    simpson_weights,
+)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -57,16 +64,19 @@ def _table_tails(p: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
     pieces[..., :-1:2] = d * (5 * a / 4 + 2 * b - c / 4)
     pieces[..., 1::2] = d * (5 * c / 4 + 2 * b - a / 4)
     pieces[..., -1] = d * (5 * p[..., -1] / 4 + 2 * p[..., -2] - p[..., -3] / 4)
-    zero = np.zeros(p.shape[:-1] + (1,))
-    cdf = np.concatenate((zero, np.cumsum(pieces, axis=-1)), axis=-1)
-    sf = np.concatenate((zero, np.cumsum(pieces[..., ::-1], axis=-1)), axis=-1)
+    cdf, sf = np.empty(p.shape), np.empty(p.shape)
+    cdf[..., 0] = sf[..., 0] = 0.0
+    np.cumsum(pieces, axis=-1, out=cdf[..., 1:])
+    np.cumsum(pieces[..., ::-1], axis=-1, out=sf[..., 1:])
     if (pieces < 0.0).any():  # a quadratic dipped: force monotone sums
         cdf = np.maximum.accumulate(np.maximum(cdf, 0.0), axis=-1)
         sf = np.maximum.accumulate(np.maximum(sf, 0.0), axis=-1)
     sf = sf[..., ::-1]
-    cdf /= cdf[..., -1:]
+    # copied divisors: dividing by a view of the array itself makes numpy
+    # copy the whole array first
+    cdf /= cdf[..., -1:].copy()
     cdf[..., -1] = 1.0
-    sf /= sf[..., :1]
+    sf /= sf[..., :1].copy()
     sf[..., 0] = 1.0
     for arr in (cdf, sf):
         arr.flags.writeable = False
@@ -777,10 +787,14 @@ class Grid2DDensity:
                 f"log_p of shape {log_p.shape} does not match "
                 f"{spec_x.n_points} x {spec_y.n_points} grid"
             )
-        if not np.isfinite(log_p).all():
-            raise ArgumentError("grid log-density values must be finite")
+        # the extremes are finite exactly when every value is (nan
+        # propagates), so no whole-grid mask is built
         shift = float(log_p.max())
-        total = integrate_values_2d(np.exp(log_p - shift), spec_x, spec_y).value
+        if not (math.isfinite(shift) and math.isfinite(float(log_p.min()))):
+            raise ArgumentError("grid log-density values must be finite")
+        total = integrate_rows_2d(
+            lambda i0, i1: np.exp(log_p[i0:i1] - shift), spec_x, spec_y
+        ).value
         self._spec_x = spec_x
         self._spec_y = spec_y
         self._log_p = log_p - (math.log(total) + shift)
@@ -838,10 +852,13 @@ class Grid2DDensity:
     def row_stats(self) -> RowStats:
         """One Simpson pass over x2 per row: shift, mass and first moment."""
         wy = simpson_weights(self._spec_y.n_points, self._spec_y.step)
+        wy_y = wy * self._spec_y.nodes()
         shift = self._log_p.max(axis=1)
-        p = np.exp(self._log_p - shift[:, None])
-        mass = (p * wy[None, :]).sum(axis=1)
-        first = (p * (wy * self._spec_y.nodes())[None, :]).sum(axis=1)
+        mass, first = np.empty_like(shift), np.empty_like(shift)
+        for i0, i1 in row_blocks(shift.size):
+            p = np.exp(self._log_p[i0:i1] - shift[i0:i1, None])
+            mass[i0:i1] = (p * wy).sum(axis=1)
+            first[i0:i1] = (p * wy_y).sum(axis=1)
         for arr in (shift, mass, first):
             arr.flags.writeable = False
         return RowStats(shift, mass, first)
@@ -884,20 +901,28 @@ class Grid2DDensity:
     def second_moment(self) -> float:
         xs = self._spec_x.nodes()[:, None]
         ys = self._spec_y.nodes()[None, :]
-        r2 = xs * xs + ys * ys
-        return integrate_values_2d(
-            r2 * np.exp(self._log_p), self._spec_x, self._spec_y
+        return integrate_rows_2d(
+            lambda i0, i1: (xs[i0:i1] * xs[i0:i1] + ys * ys) * np.exp(self._log_p[i0:i1]),
+            self._spec_x,
+            self._spec_y,
         ).value
 
     def _verify_eps(self, eps: float) -> float | None:
-        v = -self._log_p
         hx, hy = self._spec_x.step, self._spec_y.step
-        vxx = (v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / hx**2
-        vyy = (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hy**2
-        vxy = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * hx * hy)
-        half_tr = 0.5 * (vxx + vyy)
-        radius = np.sqrt(0.25 * (vxx - vyy) ** 2 + vxy**2)
-        min_eig = float((half_tr - radius).min())
+
+        def block_min(i0: int, i1: int) -> float:
+            """Smallest Hessian eigenvalue of -log p on interior rows
+            i0 + 1 .. i1, read with one halo row on each side."""
+            v = -self._log_p[i0 : i1 + 2]
+            vxx = (v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / hx**2
+            vyy = (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hy**2
+            vxy = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * hx * hy)
+            half_tr = 0.5 * (vxx + vyy)
+            radius = np.sqrt(0.25 * (vxx - vyy) ** 2 + vxy**2)
+            return (half_tr - radius).min()
+
+        # np.min keeps a nan wherever it sits
+        min_eig = float(np.min([block_min(*b) for b in row_blocks(self._spec_x.n_points - 2)]))
         return eps if min_eig >= eps - 1e-6 else None
 
     def __repr__(self) -> str:
@@ -951,8 +976,12 @@ def bivariate_gaussian_grid(
 # ---------------------------------------------------------------------------
 # 1D convolutions share one kernel: output nodes on the input's own lattice
 # (same step, or a whole fraction of it for coarse tables; odd node count for
-# pure Simpson; no cap on the count) and one direct Toeplitz sum.  The 2D heat step stays separable: two dense kernel
-# matrices and two BLAS products, whose exp calls are a small share of it.
+# pure Simpson; no cap on the count) and one direct Toeplitz sum.  The 2D heat
+# step stays separable: two dense kernel matrices and two whole-array BLAS
+# products, whose exp calls are a small share of it.  The products are not
+# split into row blocks, since a blocked matrix product rounds differently
+# (heat-flowed log values moved by about 3e-14); the floor and the log run in
+# place on the product.
 
 def _odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
@@ -1046,5 +1075,5 @@ def gaussian_convolve_2d(density: Grid2DDensity, t: float) -> Grid2DDensity:
     p = np.exp(density.log_values)
     mixed = kernel(out_x.nodes(), sx) @ p  # convolve rows
     out = mixed @ kernel(out_y.nodes(), sy).T  # then columns
-    log_out = np.log(np.maximum(out, 1e-320))
-    return Grid2DDensity(out_x, out_y, log_out)
+    np.maximum(out, 1e-320, out=out)
+    return Grid2DDensity(out_x, out_y, np.log(out, out=out))

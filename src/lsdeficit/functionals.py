@@ -24,6 +24,7 @@ p < 1e-290, and a density vanishing strictly inside its support raises
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .densities import (
     standard_gaussian,
 )
 from .errors import ArgumentError, InfiniteInformationError, SupportError
-from .quadrature import GridSpec, integrate, integrate_values, integrate_values_2d
+from .quadrature import GridSpec, integrate, integrate_rows_2d, integrate_values
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -100,33 +101,43 @@ def relative_entropy(mu, nu=None) -> FunctionalValue:
         return _per_factor(_relative_entropy_1d, mu, nu, "relative_entropy")
     if isinstance(mu, Grid2DDensity):
         log_q = _reference_log_pdf_2d(mu, nu)
-        p = np.exp(mu.log_values)
-        live = p >= config.LOG_ZERO_FLOOR
-        if (live & np.isneginf(log_q)).any():
-            raise SupportError(
-                "relative entropy undefined: mass where the 2D reference vanishes"
-            )
-        integrand = np.where(live, p * (mu.log_values - np.where(live, log_q, 0.0)), 0.0)
-        r = integrate_values_2d(integrand, mu.spec_x, mu.spec_y, refine=True)
+
+        def block(i0: int, i1: int) -> np.ndarray:
+            log_p = mu.log_values[i0:i1]
+            p = np.exp(log_p)
+            live = p >= config.LOG_ZERO_FLOOR
+            q = log_q(i0, i1)
+            if (live & np.isneginf(q)).any():
+                raise SupportError(
+                    "relative entropy undefined: mass where the 2D reference vanishes"
+                )
+            return np.where(live, p * (log_p - np.where(live, q, 0.0)), 0.0)
+
+        r = integrate_rows_2d(block, mu.spec_x, mu.spec_y, refine=True)
         return FunctionalValue("D", r.value, r.abs_error_estimate)
     raise ArgumentError(f"unsupported density type {type(mu).__name__}")
 
 
-def _reference_log_pdf_2d(mu: Grid2DDensity, nu) -> np.ndarray:
+def _reference_log_pdf_2d(mu: Grid2DDensity, nu) -> Callable[[int, int], np.ndarray]:
+    """Rows i0:i1 of the reference's log density on mu's nodes, as a function
+    of (i0, i1)."""
     xs = mu.spec_x.nodes()[:, None]
     ys = mu.spec_y.nodes()[None, :]
     if nu is None:
-        return _std_log_pdf_1d(xs) + _std_log_pdf_1d(ys)
+        qx, qy = _std_log_pdf_1d(xs), _std_log_pdf_1d(ys)
+        return lambda i0, i1: qx[i0:i1] + qy
     if isinstance(nu, ProductDensity) and nu.dim == 2:
         fx, fy = nu.factors
-        return np.asarray(fx.log_pdf(xs[:, 0]))[:, None] + np.asarray(
-            fy.log_pdf(ys[0, :])
-        )[None, :]
+        qx = np.asarray(fx.log_pdf(xs[:, 0]))[:, None]
+        qy = np.asarray(fy.log_pdf(ys[0, :]))[None, :]
+        return lambda i0, i1: qx[i0:i1] + qy
     if isinstance(nu, Grid2DDensity):
-        pts = np.stack(
-            np.broadcast_arrays(xs, ys), axis=-1
-        ).reshape(-1, 2)
-        return np.asarray(nu.log_pdf(pts)).reshape(xs.shape[0], ys.shape[1])
+
+        def rows(i0: int, i1: int) -> np.ndarray:
+            pts = np.stack(np.broadcast_arrays(xs[i0:i1], ys), axis=-1).reshape(-1, 2)
+            return np.asarray(nu.log_pdf(pts)).reshape(i1 - i0, ys.shape[1])
+
+        return rows
     raise ArgumentError("2D reference must be None, a 2-factor product, or a 2D grid")
 
 
@@ -163,12 +174,13 @@ def _fisher_information_1d(mu: Density1D) -> FunctionalValue:
     return FunctionalValue("I_plain", r.value, r.abs_error_estimate)
 
 
-def _grid2d_score_fields(mu: Grid2DDensity) -> tuple[np.ndarray, np.ndarray]:
+def _grid2d_score_fields(mu: Grid2DDensity, i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows i0:i1 of the finite-difference scores along x1 and x2; the x1
+    difference reads one halo row on each side."""
     g = mu.log_values
-    return (
-        _finite_diff_log(g, mu.spec_x.step, axis=0),
-        _finite_diff_log(g, mu.spec_y.step, axis=1),
-    )
+    lo, hi = max(i0 - 1, 0), min(i1 + 1, g.shape[0])
+    gx = _finite_diff_log(g[lo:hi], mu.spec_x.step, axis=0)[i0 - lo : i1 - lo]
+    return gx, _finite_diff_log(g[i0:i1], mu.spec_y.step, axis=1)
 
 
 def fisher_information(mu) -> FunctionalValue:
@@ -178,11 +190,14 @@ def fisher_information(mu) -> FunctionalValue:
     if isinstance(mu, ProductDensity):
         return additive(_fisher_information_1d(f) for f in mu.factors)
     if isinstance(mu, Grid2DDensity):
-        p = np.exp(mu.log_values)
-        gx, gy = _grid2d_score_fields(mu)
-        live = p >= config.FISHER_DENSITY_FLOOR
-        integrand = np.where(live, (gx * gx + gy * gy) * p, 0.0)
-        r = integrate_values_2d(integrand, mu.spec_x, mu.spec_y, refine=True)
+
+        def block(i0: int, i1: int) -> np.ndarray:
+            p = np.exp(mu.log_values[i0:i1])
+            gx, gy = _grid2d_score_fields(mu, i0, i1)
+            live = p >= config.FISHER_DENSITY_FLOOR
+            return np.where(live, (gx * gx + gy * gy) * p, 0.0)
+
+        r = integrate_rows_2d(block, mu.spec_x, mu.spec_y, refine=True)
         return FunctionalValue("I_plain", r.value, r.abs_error_estimate)
     raise ArgumentError(f"unsupported density type {type(mu).__name__}")
 
@@ -208,15 +223,16 @@ def relative_fisher(mu, nu=None) -> FunctionalValue:
             raise ArgumentError(
                 "relative_fisher: 2D grids support only the standard Gaussian reference"
             )
-        p = np.exp(mu.log_values)
-        gx, gy = _grid2d_score_fields(mu)
         xs = mu.spec_x.nodes()[:, None]
         ys = mu.spec_y.nodes()[None, :]
-        live = p >= config.FISHER_DENSITY_FLOOR
-        integrand = np.where(
-            live, ((gx + xs) ** 2 + (gy + ys) ** 2) * p, 0.0
-        )
-        r = integrate_values_2d(integrand, mu.spec_x, mu.spec_y, refine=True)
+
+        def block(i0: int, i1: int) -> np.ndarray:
+            p = np.exp(mu.log_values[i0:i1])
+            gx, gy = _grid2d_score_fields(mu, i0, i1)
+            live = p >= config.FISHER_DENSITY_FLOOR
+            return np.where(live, ((gx + xs[i0:i1]) ** 2 + (gy + ys) ** 2) * p, 0.0)
+
+        r = integrate_rows_2d(block, mu.spec_x, mu.spec_y, refine=True)
         return FunctionalValue("I_rel", r.value, r.abs_error_estimate)
     raise ArgumentError(f"unsupported density type {type(mu).__name__}")
 
@@ -240,10 +256,13 @@ def shannon_entropy(mu) -> FunctionalValue:
     if isinstance(mu, ProductDensity):
         return additive(_shannon_entropy_1d(f) for f in mu.factors)
     if isinstance(mu, Grid2DDensity):
-        p = np.exp(mu.log_values)
-        live = p >= config.LOG_ZERO_FLOOR
-        integrand = np.where(live, -p * mu.log_values, 0.0)
-        r = integrate_values_2d(integrand, mu.spec_x, mu.spec_y, refine=True)
+
+        def block(i0: int, i1: int) -> np.ndarray:
+            log_p = mu.log_values[i0:i1]
+            p = np.exp(log_p)
+            return np.where(p >= config.LOG_ZERO_FLOOR, -p * log_p, 0.0)
+
+        r = integrate_rows_2d(block, mu.spec_x, mu.spec_y, refine=True)
         return FunctionalValue("h", r.value, r.abs_error_estimate)
     raise ArgumentError(f"unsupported density type {type(mu).__name__}")
 
@@ -291,12 +310,18 @@ def total_variation(mu, nu=None) -> FunctionalValue:
             raise ArgumentError(
                 "total_variation: product densities support only the standard Gaussian reference"
             )
-        r = integrate_values_2d(np.abs(px * py - qx * qy), spec_x, spec_y, refine=True)
+        r = integrate_rows_2d(
+            lambda i0, i1: np.abs(px[i0:i1] * py - qx[i0:i1] * qy), spec_x, spec_y, refine=True
+        )
         return FunctionalValue("TV", min(r.value, 2.0), r.abs_error_estimate)
     if isinstance(mu, Grid2DDensity):
         log_q = _reference_log_pdf_2d(mu, nu)
-        integrand = np.abs(np.exp(mu.log_values) - np.exp(log_q))
-        r = integrate_values_2d(integrand, mu.spec_x, mu.spec_y, refine=True)
+        r = integrate_rows_2d(
+            lambda i0, i1: np.abs(np.exp(mu.log_values[i0:i1]) - np.exp(log_q(i0, i1))),
+            mu.spec_x,
+            mu.spec_y,
+            refine=True,
+        )
         return FunctionalValue("TV", min(r.value, 2.0), r.abs_error_estimate)
     raise ArgumentError(f"unsupported density type {type(mu).__name__}")
 

@@ -318,6 +318,81 @@ def expectation(
     )
 
 
+# Rows per block of a 2D pass.  Every 2D integrand and row statistic is
+# built and reduced block by block, so its temporaries stay a few rows wide
+# (130 KB at 1025 columns) and freed memory is reused instead of paged in
+# afresh.  16 rows keep the 513-column row pass, with about six block arrays
+# live at once, below a quarter of one whole-grid array.  Each reduction is
+# per row (BLAS row dots, pairwise row sums, row cumsums), so the blocks give
+# the whole-array bits: a multiple of 8 keeps the matvec's 4-row groups
+# aligned on the full and on the halved grid.
+ROW_BLOCK = 16
+
+
+def row_blocks(n_rows: int) -> list[tuple[int, int]]:
+    """[i0, i1) ranges of ROW_BLOCK rows covering n_rows rows.
+
+    A one-row tail joins the block before it: numpy reduces a lone row with
+    a dot product, whose rounding differs from the matvec's.
+    """
+    starts = list(range(0, n_rows, ROW_BLOCK))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n_rows]))
+
+
+def integrate_rows_2d(
+    block: Callable[[int, int], np.ndarray],
+    spec_x: GridSpec,
+    spec_y: GridSpec,
+    refine: bool = False,
+) -> QuadResult:
+    """Tensor-product Simpson over a 2D integrand built in row blocks.
+
+    ``block(i0, i1)`` returns the integrand's rows i0:i1 (rows = x, cols =
+    y) for the ranges of ``row_blocks``; each block is summed over y as it
+    comes, so no whole-grid array is held.  With ``refine`` the estimate
+    compares against halved resolution in both axes, or along one axis when
+    the other has an even node count.
+    """
+    nx, ny = spec_x.n_points, spec_y.n_points
+    wy = simpson_weights(ny, spec_y.step)
+    # halved resolution: every second row and column of an odd-sized axis
+    half_x, half_y = nx % 2 == 1, ny % 2 == 1
+    halved = refine and (half_x or half_y)
+    if halved:
+        cx = GridSpec(spec_x.x_lo, spec_x.x_hi, (nx + 1) // 2) if half_x else spec_x
+        cy = GridSpec(spec_y.x_lo, spec_y.x_hi, (ny + 1) // 2) if half_y else spec_y
+        wy_coarse = simpson_weights(cy.n_points, cy.step)
+    rows = np.empty(nx)
+    coarse_rows = []
+    for i0, i1 in row_blocks(nx):
+        values = np.asarray(block(i0, i1), dtype=float)
+        if values.shape != (i1 - i0, ny):
+            raise ArgumentError(
+                f"2D value block of shape {values.shape} does not match "
+                f"rows {i0}:{i1} of a {nx} x {ny} grid"
+            )
+        if not np.isfinite(values).all():
+            i, j = np.unravel_index(int(np.argmax(~np.isfinite(values))), values.shape)
+            i += i0
+            raise IntegrandError(
+                f"non-finite integrand at node ({i}, {j}), "
+                f"x={float(spec_x.nodes()[i])}, y={float(spec_y.nodes()[j])}"
+            )
+        rows[i0:i1] = values @ wy  # BLAS matvec: one fixed-order dot per row
+        if halved:
+            sub = values[::2] if half_x else values
+            coarse_rows.append((sub[:, ::2] if half_y else sub) @ wy_coarse)
+    row_total, mass = _weighted_sum(rows, simpson_weights(nx, spec_x.step))
+    floor = _ROUNDOFF * (mass + abs(row_total))
+    if not halved:
+        return QuadResult(row_total, floor, nx * ny)
+    coarse = _exact_sum(np.concatenate(coarse_rows) * simpson_weights(cx.n_points, cx.step))
+    est = _RICHARDSON * abs(row_total - coarse) + floor
+    return QuadResult(row_total, est, nx * ny)
+
+
 def integrate_values_2d(
     values: np.ndarray, spec_x: GridSpec, spec_y: GridSpec, refine: bool = False
 ) -> QuadResult:
@@ -328,26 +403,4 @@ def integrate_values_2d(
             f"2D value array of shape {values.shape} does not match "
             f"{spec_x.n_points} x {spec_y.n_points} grid"
         )
-    if not np.isfinite(values).all():
-        i, j = np.unravel_index(int(np.argmax(~np.isfinite(values))), values.shape)
-        raise IntegrandError(
-            f"non-finite integrand at node ({i}, {j}), "
-            f"x={float(spec_x.nodes()[i])}, y={float(spec_y.nodes()[j])}"
-        )
-    wy = simpson_weights(spec_y.n_points, spec_y.step)
-    rows = values @ wy  # deterministic: fixed-shape BLAS matvec
-    row_total, mass = _weighted_sum(rows, simpson_weights(spec_x.n_points, spec_x.step))
-    floor = _ROUNDOFF * (mass + abs(row_total))
-    if not refine:
-        return QuadResult(row_total, floor, values.size)
-    # Halved resolution in both axes (grids are built odd-sized internally;
-    # fall back to single-axis halving when a dimension is even).
-    sub_x = values[::2] if spec_x.n_points % 2 == 1 else values
-    sub = sub_x[:, ::2] if spec_y.n_points % 2 == 1 else sub_x
-    if sub.shape == values.shape:
-        return QuadResult(row_total, floor, values.size)
-    cx = GridSpec(spec_x.x_lo, spec_x.x_hi, sub.shape[0]) if sub.shape[0] != values.shape[0] else spec_x
-    cy = GridSpec(spec_y.x_lo, spec_y.x_hi, sub.shape[1]) if sub.shape[1] != values.shape[1] else spec_y
-    coarse = integrate_values_2d(sub, cx, cy, refine=False).value
-    est = _RICHARDSON * abs(row_total - coarse) + floor
-    return QuadResult(row_total, est, values.size)
+    return integrate_rows_2d(lambda i0, i1: values[i0:i1], spec_x, spec_y, refine)

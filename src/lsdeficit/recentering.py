@@ -36,7 +36,7 @@ from .densities import (
 )
 from .errors import ArgumentError, NumericalError
 from .functionals import relative_entropy
-from .quadrature import GridSpec, _exact_sum, simpson_weights
+from .quadrature import GridSpec, _exact_sum, row_blocks, simpson_weights
 from .transport import COST_DELTA, CostFn, costs_to_standard_gaussian_rows, transport_cost
 
 # Shifted row values that land outside the grid window are floored here,
@@ -172,11 +172,18 @@ def decompose_grid2d(
     weights = wx * mu.row_marginal()
     log_rows = mu.log_values
     rows = mu.row_stats
-    log_cond = log_rows - (np.log(np.maximum(rows.mass, 1e-300)) + rows.shift)[:, None]
-    cond = np.exp(log_cond)
+    log_mass = np.log(np.maximum(rows.mass, 1e-300)) + rows.shift
+    gamma, ys = standard_gaussian(), sy.nodes()
 
-    log_ref = standard_gaussian().log_pdf(sy.nodes()[None, :] - t2[:, None])
-    d_rows = ((log_cond - log_ref) * cond * wy[None, :]).sum(axis=1)
+    def d_block(i0: int, i1: int) -> np.ndarray:
+        """D of rows i0:i1 against gamma moved by t2 on each row."""
+        log_cond = log_rows[i0:i1] - log_mass[i0:i1, None]
+        terms = log_cond - gamma.log_pdf(ys[None, :] - t2[i0:i1, None])
+        terms *= np.exp(log_cond, out=log_cond)
+        terms *= wy
+        return terms.sum(axis=1)
+
+    d_rows = np.concatenate([d_block(i0, i1) for i0, i1 in row_blocks(sx.n_points)])
     d2 = _exact_sum(weights * d_rows)
 
     row_costs = costs_to_standard_gaussian_rows(log_rows, sy, costs, moved_costs, t2)

@@ -48,7 +48,7 @@ from .densities import (
     standard_gaussian,
 )
 from .errors import ArgumentError, DegeneratePlanError
-from .quadrature import GridSpec, _kink_defect, integrate_values, simpson_weights
+from .quadrature import GridSpec, _kink_defect, integrate_values, row_blocks, simpson_weights
 from .functionals import _per_factor
 from .values import FunctionalValue
 
@@ -116,9 +116,10 @@ class TransportPlan1D:
         out = self._target.quantile(u)
         return out
 
-    def derivative(self, x):
-        """T'(x) = p_source(x) / p_target(T(x)) wherever both are positive."""
-        t = self.map_at(x)
+    def derivative(self, x, mapped=None):
+        """T'(x) = p_source(x) / p_target(T(x)) wherever both are positive;
+        ``mapped`` is T(x) when the caller already holds it."""
+        t = self.map_at(x) if mapped is None else mapped
         num = np.asarray(self._source.pdf(x), dtype=float)
         den = np.asarray(self._target.pdf(t), dtype=float)
         return num / np.maximum(den, 1e-300)
@@ -230,24 +231,36 @@ def costs_to_standard_gaussian_rows(
     own sign changes.  The map toward the moved Gaussian is offsets[i] + T,
     so moved costs reuse the mapping.
     """
-    rows = np.exp(log_rows - log_rows.max(axis=1, keepdims=True))
     step = spec.step
-    scores = _normal_scores(*_table_tails(rows, step))
-    disp = scores - spec.nodes()[None, :]
-    weights = simpson_weights(spec.n_points, step)[None, :]
-    norm = rows / (rows * weights).sum(axis=1, keepdims=True)
+    nodes = spec.nodes()
+    weights = simpson_weights(spec.n_points, step)
 
-    def row_costs(cost: CostFn, d: np.ndarray) -> np.ndarray:
-        out = (cost(d) * norm * weights).sum(axis=1)
-        if cost.kink:
-            out += _kink_defect(cost.kink * d * norm, step)[0]
+    def block_costs(block: np.ndarray, block_offsets: np.ndarray) -> list[np.ndarray]:
+        """The costs of one block of rows.  Every step is per row, so the
+        blocks give the bits of the whole array."""
+        norm = np.exp(block - block.max(axis=1, keepdims=True))
+        disp = _normal_scores(*_table_tails(norm, step))
+        disp -= nodes
+        norm /= (norm * weights).sum(axis=1, keepdims=True)
+
+        def row_costs(cost: CostFn) -> np.ndarray:
+            terms = cost(disp) * norm
+            terms *= weights
+            sums = terms.sum(axis=1)
+            if cost.kink:
+                sums += _kink_defect(cost.kink * disp * norm, step)[0]
+            return sums
+
+        out = [row_costs(cost) for cost in costs]
+        if moved_costs:
+            disp += block_offsets  # the map toward the moved Gaussians
+            out += [row_costs(cost) for cost in moved_costs]
         return out
 
-    out = [row_costs(cost, disp) for cost in costs]
-    if moved_costs:
-        moved = disp + np.reshape(offsets, (-1, 1))
-        out += [row_costs(cost, moved) for cost in moved_costs]
-    return out
+    n_rows = log_rows.shape[0]
+    offsets = np.broadcast_to(np.reshape(offsets, (-1, 1)), (n_rows, 1))
+    blocks = [block_costs(log_rows[i0:i1], offsets[i0:i1]) for i0, i1 in row_blocks(n_rows)]
+    return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
 # ---------------------------------------------------------------------------
