@@ -7,9 +7,13 @@ functionals.  Analytic forms are used where they exist (Gaussian and
 mixture CDFs, polynomial-potential scores); grid variants interpolate
 ``log_p`` linearly, which keeps densities positive and CDFs monotone.
 
-Each 1D density has one inverse of its normal-score table Phi^-1(F(x)),
-x(z) = m + s z for Gaussians and otherwise a quintic Hermite interpolant in
-z; ``quantile(u)`` reads it at Phi^-1(u).
+Each 1D density has one map to the standard Gaussian, its normal scores
+z = Phi^-1(F(x)) on the table nodes (``normal_scores``), and one inverse,
+x(z) (``score_inverse``), which also reads z(x) back (``scores``).  For a
+Gaussian both are exact, z = (x - m) / s and x = m + s z; otherwise z comes
+from the CDF (a mixture's analytic one, or Simpson-accumulated tables) and
+x(z) is a quintic Hermite interpolant in z.  ``quantile(u)`` is
+x(Phi^-1(u)); ``cdf(x)`` is Phi(z(x)), except for a mixture's analytic CDF.
 
 Support policy: parametric densities are evaluated on
 [mean - R*sigma_eff, mean + R*sigma_eff] with R = 10 by default, wide
@@ -193,13 +197,16 @@ class ScoreInverse:
 
 
 class _AffineInverse(NamedTuple):
-    """x(z) = m + s z, exact: a Gaussian's inverse."""
+    """x(z) = m + s z and z(x) = (x - m) / s, exact: a Gaussian's inverse."""
 
     m: float
     s: float
 
     def __call__(self, z):
         return self.m + self.s * z
+
+    def scores(self, x):
+        return (x - self.m) / self.s
 
     def error(self, z, z_error):
         return self.s * z_error
@@ -217,12 +224,10 @@ class Density1D:
     def score(self, x):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def cdf(self, x):  # pragma: no cover - abstract
-        raise NotImplementedError
-
     @property
-    def _node_tails(self) -> tuple[np.ndarray, np.ndarray]:  # pragma: no cover - abstract
-        """(F, 1 - F) at the table nodes from the analytic CDF."""
+    def normal_scores(self) -> NormalScores:  # pragma: no cover - abstract
+        """Phi^-1(F(x)) on the table nodes: the map to gamma that
+        ``score_inverse`` inverts."""
         raise NotImplementedError
 
     @property
@@ -243,6 +248,12 @@ class Density1D:
         lp, scalar = _as_points(self.log_pdf(x))
         return _maybe_scalar(np.exp(lp), scalar)
 
+    def cdf(self, x):
+        """Phi(z(x)), z the inverse's own scores (``score_inverse.scores``),
+        so ``cdf`` and ``quantile`` invert each other."""
+        pts, scalar = _as_points(x)
+        return _maybe_scalar(special.ndtr(self.score_inverse.scores(pts)), scalar)
+
     def eval_spec(self) -> GridSpec:
         lo, hi = self._support_hint()
         return GridSpec(lo, hi, config.default_grid_points())
@@ -259,13 +270,6 @@ class Density1D:
         return NodeTable(spec, nodes, log_p, p, score)
 
     @cached_property
-    def normal_scores(self) -> NormalScores:
-        """Phi^-1(F(x)) on the table nodes, for the transport kernel."""
-        out = _normal_scores(*self._node_tails)
-        out.flags.writeable = False
-        return NormalScores(out, 0.0)
-
-    @cached_property
     def score_inverse(self) -> ScoreInverse | _AffineInverse:
         """x(z), the inverse of ``normal_scores``."""
         return ScoreInverse(self.normal_scores, self.table)
@@ -276,6 +280,13 @@ class Density1D:
         if np.any(pts <= 0.0) or np.any(pts >= 1.0):
             raise ArgumentError("quantile argument must lie strictly inside (0, 1)")
         return _maybe_scalar(self.score_inverse(special.ndtri(pts)), scalar)
+
+    def _verify_eps(self, eps: float) -> float | None:
+        """Certify a claimed lower bound on (-log p)'' on the second
+        differences of the tabulated potential; clear it when it fails."""
+        t = self.table
+        second = np.diff(-t.log_p, 2) / t.spec.step**2
+        return eps if second.min() >= eps - 1e-8 else None
 
     def moment(self, k: int, refine: bool = False):
         """k-th raw moment, k in 1..4, by quadrature on the canonical grid."""
@@ -330,18 +341,16 @@ class GaussianDensity(Density1D):
         pts, scalar = _as_points(x)
         return _maybe_scalar(-(pts - self._mean) / self._var, scalar)
 
-    def cdf(self, x):
-        pts, scalar = _as_points(x)
-        return _maybe_scalar(special.ndtr((pts - self._mean) / self._sigma), scalar)
-
     @cached_property
     def score_inverse(self) -> _AffineInverse:
         return _AffineInverse(self._mean, self._sigma)
 
-    @property
-    def _node_tails(self) -> tuple[np.ndarray, np.ndarray]:
-        z = (self.table.nodes - self._mean) / self._sigma
-        return special.ndtr(z), special.ndtr(-z)
+    @cached_property
+    def normal_scores(self) -> NormalScores:
+        """z = (x - m) / s on the table nodes, exact."""
+        z = self.score_inverse.scores(self.table.nodes)
+        z.flags.writeable = False
+        return NormalScores(z, 0.0)
 
     @property
     def _value_key(self) -> tuple:
@@ -436,10 +445,14 @@ class MixtureDensity(Density1D):
         out = special.ndtr(z) @ self._w
         return _maybe_scalar(out, scalar)
 
-    @property
-    def _node_tails(self) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def normal_scores(self) -> NormalScores:
+        """Phi^-1 of the analytic CDF on the table nodes, each tail read off
+        its own probabilities."""
         z = (self.table.nodes[:, None] - self._m[None, :]) / self._s[None, :]
-        return special.ndtr(z) @ self._w, special.ndtr(-z) @ self._w
+        out = _normal_scores(special.ndtr(z) @ self._w, special.ndtr(-z) @ self._w)
+        out.flags.writeable = False
+        return NormalScores(out, 0.0)
 
     @property
     def _value_key(self) -> tuple:
@@ -462,13 +475,6 @@ class MixtureDensity(Density1D):
         hi = max(np.max(self._m + r * self._s), self.mean() + r * sigma)
         return float(lo), float(hi)
 
-    def _verify_eps(self, eps: float) -> float | None:
-        # Mixtures are generally not log-concave; certify the claimed bound
-        # on the potential's second differences and clear it when it fails.
-        t = self.table
-        second = np.diff(-t.log_p, 2) / t.spec.step**2
-        return eps if second.min() >= eps - 1e-8 else None
-
     def shifted(self, offset: float) -> "MixtureDensity":
         return MixtureDensity(
             [(w, m + offset, v) for (w, m, v) in self.components],
@@ -481,13 +487,8 @@ class MixtureDensity(Density1D):
 
 
 class _TabulatedCDF(Density1D):
-    """For densities without an analytic CDF: F = Phi(z(x)), z(x) read off
-    the Simpson-accumulated normal-score table (``ScoreInverse.scores``), so
-    ``cdf`` and ``quantile`` invert each other."""
-
-    def cdf(self, x):
-        pts, scalar = _as_points(x)
-        return _maybe_scalar(special.ndtr(self.score_inverse.scores(pts)), scalar)
+    """For densities without an analytic CDF: the normal scores come from
+    the Simpson-accumulated CDF and survival tables."""
 
     @cached_property
     def normal_scores(self) -> NormalScores:
@@ -693,10 +694,6 @@ class GridDensity(_TabulatedCDF):
     @cached_property
     def _value_key(self) -> tuple:
         return (GridDensity, self._spec, self._log_p.tobytes())
-
-    def _verify_eps(self, eps: float) -> float | None:
-        second = np.diff(-self._log_p, 2) / self._spec.step**2
-        return eps if second.min() >= eps - 1e-8 else None
 
     def shifted(self, offset: float) -> "GridDensity":
         spec = GridSpec(

@@ -353,9 +353,12 @@ def integrate_rows_2d(
     y) for the ranges of ``row_blocks``; each block is summed over y as it
     comes, so no whole-grid array is held.  With ``refine`` the estimate
     compares against halved resolution in both axes, or along one axis when
-    the other has an even node count.
+    the other has an even node count; an odd axis needs 31 nodes for that.
     """
     nx, ny = spec_x.n_points, spec_y.n_points
+    for axis, n in (("x", nx), ("y", ny)):
+        if refine and n % 2 == 1 and n < 31:
+            raise ArgumentError(f"{axis} axis has {n} nodes; the halved Richardson grid needs 31")
     wy = simpson_weights(ny, spec_y.step)
     # halved resolution: every second row and column of an odd-sized axis
     half_x, half_y = nx % 2 == 1, ny % 2 == 1

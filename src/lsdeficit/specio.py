@@ -38,8 +38,6 @@ from .densities import (
 from .errors import ArgumentError, SpecParseError
 from .quadrature import GridSpec
 
-_1D_TYPES = ("gaussian", "mixture", "grid", "tilted")
-
 
 def _number(obj: dict, key: str, ctx: str) -> float:
     if key not in obj:

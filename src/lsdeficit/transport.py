@@ -18,8 +18,9 @@ a lone Gaussian side is the reference, T(x) = m + s z_mu(x), in either
 argument order.  The 2D row path (``costs_to_standard_gaussian_rows``)
 shares the score step.  W1 has its Simpson kink error removed at every sign
 change of the displacement (``quadrature._kink_defect``).
-``TransportPlan1D`` is the map as a callable, for ``cheeger`` and
-``talagrand-map``.
+``TransportPlan1D`` is the map as a callable at any x, T(x) =
+x_target(z_source(x)), z_source the source inverse's own scores ((x - m) / s
+for a Gaussian, x itself for gamma), for ``cheeger`` and ``talagrand-map``.
 
 A discrete oracle provides independent ground truth: north-west-corner
 matching on sorted atoms (exact for convex costs), cross-checked for
@@ -104,7 +105,8 @@ def cost_delta_scaled(scale: float) -> CostFn:
 
 
 class TransportPlan1D:
-    """Monotone rearrangement pushing ``source`` onto ``target``."""
+    """Monotone rearrangement pushing ``source`` onto ``target``: T(x) =
+    x_target(z_source(x)), through the normal scores of each side."""
 
     def __init__(self, target: Density1D, source: Density1D):
         _check_pushforward(source, target)
@@ -112,9 +114,8 @@ class TransportPlan1D:
         self._source = source
 
     def map_at(self, x):
-        u = np.clip(np.asarray(self._source.cdf(x), dtype=float), _U_LO, _U_HI)
-        out = self._target.quantile(u)
-        return out
+        z = self._source.score_inverse.scores(np.asarray(x, dtype=float))
+        return self._target.score_inverse(z)
 
     def derivative(self, x, mapped=None):
         """T'(x) = p_source(x) / p_target(T(x)) wherever both are positive;

@@ -284,6 +284,17 @@ class TestIsoperimetricComparison:
         np.testing.assert_allclose(cert.lhs, 1.0, atol=1e-6)
         np.testing.assert_allclose(cert.rhs, 2.0 / math.pi, atol=1e-6)
 
+    @pytest.mark.parametrize("label", ["gauss-shift-pos", "gauss-shift-neg"])
+    def test_map_bounds_vanish_at_gaussian_translates(self, label):
+        # T(x) = m + x with no round trip through Phi: on these translates
+        # f = T(x) - x reads m at every node and T' reads 1
+        mu = dict(standard_battery())[label]
+        ws = Workspace()
+        cert = evaluate_bound("cheeger", mu, workspace=ws)
+        assert (cert.lhs, cert.rhs, cert.slack) == (0.0, 0.0, 0.0)
+        gap = evaluate_bound("talagrand-map", mu, workspace=ws).constants["map_gap_integral"]
+        assert gap == 0.0
+
 
 class TestSuiteAndProbe:
     """Battery-level certification and the equality diagnostic."""

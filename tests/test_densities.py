@@ -120,6 +120,15 @@ class TestCdfQuantile:
                 mu.score_inverse(z[inside]), t.nodes[inside], rtol=0, atol=1e-12
             )
 
+    @pytest.mark.parametrize("m, v", [(0.0, 1.0), (1.0, 1.0), (-0.3, 0.64), (2.0, 4.0)])
+    def test_gaussian_scores_skip_phi(self, m, v):
+        # z = (x - m) / s on the nodes, with no round trip Phi^-1(Phi(z))
+        mu = GaussianDensity(m, v)
+        scores = mu.normal_scores
+        assert np.array_equal(scores.z, (mu.table.nodes - m) / math.sqrt(v))
+        assert scores.error == 0.0
+        assert np.array_equal(mu.score_inverse.scores(mu.table.nodes), scores.z)
+
 
 class TestScore:
     def test_matches_log_pdf_gradient(self):
@@ -195,6 +204,18 @@ class TestTiltedConvexityFloor:
     def test_odd_degree_rejected(self):
         with pytest.raises(ArgumentError):
             TiltedDensity([0.0, 0.0, 0.0, 1.0])
+
+
+class TestTabulatedConvexityFloor:
+    """Mixtures and 1D grids check a claimed floor on (-log p)'' against the
+    second differences of their tabulated potential."""
+
+    # (-log p)'' of the +-0.5 unit mixture is 1 - 0.25 sech^2(x / 2) >= 0.75
+    @pytest.mark.parametrize("eps, kept", [(0.5, True), (0.7, True), (0.8, False), (0.9, False)])
+    def test_mixture_and_its_grid_agree(self, eps, kept):
+        mix = MixtureDensity([(0.5, -0.5, 1.0), (0.5, 0.5, 1.0)], convexity_lower_bound=eps)
+        grid = GridDensity(mix.table.spec, mix.table.log_p, convexity_lower_bound=eps)
+        assert mix.convexity_lower_bound == grid.convexity_lower_bound == (eps if kept else None)
 
 
 class TestConvolution:

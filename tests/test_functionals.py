@@ -29,7 +29,7 @@ from lsdeficit.functionals import (
     shannon_entropy,
     total_variation,
 )
-from lsdeficit.quadrature import GridSpec, expectation
+from lsdeficit.quadrature import GridSpec, expectation, integrate_values_2d
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -309,3 +309,36 @@ class TestHeatFlowResidual:
             de_bruijn_residual(standard_gaussian(), 0.5, h_step=0.5)
         with pytest.raises(ArgumentError):
             de_bruijn_residual(standard_gaussian(), 1.0, h_step=-0.1)
+
+
+_FUNCTIONALS_2D = [
+    fisher_information,
+    relative_fisher,
+    shannon_entropy,
+    relative_entropy,
+    total_variation,
+]
+
+
+class TestSmallGrid2D:
+    """The Richardson estimate halves an odd axis, and the halved grid needs
+    16 nodes: a 2D functional refuses an odd axis of fewer than 31 nodes
+    up front, naming it, rather than returning a value without an error bar."""
+
+    @pytest.mark.parametrize("n", [17, 29])
+    @pytest.mark.parametrize("fn", _FUNCTIONALS_2D, ids=lambda f: f.__name__)
+    def test_odd_axis_below_31_refused(self, fn, n):
+        with pytest.raises(ArgumentError, match=f"x axis has {n} nodes; .* needs 31"):
+            fn(bivariate_gaussian_grid(0.2, n_points=n))
+
+    @pytest.mark.parametrize("fn", _FUNCTIONALS_2D, ids=lambda f: f.__name__)
+    def test_31_nodes_suffice(self, fn):
+        r = fn(bivariate_gaussian_grid(0.2, n_points=31))
+        assert math.isfinite(r.value) and r.error_estimate > 0.0
+
+    def test_refusal_names_the_y_axis(self):
+        spec_x, spec_y = GridSpec(-1.0, 1.0, 32), GridSpec(-1.0, 1.0, 17)
+        values = np.ones((32, 17))
+        assert integrate_values_2d(values, spec_x, spec_y).value == pytest.approx(4.0)
+        with pytest.raises(ArgumentError, match="y axis has 17 nodes; .* needs 31"):
+            integrate_values_2d(values, spec_x, spec_y, refine=True)

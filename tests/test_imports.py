@@ -1,8 +1,12 @@
-"""Every module-level import of the package and of its tests is used.
+"""Every module-level import of the package and of its tests is used, and
+every private name the package defines is read.
 
-An ``ast`` scan: a name bound by a module-level import (outside any def or
+Two ``ast`` scans.  A name bound by a module-level import (outside any def or
 class) must be referenced somewhere in the same module, in code or in an
-annotation.  The package ``__init__`` re-exports its imports and is exempt.
+annotation; the package ``__init__`` re-exports its imports and is exempt.
+A private name (one leading underscore) defined at module level, or in the
+body of a module-level class, must be read somewhere in the package: as a
+name, an attribute or an imported name.
 """
 
 import ast
@@ -11,6 +15,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "lsdeficit").rglob("*.py"))
 SOURCES = sorted(
     p
     for p in [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]
@@ -72,3 +77,49 @@ def test_no_unused_module_imports(path):
         if name not in used
     )
     assert unused == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _assigned(stmt: ast.stmt):
+    if isinstance(stmt, ast.Assign):
+        for target in stmt.targets:
+            yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        yield stmt.target.id
+
+
+def _private_definitions(tree: ast.Module):
+    """Private names bound at module level or in a module-level class body."""
+    for stmt in tree.body:
+        bodies = [[stmt]] + ([stmt.body] if isinstance(stmt, ast.ClassDef) else [])
+        for node in (n for body in bodies for n in body):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                names = _assigned(node)
+            yield from filter(_private, names)
+
+
+def _reads(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_private_name_is_read():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
+    read = {name for tree in trees.values() for name in _reads(tree)}
+    unread = sorted(
+        f"{path.name}:{name}"
+        for path, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in read
+    )
+    assert unread == []

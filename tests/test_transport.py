@@ -131,6 +131,34 @@ class TestMonotonePlan:
         with pytest.raises(ArgumentError):
             TransportPlan1D(standard_gaussian(), "gamma")
 
+    @pytest.mark.parametrize("label", ["mixture-gap1", "mixture-gap2", "tilted-quartic"])
+    def test_map_from_gamma_is_the_targets_inverse(self, label):
+        # no round trip through Phi: the upper tail keeps the inverse's accuracy
+        mu = dict(standard_battery())[label]
+        x = np.linspace(-10.0, 10.0, 8193)
+        assert np.array_equal(monotone_plan(mu).map_at(x), mu.score_inverse(x))
+
+    def test_map_between_densities_reads_both_inverses(self):
+        mix = MixtureDensity([(0.3, -1.0, 0.49), (0.7, 1.2, 1.0)])
+        tilt = TiltedDensity([0.0, 0.0, 0.25, 0.0, 0.05])
+        x = np.linspace(-3.0, 3.0, 25)
+        want = mix.score_inverse(tilt.score_inverse.scores(x))
+        assert np.array_equal(monotone_plan(mix, tilt).map_at(x), want)
+
+
+def test_battery_gaussian_w2sq_closed_forms():
+    # (sigma - 1)^2 + m^2, exactly: the Gaussian's scores are (x - m) / s
+    want = {
+        "gauss-narrow": 0.25,
+        "gauss-sub": 0.04,
+        "gauss-super": 0.0625,
+        "gauss-wide": 1.0,
+        "gauss-shift-pos": 1.0,
+        "gauss-shift-neg": 1.0,
+    }
+    members = dict(standard_battery())
+    assert {label: w2_squared(members[label]).value for label in want} == want
+
 
 class _SkewedGaussian(GaussianDensity):
     def quantile(self, u):
