@@ -53,7 +53,7 @@ from .functionals import (
     relative_fisher,
     total_variation,
 )
-from .quadrature import GridSpec, integrate
+from .quadrature import GridSpec, integrate_values
 from .recentering import decompose_grid2d
 from .transport import (
     COST_ABS,
@@ -237,18 +237,15 @@ class _Stats:
         return self._get("plan", lambda: monotone_plan(self.mu, None))
 
     @property
-    def gamma_map(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    def gamma_map(self) -> tuple[list[np.ndarray], np.ndarray]:
         """The plan's map T at each point array of ``_gamma_points`` and its
-        derivative T' on the two integration grids, each evaluated once."""
+        derivative T' on the integration nodes, each evaluated once."""
 
         def build():
             plan = self.plan
             points = _gamma_points()
             mapped = [np.asarray(plan.map_at(x)) for x in points]
-            slopes = [
-                np.asarray(plan.derivative(x, t), dtype=float) for x, t in zip(points[:2], mapped)
-            ]
-            return mapped, slopes
+            return mapped, np.asarray(plan.derivative(points[0], mapped[0]), dtype=float)
 
         return self._get("gamma_map", build)
 
@@ -700,24 +697,21 @@ def _eval_thm14(s, opts, tol):
 
 
 _CHEEGER_LAMBDA = math.sqrt(2.0 / math.pi)
-# Gamma integrals of the map bounds: Simpson on these nodes, and the doubled
-# grid for the error estimate.
+# Gamma integrals of the map bounds: Simpson on these nodes.
 _GAMMA_SPEC = GridSpec(-10.0, 10.0, 4097)
 
 
-def _gamma_points() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gamma_points() -> tuple[np.ndarray, np.ndarray]:
     """Where the map bounds read their functions: the nodes of the gamma
-    integrals, of the doubled grid, and the 8191 midpoint quantiles of gamma
-    for the median."""
+    integrals and the 8191 midpoint quantiles of gamma for the median."""
     us = (np.arange(8191) + 0.5) / 8191.0
-    return _GAMMA_SPEC.nodes(), _GAMMA_SPEC.refined().nodes(), special.ndtri(us)
+    return _GAMMA_SPEC.nodes(), special.ndtri(us)
 
 
-def _gamma_integral(values: Sequence[np.ndarray]) -> float:
-    """int g dgamma from g's values on the two grids of ``_gamma_points``."""
-    on_grid = {v.size: v for v in values}
-    phi = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return integrate(lambda x: on_grid[x.size] * phi(x), _GAMMA_SPEC, refine=True).value
+def _gamma_integral(values: np.ndarray) -> float:
+    """int g dgamma from g's values at the nodes of ``_GAMMA_SPEC``."""
+    phi = np.exp(-0.5 * _GAMMA_SPEC.nodes() ** 2) / math.sqrt(2.0 * math.pi)
+    return integrate_values(values * phi, _GAMMA_SPEC).value
 
 
 def _gamma_median(values: np.ndarray) -> float:
@@ -730,24 +724,23 @@ def _eval_cheeger(s, opts, tol):
     _require_1d(s, "the first-order isoperimetric comparison")
     f = opts.get("f")
     f_prime = opts.get("f_prime")
-    points = _gamma_points()
+    nodes, quantiles = _gamma_points()
     if f is None:
-        mapped, slopes = s.gamma_map
-        f_vals = [t - np.asarray(x, dtype=float) for t, x in zip(mapped, points)]
-        f_prime_vals = [tp - 1.0 for tp in slopes]
+        (t_nodes, t_quantiles), slope = s.gamma_map
+        f_nodes, f_quantiles, f_prime = t_nodes - nodes, t_quantiles - quantiles, slope - 1.0
     else:
         if f_prime is None:
             h = 1e-6
             f_prime = lambda x, _f=f: (
                 np.asarray(_f(np.asarray(x) + h)) - np.asarray(_f(np.asarray(x) - h))
             ) / (2.0 * h)
-        f_vals = [np.asarray(f(x), dtype=float) for x in points]
-        f_prime_vals = [np.asarray(f_prime(x), dtype=float) for x in points[:2]]
-    med = _gamma_median(f_vals[2])
-    lhs = _gamma_integral([np.abs(v) for v in f_prime_vals])
-    rhs = _CHEEGER_LAMBDA * _gamma_integral([np.abs(v - med) for v in f_vals[:2]])
-    gen_lhs = _gamma_integral([delta(2.0 * np.abs(v) / _CHEEGER_LAMBDA) for v in f_prime_vals])
-    gen_rhs = _gamma_integral([delta(np.abs(v - med)) for v in f_vals[:2]])
+        f_nodes, f_quantiles = (np.asarray(f(x), dtype=float) for x in (nodes, quantiles))
+        f_prime = np.asarray(f_prime(nodes), dtype=float)
+    med = _gamma_median(f_quantiles)
+    lhs = _gamma_integral(np.abs(f_prime))
+    rhs = _CHEEGER_LAMBDA * _gamma_integral(np.abs(f_nodes - med))
+    gen_lhs = _gamma_integral(delta(2.0 * np.abs(f_prime) / _CHEEGER_LAMBDA))
+    gen_rhs = _gamma_integral(delta(np.abs(f_nodes - med)))
     constants = {
         "lambda": _CHEEGER_LAMBDA,
         "median": med,
@@ -764,10 +757,10 @@ def _eval_cheeger(s, opts, tol):
 
 def _eval_talagrand_map(s, opts, tol):
     _require_1d(s, "the transport-map refinement")
-    slopes = s.gamma_map[1]
-    if any(np.any(tp <= 0) for tp in slopes):
+    slope = s.gamma_map[1]
+    if np.any(slope <= 0):
         raise NumericalError("transport map derivative must stay positive")
-    gap = _gamma_integral([delta(tp - 1.0) for tp in slopes])
+    gap = _gamma_integral(delta(slope - 1.0))
     rhs = 0.5 * s.w2sq + gap
     return _cert(
         "talagrand-map", s.d, rhs, {"map_gap_integral": gap}, tol,

@@ -31,6 +31,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from . import config
@@ -971,74 +972,79 @@ def bivariate_gaussian_grid(
 # ---------------------------------------------------------------------------
 # Convolution engines
 # ---------------------------------------------------------------------------
-# 1D convolutions share one kernel: output nodes on the input's own lattice
-# (same step, or a whole fraction of it for coarse tables; odd node count for
-# pure Simpson; no cap on the count) and one direct Toeplitz sum.  The 2D heat
-# step stays separable: two dense kernel matrices and two whole-array BLAS
-# products, whose exp calls are a small share of it.  The products are not
-# split into row blocks, since a blocked matrix product rounds differently
-# (heat-flowed log values moved by about 3e-14); the floor and the log run in
-# place on the product.
+# Every convolution puts its output on its input's own lattice (``_lattice``)
+# and samples its kernel once per axis, on the lattice differences.  1D
+# convolutions run one direct Toeplitz sum.  The 2D heat step runs separably
+# as two whole-array BLAS products with each axis's Toeplitz matrix, a view
+# of its kernel vector.  The products are not split into row blocks, since a
+# blocked matrix product rounds differently (heat-flowed log values moved by
+# about 3e-14); the floor and the log run in place on the product.
 
-def _odd(n: int) -> int:
-    return n if n % 2 == 1 else n + 1
+# A pad is rounded up to whole steps only past this relative tolerance: the
+# window ends carry roundoff that depends on where the grid sits, and the
+# node count must not.
+_STEP_TOL = 1e-9
 
 
-def _lattice_convolve(table: NodeTable, kernel, lo: float, hi: float) -> GridDensity:
-    """Density of X + Y, X tabulated in ``table`` and Y with density ``kernel``.
+def _lattice(spec: GridSpec, lo: float, hi: float, n_min: int) -> tuple[GridSpec, int, np.ndarray]:
+    """Output grid of a convolution over ``spec``'s nodes, covering [lo, hi].
 
-    The output nodes continue the table's own lattice: [lo, hi] is widened
-    outward to whole steps h, plus one more node at the top when needed for
-    an odd node count (pure Simpson).  A table too coarse to give the default
-    node count that way gets r output nodes per step h instead.  Every
-    difference y_i - x_j is then a multiple of h/r, so one sampled kernel
-    vector serves the whole Toeplitz sum sum_j w_j p_j k(y_i - x_j), which
-    runs as a direct sum: all terms are positive, so the far tails keep full
-    relative accuracy (an FFT's roundoff floor, ~1e-16 of the peak, does not).
+    The output nodes continue the input lattice: [lo, hi] is widened outward
+    to whole steps h, plus one more node at the top when needed for an odd
+    node count (pure Simpson); the count is not capped.  A lattice too
+    coarse to give ``n_min`` nodes that way gets r output nodes per step h.
+    Returns the output spec, r, and the differences y_i - x_j of all output
+    and input nodes, ascending multiples of h/r: y_i - x_j is entry
+    i + r (n - 1 - j), n the input node count.
     """
-    spec, h = table.spec, table.spec.step
-    n_in = spec.n_points
-    before = max(0, math.ceil((spec.x_lo - lo) / h))
-    steps = before + n_in - 1 + max(0, math.ceil((hi - spec.x_hi) / h))
-    r = max(1, math.ceil((config.default_grid_points() - 1) / steps))
-    n_out = _odd(r * steps + 1)
+    h, n_in = spec.step, spec.n_points
+    whole_steps = lambda d: max(0, math.ceil(d / h * (1.0 - _STEP_TOL)))
+    before = whole_steps(spec.x_lo - lo)
+    steps = before + n_in - 1 + whole_steps(hi - spec.x_hi)
+    r = max(1, math.ceil((n_min - 1) / steps))
+    n_out = r * steps + 1 + (r * steps) % 2
     step = h / r
     out_spec = GridSpec(
         spec.x_lo - before * h,
         spec.x_hi + (n_out - 1 - r * (before + n_in - 1)) * step,
         n_out,
     )
-    # every y_i - x_j = (i - r (before + j)) h/r, over all output i and input j
-    k = kernel(np.arange(-r * (before + n_in - 1), n_out - r * before) * step)
-    weighted = simpson_weights(n_in, h) * table.p
-    out = np.empty(n_out)
+    return out_spec, r, np.arange(-r * (before + n_in - 1), n_out - r * before) * step
+
+
+def _lattice_convolve(table: NodeTable, kernel, lo: float, hi: float) -> GridDensity:
+    """Density of X + Y on [lo, hi], X tabulated in ``table`` and Y with
+    density ``kernel``, on the table's lattice (at least the default node
+    count).  One sampled kernel vector serves the whole Toeplitz sum
+    sum_j w_j p_j k(y_i - x_j), which runs as a direct sum: all terms are
+    positive, so the far tails keep full relative accuracy (an FFT's
+    roundoff floor, ~1e-16 of the peak, does not).
+    """
+    out_spec, r, offsets = _lattice(table.spec, lo, hi, config.default_grid_points())
+    k = kernel(offsets)
+    weighted = simpson_weights(table.spec.n_points, table.spec.step) * table.p
+    out = np.empty(out_spec.n_points)
     for phase in range(r):
         out[phase::r] = np.convolve(k[phase::r], weighted, mode="valid")
-    log_out = np.log(np.maximum(out, 1e-320))
-    return GridDensity(out_spec, log_out)
+    return GridDensity(out_spec, np.log(np.maximum(out, 1e-320)))
+
+
+def _heat_kernel(t: float):
+    """The heat kernel of X + sqrt(t) Z, z -> exp(-z^2 / 2t) / sqrt(2 pi t),
+    and the pad R sqrt(t) a heat step adds on each side, R the support
+    radius (10 by default)."""
+    if not t > 0:
+        raise ArgumentError(f"convolution time must be positive, got {t}")
+    norm = 1.0 / math.sqrt(2.0 * math.pi * t)
+    return (lambda z: np.exp(z * z / (-2.0 * t)) * norm), config.support_radius() * math.sqrt(t)
 
 
 def gaussian_convolve(density: Density1D, t: float) -> GridDensity:
-    """Distribution of X + sqrt(t) Z as a grid density, by direct quadrature.
-
-    The output lies on the input table's lattice (same step unless the table
-    is coarser than the default grid, odd node count) and covers the input's
-    support widened by R*sqrt(t) on both sides, R the support radius (10 by
-    default), rounded outward to whole steps; the node count is not capped.
-    Each output node is the Simpson-weighted sum over the input nodes,
-    summed directly.
-    """
-    if not t > 0:
-        raise ArgumentError(f"convolution time must be positive, got {t}")
+    """Distribution of X + sqrt(t) Z as a grid density, by direct quadrature
+    over the input table, on its lattice widened by the heat kernel's pad."""
+    kernel, pad = _heat_kernel(t)
     table = density.table
-    pad = config.support_radius() * math.sqrt(t)
-    norm = 1.0 / math.sqrt(2.0 * math.pi * t)
-    return _lattice_convolve(
-        table,
-        lambda z: np.exp(z * z / (-2.0 * t)) * norm,
-        table.spec.x_lo - pad,
-        table.spec.x_hi + pad,
-    )
+    return _lattice_convolve(table, kernel, table.spec.x_lo - pad, table.spec.x_hi + pad)
 
 
 def convolve(a: Density1D, b: Density1D) -> GridDensity:
@@ -1052,25 +1058,20 @@ def convolve(a: Density1D, b: Density1D) -> GridDensity:
 
 
 def gaussian_convolve_2d(density: Grid2DDensity, t: float) -> Grid2DDensity:
-    """X + sqrt(t) Z in R^2; the Gaussian kernel factorises, so the
-    convolution runs separably along each axis."""
-    if not t > 0:
-        raise ArgumentError(f"convolution time must be positive, got {t}")
-    pad = config.support_radius() * math.sqrt(t)
+    """X + sqrt(t) Z in R^2.  The Gaussian kernel factorises, so the
+    convolution runs separably, each axis on its own lattice widened by the
+    heat kernel's pad, over the Simpson-weighted input."""
+    kernel, pad = _heat_kernel(t)
     sx, sy = density.spec_x, density.spec_y
-    nx = _odd(min(2 * sx.n_points - 1, sx.n_points + int(math.ceil(2 * pad / sx.step))))
-    ny = _odd(min(2 * sy.n_points - 1, sy.n_points + int(math.ceil(2 * pad / sy.step))))
-    out_x = GridSpec(sx.x_lo - pad, sx.x_hi + pad, nx)
-    out_y = GridSpec(sy.x_lo - pad, sy.x_hi + pad, ny)
-    norm = 1.0 / math.sqrt(2.0 * math.pi * t)
-
-    def kernel(out_nodes, in_spec):
-        block = out_nodes[:, None] - in_spec.nodes()[None, :]
-        k = np.exp(block * block / (-2.0 * t)) * norm
-        return k * simpson_weights(in_spec.n_points, in_spec.step)[None, :]
-
-    p = np.exp(density.log_values)
-    mixed = kernel(out_x.nodes(), sx) @ p  # convolve rows
-    out = mixed @ kernel(out_y.nodes(), sy).T  # then columns
+    weighted = np.exp(density.log_values)
+    weighted *= simpson_weights(sx.n_points, sx.step)[:, None]
+    weighted *= simpson_weights(sy.n_points, sy.step)
+    out_specs, toeplitz = [], []
+    for spec in (sx, sy):
+        out_spec, _, offsets = _lattice(spec, spec.x_lo - pad, spec.x_hi + pad, spec.n_points)
+        out_specs.append(out_spec)
+        # k(y_i - x_j) as a strided view of the sampled kernel
+        toeplitz.append(sliding_window_view(kernel(offsets), spec.n_points)[:, ::-1])
+    out = toeplitz[0] @ weighted @ toeplitz[1].T  # rows, then columns
     np.maximum(out, 1e-320, out=out)
-    return Grid2DDensity(out_x, out_y, np.log(out, out=out))
+    return Grid2DDensity(*out_specs, np.log(out, out=out))

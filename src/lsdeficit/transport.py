@@ -158,7 +158,8 @@ def _check_pushforward(mu: Density1D, ref: Density1D) -> None:
     err = np.abs(levels - us) + np.abs(np.asarray(ref.cdf(mapped), dtype=float) - levels)
     if not (np.isfinite(mapped).all() and err.max() <= 1e-5):
         raise DegeneratePlanError(
-            f"monotone map fails the pushforward check: max CDF error {err.max():.3e}"
+            f"monotone map from {mu!r} to {ref!r} fails the pushforward check: "
+            f"max CDF error {err.max():.3e} exceeds 1e-5"
         )
     with np.errstate(divide="ignore"):
         slope = np.asarray(mu.pdf(xs), dtype=float) / np.asarray(ref.pdf(mapped), dtype=float)

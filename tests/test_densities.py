@@ -247,21 +247,50 @@ class TestConvolution:
         assert np.max(np.abs(np.asarray(out.pdf(x)) - np.asarray(ref.pdf(x)))) < 1e-8
 
     def test_2d_heat_step(self):
-        rho = bivariate_gaussian_grid(0.5)
-        out = gaussian_convolve_2d(rho, 1.0)
-        # covariance becomes I + Sigma; compare log densities at the nodes
-        cov = np.array([[2.0, 0.5], [0.5, 2.0]])
-        prec = np.linalg.inv(cov)
-        logdet = math.log(np.linalg.det(cov))
-        xs = out.spec_x.nodes()[::64]
-        ys = out.spec_y.nodes()[::64]
-        pts = np.array([(x, y) for x in xs for y in ys])
-        want = -0.5 * np.einsum("ni,ij,nj->n", pts, prec, pts) - 0.5 * logdet - math.log(
-            2 * math.pi
-        )
-        got = np.array([out.log_pdf((x, y)) for x, y in pts])
-        keep = want > -40.0  # compare where mass is not vanishing
-        assert np.max(np.abs(got[keep] - want[keep])) < 1e-6
+        cases = [
+            (0.5, (1.0, 1.0), (0.0, 0.0), 1.0),
+            (0.5, (0.8, 1.6), (0.3, -0.4), 1.0),
+            (0.5, (0.8, 1.6), (0.3, -0.4), 0.25),
+            # the narrowest variance pair of the benchmark's grid2d workload
+            (-0.4, (0.59375, 0.59375 / 1.5), (-0.7, 0.2), 1.0),
+        ]
+        for rho, var, mean, t in cases:
+            out = gaussian_convolve_2d(bivariate_gaussian_grid(rho, var=var, mean=mean), t)
+            # covariance becomes Sigma + t I; compare log densities at the nodes
+            c = rho * math.sqrt(var[0] * var[1])
+            cov = np.array([[var[0] + t, c], [c, var[1] + t]])
+            prec = np.linalg.inv(cov)
+            logdet = math.log(np.linalg.det(cov))
+            xs = out.spec_x.nodes()[::64]
+            ys = out.spec_y.nodes()[::64]
+            pts = np.array([(x, y) for x in xs for y in ys])
+            d = pts - np.asarray(mean)
+            want = -0.5 * np.einsum("ni,ij,nj->n", d, prec, d) - 0.5 * logdet - math.log(
+                2 * math.pi
+            )
+            got = np.array([out.log_pdf((x, y)) for x, y in pts])
+            keep = want > -40.0  # compare where mass is not vanishing
+            assert np.max(np.abs(got[keep] - want[keep])) < 1e-6, (rho, var, mean, t)
+
+    @pytest.mark.parametrize("var", [(1.0, 1.0), (0.8, 1.6)])
+    @pytest.mark.parametrize("t", [0.25, 1.0])
+    def test_2d_output_continues_input_lattice(self, var, t):
+        pad = 10.0 * math.sqrt(t)
+        shapes = set()
+        for mean in ((0.0, 0.0), (0.3, -0.4)):
+            mu = bivariate_gaussian_grid(0.5, var=var, mean=mean)
+            out = gaussian_convolve_2d(mu, t)
+            shapes.add(out.log_values.shape)
+            for spec, out_spec in ((mu.spec_x, out.spec_x), (mu.spec_y, out.spec_y)):
+                assert out_spec.n_points % 2 == 1
+                assert out_spec.step == pytest.approx(spec.step, rel=1e-12)
+                offset = (spec.x_lo - out_spec.x_lo) / spec.step
+                assert offset == pytest.approx(round(offset), abs=1e-9)
+                assert out_spec.x_lo <= spec.x_lo - pad and out_spec.x_hi >= spec.x_hi + pad
+        # node counts do not depend on where the grid sits
+        assert len(shapes) == 1
+        if var == (1.0, 1.0) and t == 1.0:
+            assert shapes == {(1025, 1025)}
 
     def test_time_must_be_positive(self):
         with pytest.raises(ArgumentError):

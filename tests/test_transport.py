@@ -14,6 +14,7 @@ from lsdeficit.battery import standard_battery
 from lsdeficit.bounds import BOUND_IDS, certify_suite
 from lsdeficit.densities import (
     GaussianDensity,
+    GridDensity,
     MixtureDensity,
     ProductDensity,
     TiltedDensity,
@@ -194,6 +195,20 @@ class TestPushforwardCheck:
             monotone_plan(*pair)
         with pytest.raises(DegeneratePlanError, match="pushforward"):
             transport_cost(*pair, COST_ABS)
+
+    @pytest.mark.parametrize("n, shape", [
+        (33, TiltedDensity([0.0, 0.0, 0.25, 0.0, 0.05])),
+        (65, MixtureDensity([(0.5, -2.0, 0.3025), (0.5, 2.0, 0.3025)])),
+    ], ids=["unimodal-tilt", "bimodal-mixture"])
+    def test_coarse_grid_refusal_names_the_densities(self, n, shape):
+        spec = GridSpec(-8.0, 8.0, n)
+        coarse = GridDensity(spec, np.log(shape.pdf(spec.nodes())))
+        with pytest.raises(DegeneratePlanError) as info:
+            transport_cost(coarse, None, COST_SQ)
+        message = str(info.value)
+        assert "pushforward" in message and "1e-5" in message
+        assert repr(coarse) in message and f"n={n}" in message
+        assert repr(standard_gaussian()) in message
 
     def test_non_1d_density_refused(self):
         with pytest.raises(ArgumentError, match="1D density"):
