@@ -413,31 +413,33 @@ class MixtureDensity(Density1D):
         return tuple(zip(self._w.tolist(), self._m.tolist(), self._v.tolist()))
 
     def _component_logs(self, pts: np.ndarray) -> np.ndarray:
-        z = (pts[:, None] - self._m[None, :]) / self._s[None, :]
+        """log(w_i p_i) at the points, one row per component: the max and
+        the sums over components are k - 1 elementwise passes over rows."""
+        z = (pts[None, :] - self._m[:, None]) / self._s[:, None]
         return (
             -0.5 * z * z
             - 0.5 * _LOG_2PI
-            - np.log(self._s)[None, :]
-            + np.log(self._w)[None, :]
+            - np.log(self._s)[:, None]
+            + np.log(self._w)[:, None]
         )
 
     def _shifted_components(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row maximum of the component log densities, and the components
-        scaled by its exponential (the largest is 1)."""
+        """Maximum of the component log densities at each point, and the
+        components scaled by its exponential (the largest is 1)."""
         logs = self._component_logs(pts)
-        peak = logs.max(axis=1, keepdims=True)
-        return peak[:, 0], np.exp(logs - peak)
+        peak = logs.max(axis=0)
+        return peak, np.exp(logs - peak)
 
     def log_pdf(self, x):
         pts, scalar = _as_points(x)
         peak, r = self._shifted_components(pts)
-        return _maybe_scalar(peak + np.log(r.sum(axis=1)), scalar)
+        return _maybe_scalar(peak + np.log(r.sum(axis=0)), scalar)
 
     def score(self, x):
         pts, scalar = _as_points(x)
         _, r = self._shifted_components(pts)
-        comp_score = -(pts[:, None] - self._m[None, :]) / self._v[None, :]
-        out = (r * comp_score).sum(axis=1) / r.sum(axis=1)
+        comp_score = -(pts[None, :] - self._m[:, None]) / self._v[:, None]
+        out = (r * comp_score).sum(axis=0) / r.sum(axis=0)
         return _maybe_scalar(out, scalar)
 
     def cdf(self, x):

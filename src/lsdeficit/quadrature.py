@@ -7,11 +7,14 @@ global O(h^4) order holds for every grid size >= 16 points.
 
 Every sum of weighted node values is correctly rounded: ``_exact_sum``
 returns the float nearest the exact sum (ties to even), the value
-``math.fsum`` gives, so results are bit-stable across runs.  It writes each
-term as an integer mantissa times a power of two and adds the pieces into
-integer bins keyed by exponent.  Every bin sum stays an integer below 2**53,
-so the float accumulation is exact; the bins join into one Python integer,
-and one correctly rounded division by a power of two gives the result.
+``math.fsum`` gives, so results are bit-stable across runs.  One kernel,
+``_binned_sums``, writes each term's magnitude as an integer mantissa times
+a power of two and adds the pieces into integer bins keyed by exponent, the
+negative terms into bins of their own.  Every bin sum stays an integer below
+2**53, so the float accumulation is exact; the bins join into Python
+integers pos and neg, and one correctly rounded division by a power of two
+turns pos - neg into the sum.  The roundoff mass sum |w f| of an integral is
+pos + neg from the same pass, rounded the same way.
 
 Error estimates come from Richardson comparison: integrating again with
 doubled resolution (callable integrands) or halved resolution (stored node
@@ -105,19 +108,56 @@ def simpson_weights(n_points: int, step: float) -> np.ndarray:
     return w
 
 
-# _exact_sum bins.  frexp writes a nonzero float as mant * 2**exp with
+# Binned exact sums.  frexp writes a nonzero float as mant * 2**exp with
 # 0.5 <= |mant| < 1 and -1073 <= exp <= 1024.  With e = exp + _SUM_BIAS and
-# r = e % 8, scaled = mant * 2**(26 + r) splits into an integer part below
-# 2**33 and a fraction whose 2**32 multiple is an integer (mant has 53 bits).
-# The integer part weighs 2**(8 * (e // 8) - _SUM_LSB), so it goes to bin
-# e // 8 and the scaled fraction to bin e // 8 - 4.  Over one block of
-# _SUM_BLOCK terms every bin sum is an integer below 2**46: bincount adds
-# the floats exactly, and int64 carries the totals across blocks.  Blocks
-# keep the temporaries below 128 KiB, the allocator's mmap threshold.
+# r = e % 8, |mant| * 2**(26 + r) splits into an integer part below 2**33
+# and a fraction whose 2**32 multiple is an integer (mant has 53 bits).  The
+# integer part weighs 2**(8 * (e // 8) - _SUM_LSB), so it goes to bin e // 8
+# and the scaled fraction to bin e // 8 - 4; a negative term's magnitude goes
+# to the same bins _SUM_BINS further on.  Over one block of _SUM_BLOCK terms
+# every bin sum is an integer below 2**46: bincount adds the floats exactly,
+# and int64 carries the totals across blocks.  Blocks keep the temporaries
+# below 128 KiB, the allocator's mmap threshold.
 _SUM_BLOCK = 8192
 _SUM_BIAS = 1108
 _SUM_LSB = _SUM_BIAS + 26  # 1134: bin b weighs 2**(8 * b - _SUM_LSB)
-_SUM_BINS = 272  # top bin (1024 + _SUM_BIAS) // 8 = 266, rounded up to a multiple of 8
+# The top bin is (1024 + _SUM_BIAS) // 8 = 266, so one half's total is below
+# 2**(8 * 266 + 64); 280 bins (a multiple of 8) keep the halves apart.
+_SUM_BINS = 280
+
+
+def _binned_sums(x: np.ndarray) -> tuple[int, int]:
+    """Exact sums of the positive terms and of the negative terms'
+    magnitudes of a finite float array, in units of 2**-_SUM_LSB."""
+    bins = np.zeros(2 * _SUM_BINS, dtype=np.int64)
+    # equal blocks, so a 2**k + 1 grid does not leave a one-term block
+    n_blocks = -(-x.size // _SUM_BLOCK)
+    size = -(-x.size // n_blocks) if n_blocks else 1
+    for start in range(0, x.size, size):
+        mant, exp = np.frexp(x[start : start + size])
+        exp += _SUM_BIAS
+        shift = exp & 7
+        shift += 26
+        exp >>= 3
+        top = np.multiply(np.signbit(mant), _SUM_BINS, dtype=np.intp)
+        top += exp
+        scaled = np.ldexp(np.abs(mant, out=mant), shift, out=mant)
+        whole = np.floor(scaled)
+        scaled -= whole
+        scaled *= 2.0**32
+        block_bins = np.bincount(top, weights=whole, minlength=2 * _SUM_BINS)
+        block_bins[:-4] += np.bincount(top, weights=scaled, minlength=2 * _SUM_BINS)[4:]
+        bins += block_bins.astype(np.int64)
+    # sum_b bins[b] * 2**(8b) = pos + neg * 2**(8 * _SUM_BINS): bins 8 apart
+    # are 64 bits apart, so the bins of one residue mod 8 read as one
+    # unsigned int.from_bytes
+    phases = np.ascontiguousarray(bins.reshape(-1, 8).T, dtype="<i8").tobytes()
+    width = len(phases) // 8
+    both = 0
+    for j in range(8):
+        both += int.from_bytes(phases[j * width : (j + 1) * width], "little") << (8 * j)
+    half = 8 * _SUM_BINS
+    return both & ((1 << half) - 1), both >> half
 
 
 def _exact_sum(terms: np.ndarray) -> float:
@@ -133,33 +173,8 @@ def _exact_sum(terms: np.ndarray) -> float:
     x = np.asarray(terms, dtype=float).ravel()
     if not np.isfinite(x).all():
         return float(x.sum())
-    bins = np.zeros(_SUM_BINS, dtype=np.int64)
-    # equal blocks, so a 2**k + 1 grid does not leave a one-term block
-    n_blocks = -(-x.size // _SUM_BLOCK)
-    size = -(-x.size // n_blocks) if n_blocks else 1
-    for start in range(0, x.size, size):
-        mant, exp = np.frexp(x[start : start + size])
-        exp += _SUM_BIAS
-        shift = exp & 7
-        shift += 26
-        scaled = np.ldexp(mant, shift, out=mant)
-        whole = np.floor(scaled)
-        scaled -= whole
-        scaled *= 2.0**32
-        exp >>= 3
-        top = exp.astype(np.intp)
-        block_bins = np.bincount(top, weights=whole, minlength=_SUM_BINS)
-        block_bins[:-4] += np.bincount(top, weights=scaled, minlength=_SUM_BINS)[4:]
-        bins += block_bins.astype(np.int64)
-    # sum_b bins[b] * 2**(8b): bins 8 apart are 64 bits apart, so the bins of
-    # one residue mod 8 read as one unsigned int.from_bytes; the negative
-    # bins then borrow 2**64 each
-    phases = np.ascontiguousarray(bins.reshape(-1, 8).T, dtype="<i8").tobytes()
-    width = len(phases) // 8
-    exact = -(int.from_bytes((bins < 0).tobytes(), "little") << 64)
-    for j in range(8):
-        exact += int.from_bytes(phases[j * width : (j + 1) * width], "little") << (8 * j)
-    return exact / (1 << _SUM_LSB)
+    pos, neg = _binned_sums(x)
+    return (pos - neg) / (1 << _SUM_LSB)
 
 
 def _check_finite(values: np.ndarray, spec: GridSpec) -> None:
@@ -173,9 +188,13 @@ def _check_finite(values: np.ndarray, spec: GridSpec) -> None:
 
 
 def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    """Correctly rounded weighted sum plus its roundoff mass sum |w f|."""
+    """Correctly rounded weighted sum plus its roundoff mass sum |w f|, both
+    from one binned pass: the sum is pos - neg and the mass pos + neg."""
     prod = values * weights
-    return _exact_sum(prod), _exact_sum(np.abs(prod))
+    if not np.isfinite(prod).all():
+        return float(prod.sum()), float(np.abs(prod).sum())
+    pos, neg = _binned_sums(prod)
+    return (pos - neg) / (1 << _SUM_LSB), (pos + neg) / (1 << _SUM_LSB)
 
 
 def _abs_integral(t1: np.ndarray, t2: np.ndarray, coef: tuple) -> np.ndarray:

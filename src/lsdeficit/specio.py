@@ -39,13 +39,19 @@ from .errors import ArgumentError, SpecParseError
 from .quadrature import GridSpec
 
 
+_TOO_LARGE = "an integer too large for a float"
+
+
 def _number(obj: dict, key: str, ctx: str) -> float:
     if key not in obj:
         raise SpecParseError(f"{ctx}: missing required key {key!r}")
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise SpecParseError(f"{ctx}: {key!r} must be a number, got {val!r}")
-    val = float(val)
+    try:
+        val = float(val)
+    except OverflowError:
+        raise SpecParseError(f"{ctx}: {key!r} must be finite, got {_TOO_LARGE}") from None
     if not np.isfinite(val):
         raise SpecParseError(f"{ctx}: {key!r} must be finite, got {val!r}")
     return val
@@ -64,10 +70,20 @@ def _number_array(obj: dict, key: str, ctx: str) -> np.ndarray:
     val = obj[key]
     if not isinstance(val, list) or not val:
         raise SpecParseError(f"{ctx}: {key!r} must be a non-empty array")
-    for i, item in enumerate(val):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise SpecParseError(f"{ctx}: {key}[{i}] must be a number, got {item!r}")
-    arr = np.asarray(val, dtype=float)
+    # one C-speed type check; the items are walked only to name a bad one
+    if not set(map(type, val)) <= {int, float}:
+        for i, item in enumerate(val):
+            if isinstance(item, bool) or not isinstance(item, (int, float)):
+                raise SpecParseError(f"{ctx}: {key}[{i}] must be a number, got {item!r}")
+    try:
+        arr = np.asarray(val, dtype=float)
+    except OverflowError:
+        for i, item in enumerate(val):
+            try:
+                float(item)
+            except OverflowError:
+                raise SpecParseError(f"{ctx}: {key}[{i}] must be finite, got {_TOO_LARGE}") from None
+        raise
     if not np.all(np.isfinite(arr)):
         raise SpecParseError(f"{ctx}: {key!r} must contain only finite numbers")
     return arr
@@ -217,7 +233,7 @@ def density_to_spec(density: Density) -> dict:
 def loads(text: str, ctx: str = "density spec") -> Density:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise SpecParseError(f"{ctx}: invalid JSON ({exc})") from exc
     return parse_density(obj, ctx)
 

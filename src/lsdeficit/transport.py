@@ -118,8 +118,13 @@ class TransportPlan1D:
         return self._target.score_inverse(z)
 
     def derivative(self, x, mapped=None):
-        """T'(x) = p_source(x) / p_target(T(x)) wherever both are positive;
-        ``mapped`` is T(x) when the caller already holds it."""
+        """T'(x).  Between two Gaussians T(x) = m_t + s_t (x - m_s) / s_s is
+        affine and T' is s_t / s_s, read off the two inverses (s_t exactly
+        from gamma); otherwise T' = p_source(x) / p_target(T(x)) wherever
+        both are positive.  ``mapped`` is T(x) when the caller holds it."""
+        if isinstance(self._source, GaussianDensity) and isinstance(self._target, GaussianDensity):
+            slope = self._target.score_inverse.s / self._source.score_inverse.s
+            return np.full(np.shape(x), slope)
         t = self.map_at(x) if mapped is None else mapped
         num = np.asarray(self._source.pdf(x), dtype=float)
         den = np.asarray(self._target.pdf(t), dtype=float)

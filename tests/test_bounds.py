@@ -28,7 +28,7 @@ from lsdeficit.densities import (
     standard_gaussian,
 )
 from lsdeficit.errors import ArgumentError, HypothesisError, NumericalError
-from lsdeficit.quadrature import GridSpec
+from lsdeficit.quadrature import GridSpec, integrate_values
 from lsdeficit.recentering import tensorise
 from lsdeficit.transport import COST_SQ
 
@@ -283,6 +283,36 @@ class TestIsoperimetricComparison:
         # displacement x -> (sigma - 1) x: both sides scale the identity case
         np.testing.assert_allclose(cert.lhs, 1.0, atol=1e-6)
         np.testing.assert_allclose(cert.rhs, 2.0 / math.pi, atol=1e-6)
+
+    @pytest.mark.parametrize("label", ["gauss-narrow", "gauss-sub", "gauss-super", "gauss-wide"])
+    def test_map_bounds_exact_at_scaled_gaussians(self, label):
+        # T(x) = s x from gamma: T' is the inverse's own slope s, and the
+        # gamma integral of a constant is that constant
+        mu = dict(standard_battery())[label]
+        s = math.sqrt(mu.variance())
+        ws = Workspace()
+        cert = evaluate_bound("cheeger", mu, workspace=ws)
+        assert cert.lhs == abs(s - 1.0)
+        assert cert.constants["delta_form_lhs"] == delta(2.0 * abs(s - 1.0) / math.sqrt(2.0 / math.pi))
+        gap = evaluate_bound("talagrand-map", mu, workspace=ws).constants["map_gap_integral"]
+        assert gap == delta(s - 1.0)
+
+    @pytest.mark.parametrize("label", ["mixture-gap1", "mixture-gap2", "tilted-quartic"])
+    def test_map_bounds_read_the_density_ratio_elsewhere(self, label):
+        # a non-Gaussian target keeps T' = p_gamma(x) / p(T(x)) and the
+        # weighted gamma sum, bit for bit
+        mu = dict(standard_battery())[label]
+        ws = Workspace()
+        nodes = GridSpec(-10.0, 10.0, 4097).nodes()
+        plan = transport.monotone_plan(mu)
+        ratio = standard_gaussian().pdf(nodes) / np.maximum(mu.pdf(plan.map_at(nodes)), 1e-300)
+        assert np.array_equal(plan.derivative(nodes), ratio)
+        phi = np.exp(-0.5 * nodes**2) / math.sqrt(2.0 * math.pi)
+        weighted = lambda v: integrate_values(v * phi, GridSpec(-10.0, 10.0, 4097)).value
+        cert = evaluate_bound("cheeger", mu, workspace=ws)
+        assert cert.lhs == weighted(np.abs(ratio - 1.0))
+        gap = evaluate_bound("talagrand-map", mu, workspace=ws).constants["map_gap_integral"]
+        assert gap == weighted(delta(ratio - 1.0))
 
     @pytest.mark.parametrize("label", ["gauss-shift-pos", "gauss-shift-neg"])
     def test_map_bounds_vanish_at_gaussian_translates(self, label):

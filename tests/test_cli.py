@@ -119,6 +119,33 @@ class TestDistance:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
+    _HUGE = int("9" * 401)  # a JSON integer past the float range
+
+    @pytest.mark.parametrize(
+        "spec,named",
+        [
+            ({"type": "gaussian", "mean": _HUGE, "var": 1.0}, "'mean' must be finite"),
+            ({"type": "tilted", "coeffs": [0.0, 0.0, 0.25, _HUGE, 0.05]}, "coeffs[3] must be finite"),
+            ({"type": "grid2d", "x_lo": -1.0, "x_hi": 1.0, "y_lo": -1.0, "y_hi": 1.0,
+              "n_x": _HUGE, "n_y": 16, "log_p": [0.0] * 256}, "'n_x' must be finite"),
+        ],
+        ids=["scalar-key", "array-index", "grid2d-count"],
+    )
+    def test_oversized_integer_is_a_parse_error(self, tmp_path, capsys, spec, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        code = main(["distance", "--dist", str(bad), "--metric", "kl"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err and "too large for a float" in err and "Traceback" not in err
+
+    def test_integer_past_the_digit_limit_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"type": "gaussian", "mean": ' + "1" * 5000 + ', "var": 1}')
+        code = main(["distance", "--dist", str(bad), "--metric", "kl"])
+        assert code == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
     def test_exact_cost_needs_tractable_shape(self, spec_file, capsys):
         mu = spec_file("g.json", bivariate_gaussian_grid(0.5, n_points=33))
         ref = spec_file("r.json", ProductDensity([GaussianDensity(1.0, 1.0), standard_gaussian()]))

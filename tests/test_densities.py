@@ -149,6 +149,62 @@ class TestScore:
         assert np.allclose(mu.score(x), -(x - 1.0) / 4.0)
 
 
+def _point_major_mixture(mu: MixtureDensity, pts: np.ndarray):
+    """log p and score from the point-major (n, k) component table: the
+    layout before the component-major one, kept as the oracle."""
+    w, m, v = (np.array(c) for c in zip(*mu.components))
+    s = np.sqrt(v)
+    z = (pts[:, None] - m[None, :]) / s[None, :]
+    logs = -0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - np.log(s)[None, :] + np.log(w)[None, :]
+    peak = logs.max(axis=1, keepdims=True)
+    r = np.exp(logs - peak)
+    log_p = peak[:, 0] + np.log(r.sum(axis=1))
+    score = (r * (-(pts[:, None] - m[None, :]) / v[None, :])).sum(axis=1) / r.sum(axis=1)
+    return log_p, score, (r * np.abs(pts[:, None] - m[None, :]) / v[None, :]).sum(axis=1) / r.sum(axis=1)
+
+
+def _random_mixture(k: int, seed: int) -> MixtureDensity:
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet([1.0] * k)
+    return MixtureDensity(
+        [(float(w), float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.1, 3.0))) for w in weights]
+    )
+
+
+class TestMixtureComponentRows:
+    """Component-major tables give the point-major bits: numpy sums fewer
+    than 8 terms of a row in order, and the rows here in order too."""
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_bits_below_eight_components(self, k, seed):
+        mu = _random_mixture(k, seed)
+        far = np.array([-1e3, -60.0, -25.0, 25.0, 60.0, 1e3])
+        for pts in (mu.table.nodes, far):
+            log_p, score, _ = _point_major_mixture(mu, pts)
+            assert np.array_equal(mu.log_pdf(pts), log_p)
+            assert np.array_equal(mu.score(pts), score)
+        log_p, score, _ = _point_major_mixture(mu, mu.table.nodes)
+        assert np.array_equal(mu.table.log_p, log_p)
+        assert np.array_equal(mu.table.p, np.exp(log_p))
+        assert np.array_equal(mu.table.score, score)
+        for x in (0.3, -40.0):
+            log_p, score, _ = _point_major_mixture(mu, np.array([x]))
+            assert mu.log_pdf(x) == log_p[0] and mu.score(x) == score[0]
+
+    @pytest.mark.parametrize("k", [8, 9, 12])
+    def test_pairwise_rows_move_a_few_ulps_from_eight_components(self, k):
+        # numpy sums a row of 8 or more terms pairwise, the rows in order:
+        # each side is within (k - 1) eps of the exact sum of its terms
+        eps = np.finfo(float).eps
+        for seed in range(5):
+            mu = _random_mixture(k, seed)
+            pts = np.concatenate((mu.table.nodes, [-1e3, -60.0, 60.0, 1e3]))
+            log_p, score, scale = _point_major_mixture(mu, pts)
+            assert np.all(np.abs(mu.log_pdf(pts) - log_p) <= 2 * k * eps + np.spacing(np.abs(log_p)))
+            assert np.all(np.abs(mu.score(pts) - score) <= 2 * k * eps * scale)
+
+
 class TestMoments:
     def test_gaussian(self):
         mu = GaussianDensity(-0.5, 2.25)

@@ -298,6 +298,49 @@ class TestExactSum:
             return
         assert _same_bits(_exact_sum(np.array(xs, dtype=float)), want)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(1e-300, 1e300),
+                st.floats(-1e300, -1e-300),
+                st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, -2.2250738585072014e-308]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.sampled_from([1, 2, 205, 410]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_one_pass_gives_fsum_sum_and_mass(self, xs, reps, seed):
+        # tiled up to 16400 terms, so sizes cross _SUM_BLOCK
+        terms = np.random.default_rng(seed).permutation(np.tile(np.array(xs), reps))
+        exact = [reps * sum(map(Fraction, v), Fraction(0)) for v in (xs, map(abs, xs))]
+        want = []
+        for e in exact:
+            try:
+                want.append(float(e))
+            except OverflowError:
+                want.append(None)
+        if None in want:
+            with pytest.raises(OverflowError):
+                quadrature._weighted_sum(terms, np.ones(terms.size))
+            return
+        total, mass = quadrature._weighted_sum(terms, np.ones(terms.size))
+        assert _same_bits(total, want[0]) and _same_bits(mass, want[1])
+        assert _same_bits(total, _exact_sum(terms))
+        if mass < 1e307:  # no partial sum of math.fsum overflows
+            assert _same_bits(total, math.fsum(terms.tolist()))
+            assert _same_bits(mass, math.fsum(np.abs(terms).tolist()))
+
+    def test_one_pass_non_finite_terms_follow_ieee(self):
+        with np.errstate(invalid="ignore"):
+            for x in ([1.0, np.inf], [-np.inf, 1e308], [1.0, np.nan], [np.inf, -np.inf], [-np.inf, 2.0]):
+                x = np.array(x)
+                total, mass = quadrature._weighted_sum(x, np.ones(x.size))
+                np.testing.assert_array_equal([total, mass], [x.sum(), np.abs(x).sum()])
+
     def test_overflowing_sum_raises(self):
         for x in ([1e308, 1e308], [1.7976931348623157e308, 1e292], [-1e308] * 5):
             with pytest.raises(OverflowError, match="too large"):
@@ -358,19 +401,21 @@ class TestExactSum:
         assert got_t == want_t
 
     def test_richardson_passes_skip_the_mass(self, monkeypatch):
-        calls = []
-
-        def counting(terms):
-            calls.append(np.asarray(terms).size)
-            return _fsum(terms)
-
-        monkeypatch.setattr(quadrature, "_exact_sum", counting)
+        passes, masses = [], []
+        binned, weighted = quadrature._binned_sums, quadrature._weighted_sum
+        monkeypatch.setattr(quadrature, "_binned_sums", lambda x: passes.append(x.size) or binned(x))
+        monkeypatch.setattr(
+            quadrature, "_weighted_sum", lambda v, w: masses.append(v.size) or weighted(v, w)
+        )
         spec = GridSpec(0.0, 1.0, 65)
         integrate(np.exp, spec, refine=True)
-        assert calls == [65, 65, 129]  # total, mass, doubled-grid total
-        calls.clear()
+        assert passes == [65, 129]  # total and mass in one pass, doubled-grid total
+        assert masses == [65]
+        passes.clear()
+        masses.clear()
         integrate_values(np.exp(spec.nodes()), spec, refine=True)
-        assert calls == [65, 65, 33]  # total, mass, half-grid total
+        assert passes == [65, 33]  # total and mass in one pass, half-grid total
+        assert masses == [65]
 
     def test_nodes_built_only_for_the_error_message(self, monkeypatch):
         spec = GridSpec(0.0, 1.0, 17)

@@ -155,3 +155,39 @@ class TestParseErrors:
         spec = density_to_spec(bivariate_gaussian_grid(0.5, n_points=17))
         spec["n_x"] = float(spec["n_x"])
         assert parse_density(spec).log_values.shape == (17, 17)
+
+    @pytest.mark.parametrize(
+        "item,shown", [(True, "True"), ("0.5", "'0.5'"), (None, "None"), ([0.5], "[0.5]")]
+    )
+    def test_array_item_messages(self, item, shown):
+        coeffs = [0.0, 0.0, 0.25, 0.0, 0.05]
+        coeffs[3] = item
+        with pytest.raises(SpecParseError) as info:
+            parse_density({"type": "tilted", "coeffs": coeffs})
+        assert str(info.value) == f"density spec: coeffs[3] must be a number, got {shown}"
+
+    def test_numpy_float_items_accepted(self):
+        coeffs = [0.0, 0.0, np.float64(0.25), 0, np.float64(0.05)]
+        mu = parse_density({"type": "tilted", "coeffs": coeffs})
+        assert mu.potential_coeffs == (0.0, 0.0, 0.25, 0.0, 0.05)
+
+    def test_oversized_integers_named(self):
+        huge = 2**1024
+        cases = [
+            ({"type": "gaussian", "mean": -huge, "var": 1.0}, "'mean' must be finite"),
+            ({"type": "grid", "x_lo": -1.0, "x_hi": 1.0, "log_p": [0.0] * 16 + [huge]},
+             "log_p[16] must be finite"),
+            ({"type": "grid2d", "x_lo": -1.0, "x_hi": 1.0, "y_lo": -1.0, "y_hi": 1.0,
+              "n_x": 16, "n_y": huge, "log_p": [0.0] * 256}, "'n_y' must be finite"),
+            ({"type": "grid2d", "x_lo": -1.0, "x_hi": 1.0, "y_lo": -1.0, "y_hi": 1.0,
+              "log_p": [[0.0] * 16] * 2 + [[0.0] * 15 + [huge]] + [[0.0] * 16] * 13},
+             "log_p[2]: row[15] must be finite"),
+        ]
+        for spec, named in cases:
+            with pytest.raises(SpecParseError, match="too large for a float") as info:
+                parse_density(spec)
+            assert named in str(info.value)
+        # the largest integer that rounds to a finite float is still a number
+        assert parse_density({"type": "gaussian", "mean": 2**1024 - 2**970 - 1, "var": 1.0}).mean() == (
+            1.7976931348623157e308
+        )
