@@ -709,11 +709,7 @@ def _gamma_points() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gamma_integral(values: np.ndarray) -> float:
-    """int g dgamma from g's values at the nodes of ``_GAMMA_SPEC``.  A
-    constant g integrates to itself: gamma has unit mass, which the grid's
-    weights hold only to an ulp."""
-    if np.all(values == values[0]):
-        return float(values[0])
+    """int g dgamma from g's values at the nodes of ``_GAMMA_SPEC``."""
     phi = np.exp(-0.5 * _GAMMA_SPEC.nodes() ** 2) / math.sqrt(2.0 * math.pi)
     return integrate_values(values * phi, _GAMMA_SPEC).value
 

@@ -41,6 +41,7 @@ import numpy as np
 from .deltafn import delta
 from .densities import (
     _U_LO,
+    _AffineInverse,
     Density1D,
     GaussianDensity,
     ProductDensity,
@@ -118,13 +119,13 @@ class TransportPlan1D:
         return self._target.score_inverse(z)
 
     def derivative(self, x, mapped=None):
-        """T'(x).  Between two Gaussians T(x) = m_t + s_t (x - m_s) / s_s is
-        affine and T' is s_t / s_s, read off the two inverses (s_t exactly
-        from gamma); otherwise T' = p_source(x) / p_target(T(x)) wherever
-        both are positive.  ``mapped`` is T(x) when the caller holds it."""
-        if isinstance(self._source, GaussianDensity) and isinstance(self._target, GaussianDensity):
-            slope = self._target.score_inverse.s / self._source.score_inverse.s
-            return np.full(np.shape(x), slope)
+        """T'(x).  From gamma onto a target with an affine inverse, T(x) =
+        m + s x and T' is that inverse's own s, exact; otherwise T' =
+        p_source(x) / p_target(T(x)) wherever both are positive.
+        ``mapped`` is T(x) when the caller already holds it."""
+        inverse = self._target.score_inverse
+        if isinstance(inverse, _AffineInverse) and self._source.score_inverse == _AffineInverse(0.0, 1.0):
+            return np.full(np.shape(x), inverse.s)
         t = self.map_at(x) if mapped is None else mapped
         num = np.asarray(self._source.pdf(x), dtype=float)
         den = np.asarray(self._target.pdf(t), dtype=float)
