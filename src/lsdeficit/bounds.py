@@ -53,7 +53,7 @@ from .functionals import (
     relative_fisher,
     total_variation,
 )
-from .quadrature import GridSpec, integrate_values
+from .quadrature import GridSpec, _exact_sum, integrate_values, simpson_weights
 from .recentering import decompose_grid2d
 from .transport import (
     COST_ABS,
@@ -261,11 +261,21 @@ class _Stats:
         return self._get("mean_gamma", build) if self.mean_vec.any() else None
 
     def _grid2d_pass(self) -> tuple[float, dict[str, float]]:
-        """w2sq_upper and the centered parts of a 2D grid, from one row pass."""
-        shifts = (float(self.mean_vec[0]), self.mu.conditional_means())
-        plain, dec = decompose_grid2d(self.mu, (COST_SQ,), _TENSOR_COSTS, shifts)
+        """w2sq_upper and the centered parts of a 2D grid, from one row pass.
+
+        Each part is measured against gamma moved by its own mean, so its
+        W2^2 to gamma itself is the centered sq part plus that mean squared
+        (the translation identity of ``w2sq_to_mean_translate``): t1^2 for
+        the marginal, the marginal-weighted mean of t2(x1)^2 for the rows.
+        """
+        mu = self.mu
+        t1, t2 = float(self.mean_vec[0]), mu.conditional_means()
+        dec = decompose_grid2d(mu, _TENSOR_COSTS, (t1, t2))
+        sq1, sq2 = dec.cost_parts["sq"]
+        wx = simpson_weights(mu.spec_x.n_points, mu.spec_x.step)
+        w2sq = math.fsum((sq1 + t1 * t1, sq2 + _exact_sum(wx * mu.row_marginal() * t2 * t2)))
         centered = {cid: math.fsum(parts) for cid, parts in dec.cost_parts.items()}
-        return math.fsum(plain["sq"]), {"D": math.fsum(dec.D_parts), **centered}
+        return w2sq, {"D": math.fsum(dec.D_parts), **centered}
 
     @property
     def centered(self) -> dict[str, float]:

@@ -72,7 +72,11 @@ _EXIT_NUMERICAL = 4
 
 
 def _emit(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", out_path)
+
+
+def _write(text: str, out_path: str | None) -> None:
+    """``text`` to stdout, or to the ``--out`` file when one is given."""
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -186,6 +190,11 @@ def _cmd_certify(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
+_SWEEP_COLUMNS = ("deficit", "w2sq", "tdelta_sq_over_d", "w1_4_over_d") + tuple(
+    f"slack_{bid}" for bid in BOUND_IDS
+)
+
+
 @dataclass(frozen=True)
 class SweepReport:
     """Columns of functionals and certificate slacks along one family."""
@@ -213,8 +222,7 @@ class SweepReport:
         }
 
     def column_order(self) -> list[str]:
-        fixed = ["deficit", "w2sq", "tdelta_sq_over_d", "w1_4_over_d"]
-        return fixed + [f"slack_{bid}" for bid in BOUND_IDS]
+        return list(_SWEEP_COLUMNS)
 
     def to_csv_text(self) -> str:
         names = self.column_order()
@@ -271,10 +279,7 @@ _FAMILY_PARAM = {
 def _cmd_sweep(args) -> int:
     values = _parse_range(args.range)
     family = args.family
-    names = ["deficit", "w2sq", "tdelta_sq_over_d", "w1_4_over_d"] + [
-        f"slack_{bid}" for bid in BOUND_IDS
-    ]
-    columns: dict[str, list] = {name: [] for name in names}
+    columns: dict[str, list] = {name: [] for name in _SWEEP_COLUMNS}
     for v in values:
         mu = _family_density(family, v)
         ws = Workspace()
@@ -306,12 +311,7 @@ def _cmd_sweep(args) -> int:
     if args.format == "json":
         _emit(report.to_json_obj(), args.out)
     else:
-        text = report.to_csv_text()
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        _write(report.to_csv_text(), args.out)
     return _EXIT_OK
 
 

@@ -289,12 +289,12 @@ class Density1D:
         second = np.diff(-t.log_p, 2) / t.spec.step**2
         return eps if second.min() >= eps - 1e-8 else None
 
-    def moment(self, k: int, refine: bool = False):
+    def moment(self, k: int):
         """k-th raw moment, k in 1..4, by quadrature on the canonical grid."""
         if k not in (1, 2, 3, 4):
             raise ArgumentError(f"moment order must be in 1..4, got {k}")
         t = self.table
-        return integrate_values(t.nodes**k * t.p, t.spec, refine=refine)
+        return integrate_values(t.nodes**k * t.p, t.spec)
 
     def mean(self) -> float:
         return self.moment(1).value
@@ -865,9 +865,10 @@ class Grid2DDensity:
 
     @cached_property
     def _row_log_mass(self) -> np.ndarray:
-        """log of the x1-marginal density at each row."""
+        """log of the x1-marginal density at each row; a row's mass is at
+        least its largest node's Simpson weight, so the log is finite."""
         rows = self.row_stats
-        out = np.log(np.maximum(rows.mass, 1e-320)) + rows.shift
+        out = np.log(rows.mass) + rows.shift
         out.flags.writeable = False
         return out
 

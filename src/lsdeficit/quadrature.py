@@ -321,22 +321,6 @@ def integrate(
     return QuadResult(total, est, spec.n_points + fine_spec.n_points)
 
 
-def expectation(
-    density, f: Callable[[np.ndarray], np.ndarray], refine: bool = False
-) -> QuadResult:
-    """E_density[f(X)] over the density's canonical evaluation grid.
-
-    ``density`` is anything exposing ``eval_spec()`` and ``pdf(x)`` (every
-    1D density in this package does).
-    """
-    spec = density.eval_spec()
-    return integrate(
-        lambda x: np.asarray(f(x), dtype=float) * np.asarray(density.pdf(x)),
-        spec,
-        refine=refine,
-    )
-
-
 # Rows per block of a 2D pass.  Every 2D integrand and row statistic is
 # built and reduced block by block, so its temporaries stay a few rows wide
 # (130 KB at 1025 columns) and freed memory is reused instead of paged in

@@ -15,11 +15,17 @@ standard Gaussian into the contribution of the first coordinate's
 marginal plus averaged contributions of the conditional slices.  For
 true products the D split is exact; for coupled 2D grids the transport
 split is the upper bound obtained by coupling slice by slice.  On 2D grids
-one row pass, ``decompose_grid2d``, gives the split as is and recentered.
+one row pass, ``decompose_grid2d``, gives the split against gamma moved by
+given shifts (zero: as is; the conditional means: recentered).  The
+marginal goes through the same row code as the conditional rows, for D and
+for every cost.  Gamma has mean zero, so a part's W2^2 to gamma itself is
+its W2^2 to gamma moved by the part's mean plus that mean squared; the
+as-is W2^2 of a recentered pass needs no second cost list.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -29,7 +35,6 @@ from scipy.interpolate import CubicSpline, PPoly
 from .densities import (
     Density,
     Density1D,
-    GaussianDensity,
     Grid2DDensity,
     ProductDensity,
     standard_gaussian,
@@ -143,55 +148,52 @@ class TensorDecomposition:
     cost_parts: Mapping[str, tuple[float, ...]]
 
 
-def decompose_grid2d(
-    mu: Grid2DDensity,
-    costs: tuple[CostFn, ...],
-    moved_costs: tuple[CostFn, ...],
-    shifts: tuple[float, np.ndarray],
-) -> tuple[dict[str, tuple[float, float]], TensorDecomposition]:
-    """One row pass: the marginal and each row are mapped toward gamma once.
+def _d_rows(
+    log_rows: np.ndarray, log_mass: np.ndarray, spec: GridSpec, offsets: np.ndarray
+) -> np.ndarray:
+    """D of each row of ``log_rows``, a log density on ``spec`` of total
+    mass exp(log_mass[i]), against gamma moved by offsets[i]."""
+    w, nodes = simpson_weights(spec.n_points, spec.step), spec.nodes()
+    gamma = standard_gaussian()
 
-    Returns the (marginal, rows) parts of ``costs`` against gamma, and the
-    decomposition of D and ``moved_costs`` against gamma moved by t1 along
-    x1 and by t2[i] along row i, for ``shifts`` = (t1, t2).  With the
-    conditional means as shifts these are the recentered parts.
-    """
-    t1, t2 = shifts
-    marginal = mu.marginal_x()
-    d1 = relative_entropy(marginal, GaussianDensity(t1, 1.0)).value
-    # same node-aligned fast path as the rows, so all parts share one
-    # accuracy floor (off-node CDF interpolation is much coarser)
-    marg_costs = costs_to_standard_gaussian_rows(
-        marginal.log_values[None, :], marginal.spec, costs, moved_costs, t1
-    )
-
-    sx, sy = mu.spec_x, mu.spec_y
-    wx = simpson_weights(sx.n_points, sx.step)
-    wy = simpson_weights(sy.n_points, sy.step)
-    # integrates row functionals against the x1-marginal
-    weights = wx * mu.row_marginal()
-    log_rows = mu.log_values
-    rows = mu.row_stats
-    log_mass = np.log(np.maximum(rows.mass, 1e-300)) + rows.shift
-    gamma, ys = standard_gaussian(), sy.nodes()
-
-    def d_block(i0: int, i1: int) -> np.ndarray:
-        """D of rows i0:i1 against gamma moved by t2 on each row."""
+    def block(i0: int, i1: int) -> np.ndarray:
         log_cond = log_rows[i0:i1] - log_mass[i0:i1, None]
-        terms = log_cond - gamma.log_pdf(ys[None, :] - t2[i0:i1, None])
+        terms = log_cond - gamma.log_pdf(nodes[None, :] - offsets[i0:i1, None])
         terms *= np.exp(log_cond, out=log_cond)
-        terms *= wy
+        terms *= w
         return terms.sum(axis=1)
 
-    d_rows = np.concatenate([d_block(i0, i1) for i0, i1 in row_blocks(sx.n_points)])
-    d2 = _exact_sum(weights * d_rows)
+    return np.concatenate([block(i0, i1) for i0, i1 in row_blocks(log_rows.shape[0])])
 
-    row_costs = costs_to_standard_gaussian_rows(log_rows, sy, costs, moved_costs, t2)
-    parts = [(float(m[0]), _exact_sum(weights * r)) for m, r in zip(marg_costs, row_costs)]
-    plain = {c.id: p for c, p in zip(costs, parts)}
-    moved = {c.id: p for c, p in zip(moved_costs, parts[len(costs):])}
-    primary = moved_costs[0].id
-    return plain, TensorDecomposition((d1, d2), moved[primary], primary, moved)
+
+def decompose_grid2d(
+    mu: Grid2DDensity, costs: tuple[CostFn, ...], shifts: tuple[float, np.ndarray]
+) -> TensorDecomposition:
+    """One row pass: the marginal and each row are mapped toward gamma once.
+
+    Splits D and ``costs`` against gamma moved by t1 along x1 and by t2[i]
+    along row i, for ``shifts`` = (t1, t2).  Zero shifts give the split as
+    is; the conditional means give the recentered parts.
+    """
+    t1, t2 = shifts
+    sx, sy = mu.spec_x, mu.spec_y
+    wx = simpson_weights(sx.n_points, sx.step)
+    # integrates row functionals against the x1-marginal
+    weights = wx * mu.row_marginal()
+    # the marginal, normalised on its own grid, as a one-row stack
+    log_marg = mu._row_log_mass
+    top = log_marg.max()
+    log_marg = log_marg - (math.log(_exact_sum(wx * np.exp(log_marg - top))) + top)
+    marginal, t1 = log_marg[None, :], np.array([t1])
+    d1 = _d_rows(marginal, np.zeros(1), sx, t1)[0]
+    d2 = _exact_sum(weights * _d_rows(mu.log_values, mu._row_log_mass, sy, t2))
+    marg_costs = costs_to_standard_gaussian_rows(marginal, sx, costs, t1)
+    row_costs = costs_to_standard_gaussian_rows(mu.log_values, sy, costs, t2)
+    parts = {
+        c.id: (float(m[0]), _exact_sum(weights * r))
+        for c, m, r in zip(costs, marg_costs, row_costs)
+    }
+    return TensorDecomposition((float(d1), d2), parts[costs[0].id], costs[0].id, parts)
 
 
 def tensorise(mu: Density, costs: Sequence[CostFn] = (COST_DELTA,)) -> TensorDecomposition:
@@ -204,7 +206,7 @@ def tensorise(mu: Density, costs: Sequence[CostFn] = (COST_DELTA,)) -> TensorDec
     if not costs:
         raise ArgumentError("need at least one transport cost")
     if isinstance(mu, Grid2DDensity):
-        return decompose_grid2d(mu, (), costs, (0.0, np.zeros(mu.spec_x.n_points)))[1]
+        return decompose_grid2d(mu, costs, (0.0, np.zeros(mu.spec_x.n_points)))
     if isinstance(mu, ProductDensity):
         factors = mu.factors
     elif isinstance(mu, Density1D):

@@ -16,8 +16,10 @@ one inverse of it, x(z) (``Density1D.normal_scores``, ``score_inverse``).
 Every 1D cost is one nodewise kernel on mu's table, T(x) = x_ref(z_mu(x));
 a lone Gaussian side is the reference, T(x) = m + s z_mu(x), in either
 argument order.  The 2D row path (``costs_to_standard_gaussian_rows``)
-shares the score step.  W1 has its Simpson kink error removed at every sign
-change of the displacement (``quadrature._kink_defect``).
+shares the score step and prices one list of costs per row, against gamma
+moved by that row's offset (offset + T, so 0 gives gamma itself).  W1 has
+its Simpson kink error removed at every sign change of the displacement
+(``quadrature._kink_defect``).
 ``TransportPlan1D`` is the map as a callable at any x, T(x) =
 x_target(z_source(x)), z_source the source inverse's own scores ((x - m) / s
 for a Gaussian, x itself for gamma), for ``cheeger`` and ``talagrand-map``.
@@ -226,18 +228,16 @@ def costs_to_standard_gaussian_rows(
     log_rows: np.ndarray,
     spec: GridSpec,
     costs: tuple[CostFn, ...],
-    moved_costs: tuple[CostFn, ...] = (),
     offsets: np.ndarray | float = 0.0,
 ) -> list[np.ndarray]:
-    """Per-row optimal costs to the standard Gaussian, one array per cost,
-    then one per moved cost: to the Gaussian moved by offsets[i] on row i.
+    """Per-row optimal costs to the standard Gaussian moved by offsets[i] on
+    row i (0 gives gamma itself), one array per cost.
 
     Each row of ``log_rows`` is a log density on ``spec``.  As in the 1D
-    kernel, every row is mapped toward the Gaussian, T(x) = Phi^-1(F_row(x))
-    with the survival table above the median, and integrated with the
-    row's own weights; a kinked cost gets the kink correction at each row's
-    own sign changes.  The map toward the moved Gaussian is offsets[i] + T,
-    so moved costs reuse the mapping.
+    kernel, every row is mapped toward gamma, T(x) = Phi^-1(F_row(x)) with
+    the survival table above the median, and integrated with the row's own
+    weights; the map toward the moved Gaussian is offsets[i] + T.  A kinked
+    cost gets the kink correction at each row's own sign changes.
     """
     step = spec.step
     nodes = spec.nodes()
@@ -249,6 +249,7 @@ def costs_to_standard_gaussian_rows(
         norm = np.exp(block - block.max(axis=1, keepdims=True))
         disp = _normal_scores(*_table_tails(norm, step))
         disp -= nodes
+        disp += block_offsets
         norm /= (norm * weights).sum(axis=1, keepdims=True)
 
         def row_costs(cost: CostFn) -> np.ndarray:
@@ -259,11 +260,7 @@ def costs_to_standard_gaussian_rows(
                 sums += _kink_defect(cost.kink * disp * norm, step)[0]
             return sums
 
-        out = [row_costs(cost) for cost in costs]
-        if moved_costs:
-            disp += block_offsets  # the map toward the moved Gaussians
-            out += [row_costs(cost) for cost in moved_costs]
-        return out
+        return [row_costs(cost) for cost in costs]
 
     n_rows = log_rows.shape[0]
     offsets = np.broadcast_to(np.reshape(offsets, (-1, 1)), (n_rows, 1))

@@ -29,7 +29,7 @@ from lsdeficit.functionals import (
     shannon_entropy,
     total_variation,
 )
-from lsdeficit.quadrature import GridSpec, expectation, integrate_values_2d
+from lsdeficit.quadrature import GridSpec, integrate_values_2d
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -137,7 +137,7 @@ class TestFisherInformation:
             mu = MixtureDensity(comps)
             i_rel = relative_fisher(mu).value
             i_plain = fisher_information(mu).value
-            second = expectation(mu, lambda x: x * x).value
+            second = mu.second_moment()
             np.testing.assert_allclose(i_rel, i_plain + second - 2.0, atol=1e-7)
 
     def test_product_sums_coordinates(self):

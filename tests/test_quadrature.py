@@ -14,7 +14,6 @@ from lsdeficit.errors import ArgumentError, IntegrandError
 from lsdeficit.quadrature import (
     GridSpec,
     _exact_sum,
-    expectation,
     integrate,
     integrate_values,
     integrate_values_2d,
@@ -145,15 +144,6 @@ class TestIntegrateValues:
         res = integrate_values(np.abs(f), spec, refine=True, kinked=f)
         assert abs(res.value - exact) <= res.abs_error_estimate
         assert abs(res.value - exact) < 1e-2 * abs(plain.value - exact)
-
-
-class TestExpectation:
-    def test_second_moment_of_gaussian(self):
-        from lsdeficit.densities import GaussianDensity
-
-        mu = GaussianDensity(1.0, 4.0)
-        res = expectation(mu, lambda x: x * x, refine=True)
-        assert res.value == pytest.approx(5.0, abs=1e-9)
 
 
 class Test2D:

@@ -261,3 +261,15 @@ class TestCenteredParts2D:
             abs(math.sqrt(var[0]) - 1.0) + abs(math.sqrt(var[1] * (1.0 - rho * rho)) - 1.0)
         )
         assert abs(got["abs"] - exact) <= 1e-5 * (1.0 + exact)
+
+
+class TestW2sqUpper2D:
+    """w2sq_upper adds each part's shift squared to its centered sq part;
+    tensorise prices the cost against gamma itself, with zero shifts."""
+
+    @pytest.mark.parametrize("rho,var,mean", _CENTERED_GRIDS)
+    def test_translation_identity(self, rho, var, mean):
+        mu = bivariate_gaussian_grid(rho, var=var, mean=mean)
+        got = Workspace().stats(mu).w2sq_upper
+        want = math.fsum(tensorise(mu, costs=(COST_SQ,)).T_parts)
+        assert abs(got - want) <= 4.0 * np.finfo(float).eps * abs(want)

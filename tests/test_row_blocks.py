@@ -171,29 +171,27 @@ def _whole_verify_eps(mu, eps):
     return eps if min_eig >= eps - 1e-6 else None
 
 
-def _whole_row_costs(log_rows, spec, costs, moved_costs, offsets):
+def _whole_row_costs(log_rows, spec, costs, offsets):
     rows = np.exp(log_rows - log_rows.max(axis=1, keepdims=True))
     disp = _normal_scores(*_table_tails(rows, spec.step)) - spec.nodes()[None, :]
+    disp = disp + np.reshape(offsets, (-1, 1))
     weights = simpson_weights(spec.n_points, spec.step)[None, :]
     norm = rows / (rows * weights).sum(axis=1, keepdims=True)
 
-    def row_costs(cost, d):
-        out = (cost(d) * norm * weights).sum(axis=1)
+    def row_costs(cost):
+        out = (cost(disp) * norm * weights).sum(axis=1)
         if cost.kink:
-            out += _kink_defect(cost.kink * d * norm, spec.step)[0]
+            out += _kink_defect(cost.kink * disp * norm, spec.step)[0]
         return out
 
-    moved = disp + np.reshape(offsets, (-1, 1))
-    return [row_costs(c, disp) for c in costs] + [row_costs(c, moved) for c in moved_costs]
+    return [row_costs(c) for c in costs]
 
 
-def _whole_d_rows(mu, t2):
-    sy = mu.spec_y
-    wy = simpson_weights(sy.n_points, sy.step)
-    rows = mu.row_stats
-    log_cond = mu.log_values - (np.log(np.maximum(rows.mass, 1e-300)) + rows.shift)[:, None]
-    log_ref = GaussianDensity(0.0, 1.0).log_pdf(sy.nodes()[None, :] - t2[:, None])
-    return ((log_cond - log_ref) * np.exp(log_cond) * wy[None, :]).sum(axis=1)
+def _whole_d_rows(log_rows, log_mass, spec, offsets):
+    w = simpson_weights(spec.n_points, spec.step)
+    log_cond = log_rows - log_mass[:, None]
+    log_ref = GaussianDensity(0.0, 1.0).log_pdf(spec.nodes()[None, :] - offsets[:, None])
+    return ((log_cond - log_ref) * np.exp(log_cond) * w[None, :]).sum(axis=1)
 
 
 # -- grids -------------------------------------------------------------------
@@ -328,23 +326,30 @@ class TestBlockedPassesMatchWholeGrid:
 
     def test_row_costs(self, grid):
         costs = (COST_SQ, COST_ABS, COST_DELTA)
-        t2 = grid.conditional_means()
-        got = costs_to_standard_gaussian_rows(grid.log_values, grid.spec_y, costs, costs, t2)
-        want = _whole_row_costs(grid.log_values, grid.spec_y, costs, costs, t2)
-        assert len(got) == len(want) == 6
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        for offsets in (0.0, grid.conditional_means()):
+            got = costs_to_standard_gaussian_rows(grid.log_values, grid.spec_y, costs, offsets)
+            want = _whole_row_costs(grid.log_values, grid.spec_y, costs, offsets)
+            assert len(got) == len(want) == 3
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
         # one row with a scalar offset, as for the marginal
         marginal = grid.marginal_x()
         one = marginal.log_values[None, :]
-        got = costs_to_standard_gaussian_rows(one, marginal.spec, costs, costs, 0.3)
-        want = _whole_row_costs(one, marginal.spec, costs, costs, 0.3)
+        got = costs_to_standard_gaussian_rows(one, marginal.spec, costs, 0.3)
+        want = _whole_row_costs(one, marginal.spec, costs, 0.3)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_d_rows(self, grid):
         t1, t2 = float(grid.mean()[0]), grid.conditional_means()
-        dec = decompose_grid2d(grid, (), (COST_SQ,), (t1, t2))[1]
+        dec = decompose_grid2d(grid, (COST_SQ,), (t1, t2))
+        rows = grid.row_stats
+        log_mass = np.log(rows.mass) + rows.shift
+        d_rows = _whole_d_rows(grid.log_values, log_mass, grid.spec_y, t2)
         weights = simpson_weights(grid.spec_x.n_points, grid.spec_x.step) * grid.row_marginal()
-        assert dec.D_parts[1] == _exact_sum(weights * _whole_d_rows(grid, t2))
+        assert dec.D_parts[1] == _exact_sum(weights * d_rows)
+        # the marginal, normalised on its own grid, as a one-row stack
+        marginal = grid.marginal_x()
+        d_marginal = _whole_d_rows(marginal.log_values[None, :], np.zeros(1), marginal.spec, np.array([t1]))
+        assert dec.D_parts[0] == d_marginal[0]
 
 
 def _peak_bytes(fn) -> int:
