@@ -44,7 +44,6 @@ from .densities import (
 from .errors import ArgumentError, HypothesisError, NumericalError
 from .functionals import (
     _evolved,
-    _per_factor,
     dim_of,
     entropy_power,
     fisher_information,
@@ -65,7 +64,6 @@ from .transport import (
     monotone_plan,
     transport_cost,
 )
-from .values import FunctionalValue
 
 DEFAULT_TOL = 1e-6
 
@@ -139,14 +137,15 @@ class _Stats:
     Evaluators read every transport cost, transport plan, heat flow and
     centered quantity of their density through this memo, so one Workspace
     computes each of them once.  Mean-zero input reads its centered
-    quantities from the as-is entries.
+    quantities from the as-is entries.  Entries are keyed by this density
+    and the reference object; nothing is shared with another density by
+    value.
     """
 
-    def __init__(self, mu: Density, gaussian_costs: dict | None = None):
+    def __init__(self, mu: Density):
         self.mu = mu
         self.n = dim_of(mu)
         self._memo: dict[object, object] = {}
-        self._gaussian_costs = {} if gaussian_costs is None else gaussian_costs
 
     def _get(self, key, fn: Callable[[], object]):
         if key not in self._memo:
@@ -194,26 +193,7 @@ class _Stats:
     def cost(self, cost: CostFn, ref: Density | None = None) -> float:
         """Exact optimal ``cost`` from 1D or product input to ``ref``
         (default: gamma_n), memoised per ``ref`` object."""
-
-        def build() -> float:
-            if isinstance(self.mu, ProductDensity):
-                return _per_factor(
-                    lambda f, g: self._cost_1d(f, g, cost), self.mu, ref, "transport_cost"
-                ).value
-            return self._cost_1d(self.mu, ref, cost).value
-
-        return self._get(("cost", cost.id, ref), build)
-
-    def _cost_1d(self, mu: Density, ref: Density | None, cost: CostFn) -> FunctionalValue:
-        """One coordinate's cost; against a Gaussian it is shared by value
-        (``_gaussian_costs``), so equal factors of equal members match."""
-        if not isinstance(mu, Density1D) or not isinstance(ref, (GaussianDensity, type(None))):
-            return transport_cost(mu, ref, cost)
-        ref = ref or standard_gaussian()
-        key = (mu._value_key, ref.mean_param, ref.var_param, cost.id)
-        if key not in self._gaussian_costs:
-            self._gaussian_costs[key] = transport_cost(mu, ref, cost)
-        return self._gaussian_costs[key]
+        return self._get(("cost", cost.id, ref), lambda: transport_cost(self.mu, ref, cost).value)
 
     @property
     def w2sq(self) -> float:
@@ -316,20 +296,17 @@ class _Stats:
 
 
 class Workspace:
-    """Shares _Stats across certificates; keeps densities alive for id keys.
-    Costs of one coordinate against a Gaussian are shared by value."""
+    """Shares _Stats across certificates, one per density object.  Each
+    _Stats holds its density, so an id held here names one live object."""
 
     def __init__(self):
-        self._by_id: dict[int, tuple[Density, _Stats]] = {}
-        self._gaussian_costs: dict = {}
+        self._by_id: dict[int, _Stats] = {}
 
     def stats(self, mu: Density) -> _Stats:
-        key = id(mu)
-        hit = self._by_id.get(key)
-        if hit is None or hit[0] is not mu:
-            hit = (mu, _Stats(mu, self._gaussian_costs))
-            self._by_id[key] = hit
-        return hit[1]
+        hit = self._by_id.get(id(mu))
+        if hit is None:
+            hit = self._by_id[id(mu)] = _Stats(mu)
+        return hit
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import config
 from .battery import standard_battery
@@ -84,13 +83,6 @@ def _write(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _load(path: str) -> Density:
-    try:
-        return load_density_file(path)
-    except OSError as exc:
-        raise SpecParseError(f"cannot read density file {path!r}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # distance
 # ---------------------------------------------------------------------------
@@ -138,8 +130,8 @@ def _metric_value(metric: str, mu: Density, ref: Density | None) -> tuple[float,
 
 
 def _cmd_distance(args) -> int:
-    mu = _load(args.dist)
-    ref = None if args.ref in (None, "gaussian") else _load(args.ref)
+    mu = load_density_file(args.dist)
+    ref = None if args.ref in (None, "gaussian") else load_density_file(args.ref)
     value, error = _metric_value(args.metric, mu, ref)
     _emit({"metric": args.metric, "value": value, "error": error}, args.out)
     return _EXIT_OK
@@ -179,7 +171,7 @@ def _certify_one(mu: Density, ids: list[str], tol: float) -> dict:
 
 
 def _cmd_certify(args) -> int:
-    mu = _load(args.dist)
+    mu = load_density_file(args.dist)
     ids = _parse_bounds(args.bounds)
     report = _certify_one(mu, ids, args.tol)
     _emit(report, args.out)
@@ -193,47 +185,7 @@ def _cmd_certify(args) -> int:
 _SWEEP_COLUMNS = ("deficit", "w2sq", "tdelta_sq_over_d", "w1_4_over_d") + tuple(
     f"slack_{bid}" for bid in BOUND_IDS
 )
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    """Columns of functionals and certificate slacks along one family."""
-
-    family: str
-    parameter: str
-    values: list
-    columns: dict
-    metadata: dict
-
-    def __post_init__(self) -> None:
-        for name, col in self.columns.items():
-            if len(col) != len(self.values):
-                raise ArgumentError(f"column {name!r} length mismatch")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ArgumentError("sweep values must be strictly increasing")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "family": self.family,
-            "parameter": self.parameter,
-            "values": self.values,
-            "columns": self.columns,
-            "metadata": self.metadata,
-        }
-
-    def column_order(self) -> list[str]:
-        return list(_SWEEP_COLUMNS)
-
-    def to_csv_text(self) -> str:
-        names = self.column_order()
-        lines = [",".join([self.parameter] + names)]
-        for i, v in enumerate(self.values):
-            cells = [repr(v)]
-            for name in names:
-                cell = self.columns[name][i]
-                cells.append("" if cell is None else repr(cell))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+_MAX_SWEEP_VALUES = 10_000
 
 
 def _parse_range(raw: str) -> list[float]:
@@ -248,8 +200,13 @@ def _parse_range(raw: str) -> list[float]:
         raise ArgumentError("range endpoints and step must be finite")
     if step <= 0 or hi < lo:
         raise ArgumentError("range needs step > 0 and hi >= lo")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [round(lo + k * step, 10) for k in range(count)]
+    steps = (hi - lo) / step + 1e-9
+    if not steps < _MAX_SWEEP_VALUES:
+        raise ArgumentError(f"range {raw!r} has more than {_MAX_SWEEP_VALUES} values")
+    values = [round(lo + k * step, 10) for k in range(int(steps) + 1)]
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ArgumentError(f"range {raw!r} merges values when rounded to 10 decimals")
+    return values
 
 
 def _family_density(family: str, value: float) -> Density:
@@ -295,23 +252,24 @@ def _cmd_sweep(args) -> int:
                 columns[f"slack_{bid}"].append(cert.slack)
             except HypothesisError:
                 columns[f"slack_{bid}"].append(None)
-    report = SweepReport(
-        family=family,
-        parameter=_FAMILY_PARAM[family],
-        values=values,
-        columns=columns,
-        metadata={
+    parameter = _FAMILY_PARAM[family]
+    if args.format == "json":
+        metadata = {
             "grid_points": config.default_grid_points(),
             "grid_points_2d": config.DEFAULT_GRID_POINTS_2D,
             "support_radius": config.support_radius(),
             "tol": args.tol,
             "tool": f"lsdeficit {_VERSION}",
-        },
-    )
-    if args.format == "json":
-        _emit(report.to_json_obj(), args.out)
-    else:
-        _write(report.to_csv_text(), args.out)
+        }
+        _emit({"family": family, "parameter": parameter, "values": values,
+               "columns": columns, "metadata": metadata}, args.out)
+        return _EXIT_OK
+    lines = [",".join((parameter,) + _SWEEP_COLUMNS)]
+    for i, v in enumerate(values):
+        cells = [repr(v)] + ["" if columns[name][i] is None else repr(columns[name][i])
+                             for name in _SWEEP_COLUMNS]
+        lines.append(",".join(cells))
+    _write("\n".join(lines) + "\n", args.out)
     return _EXIT_OK
 
 
@@ -324,7 +282,7 @@ def _cmd_report(args) -> int:
         members = []
         for path in args.density:
             try:
-                members.append((os.path.basename(path), _load(path)))
+                members.append((os.path.basename(path), load_density_file(path)))
             except SpecParseError as exc:
                 raise SpecParseError(f"battery member {path!r}: {exc}") from exc
     else:

@@ -1,11 +1,12 @@
 """Probability densities on R, coordinate products, and R^2 grids.
 
 Every variant exposes the same evaluation surface: ``log_pdf``, ``pdf``,
-``score`` (derivative of log density), ``cdf``, ``quantile``, ``moment``,
-plus a canonical uniform evaluation grid used by all quadrature-backed
-functionals.  Analytic forms are used where they exist (Gaussian and
-mixture CDFs, polynomial-potential scores); grid variants interpolate
-``log_p`` linearly, which keeps densities positive and CDFs monotone.
+``score`` (derivative of log density), ``cdf``, ``quantile``, ``mean``,
+``variance``, plus a canonical uniform evaluation grid used by all
+quadrature-backed functionals.  Analytic forms are used where they exist
+(Gaussian and mixture CDFs, polynomial-potential scores); grid variants
+interpolate ``log_p`` linearly, which keeps densities positive and CDFs
+monotone.
 
 Each 1D density has one map to the standard Gaussian, its normal scores
 z = Phi^-1(F(x)) on the table nodes (``normal_scores``), and one inverse,
@@ -125,16 +126,6 @@ class NodeTable(NamedTuple):
     score: np.ndarray
 
 
-def _finite_diff_log(log_p: np.ndarray, step: float, axis: int = 0) -> np.ndarray:
-    """(log p)' along ``axis``: central differences, one-sided at the ends."""
-    g = np.moveaxis(log_p, axis, 0)
-    score = np.empty_like(g)
-    score[1:-1] = (g[2:] - g[:-2]) / (2.0 * step)
-    score[0] = (g[1] - g[0]) / step
-    score[-1] = (g[-1] - g[-2]) / step
-    return np.moveaxis(score, 0, axis)
-
-
 def _hermite(q, t: np.ndarray, v: np.ndarray, d: np.ndarray, c: np.ndarray, derivative=False):
     """The quintic Hermite interpolant through values v, first derivatives d
     and second derivatives c at increasing nodes t, or its derivative, at q
@@ -231,11 +222,6 @@ class Density1D:
         ``score_inverse`` inverts."""
         raise NotImplementedError
 
-    @property
-    def _value_key(self) -> tuple:  # pragma: no cover - abstract
-        """Class, parameters and table grid: equal keys, equal densities."""
-        raise NotImplementedError
-
     def _support_hint(self) -> tuple[float, float]:  # pragma: no cover
         raise NotImplementedError
 
@@ -289,23 +275,18 @@ class Density1D:
         second = np.diff(-t.log_p, 2) / t.spec.step**2
         return eps if second.min() >= eps - 1e-8 else None
 
-    def moment(self, k: int):
-        """k-th raw moment, k in 1..4, by quadrature on the canonical grid."""
-        if k not in (1, 2, 3, 4):
-            raise ArgumentError(f"moment order must be in 1..4, got {k}")
-        t = self.table
-        return integrate_values(t.nodes**k * t.p, t.spec)
-
     def mean(self) -> float:
-        return self.moment(1).value
+        t = self.table
+        return integrate_values(t.nodes * t.p, t.spec).value
 
     def variance(self) -> float:
         m = self.mean()
-        return self.moment(2).value - m * m
+        return self.second_moment() - m * m
 
     def second_moment(self) -> float:
         """E X^2, the moment hypothesis checked by several bounds."""
-        return self.moment(2).value
+        t = self.table
+        return integrate_values(t.nodes**2 * t.p, t.spec).value
 
 
 class GaussianDensity(Density1D):
@@ -352,10 +333,6 @@ class GaussianDensity(Density1D):
         z = self.score_inverse.scores(self.table.nodes)
         z.flags.writeable = False
         return NormalScores(z, 0.0)
-
-    @property
-    def _value_key(self) -> tuple:
-        return (GaussianDensity, self._mean, self._var, self.table.spec)
 
     def mean(self) -> float:
         return self._mean
@@ -457,19 +434,11 @@ class MixtureDensity(Density1D):
         out.flags.writeable = False
         return NormalScores(out, 0.0)
 
-    @property
-    def _value_key(self) -> tuple:
-        return (MixtureDensity, self.components, self.table.spec)
-
     def mean(self) -> float:
         return float(self._w @ self._m)
 
     def second_moment(self) -> float:
         return float(self._w @ (self._v + self._m * self._m))
-
-    def variance(self) -> float:
-        m = self.mean()
-        return self.second_moment() - m * m
 
     def _support_hint(self) -> tuple[float, float]:
         r = self._radius
@@ -602,10 +571,6 @@ class TiltedDensity(_TabulatedCDF):
     def _support_hint(self) -> tuple[float, float]:
         return self._lo, self._hi
 
-    @property
-    def _value_key(self) -> tuple:
-        return (TiltedDensity, self.potential_coeffs, self.table.spec)
-
     def _verify_eps(self, eps: float) -> float | None:
         vpp = self._dpoly.deriv()
         crit = vpp.deriv().roots()
@@ -673,7 +638,7 @@ class GridDensity(_TabulatedCDF):
     def table(self) -> NodeTable:
         nodes = self._spec.nodes()
         p = np.exp(self._log_p)
-        score = _finite_diff_log(self._log_p, self._spec.step)
+        score = np.gradient(self._log_p, self._spec.step)
         for arr in (nodes, p, score):
             arr.flags.writeable = False
         return NodeTable(self._spec, nodes, self._log_p, p, score)
@@ -693,10 +658,6 @@ class GridDensity(_TabulatedCDF):
 
     def _support_hint(self) -> tuple[float, float]:
         return self._spec.x_lo, self._spec.x_hi
-
-    @cached_property
-    def _value_key(self) -> tuple:
-        return (GridDensity, self._spec, self._log_p.tobytes())
 
     def shifted(self, offset: float) -> "GridDensity":
         spec = GridSpec(

@@ -34,7 +34,6 @@ from .densities import (
     Density1D,
     Grid2DDensity,
     ProductDensity,
-    _finite_diff_log,
     gaussian_convolve,
     gaussian_convolve_2d,
     standard_gaussian,
@@ -179,8 +178,8 @@ def _grid2d_score_fields(mu: Grid2DDensity, i0: int, i1: int) -> tuple[np.ndarra
     difference reads one halo row on each side."""
     g = mu.log_values
     lo, hi = max(i0 - 1, 0), min(i1 + 1, g.shape[0])
-    gx = _finite_diff_log(g[lo:hi], mu.spec_x.step, axis=0)[i0 - lo : i1 - lo]
-    return gx, _finite_diff_log(g[i0:i1], mu.spec_y.step, axis=1)
+    gx = np.gradient(g[lo:hi], mu.spec_x.step, axis=0)[i0 - lo : i1 - lo]
+    return gx, np.gradient(g[i0:i1], mu.spec_y.step, axis=1)
 
 
 def fisher_information(mu) -> FunctionalValue:

@@ -629,32 +629,6 @@ class TestTransportMemo:
         assert costs and {k: n for k, n in costs.items() if n > 1} == {}
         assert list(plans.values()) == ([] if isinstance(mu, ProductDensity) else [1])
 
-    def test_equal_factors_share_costs_by_value(self, monkeypatch):
-        # the product's factors are new objects equal to the two members
-        costs = Counter()
-        one_d = transport._transport_cost_1d
-
-        def counted(target, source, cost):
-            costs[(repr(target), repr(source), cost.id)] += 1
-            return one_d(target, source, cost)
-
-        monkeypatch.setattr(transport, "_transport_cost_1d", counted)
-        product = ProductDensity(
-            [GaussianDensity(0.0, 0.25), MixtureDensity(MIX2.components)]
-        )
-        ws = Workspace()
-        for mu in (GaussianDensity(0.0, 0.25), MIX2, product):
-            for bid in BOUND_IDS:
-                try:
-                    evaluate_bound(bid, mu, workspace=ws)
-                except HypothesisError:
-                    pass
-        gamma = repr(standard_gaussian())
-        merged = Counter()
-        for (target, source, cost), n in costs.items():
-            merged[(target, gamma if source == "None" else source, cost)] += n
-        assert merged and {k: n for k, n in merged.items() if n > 1} == {}
-
     def test_refused_scaled_cost_variant_costs_nothing(self, monkeypatch):
         costs, _ = _count_transport(monkeypatch)
         for opts in ({}, {"median_variant": True}):

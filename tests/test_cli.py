@@ -17,6 +17,7 @@ from lsdeficit.densities import (
     bivariate_gaussian_grid,
     standard_gaussian,
 )
+from lsdeficit.errors import ArgumentError
 from lsdeficit.functionals import relative_entropy
 from lsdeficit.specio import dumps
 from lsdeficit.transport import transport_cost
@@ -94,7 +95,11 @@ class TestDistance:
     def test_missing_file(self, tmp_path, capsys):
         code = main(["distance", "--dist", str(tmp_path / "nope.json"), "--metric", "kl"])
         assert code == 2
-        assert "nope.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "nope.json" in err and "cannot read" in err
+        # a directory cannot be read either
+        assert main(["distance", "--dist", str(tmp_path), "--metric", "kl"]) == 2
+        assert "cannot read" in capsys.readouterr().err
 
     def test_corrupted_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -268,6 +273,15 @@ class TestSweep:
         for raw in bad:
             assert main(["sweep", "--family", "gaussian-sigma", "--range", raw]) == 2
 
+    def test_merged_range_exits_before_any_density(self, capsys, monkeypatch):
+        def refuse(family, value):
+            raise AssertionError("built a density for a refused range")
+
+        monkeypatch.setattr(cli, "_family_density", refuse)
+        argv = ["sweep", "--family", "gaussian-shift", "--range", "0:1e-10:1e-11"]
+        assert main(argv) == 2
+        assert "merges values" in capsys.readouterr().err
+
     def test_family_validation(self, capsys):
         # sigma must stay positive
         assert main(["sweep", "--family", "gaussian-sigma", "--range", "0:1:0.5"]) == 2
@@ -283,6 +297,8 @@ class TestSweep:
     def test_parse_range_grid(self):
         assert _parse_range("0.99:1.01:0.004") == [0.99, 0.994, 0.998, 1.002, 1.006, 1.01]
         assert _parse_range("1:1:1") == [1.0]
+        with pytest.raises(ArgumentError, match="more than 10000 values"):
+            _parse_range("0:2:1e-6")
 
     def test_fuse_range_flag(self):
         assert _fuse_range_flag(["--range", "-2:2:1"]) == ["--range=-2:2:1"]
@@ -317,6 +333,9 @@ class TestReport:
         code = main(["report", "--density", str(bad)])
         assert code == 2
         assert "broken.json" in capsys.readouterr().err
+        assert main(["report", "--density", str(tmp_path / "missing.json")]) == 2
+        err = capsys.readouterr().err
+        assert "battery member" in err and "missing.json" in err and "cannot read" in err
 
 
 class TestParser:

@@ -27,7 +27,6 @@ from lsdeficit.densities import (
     MixtureDensity,
     ProductDensity,
     TiltedDensity,
-    _finite_diff_log,
     _normal_scores,
     _table_tails,
     bivariate_gaussian_grid,
@@ -91,7 +90,7 @@ def _whole_integrate(values, spec_x, spec_y, refine=False):
 
 def _whole_scores(mu):
     g = mu.log_values
-    return _finite_diff_log(g, mu.spec_x.step, axis=0), _finite_diff_log(g, mu.spec_y.step, axis=1)
+    return np.gradient(g, mu.spec_x.step, axis=0), np.gradient(g, mu.spec_y.step, axis=1)
 
 
 def _whole_reference(mu, nu):
