@@ -43,7 +43,6 @@ from .densities import (
 )
 from .errors import ArgumentError, HypothesisError, NumericalError
 from .functionals import (
-    _evolved,
     dim_of,
     entropy_power,
     fisher_information,
@@ -187,7 +186,7 @@ class _Stats:
 
     def evolved(self, t: float) -> Density:
         """Law of X + sqrt(t) Z (the heat flow at time t), memoised per t."""
-        return self._get(("evolved", t), lambda: _evolved(self.mu, t))
+        return self._get(("evolved", t), lambda: self.mu.heat_flow(t))
 
     # -- transport against gamma -------------------------------------------
     def cost(self, cost: CostFn, ref: Density | None = None) -> float:
@@ -491,19 +490,6 @@ def _eval_cor22(s, opts, tol):
     return _cert("cor2.2", lhs, s.d, constants, tol, notes=notes)
 
 
-def _heat(other: Density, t: float) -> Density:
-    """Law of Y + sqrt(t) Z; analytic for Gaussian shapes."""
-    if isinstance(other, GaussianDensity):
-        return GaussianDensity(other.mean(), other.variance() + t)
-    if isinstance(other, ProductDensity) and all(
-        isinstance(f, GaussianDensity) for f in other.factors
-    ):
-        return ProductDensity(
-            [GaussianDensity(f.mean(), f.variance() + t) for f in other.factors]
-        )
-    return _evolved(other, t)
-
-
 def _eval_lem32(s, opts, tol):
     _require_exact_w2(s)
     t = float(opts.get("t", 1.0))
@@ -515,7 +501,7 @@ def _eval_lem32(s, opts, tol):
             "exact quadratic transport distance unavailable for this pair of shapes"
         )
     lhs = s.cost(COST_SQ, other) / (2.0 * t)
-    rhs = relative_entropy(s.evolved(t), _heat(other or _default_other(s), t)).value
+    rhs = relative_entropy(s.evolved(t), (other or _default_other(s)).heat_flow(t)).value
     return _cert("lem3.2", lhs, rhs, {"t": t}, tol)
 
 

@@ -16,6 +16,11 @@ from the CDF (a mixture's analytic one, or Simpson-accumulated tables) and
 x(z) is a quintic Hermite interpolant in z.  ``quantile(u)`` is
 x(Phi^-1(u)); ``cdf(x)`` is Phi(z(x)), except for a mixture's analytic CDF.
 
+``heat_flow(t)`` is the law of X + sqrt(t) Z.  A Gaussian's is N(m, v + t)
+and a mixture's sum_i w_i N(m_i, v_i + t), both exact; a product flows each
+factor, and every other shape is flowed on its own lattice
+(``gaussian_convolve``, ``gaussian_convolve_2d``).
+
 Support policy: parametric densities are evaluated on
 [mean - R*sigma_eff, mean + R*sigma_eff] with R = 10 by default, wide
 enough that truncated tail mass (~1e-22) sits far below every tolerance
@@ -268,6 +273,12 @@ class Density1D:
             raise ArgumentError("quantile argument must lie strictly inside (0, 1)")
         return _maybe_scalar(self.score_inverse(special.ndtri(pts)), scalar)
 
+    def heat_flow(self, t: float) -> "Density1D":
+        """Law of X + sqrt(t) Z.  Shapes whose flow has a closed form return
+        it; every other shape is flowed on its own lattice
+        (``gaussian_convolve``)."""
+        return gaussian_convolve(self, t)
+
     def _verify_eps(self, eps: float) -> float | None:
         """Certify a claimed lower bound on (-log p)'' on the second
         differences of the tabulated potential; clear it when it fails."""
@@ -349,6 +360,10 @@ class GaussianDensity(Density1D):
 
     def shifted(self, offset: float) -> "GaussianDensity":
         return GaussianDensity(self._mean + offset, self._var, self._radius)
+
+    def heat_flow(self, t: float) -> "GaussianDensity":
+        """N(m, v + t), exact."""
+        return GaussianDensity(self._mean, self._var + _flow_time(t), self._radius)
 
     def __repr__(self) -> str:
         return f"GaussianDensity(mean={self._mean}, var={self._var})"
@@ -452,6 +467,14 @@ class MixtureDensity(Density1D):
             [(w, m + offset, v) for (w, m, v) in self.components],
             convexity_lower_bound=self._eps,
             support_radius=self._radius,
+        )
+
+    def heat_flow(self, t: float) -> "MixtureDensity":
+        """sum_i w_i N(m_i, v_i + t), exact.  Like a lattice flow, it carries
+        no verified convexity bound."""
+        t = _flow_time(t)
+        return MixtureDensity(
+            [(w, m, v + t) for (w, m, v) in self.components], support_radius=self._radius
         )
 
     def __repr__(self) -> str:
@@ -713,6 +736,10 @@ class ProductDensity:
         """E |X|^2 summed over coordinates."""
         return math.fsum(f.second_moment() for f in self._factors)
 
+    def heat_flow(self, t: float) -> "ProductDensity":
+        """X + sqrt(t) Z flows each coordinate on its own."""
+        return ProductDensity([f.heat_flow(t) for f in self._factors])
+
     def __repr__(self) -> str:
         return f"ProductDensity({list(self._factors)!r})"
 
@@ -869,6 +896,10 @@ class Grid2DDensity:
             self._spec_y,
         ).value
 
+    def heat_flow(self, t: float) -> "Grid2DDensity":
+        """X + sqrt(t) Z on the grid's own lattice (``gaussian_convolve_2d``)."""
+        return gaussian_convolve_2d(self, t)
+
     def _verify_eps(self, eps: float) -> float | None:
         hx, hy = self._spec_x.step, self._spec_y.step
 
@@ -993,12 +1024,18 @@ def _lattice_convolve(table: NodeTable, kernel, lo: float, hi: float) -> GridDen
     return GridDensity(out_spec, np.log(np.maximum(out, 1e-320)))
 
 
+def _flow_time(t: float) -> float:
+    """A heat-flow time, refused unless positive."""
+    if not t > 0:
+        raise ArgumentError(f"convolution time must be positive, got {t}")
+    return float(t)
+
+
 def _heat_kernel(t: float):
     """The heat kernel of X + sqrt(t) Z, z -> exp(-z^2 / 2t) / sqrt(2 pi t),
     and the pad R sqrt(t) a heat step adds on each side, R the support
     radius (10 by default)."""
-    if not t > 0:
-        raise ArgumentError(f"convolution time must be positive, got {t}")
+    t = _flow_time(t)
     norm = 1.0 / math.sqrt(2.0 * math.pi * t)
     return (lambda z: np.exp(z * z / (-2.0 * t)) * norm), config.support_radius() * math.sqrt(t)
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 
 from .densities import (
     Density,
@@ -82,6 +81,10 @@ def _shift_rows(log_rows: np.ndarray, spec_y: GridSpec, offsets: np.ndarray) -> 
     One spline build covers a block of up to _SPLINE_BLOCK moved rows; each
     row is then evaluated through its own slice of the coefficients.
     """
+    # imported here, not at module level: no certificate or command reaches
+    # this function, and scipy.interpolate is a large share of a cold start
+    from scipy.interpolate import CubicSpline, PPoly
+
     ys = spec_y.nodes()
     out = log_rows.copy()
     floor = float(log_rows.max()) - _CORNER_DROP

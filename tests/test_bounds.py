@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lsdeficit import bounds, functionals, recentering, transport
+from lsdeficit import bounds, densities, recentering, transport
 from lsdeficit.battery import standard_battery
 from lsdeficit.bounds import (
     BOUND_IDS,
@@ -19,6 +19,7 @@ from lsdeficit.bounds import (
 )
 from lsdeficit.deltafn import delta
 from lsdeficit.densities import (
+    Density1D,
     GaussianDensity,
     Grid2DDensity,
     MixtureDensity,
@@ -385,29 +386,48 @@ class TestSuiteAndProbe:
 
 
 def _count_heat_flows(monkeypatch) -> list:
+    """(density, t) of every ``heat_flow`` call, on each class defining one."""
     calls = []
-    for name in ("gaussian_convolve", "gaussian_convolve_2d"):
-        def counted(density, t, _flow=getattr(functionals, name)):
-            calls.append(t)
+    for cls in (Density1D, GaussianDensity, MixtureDensity, ProductDensity, Grid2DDensity):
+        def counted(density, t, _flow=vars(cls)["heat_flow"]):
+            calls.append((density, t))
             return _flow(density, t)
 
-        monkeypatch.setattr(functionals, name, counted)
+        monkeypatch.setattr(cls, "heat_flow", counted)
     return calls
+
+
+def _times_flowed(calls: list, mu) -> list:
+    """The times at which ``mu`` itself was flowed, after checking that no
+    density was flowed twice at one time."""
+    assert max(Counter((id(d), t) for d, t in calls).values()) == 1
+    return [t for d, t in calls if d is mu]
+
+
+def _count_lattice_flows(monkeypatch) -> list:
+    """Times of every 1D lattice flow (``densities.gaussian_convolve``)."""
+    calls = []
+
+    def counted(density, t, _flow=densities.gaussian_convolve):
+        calls.append(t)
+        return _flow(density, t)
+
+    monkeypatch.setattr(densities, "gaussian_convolve", counted)
+    return calls
+
+
+TILT = TiltedDensity((0.0, 0.0, 0.25, 0.0, 0.05), convexity_lower_bound=0.5)
 
 
 class TestHeatFlowMemo:
     """One Workspace runs the heat flow of a density once per time."""
 
     @pytest.mark.parametrize(
-        "mu,flows",
-        [
-            (MIX2, 1),
-            (ProductDensity([GaussianDensity(0.0, 0.25), MIX2]), 2),
-            (bivariate_gaussian_grid(0.5), 1),
-        ],
+        "mu",
+        [MIX2, ProductDensity([GaussianDensity(0.0, 0.25), MIX2]), bivariate_gaussian_grid(0.5)],
         ids=["1d", "product", "grid2d"],
     )
-    def test_heat_flow_bounds_share_one_flow(self, monkeypatch, mu, flows):
+    def test_heat_flow_bounds_share_one_flow(self, monkeypatch, mu):
         calls = _count_heat_flows(monkeypatch)
         ws = Workspace()
         for bid in ("epi", "lem3.2", "lem3.3"):
@@ -415,7 +435,9 @@ class TestHeatFlowMemo:
                 evaluate_bound(bid, mu, workspace=ws)
             except HypothesisError:
                 assert isinstance(mu, Grid2DDensity) and bid == "lem3.2"
-        assert calls == [1.0] * flows
+        assert _times_flowed(calls, mu) == [1.0]
+        for factor in getattr(mu, "factors", ()):
+            assert _times_flowed(calls, factor) == [1.0]
 
     def test_new_time_adds_one_flow(self, monkeypatch):
         calls = _count_heat_flows(monkeypatch)
@@ -424,7 +446,25 @@ class TestHeatFlowMemo:
             evaluate_bound(bid, MIX2, workspace=ws)
         evaluate_bound("lem3.2", MIX2, opts={"t": 0.5}, workspace=ws)
         evaluate_bound("lem3.2", MIX2, opts={"t": 0.5}, workspace=ws)
-        assert calls == [1.0, 0.5]
+        assert _times_flowed(calls, MIX2) == [1.0, 0.5]
+
+    @pytest.mark.parametrize(
+        "mu,lattice_flows",
+        [
+            (GaussianDensity(0.4, 1.7), 0),
+            (MIX2, 0),
+            (ProductDensity([GaussianDensity(0.0, 0.25), MIX2]), 0),
+            (TILT, 1),
+            (ProductDensity([TILT, GaussianDensity(0.5, 1.0)]), 1),
+        ],
+        ids=["gaussian", "mixture", "product-closed", "tilt", "product-tilt"],
+    )
+    def test_lattice_flow_only_without_closed_form(self, monkeypatch, mu, lattice_flows):
+        calls = _count_lattice_flows(monkeypatch)
+        ws = Workspace()
+        for bid in ("epi", "lem3.2", "lem3.3"):
+            evaluate_bound(bid, mu, workspace=ws)
+        assert calls == [1.0] * lattice_flows
 
 
 def _count_recentering(monkeypatch) -> tuple[list, list]:
@@ -558,14 +598,13 @@ class TestMeanTranslateCompanion:
 class TestGaussianSummand:
     """epi and lem3.3 with a shifted Gaussian as the second summand."""
 
-    TILT = TiltedDensity((0.0, 0.0, 0.25, 0.0, 0.05), convexity_lower_bound=0.5)
-
-    # sides computed by the earlier shifted-flow code, which lem3.3 used
+    # sides computed by the earlier shifted-flow code, which lem3.3 used;
+    # the mixture's lem3.3 lhs is the closed form 1 / I(sum_i w_i N(m_i, 3))
     @pytest.mark.parametrize(
         "mu,other,epi,lem",
         [
             (MIX2, GaussianDensity(0.7, 2.0),
-             (68.26472156541094, 67.65871137856493), (3.986595924174074, 3.8168588450178094)),
+             (68.26472156541094, 67.65871137856493), (3.986598075738806, 3.8168588450178094)),
             (TILT, GaussianDensity(0.7, 2.0),
              (51.33615238037946, 50.97921777872749), (3.004131090766578, 2.906011903723478)),
             (TILT, GaussianDensity(-0.3, 0.5),
@@ -582,7 +621,7 @@ class TestGaussianSummand:
             cert = evaluate_bound(bid, mu, opts={"other": other}, workspace=ws)
             np.testing.assert_allclose((cert.lhs, cert.rhs), want, rtol=1e-12, atol=0)
             assert cert.passed
-        assert calls == [other.variance()]
+        assert _times_flowed(calls, mu) == [other.variance()]
 
     def test_non_gaussian_summand_is_convolved(self):
         other = MixtureDensity([(0.5, -0.5, 0.5), (0.5, 0.5, 0.5)])

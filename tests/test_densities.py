@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from quantile_reference import TiltQuantile, mixture_quantile
 from scipy import special
+from scipy.integrate import quad
 
 from lsdeficit.densities import (
     GaussianDensity,
@@ -432,6 +433,92 @@ class TestLatticeKernel:
         keep = np.asarray(ref.log_pdf(x)) > -40.0
         diff = np.abs(np.asarray(out.log_pdf(x)) - np.asarray(ref.log_pdf(x)))
         assert np.max(diff[keep]) < 1e-8
+
+
+def _pm1_mixture_fisher(v: float) -> float:
+    """I of 0.5 N(-1, v) + 0.5 N(1, v) by adaptive quadrature of its
+    analytic score (tanh(x / v) - x) / v: an oracle outside the package."""
+    p = lambda x: (
+        0.5 * (math.exp(-((x + 1) ** 2) / (2 * v)) + math.exp(-((x - 1) ** 2) / (2 * v)))
+        / math.sqrt(2 * math.pi * v)
+    )
+    score = lambda x: (math.tanh(x / v) - x) / v
+    value, _ = quad(
+        lambda x: score(x) ** 2 * p(x), -60.0, 60.0, points=[-1.0, 0.0, 1.0],
+        epsabs=1e-15, epsrel=1e-13, limit=500,
+    )
+    return value
+
+
+class TestClosedFormHeatFlow:
+    """Gaussians and mixtures flow to their exact laws; every other shape
+    runs the lattice flow."""
+
+    def test_gaussian_flow_is_exact(self):
+        out = GaussianDensity(0.5, 1.0, support_radius=8.0).heat_flow(1.5)
+        assert isinstance(out, GaussianDensity)
+        assert (out.mean_param, out.var_param) == (0.5, 2.5)
+        assert out.eval_spec() == GaussianDensity(0.5, 2.5, support_radius=8.0).eval_spec()
+
+    def test_mixture_flow_is_exact(self):
+        mu = MixtureDensity(
+            [(0.5, -0.5, 1.0), (0.5, 0.5, 1.0)], convexity_lower_bound=0.5, support_radius=8.0
+        )
+        out = mu.heat_flow(0.75)
+        assert isinstance(out, MixtureDensity)
+        assert out.components == ((0.5, -0.5, 1.75), (0.5, 0.5, 1.75))
+        assert mu.convexity_lower_bound == 0.5 and out.convexity_lower_bound is None
+        want = MixtureDensity([(0.5, -0.5, 1.75), (0.5, 0.5, 1.75)], support_radius=8.0)
+        assert out.eval_spec() == want.eval_spec()
+
+    def test_product_flows_each_factor(self):
+        tilt = TiltedDensity([0.0, 0.0, 0.25, 0.0, 0.05])
+        out = ProductDensity([GaussianDensity(0.0, 0.25), tilt]).heat_flow(1.0)
+        gauss, lattice = out.factors
+        assert (gauss.mean_param, gauss.var_param) == (0.0, 1.25)
+        assert isinstance(lattice, GridDensity)
+        assert np.array_equal(lattice.log_values, gaussian_convolve(tilt, 1.0).log_values)
+
+    def test_2d_flow_is_the_lattice_flow(self):
+        mu = bivariate_gaussian_grid(0.5, n_points=65)
+        assert np.array_equal(mu.heat_flow(1.0).log_values, gaussian_convolve_2d(mu, 1.0).log_values)
+
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            GaussianDensity(0.0, 1.0),
+            MixtureDensity([(0.5, -1.0, 1.0), (0.5, 1.0, 1.0)]),
+            ProductDensity([GaussianDensity(0.0, 1.0), GaussianDensity(1.0, 2.0)]),
+            TiltedDensity([0.0, 0.0, 0.25, 0.0, 0.05]),
+        ],
+        ids=["gaussian", "mixture", "product", "tilt"],
+    )
+    def test_time_must_be_positive(self, mu):
+        for t in (0.0, -1.0, math.nan):
+            with pytest.raises(ArgumentError):
+                mu.heat_flow(t)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    @pytest.mark.parametrize(
+        "mu",
+        [GaussianDensity(0.5, 1.0), MixtureDensity([(0.3, -1.0, 1.0), (0.7, 2.0, 0.25)])],
+        ids=["gaussian", "mixture"],
+    )
+    def test_closed_form_agrees_with_lattice(self, mu, t):
+        lattice = gaussian_convolve(mu, t)
+        x = lattice.spec.nodes()
+        exact = np.asarray(mu.heat_flow(t).log_pdf(x))
+        # the window owns the far tail, and past the input's table the
+        # lattice misses the input mass beyond it, which the exact law keeps
+        table = mu.table.spec
+        keep = (exact > -40.0) & (x >= table.x_lo) & (x <= table.x_hi)
+        assert np.max(np.abs(exact[keep] - lattice.log_values[keep])) < 1e-8
+
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    def test_flowed_mixture_fisher_information(self, t):
+        got = fisher_information(MixtureDensity([(0.5, -1.0, 1.0), (0.5, 1.0, 1.0)]).heat_flow(t))
+        gap = abs(got.value - _pm1_mixture_fisher(1.0 + t))
+        assert gap <= 1e-12 and gap <= got.error_estimate
 
 
 class TestBivariateGrid:

@@ -15,6 +15,7 @@ from lsdeficit.densities import (
     GridDensity,
     MixtureDensity,
     ProductDensity,
+    TiltedDensity,
     bivariate_gaussian_grid,
     standard_gaussian,
 )
@@ -304,7 +305,13 @@ class TestHeatFlowResidual:
         p = ProductDensity([GaussianDensity(0.0, 0.25), MIX2])
         assert de_bruijn_residual(p, 1.0) <= 1e-3
 
+    def test_lattice_flow(self):
+        # Gaussians and mixtures flow in closed form; a tilt takes the lattice
+        assert de_bruijn_residual(TiltedDensity([0.0, 0.0, 0.25, 0.0, 0.05]), 1.0) <= 1e-3
+
     def test_step_validation(self):
+        with pytest.raises(ArgumentError):
+            de_bruijn_residual([0.0, 1.0], 1.0)
         with pytest.raises(ArgumentError):
             de_bruijn_residual(standard_gaussian(), 0.5, h_step=0.5)
         with pytest.raises(ArgumentError):
