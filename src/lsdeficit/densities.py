@@ -17,9 +17,11 @@ x(z) is a quintic Hermite interpolant in z.  ``quantile(u)`` is
 x(Phi^-1(u)); ``cdf(x)`` is Phi(z(x)), except for a mixture's analytic CDF.
 
 ``heat_flow(t)`` is the law of X + sqrt(t) Z.  A Gaussian's is N(m, v + t)
-and a mixture's sum_i w_i N(m_i, v_i + t), both exact; a product flows each
-factor, and every other shape is flowed on its own lattice
-(``gaussian_convolve``, ``gaussian_convolve_2d``).
+and a mixture's sum_i w_i N(m_i, v_i + t), both exact, and a
+``bivariate_gaussian_grid`` N(m, Sigma) flows to N(m, Sigma + t I), tabulated
+again on its own node count and support radius; a product flows each factor,
+and every other shape, 2D grids given as data included, is flowed on its own
+lattice (``gaussian_convolve``, ``gaussian_convolve_2d``).
 
 Support policy: parametric densities are evaluated on
 [mean - R*sigma_eff, mean + R*sigma_eff] with R = 10 by default, wide
@@ -897,7 +899,9 @@ class Grid2DDensity:
         ).value
 
     def heat_flow(self, t: float) -> "Grid2DDensity":
-        """X + sqrt(t) Z on the grid's own lattice (``gaussian_convolve_2d``)."""
+        """X + sqrt(t) Z on the grid's own lattice (``gaussian_convolve_2d``),
+        for a grid given as data; a ``bivariate_gaussian_grid`` flows in
+        closed form."""
         return gaussian_convolve_2d(self, t)
 
     def _verify_eps(self, eps: float) -> float | None:
@@ -937,6 +941,41 @@ def standard_gaussian_product(k: int) -> ProductDensity:
     return ProductDensity([standard_gaussian() for _ in range(k)])
 
 
+class _GaussianGrid2D(Grid2DDensity):
+    """A grid of ``bivariate_gaussian_grid``: N(mean, Sigma), Sigma with
+    variances ``var`` and correlation ``rho``, on n x n nodes spanning
+    mean +- r sigma on each axis.  It keeps that law, node count and radius,
+    so its heat flow is exact."""
+
+    def __init__(
+        self,
+        rho: float,
+        var: tuple[float, float],
+        mean: tuple[float, float],
+        n: int,
+        r: float,
+        convexity_lower_bound: float | None = None,
+    ):
+        s1, s2 = math.sqrt(var[0]), math.sqrt(var[1])
+        spec_x = GridSpec(mean[0] - r * s1, mean[0] + r * s1, n)
+        spec_y = GridSpec(mean[1] - r * s2, mean[1] + r * s2, n)
+        z1 = ((spec_x.nodes() - mean[0]) / s1)[:, None]
+        z2 = ((spec_y.nodes() - mean[1]) / s2)[None, :]
+        quad = (z1 * z1 - 2.0 * rho * z1 * z2 + z2 * z2) / (2.0 * (1.0 - rho * rho))
+        log_p = -quad - math.log(2.0 * math.pi * s1 * s2 * math.sqrt(1.0 - rho * rho))
+        super().__init__(spec_x, spec_y, log_p, convexity_lower_bound=convexity_lower_bound)
+        self._law = (rho, var, mean, n, r)
+
+    def heat_flow(self, t: float) -> "Grid2DDensity":
+        """N(m, Sigma + t I), exact: each variance grows by t and the
+        covariance stays, so rho_t = rho sqrt(v1 v2) / sqrt((v1 + t)(v2 + t)).
+        Tabulated on the input's node count and support radius."""
+        t = _flow_time(t)
+        rho, (v1, v2), mean, n, r = self._law
+        rho_t = rho * math.sqrt(v1 * v2) / math.sqrt((v1 + t) * (v2 + t))
+        return _GaussianGrid2D(rho_t, (v1 + t, v2 + t), mean, n, r)
+
+
 def bivariate_gaussian_grid(
     rho: float,
     var: tuple[float, float] = (1.0, 1.0),
@@ -944,24 +983,24 @@ def bivariate_gaussian_grid(
     n_points: int | None = None,
     support_radius: float | None = None,
 ) -> Grid2DDensity:
-    """Centered-correlation Gaussian as an explicit 2D grid density."""
+    """Centered-correlation Gaussian as an explicit 2D grid density, which
+    flows in closed form (``heat_flow``)."""
     if not -1.0 < rho < 1.0:
         raise ArgumentError(f"correlation must lie in (-1, 1), got {rho}")
+    var = (float(var[0]), float(var[1]))
+    mean = (float(mean[0]), float(mean[1]))
+    if not all(math.isfinite(a) for a in var + mean):
+        raise ArgumentError("gaussian parameters must be finite")
+    if min(var) <= 0:
+        raise ArgumentError(f"variance must be positive, got {var}")
     n = n_points or config.DEFAULT_GRID_POINTS_2D
     r = support_radius or config.support_radius()
-    s1, s2 = math.sqrt(var[0]), math.sqrt(var[1])
-    spec_x = GridSpec(mean[0] - r * s1, mean[0] + r * s1, n)
-    spec_y = GridSpec(mean[1] - r * s2, mean[1] + r * s2, n)
-    z1 = ((spec_x.nodes() - mean[0]) / s1)[:, None]
-    z2 = ((spec_y.nodes() - mean[1]) / s2)[None, :]
-    quad = (z1 * z1 - 2.0 * rho * z1 * z2 + z2 * z2) / (2.0 * (1.0 - rho * rho))
-    log_p = -quad - math.log(2.0 * math.pi * s1 * s2 * math.sqrt(1.0 - rho * rho))
     # Exact smallest Hessian eigenvalue of the potential: the precision
     # matrix of unit-variance correlated Gaussians has eigenvalue
     # 1 / (1 + |rho|) in the worst direction (after scaling by variances).
-    sig = np.array([[var[0], rho * s1 * s2], [rho * s1 * s2, var[1]]])
-    eps = float(np.linalg.eigvalsh(np.linalg.inv(sig)).min())
-    return Grid2DDensity(spec_x, spec_y, log_p, convexity_lower_bound=eps)
+    c = rho * math.sqrt(var[0]) * math.sqrt(var[1])
+    eps = float(np.linalg.eigvalsh(np.linalg.inv(np.array([[var[0], c], [c, var[1]]]))).min())
+    return _GaussianGrid2D(rho, var, mean, n, r, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Certificate engine: registry, equality families, hypothesis gating."""
 
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,7 +391,14 @@ class TestSuiteAndProbe:
 def _count_heat_flows(monkeypatch) -> list:
     """(density, t) of every ``heat_flow`` call, on each class defining one."""
     calls = []
-    for cls in (Density1D, GaussianDensity, MixtureDensity, ProductDensity, Grid2DDensity):
+    for cls in (
+        Density1D,
+        GaussianDensity,
+        MixtureDensity,
+        ProductDensity,
+        Grid2DDensity,
+        densities._GaussianGrid2D,
+    ):
         def counted(density, t, _flow=vars(cls)["heat_flow"]):
             calls.append((density, t))
             return _flow(density, t)
@@ -417,6 +427,7 @@ def _count_lattice_flows(monkeypatch) -> list:
 
 
 TILT = TiltedDensity((0.0, 0.0, 0.25, 0.0, 0.05), convexity_lower_bound=0.5)
+GRID2D = bivariate_gaussian_grid(0.5)
 
 
 class TestHeatFlowMemo:
@@ -424,8 +435,13 @@ class TestHeatFlowMemo:
 
     @pytest.mark.parametrize(
         "mu",
-        [MIX2, ProductDensity([GaussianDensity(0.0, 0.25), MIX2]), bivariate_gaussian_grid(0.5)],
-        ids=["1d", "product", "grid2d"],
+        [
+            MIX2,
+            ProductDensity([GaussianDensity(0.0, 0.25), MIX2]),
+            GRID2D,
+            Grid2DDensity(GRID2D.spec_x, GRID2D.spec_y, GRID2D.log_values),
+        ],
+        ids=["1d", "product", "grid2d", "grid2d-data"],
     )
     def test_heat_flow_bounds_share_one_flow(self, monkeypatch, mu):
         calls = _count_heat_flows(monkeypatch)
@@ -627,6 +643,27 @@ class TestGaussianSummand:
         other = MixtureDensity([(0.5, -0.5, 0.5), (0.5, 0.5, 0.5)])
         for bid in ("epi", "lem3.3"):
             assert evaluate_bound(bid, GaussianDensity(0.2, 1.3), opts={"other": other}).passed
+
+
+def test_gaussian_grid_certificates_ignore_blas_threads():
+    """A Gaussian grid flows in closed form, with no BLAS product, so its
+    heat-flow certificates read the same under any BLAS thread count."""
+    probe = (
+        "from lsdeficit import bivariate_gaussian_grid, evaluate_bound\n"
+        "mu = bivariate_gaussian_grid(0.5)\n"
+        "for bid in ('epi', 'lem3.3'):\n"
+        "    print(repr(evaluate_bound(bid, mu)))\n"
+    )
+    src = str(Path(densities.__file__).parents[1])
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outs[0].count("BoundCertificate(") == 2
+    assert outs[0] == outs[1]
 
 
 def _count_transport(monkeypatch) -> tuple[Counter, Counter]:

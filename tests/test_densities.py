@@ -8,6 +8,7 @@ from quantile_reference import TiltQuantile, mixture_quantile
 from scipy import special
 from scipy.integrate import quad
 
+from lsdeficit import config, specio
 from lsdeficit.densities import (
     GaussianDensity,
     Grid2DDensity,
@@ -40,6 +41,15 @@ def _one_d_family():
         TiltedDensity([0.0, 0.0, 0.25, 0.0, 0.05]),
         _gaussian_like_grid(),
     ]
+
+
+_HEAT_STEP_CASES = [
+    (0.5, (1.0, 1.0), (0.0, 0.0), 1.0),
+    (0.5, (0.8, 1.6), (0.3, -0.4), 1.0),
+    (0.5, (0.8, 1.6), (0.3, -0.4), 0.25),
+    # the narrowest variance pair of the benchmark's grid2d workload
+    (-0.4, (0.59375, 0.59375 / 1.5), (-0.7, 0.2), 1.0),
+]
 
 
 class TestNormalisation:
@@ -304,14 +314,7 @@ class TestConvolution:
         assert np.max(np.abs(np.asarray(out.pdf(x)) - np.asarray(ref.pdf(x)))) < 1e-8
 
     def test_2d_heat_step(self):
-        cases = [
-            (0.5, (1.0, 1.0), (0.0, 0.0), 1.0),
-            (0.5, (0.8, 1.6), (0.3, -0.4), 1.0),
-            (0.5, (0.8, 1.6), (0.3, -0.4), 0.25),
-            # the narrowest variance pair of the benchmark's grid2d workload
-            (-0.4, (0.59375, 0.59375 / 1.5), (-0.7, 0.2), 1.0),
-        ]
-        for rho, var, mean, t in cases:
+        for rho, var, mean, t in _HEAT_STEP_CASES:
             out = gaussian_convolve_2d(bivariate_gaussian_grid(rho, var=var, mean=mean), t)
             # covariance becomes Sigma + t I; compare log densities at the nodes
             c = rho * math.sqrt(var[0] * var[1])
@@ -479,9 +482,53 @@ class TestClosedFormHeatFlow:
         assert isinstance(lattice, GridDensity)
         assert np.array_equal(lattice.log_values, gaussian_convolve(tilt, 1.0).log_values)
 
-    def test_2d_flow_is_the_lattice_flow(self):
-        mu = bivariate_gaussian_grid(0.5, n_points=65)
-        assert np.array_equal(mu.heat_flow(1.0).log_values, gaussian_convolve_2d(mu, 1.0).log_values)
+    def test_gaussian_grid_flow_is_exact(self):
+        rho, (v1, v2), mean, t = 0.5, (0.8, 1.6), (0.3, -0.4), 0.75
+        # the radius is the one resolved when the input was built
+        with config.scoped_policy(config.NumericPolicy(support_radius=8.0)):
+            mu = bivariate_gaussian_grid(rho, var=(v1, v2), mean=mean, n_points=65)
+        out = mu.heat_flow(t)
+        rho_t = rho * math.sqrt(v1 * v2) / math.sqrt((v1 + t) * (v2 + t))
+        want = bivariate_gaussian_grid(
+            rho_t, var=(v1 + t, v2 + t), mean=mean, n_points=65, support_radius=8.0
+        )
+        assert (out.spec_x, out.spec_y) == (want.spec_x, want.spec_y)
+        assert np.array_equal(out.log_values, want.log_values)
+        assert mu.convexity_lower_bound is not None and out.convexity_lower_bound is None
+        # the flowed grid knows its law too
+        assert out.heat_flow(t).log_values.shape == (65, 65)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ArgumentError):
+                mu.heat_flow(bad)
+
+    def test_data_grids_flow_on_the_lattice(self):
+        mu = bivariate_gaussian_grid(0.5, var=(0.8, 1.6), mean=(0.3, -0.4), n_points=65)
+        data = Grid2DDensity(mu.spec_x, mu.spec_y, mu.log_values)
+        loaded = specio.loads(specio.dumps(mu))
+        for grid in (data, loaded, mu.swapped()):
+            assert type(grid) is Grid2DDensity
+            want = gaussian_convolve_2d(grid, 1.0)
+            got = grid.heat_flow(1.0)
+            assert (got.spec_x, got.spec_y) == (want.spec_x, want.spec_y)
+            assert np.array_equal(got.log_values, want.log_values)
+
+    @pytest.mark.parametrize("rho,var,mean,t", _HEAT_STEP_CASES)
+    def test_2d_closed_form_agrees_with_lattice(self, rho, var, mean, t):
+        mu = bivariate_gaussian_grid(rho, var=var, mean=mean)
+        exact, lattice = mu.heat_flow(t), gaussian_convolve_2d(mu, t)
+        # log p of the closed form is a quadratic in (x, y): read its six
+        # coefficients off the closed-form table, evaluate them at the
+        # lattice nodes
+        def monomials(grid, every):
+            x = grid.spec_x.nodes()[::every, None]
+            y = grid.spec_y.nodes()[None, ::every]
+            return (np.ones_like(x), x, y, x * x, x * y, y * y)
+
+        fit = np.stack(np.broadcast_arrays(*monomials(exact, 16)), axis=-1).reshape(-1, 6)
+        coef = np.linalg.lstsq(fit, exact.log_values[::16, ::16].ravel(), rcond=None)[0]
+        want = sum(c * m for c, m in zip(coef, monomials(lattice, 1)))
+        keep = want > -40.0  # the gate of test_2d_heat_step
+        assert np.max(np.abs(lattice.log_values[keep] - want[keep])) < 1e-6
 
     @pytest.mark.parametrize(
         "mu",
@@ -527,6 +574,11 @@ class TestBivariateGrid:
             bivariate_gaussian_grid(1.0)
         with pytest.raises(ArgumentError):
             bivariate_gaussian_grid(-1.0)
+
+    @pytest.mark.parametrize("var", [(-1.0, 1.0), (1.0, 0.0)], ids=["negative", "zero"])
+    def test_variance_must_be_positive(self, var):
+        with pytest.raises(ArgumentError, match="variance must be positive"):
+            bivariate_gaussian_grid(0.5, var=var)
 
     def test_log_density_values(self):
         # exact at nodes; between nodes the table interpolates
