@@ -66,9 +66,7 @@ from .transport import (
     TransportPlan1D,
     cost_delta_scaled,
     delta_transport_cost,
-    discrete_ot_cost,
     monotone_plan,
-    quantile_discretization,
     transport_cost,
     w1_distance,
     w2_distance,
@@ -123,7 +121,6 @@ __all__ = [
     "delta_scale",
     "delta_transport_cost",
     "density_to_spec",
-    "discrete_ot_cost",
     "dumps",
     "entropy_power",
     "equality_probe",
@@ -138,7 +135,6 @@ __all__ = [
     "lsi_deficit",
     "monotone_plan",
     "parse_density",
-    "quantile_discretization",
     "recenter",
     "relative_entropy",
     "relative_fisher",

@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy import special
 
-from .deltafn import LINEAR_BAND_CONSTANT, delta
+from .deltafn import LINEAR_BAND_CONSTANT, delta, delta_quadratic_floor
 from .densities import (
     Density,
     Density1D,
@@ -404,7 +404,7 @@ def _eval_eq18(s, opts, tol):
 def _eval_cor12(s, opts, tol):
     _require_moment(s)
     _require_exact_w2(s)
-    c = delta(4.0) / 16.0
+    c = delta_quadratic_floor(4.0)
     rhs = c * s.w2sq**2 / s.n
     constants = {"c": c, "c_provenance": "derived-from-proof (quadratic floor on [0,4])"}
     return _cert("cor1.2", s.i_rel - 2.0 * s.d, rhs, constants, tol)

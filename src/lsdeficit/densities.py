@@ -945,7 +945,8 @@ class _GaussianGrid2D(Grid2DDensity):
     """A grid of ``bivariate_gaussian_grid``: N(mean, Sigma), Sigma with
     variances ``var`` and correlation ``rho``, on n x n nodes spanning
     mean +- r sigma on each axis.  It keeps that law, node count and radius,
-    so its heat flow is exact."""
+    so its heat flow is exact, and keeps ``convexity_lower_bound`` as given:
+    it is exact for the law, so the table is not checked against it."""
 
     def __init__(
         self,
@@ -963,7 +964,8 @@ class _GaussianGrid2D(Grid2DDensity):
         z2 = ((spec_y.nodes() - mean[1]) / s2)[None, :]
         quad = (z1 * z1 - 2.0 * rho * z1 * z2 + z2 * z2) / (2.0 * (1.0 - rho * rho))
         log_p = -quad - math.log(2.0 * math.pi * s1 * s2 * math.sqrt(1.0 - rho * rho))
-        super().__init__(spec_x, spec_y, log_p, convexity_lower_bound=convexity_lower_bound)
+        super().__init__(spec_x, spec_y, log_p)
+        self._eps = convexity_lower_bound
         self._law = (rho, var, mean, n, r)
 
     def heat_flow(self, t: float) -> "Grid2DDensity":

@@ -155,19 +155,31 @@ def _fisher_mask_1d(p: np.ndarray) -> np.ndarray:
     return live
 
 
-def _fisher_information_1d(mu: Density1D) -> FunctionalValue:
+def _fisher_1d(name: str, mu: Density1D, score_q) -> FunctionalValue:
+    """int (score_mu - score_q)^2 dmu on mu's table; ``score_q`` 0 gives the
+    plain Fisher information."""
     t = mu.table
     live = _fisher_mask_1d(t.p)
-    integrand = np.where(live, t.score * t.score * t.p, 0.0)
+    diff = t.score - score_q
+    integrand = np.where(live, diff * diff * t.p, 0.0)
     r = integrate_values(integrand, t.spec, refine=True)
+    return FunctionalValue(name, r.value, r.abs_error_estimate)
+
+
+def _fisher_information_1d(mu: Density1D) -> FunctionalValue:
+    r = _fisher_1d("I_plain", mu, 0.0)
     var = mu.variance()
-    if var > 0 and r.value < 1.0 / var - r.abs_error_estimate - 1e-6:
+    if var > 0 and r.value < 1.0 / var - r.error_estimate - 1e-6:
         from .errors import NumericalError
 
         raise NumericalError(
             f"Fisher information {r.value} below the Cramer-Rao floor 1/Var = {1.0 / var}"
         )
-    return FunctionalValue("I_plain", r.value, r.abs_error_estimate)
+    return r
+
+
+def _relative_fisher_1d(mu: Density1D, nu: Density1D) -> FunctionalValue:
+    return _fisher_1d("I_rel", mu, np.asarray(nu.score(mu.table.nodes), dtype=float))
 
 
 def _grid2d_score_fields(mu: Grid2DDensity, i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,33 +191,34 @@ def _grid2d_score_fields(mu: Grid2DDensity, i0: int, i1: int) -> tuple[np.ndarra
     return gx, np.gradient(g[i0:i1], mu.spec_y.step, axis=1)
 
 
+def _fisher_2d(
+    name: str, mu: Grid2DDensity, shift_x: np.ndarray, shift_y: np.ndarray
+) -> FunctionalValue:
+    """int |grad log p + (shift_x, shift_y)|^2 dmu, row block by row block;
+    ``shift_x`` is a column over the rows and ``shift_y`` a row over the
+    columns.  Zero shifts give the plain Fisher information, the node
+    coordinates the relative one against gamma_2 (score -x)."""
+
+    def block(i0: int, i1: int) -> np.ndarray:
+        p = np.exp(mu.log_values[i0:i1])
+        gx, gy = _grid2d_score_fields(mu, i0, i1)
+        live = p >= config.FISHER_DENSITY_FLOOR
+        return np.where(live, ((gx + shift_x[i0:i1]) ** 2 + (gy + shift_y) ** 2) * p, 0.0)
+
+    r = integrate_rows_2d(block, mu.spec_x, mu.spec_y, refine=True)
+    return FunctionalValue(name, r.value, r.abs_error_estimate)
+
+
 def fisher_information(mu) -> FunctionalValue:
     """Plain Fisher information I(X) = int |grad log p|^2 dmu."""
     if isinstance(mu, Density1D):
         return _fisher_information_1d(mu)
     if isinstance(mu, ProductDensity):
-        return additive(_fisher_information_1d(f) for f in mu.factors)
+        return _per_factor(lambda f, _: _fisher_information_1d(f), mu, None, "fisher_information")
     if isinstance(mu, Grid2DDensity):
-
-        def block(i0: int, i1: int) -> np.ndarray:
-            p = np.exp(mu.log_values[i0:i1])
-            gx, gy = _grid2d_score_fields(mu, i0, i1)
-            live = p >= config.FISHER_DENSITY_FLOOR
-            return np.where(live, (gx * gx + gy * gy) * p, 0.0)
-
-        r = integrate_rows_2d(block, mu.spec_x, mu.spec_y, refine=True)
-        return FunctionalValue("I_plain", r.value, r.abs_error_estimate)
+        zero_x, zero_y = np.zeros((mu.spec_x.n_points, 1)), np.zeros((1, mu.spec_y.n_points))
+        return _fisher_2d("I_plain", mu, zero_x, zero_y)
     raise ArgumentError(f"unsupported density type {type(mu).__name__}")
-
-
-def _relative_fisher_1d(mu: Density1D, nu: Density1D) -> FunctionalValue:
-    t = mu.table
-    live = _fisher_mask_1d(t.p)
-    score_q = np.asarray(nu.score(t.nodes), dtype=float)
-    diff = t.score - score_q
-    integrand = np.where(live, diff * diff * t.p, 0.0)
-    r = integrate_values(integrand, t.spec, refine=True)
-    return FunctionalValue("I_rel", r.value, r.abs_error_estimate)
 
 
 def relative_fisher(mu, nu=None) -> FunctionalValue:
@@ -219,17 +232,7 @@ def relative_fisher(mu, nu=None) -> FunctionalValue:
             raise ArgumentError(
                 "relative_fisher: 2D grids support only the standard Gaussian reference"
             )
-        xs = mu.spec_x.nodes()[:, None]
-        ys = mu.spec_y.nodes()[None, :]
-
-        def block(i0: int, i1: int) -> np.ndarray:
-            p = np.exp(mu.log_values[i0:i1])
-            gx, gy = _grid2d_score_fields(mu, i0, i1)
-            live = p >= config.FISHER_DENSITY_FLOOR
-            return np.where(live, ((gx + xs[i0:i1]) ** 2 + (gy + ys) ** 2) * p, 0.0)
-
-        r = integrate_rows_2d(block, mu.spec_x, mu.spec_y, refine=True)
-        return FunctionalValue("I_rel", r.value, r.abs_error_estimate)
+        return _fisher_2d("I_rel", mu, mu.spec_x.nodes()[:, None], mu.spec_y.nodes()[None, :])
     raise ArgumentError(f"unsupported density type {type(mu).__name__}")
 
 

@@ -25,7 +25,6 @@ as-is W2^2 of a recentered pass needs no second cost list.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -184,10 +183,7 @@ def decompose_grid2d(
     # integrates row functionals against the x1-marginal
     weights = wx * mu.row_marginal()
     # the marginal, normalised on its own grid, as a one-row stack
-    log_marg = mu._row_log_mass
-    top = log_marg.max()
-    log_marg = log_marg - (math.log(_exact_sum(wx * np.exp(log_marg - top))) + top)
-    marginal, t1 = log_marg[None, :], np.array([t1])
+    marginal, t1 = mu.marginal_x().log_values[None, :], np.array([t1])
     d1 = _d_rows(marginal, np.zeros(1), sx, t1)[0]
     d2 = _exact_sum(weights * _d_rows(mu.log_values, mu._row_log_mass, sy, t2))
     marg_costs = costs_to_standard_gaussian_rows(marginal, sx, costs, t1)

@@ -23,19 +23,13 @@ its Simpson kink error removed at every sign change of the displacement
 ``TransportPlan1D`` is the map as a callable at any x, T(x) =
 x_target(z_source(x)), z_source the source inverse's own scores ((x - m) / s
 for a Gaussian, x itself for gamma), for ``cheeger`` and ``talagrand-map``.
-
-A discrete oracle provides independent ground truth: north-west-corner
-matching on sorted atoms (exact for convex costs), cross-checked for
-small instances against exhaustive permutation search after splitting
-the masses into equal units.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -266,133 +260,3 @@ def costs_to_standard_gaussian_rows(
     offsets = np.broadcast_to(np.reshape(offsets, (-1, 1)), (n_rows, 1))
     blocks = [block_costs(log_rows[i0:i1], offsets[i0:i1]) for i0, i1 in row_blocks(n_rows)]
     return [np.concatenate(parts) for parts in zip(*blocks)]
-
-
-# ---------------------------------------------------------------------------
-# Discrete oracle
-# ---------------------------------------------------------------------------
-
-def _checked_atoms(points, masses, label: str) -> tuple[np.ndarray, np.ndarray]:
-    pts = np.asarray(points, dtype=float)
-    m = np.asarray(masses, dtype=float)
-    if pts.ndim != 1 or pts.shape != m.shape:
-        raise ArgumentError(f"{label}: points and masses must be equal-length vectors")
-    if pts.size == 0 or pts.size > 64:
-        raise ArgumentError(f"{label}: need between 1 and 64 atoms, got {pts.size}")
-    if not (np.isfinite(pts).all() and np.isfinite(m).all()):
-        raise ArgumentError(f"{label}: atoms must be finite")
-    if np.any(m <= 0):
-        raise ArgumentError(f"{label}: masses must be positive")
-    if abs(math.fsum(m.tolist()) - 1.0) > 1e-9:
-        raise ArgumentError(
-            f"{label}: masses must sum to 1 within 1e-9, got {math.fsum(m.tolist())!r}"
-        )
-    order = np.argsort(pts, kind="stable")
-    return pts[order], m[order]
-
-
-def _monotone_matching_cost(
-    a_pts: np.ndarray, a_m: np.ndarray, b_pts: np.ndarray, b_m: np.ndarray, cost: CostFn
-) -> float:
-    """North-west-corner sweep over sorted atoms: the monotone coupling."""
-    terms = []
-    ia = ib = 0
-    ra, rb = a_m[0], b_m[0]
-    while True:
-        move = min(ra, rb)
-        terms.append(move * float(cost(a_pts[ia] - b_pts[ib])))
-        ra -= move
-        rb -= move
-        if ra <= 1e-15:
-            ia += 1
-            if ia == a_pts.size:
-                break
-            ra = a_m[ia]
-        if rb <= 1e-15:
-            ib += 1
-            if ib == b_pts.size:
-                break
-            rb = b_m[ib]
-    return math.fsum(terms)
-
-
-def _unit_split(masses: np.ndarray, units: int) -> np.ndarray | None:
-    """Partition sizes k_i with masses = k_i / units, or None."""
-    scaled = masses * units
-    rounded = np.rint(scaled)
-    if np.all(np.abs(scaled - rounded) < 1e-9) and rounded.sum() == units:
-        return rounded.astype(int)
-    return None
-
-
-@lru_cache(maxsize=8)
-def _permutations(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-
-
-def _brute_force_cost(
-    a_pts: np.ndarray, a_m: np.ndarray, b_pts: np.ndarray, b_m: np.ndarray, cost: CostFn
-) -> float | None:
-    """Exhaustive minimum over couplings, via equal-mass unit splitting.
-
-    Returns None when the masses are not multiples of 1/L for some L <= 8
-    (the search space is the permutation group of the unit atoms, which
-    only covers all extreme couplings in the equal-mass case).
-    """
-    ka = kb = None
-    for units in range(1, 9):  # both sides must share one unit size
-        ka = _unit_split(a_m, units)
-        kb = _unit_split(b_m, units)
-        if ka is not None and kb is not None:
-            break
-    if ka is None or kb is None:
-        return None
-    units_a = np.repeat(a_pts, ka)
-    units_b = np.repeat(b_pts, kb)
-    perms = _permutations(units_a.size)
-    costs = np.asarray(cost(units_a[perms] - units_b[None, :]), dtype=float)
-    return float(costs.sum(axis=1).min() / units_a.size)
-
-
-def discrete_ot_cost(
-    a_points,
-    a_masses,
-    b_points,
-    b_masses,
-    cost: CostFn = COST_SQ,
-    cross_check: str = "auto",
-) -> float:
-    """Exact optimal transport cost between two discrete distributions.
-
-    ``cross_check``: "auto" verifies against exhaustive search whenever
-    both sides have <= 8 atoms with commensurable masses, "force" demands
-    that verification, "off" skips it.  Any disagreement beyond 1e-12 is a
-    hard error: the two routes are independent by construction.
-    """
-    if cross_check not in ("auto", "force", "off"):
-        raise ArgumentError(f"unknown cross_check mode {cross_check!r}")
-    a_pts, a_m = _checked_atoms(a_points, a_masses, "first distribution")
-    b_pts, b_m = _checked_atoms(b_points, b_masses, "second distribution")
-    value = _monotone_matching_cost(a_pts, a_m, b_pts, b_m, cost)
-    if cross_check != "off" and a_pts.size <= 8 and b_pts.size <= 8:
-        brute = _brute_force_cost(a_pts, a_m, b_pts, b_m, cost)
-        if brute is None:
-            if cross_check == "force":
-                raise ArgumentError(
-                    "cross check requires masses that are multiples of 1/L, L <= 8"
-                )
-        elif abs(brute - value) > 1e-12:
-            from .errors import NumericalError
-
-            raise NumericalError(
-                f"monotone matching ({value!r}) and exhaustive search ({brute!r}) disagree"
-            )
-    return value
-
-
-def quantile_discretization(density: Density1D, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k equal-mass atoms at the midpoint quantiles u = (i - 1/2) / k."""
-    if k < 1 or k > 64:
-        raise ArgumentError(f"need 1 <= k <= 64 atoms, got {k}")
-    us = (np.arange(k) + 0.5) / k
-    return np.asarray(density.quantile(us), dtype=float), np.full(k, 1.0 / k)

@@ -7,6 +7,7 @@ run shows one line per criterion both from the test id and from the print.
 import math
 
 import numpy as np
+from discrete_reference import brute_force_cost, monotone_matching_cost
 
 from lsdeficit.battery import standard_battery
 from lsdeficit.bounds import BOUND_IDS, certify_suite, equality_probe, evaluate_bound
@@ -25,8 +26,6 @@ from lsdeficit.transport import (
     COST_ABS,
     COST_DELTA,
     COST_SQ,
-    _brute_force_cost,
-    _monotone_matching_cost,
     transport_cost,
     w1_distance,
     w2_squared,
@@ -115,8 +114,8 @@ def test_criterion_05_discrete_oracle_agreement():
             laws.append((pts, counts / units))
         (a_pts, a_m), (b_pts, b_m) = laws
         for cost in (COST_SQ, COST_ABS, COST_DELTA):
-            mono = _monotone_matching_cost(a_pts, a_m, b_pts, b_m, cost)
-            brute = _brute_force_cost(a_pts, a_m, b_pts, b_m, cost)
+            mono = monotone_matching_cost(a_pts, a_m, b_pts, b_m, cost)
+            brute = brute_force_cost(a_pts, a_m, b_pts, b_m, cost)
             assert brute is not None
             assert abs(mono - brute) <= 1e-12
             checked += 1

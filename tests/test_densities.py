@@ -602,6 +602,27 @@ class TestBivariateGrid:
         sw = rho.swapped()
         assert np.allclose(sw.log_values, rho.log_values.T)
 
+    def test_exact_convexity_bound_is_not_rechecked(self, monkeypatch):
+        # a Gaussian grid keeps the smallest eigenvalue of its precision
+        # matrix; only a grid given as data has its claim checked
+        calls = []
+        check = Grid2DDensity._verify_eps
+
+        def counted(self, eps):
+            calls.append(eps)
+            return check(self, eps)
+
+        monkeypatch.setattr(Grid2DDensity, "_verify_eps", counted)
+        rho, var = 0.4, (0.8, 1.6)
+        mu = bivariate_gaussian_grid(rho, var=var, mean=(0.3, -0.2), n_points=65)
+        c = rho * math.sqrt(var[0] * var[1])
+        exact = np.linalg.eigvalsh(np.linalg.inv([[var[0], c], [c, var[1]]])).min()
+        assert calls == [] and mu.convexity_lower_bound == pytest.approx(exact, rel=1e-14)
+        data = lambda eps: Grid2DDensity(mu.spec_x, mu.spec_y, mu.log_values, eps)
+        assert data(0.5 * exact).convexity_lower_bound == 0.5 * exact
+        assert data(2.0 * exact).convexity_lower_bound is None
+        assert calls == [0.5 * exact, 2.0 * exact]
+
 
 class TestValidation:
     def test_gaussian_variance_positive(self):

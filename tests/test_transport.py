@@ -1,4 +1,5 @@
-"""Monotone transport maps, optimal costs, and the discrete oracle."""
+"""Monotone transport maps, optimal costs, and the discrete oracle of
+``discrete_reference``."""
 
 import json
 import math
@@ -7,6 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from discrete_reference import brute_force_cost, monotone_matching_cost
 from quantile_reference import TiltQuantile, mixture_quantile, quantile_space_costs
 
 from lsdeficit import cli, config, transport
@@ -32,9 +34,7 @@ from lsdeficit.transport import (
     cost_delta_scaled,
     costs_to_standard_gaussian_rows,
     delta_transport_cost,
-    discrete_ot_cost,
     monotone_plan,
-    quantile_discretization,
     transport_cost,
     w1_distance,
     w2_distance,
@@ -462,66 +462,47 @@ class TestRowFastPath:
 
 
 class TestDiscreteOracle:
-    """Monotone matching versus exhaustive search."""
+    """Monotone matching versus exhaustive search (``discrete_reference``)."""
 
     def test_single_atoms(self):
-        got = discrete_ot_cost([2.0], [1.0], [-1.0], [1.0], COST_SQ)
+        got = monotone_matching_cost([2.0], [1.0], [-1.0], [1.0], COST_SQ)
         np.testing.assert_allclose(got, 9.0, rtol=1e-15)
 
     def test_two_point_hand_value(self):
         # sorted matching pairs -1<->0 and 1<->2
-        got = discrete_ot_cost([-1.0, 1.0], [0.5, 0.5], [0.0, 2.0], [0.5, 0.5], COST_SQ)
+        got = monotone_matching_cost([-1.0, 1.0], [0.5, 0.5], [0.0, 2.0], [0.5, 0.5], COST_SQ)
         np.testing.assert_allclose(got, 1.0, rtol=1e-15)
 
     def test_order_invariance(self):
-        a = discrete_ot_cost([3.0, -1.0, 0.5], [0.25, 0.5, 0.25], [0.0], [1.0], COST_ABS)
-        b = discrete_ot_cost([-1.0, 0.5, 3.0], [0.5, 0.25, 0.25], [0.0], [1.0], COST_ABS)
+        a = monotone_matching_cost([3.0, -1.0, 0.5], [0.25, 0.5, 0.25], [0.0], [1.0], COST_ABS)
+        b = monotone_matching_cost([-1.0, 0.5, 3.0], [0.5, 0.25, 0.25], [0.0], [1.0], COST_ABS)
         np.testing.assert_allclose(a, b, rtol=1e-15)
 
     @pytest.mark.parametrize("cost", [COST_SQ, COST_ABS, COST_DELTA], ids=lambda c: c.id)
     def test_random_instances_cross_checked(self, cost):
-        # "force" raises NumericalError if the exhaustive search ever disagrees
         rng = np.random.default_rng(5)
         for _ in range(40):
             units = int(rng.integers(1, 9))
             a_pts, a_m = random_atoms_with_unit(rng, units)
             b_pts, b_m = random_atoms_with_unit(rng, units)
-            val = discrete_ot_cost(a_pts, a_m, b_pts, b_m, cost, cross_check="force")
+            val = monotone_matching_cost(a_pts, a_m, b_pts, b_m, cost)
+            brute = brute_force_cost(a_pts, a_m, b_pts, b_m, cost)
+            assert brute is not None
+            assert abs(val - brute) <= 1e-12
             assert math.isfinite(val) and val >= 0.0
 
-    def test_force_needs_commensurable_masses(self):
-        with pytest.raises(ArgumentError):
-            discrete_ot_cost(
-                [0.0, 1.0], [1.0 / 3.0, 2.0 / 3.0], [0.0, 1.0], [0.2, 0.8],
-                COST_SQ, cross_check="force",
-            )
 
-    def test_unknown_mode(self):
-        with pytest.raises(ArgumentError):
-            discrete_ot_cost([0.0], [1.0], [0.0], [1.0], COST_SQ, cross_check="always")
-
-    def test_atom_validation(self):
-        with pytest.raises(ArgumentError):
-            discrete_ot_cost([0.0, 1.0], [1.0], [0.0], [1.0])
-        with pytest.raises(ArgumentError):
-            discrete_ot_cost([0.0], [0.5], [0.0], [1.0])
-        with pytest.raises(ArgumentError):
-            discrete_ot_cost([0.0, 1.0], [0.5, -0.5], [0.0], [1.0])
-        with pytest.raises(ArgumentError):
-            discrete_ot_cost([np.inf], [1.0], [0.0], [1.0])
+def midpoint_atoms(density, k):
+    """k equal-mass atoms at the midpoint quantiles u = (i - 1/2) / k."""
+    return np.asarray(density.quantile((np.arange(k) + 0.5) / k), dtype=float), np.full(k, 1.0 / k)
 
 
 class TestQuantileDiscretization:
-    """Equal-mass midpoint-quantile atoms."""
-
-    def test_atom_count_limits(self):
-        for bad in (0, 65):
-            with pytest.raises(ArgumentError):
-                quantile_discretization(standard_gaussian(), bad)
+    """Equal-mass midpoint-quantile atoms against continuous costs."""
 
     def test_gaussian_symmetry_and_masses(self):
-        pts, m = quantile_discretization(standard_gaussian(), 16)
-        np.testing.assert_allclose(m, 1.0 / 16.0)
+        pts, m = midpoint_atoms(standard_gaussian(), 16)
+        np.testing.assert_allclose(math.fsum(m), 1.0, rtol=1e-15)
         np.testing.assert_allclose(pts, -pts[::-1], atol=1e-9)
 
     @pytest.mark.parametrize("sigma", [0.5, 2.0])
@@ -529,17 +510,17 @@ class TestQuantileDiscretization:
         # quantiles of N(0, sigma^2) are sigma * (gamma quantiles), so the
         # matched costs reduce to moments of the atom vector
         k = 32
-        q, m = quantile_discretization(standard_gaussian(), k)
-        qs, _ = quantile_discretization(GaussianDensity(0.0, sigma**2), k)
+        q, m = midpoint_atoms(standard_gaussian(), k)
+        qs, _ = midpoint_atoms(GaussianDensity(0.0, sigma**2), k)
         np.testing.assert_allclose(qs, sigma * q, atol=1e-9)
-        sq = discrete_ot_cost(qs, m, q, m, COST_SQ, cross_check="off")
+        sq = monotone_matching_cost(qs, m, q, m, COST_SQ)
         np.testing.assert_allclose(sq, (sigma - 1.0) ** 2 * np.mean(q**2), rtol=1e-12)
-        ab = discrete_ot_cost(qs, m, q, m, COST_ABS, cross_check="off")
+        ab = monotone_matching_cost(qs, m, q, m, COST_ABS)
         np.testing.assert_allclose(ab, abs(sigma - 1.0) * np.mean(np.abs(q)), rtol=1e-12)
 
     def test_discrete_shift_cost_matches_continuous(self):
         # pure translation: every coupling moves mass by exactly the shift
-        q1, m1 = quantile_discretization(GaussianDensity(0.8, 1.0), 64)
-        q0, m0 = quantile_discretization(standard_gaussian(), 64)
-        got = discrete_ot_cost(q1, m1, q0, m0, COST_ABS, cross_check="off")
+        q1, m1 = midpoint_atoms(GaussianDensity(0.8, 1.0), 64)
+        q0, m0 = midpoint_atoms(standard_gaussian(), 64)
+        got = monotone_matching_cost(q1, m1, q0, m0, COST_ABS)
         np.testing.assert_allclose(got, 0.8, atol=1e-9)
