@@ -16,6 +16,14 @@ from the CDF (a mixture's analytic one, or Simpson-accumulated tables) and
 x(z) is a quintic Hermite interpolant in z.  ``quantile(u)`` is
 x(Phi^-1(u)); ``cdf(x)`` is Phi(z(x)), except for a mixture's analytic CDF.
 
+A 2D grid gives its scores (``score_fields``) and the normal scores of its
+rows and x1-marginal (``row_scores``, ``marginal_scores``) row block by row
+block.  A grid given as data takes central differences of its log values and
+the Simpson-accumulated tables of each row; a ``bivariate_gaussian_grid``
+reads its scores, row maps and means off its law: -Sigma^-1 (x - m),
+z = (y - mu_{2|1}(x)) / sigma_{2|1} along each row, (x - m1) / s1 along
+x1, m and mu_{2|1}(x) = m2 + rho (s2 / s1) (x - m1).
+
 ``heat_flow(t)`` is the law of X + sqrt(t) Z.  A Gaussian's is N(m, v + t)
 and a mixture's sum_i w_i N(m_i, v_i + t), both exact, and a
 ``bivariate_gaussian_grid`` N(m, Sigma) flows to N(m, Sigma + t I), tabulated
@@ -103,6 +111,13 @@ def _normal_scores(cdf: np.ndarray, sf: np.ndarray) -> np.ndarray:
     z = np.where(upper, sf, cdf)
     z = special.ndtri(np.clip(z, _U_LO, 1.0, out=z), out=z)
     return np.negative(z, out=z, where=upper)
+
+
+def _table_scores(p: np.ndarray, step: float) -> np.ndarray:
+    """Normal scores along the last axis of density values ``p`` (any
+    positive factor per row), read off each row's own CDF and survival
+    tables: the score step of every density without a closed-form CDF."""
+    return _normal_scores(*_table_tails(p, step))
 
 
 class NormalScores(NamedTuple):
@@ -495,9 +510,9 @@ class _TabulatedCDF(Density1D):
         error of the full tables at those nodes."""
         t = self.table
         n, step = t.spec.n_points, t.spec.step
-        z = _normal_scores(*_table_tails(t.p, step))
+        z = _table_scores(t.p, step)
         half = t.p[::2] if n % 2 == 1 else t.p[:-1:2]
-        coarse = _normal_scores(*_table_tails(half, 2.0 * step))
+        coarse = _table_scores(half, 2.0 * step)
         diff = np.abs(z[: 2 * half.size : 2] - coarse)
         # a node between two coarse nodes takes the larger of their errors
         error = np.repeat(diff, 2)[:n]
@@ -875,6 +890,26 @@ class Grid2DDensity:
         rows = self.row_stats
         return rows.first / np.maximum(rows.mass, 1e-300)
 
+    def score_fields(self, i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows i0:i1 of the scores (d/dx1 log p, d/dx2 log p): central
+        differences of the log values, one-sided at the grid's edges; the
+        x1 difference reads one halo row on each side."""
+        g = self._log_p
+        lo, hi = max(i0 - 1, 0), min(i1 + 1, g.shape[0])
+        gx = np.gradient(g[lo:hi], self._spec_x.step, axis=0)[i0 - lo : i1 - lo]
+        return gx, np.gradient(g[i0:i1], self._spec_y.step, axis=1)
+
+    def row_scores(self, i0: int, i1: int, p: np.ndarray) -> np.ndarray:
+        """Normal scores Phi^-1(F) along x2 of rows i0:i1, whose density
+        values (any positive factor per row) are ``p``: each conditional
+        law's map toward gamma, read off its CDF and survival tables."""
+        return _table_scores(p, self._spec_y.step)
+
+    def marginal_scores(self, p: np.ndarray) -> np.ndarray:
+        """Normal scores of the x1-marginal, as a one-row stack, from its
+        density values ``p`` (one row, any positive factor)."""
+        return _table_scores(p, self._spec_x.step)
+
     def swapped(self) -> "Grid2DDensity":
         """Coordinates exchanged: rows become columns."""
         return Grid2DDensity(
@@ -946,7 +981,9 @@ class _GaussianGrid2D(Grid2DDensity):
     variances ``var`` and correlation ``rho``, on n x n nodes spanning
     mean +- r sigma on each axis.  It keeps that law, node count and radius,
     so its heat flow is exact, and keeps ``convexity_lower_bound`` as given:
-    it is exact for the law, so the table is not checked against it."""
+    it is exact for the law, so the table is not checked against it.  Its
+    scores, row and marginal normal scores, mean and conditional means are
+    read off the law; integrals still run on the table."""
 
     def __init__(
         self,
@@ -960,13 +997,57 @@ class _GaussianGrid2D(Grid2DDensity):
         s1, s2 = math.sqrt(var[0]), math.sqrt(var[1])
         spec_x = GridSpec(mean[0] - r * s1, mean[0] + r * s1, n)
         spec_y = GridSpec(mean[1] - r * s2, mean[1] + r * s2, n)
-        z1 = ((spec_x.nodes() - mean[0]) / s1)[:, None]
-        z2 = ((spec_y.nodes() - mean[1]) / s2)[None, :]
-        quad = (z1 * z1 - 2.0 * rho * z1 * z2 + z2 * z2) / (2.0 * (1.0 - rho * rho))
-        log_p = -quad - math.log(2.0 * math.pi * s1 * s2 * math.sqrt(1.0 - rho * rho))
+        xs, ys = spec_x.nodes(), spec_y.nodes()
+        z1, z2 = (xs - mean[0]) / s1, (ys - mean[1]) / s2
+        # -(z1^2 - 2 rho z1 z2 + z2^2) / (2 (1 - rho^2)) - log norm, written
+        # into one array block by block, in that order of operations
+        z1_sq, cross, z2_sq = z1 * z1, 2.0 * rho * z1, z2 * z2
+        denom = 2.0 * (1.0 - rho * rho)
+        log_norm = math.log(2.0 * math.pi * s1 * s2 * math.sqrt(1.0 - rho * rho))
+        log_p = np.empty((n, n))
+        for i0, i1 in row_blocks(n):
+            block = log_p[i0:i1]
+            np.multiply(cross[i0:i1, None], z2, out=block)
+            np.subtract(z1_sq[i0:i1, None], block, out=block)
+            block += z2_sq
+            block /= denom
+            np.negative(block, out=block)
+            block -= log_norm
         super().__init__(spec_x, spec_y, log_p)
         self._eps = convexity_lower_bound
         self._law = (rho, var, mean, n, r)
+        # mu_{2|1}(x) = m2 + rho (s2 / s1) (x - m1) and sigma_{2|1}
+        cond = mean[1] + rho * (s2 / s1) * (xs - mean[0])
+        for arr in (ys, z1, z2, cond):
+            arr.flags.writeable = False
+        self._ys, self._z, self._sd, self._cond = ys, (z1, z2), (s1, s2), cond
+        self._cond_sd = s2 * math.sqrt(1.0 - rho * rho)
+
+    def mean(self) -> np.ndarray:
+        """(m1, m2), exact."""
+        return np.array(self._law[2])
+
+    def conditional_means(self) -> np.ndarray:
+        """mu_{2|1}(x) = m2 + rho (s2 / s1) (x - m1) at the row nodes, exact."""
+        return self._cond
+
+    def score_fields(self, i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
+        """-Sigma^-1 (x - m) on rows i0:i1, exact, in the standardised
+        z_i = (x_i - m_i) / s_i: -(z1 - rho z2) / ((1 - rho^2) s1) and
+        -(z2 - rho z1) / ((1 - rho^2) s2)."""
+        rho, (s1, s2) = self._law[0], self._sd
+        z1, z2 = self._z[0][i0:i1, None], self._z[1]
+        c = 1.0 - rho * rho
+        return -(z1 - rho * z2) / (c * s1), -(z2 - rho * z1) / (c * s2)
+
+    def row_scores(self, i0: int, i1: int, p: np.ndarray) -> np.ndarray:
+        """(y - mu_{2|1}(x_i)) / sigma_{2|1} on rows i0:i1, exact: X2 given
+        X1 = x is N(mu_{2|1}(x), s2^2 (1 - rho^2))."""
+        return (self._ys - self._cond[i0:i1, None]) / self._cond_sd
+
+    def marginal_scores(self, p: np.ndarray) -> np.ndarray:
+        """(x - m1) / s1, exact: X1 is N(m1, s1^2)."""
+        return self._z[0][None, :]
 
     def heat_flow(self, t: float) -> "Grid2DDensity":
         """N(m, Sigma + t I), exact: each variance grows by t and the

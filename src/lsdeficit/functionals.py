@@ -182,15 +182,6 @@ def _relative_fisher_1d(mu: Density1D, nu: Density1D) -> FunctionalValue:
     return _fisher_1d("I_rel", mu, np.asarray(nu.score(mu.table.nodes), dtype=float))
 
 
-def _grid2d_score_fields(mu: Grid2DDensity, i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows i0:i1 of the finite-difference scores along x1 and x2; the x1
-    difference reads one halo row on each side."""
-    g = mu.log_values
-    lo, hi = max(i0 - 1, 0), min(i1 + 1, g.shape[0])
-    gx = np.gradient(g[lo:hi], mu.spec_x.step, axis=0)[i0 - lo : i1 - lo]
-    return gx, np.gradient(g[i0:i1], mu.spec_y.step, axis=1)
-
-
 def _fisher_2d(
     name: str, mu: Grid2DDensity, shift_x: np.ndarray, shift_y: np.ndarray
 ) -> FunctionalValue:
@@ -201,7 +192,7 @@ def _fisher_2d(
 
     def block(i0: int, i1: int) -> np.ndarray:
         p = np.exp(mu.log_values[i0:i1])
-        gx, gy = _grid2d_score_fields(mu, i0, i1)
+        gx, gy = mu.score_fields(i0, i1)
         live = p >= config.FISHER_DENSITY_FLOOR
         return np.where(live, ((gx + shift_x[i0:i1]) ** 2 + (gy + shift_y) ** 2) * p, 0.0)
 

@@ -171,7 +171,9 @@ def _d_rows(
 def decompose_grid2d(
     mu: Grid2DDensity, costs: tuple[CostFn, ...], shifts: tuple[float, np.ndarray]
 ) -> TensorDecomposition:
-    """One row pass: the marginal and each row are mapped toward gamma once.
+    """One row pass: the marginal and each row are mapped toward gamma once,
+    through the normal scores the grid gives (``marginal_scores``,
+    ``row_scores``).
 
     Splits D and ``costs`` against gamma moved by t1 along x1 and by t2[i]
     along row i, for ``shifts`` = (t1, t2).  Zero shifts give the split as
@@ -186,8 +188,10 @@ def decompose_grid2d(
     marginal, t1 = mu.marginal_x().log_values[None, :], np.array([t1])
     d1 = _d_rows(marginal, np.zeros(1), sx, t1)[0]
     d2 = _exact_sum(weights * _d_rows(mu.log_values, mu._row_log_mass, sy, t2))
-    marg_costs = costs_to_standard_gaussian_rows(marginal, sx, costs, t1)
-    row_costs = costs_to_standard_gaussian_rows(mu.log_values, sy, costs, t2)
+    marg_costs = costs_to_standard_gaussian_rows(
+        marginal, sx, costs, t1, lambda i0, i1, p: mu.marginal_scores(p)
+    )
+    row_costs = costs_to_standard_gaussian_rows(mu.log_values, sy, costs, t2, mu.row_scores)
     parts = {
         c.id: (float(m[0]), _exact_sum(weights * r))
         for c, m, r in zip(costs, marg_costs, row_costs)

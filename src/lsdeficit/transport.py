@@ -16,8 +16,10 @@ one inverse of it, x(z) (``Density1D.normal_scores``, ``score_inverse``).
 Every 1D cost is one nodewise kernel on mu's table, T(x) = x_ref(z_mu(x));
 a lone Gaussian side is the reference, T(x) = m + s z_mu(x), in either
 argument order.  The 2D row path (``costs_to_standard_gaussian_rows``)
-shares the score step and prices one list of costs per row, against gamma
-moved by that row's offset (offset + T, so 0 gives gamma itself).  W1 has
+takes each row's normal scores from its grid (``row_scores``: a Gaussian
+grid's exact conditional scores, else the tables' score step) and prices one
+list of costs per row, against gamma moved by that row's offset (offset + T,
+so 0 gives gamma itself).  W1 has
 its Simpson kink error removed at every sign change of the displacement
 (``quadrature._kink_defect``).
 ``TransportPlan1D`` is the map as a callable at any x, T(x) =
@@ -41,8 +43,7 @@ from .densities import (
     Density1D,
     GaussianDensity,
     ProductDensity,
-    _normal_scores,
-    _table_tails,
+    _table_scores,
     standard_gaussian,
 )
 from .errors import ArgumentError, DegeneratePlanError
@@ -223,26 +224,31 @@ def costs_to_standard_gaussian_rows(
     spec: GridSpec,
     costs: tuple[CostFn, ...],
     offsets: np.ndarray | float = 0.0,
+    scores: Callable[[int, int, np.ndarray], np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Per-row optimal costs to the standard Gaussian moved by offsets[i] on
     row i (0 gives gamma itself), one array per cost.
 
     Each row of ``log_rows`` is a log density on ``spec``.  As in the 1D
-    kernel, every row is mapped toward gamma, T(x) = Phi^-1(F_row(x)) with
-    the survival table above the median, and integrated with the row's own
-    weights; the map toward the moved Gaussian is offsets[i] + T.  A kinked
+    kernel, every row is mapped toward gamma, T(x) = Phi^-1(F_row(x)), and
+    integrated with the row's own weights; the map toward the moved Gaussian
+    is offsets[i] + T.  ``scores(i0, i1, p)`` gives T on rows i0:i1 from p,
+    their values scaled to a row maximum of 1 (a 2D grid's ``row_scores``);
+    by default T is read off each row's CDF and survival tables.  A kinked
     cost gets the kink correction at each row's own sign changes.
     """
     step = spec.step
     nodes = spec.nodes()
     weights = simpson_weights(spec.n_points, step)
+    if scores is None:
+        scores = lambda i0, i1, p: _table_scores(p, step)
 
-    def block_costs(block: np.ndarray, block_offsets: np.ndarray) -> list[np.ndarray]:
-        """The costs of one block of rows.  Every step is per row, so the
-        blocks give the bits of the whole array."""
+    def block_costs(i0: int, i1: int, block_offsets: np.ndarray) -> list[np.ndarray]:
+        """The costs of rows i0:i1.  Every step is per row, so the blocks
+        give the bits of the whole array."""
+        block = log_rows[i0:i1]
         norm = np.exp(block - block.max(axis=1, keepdims=True))
-        disp = _normal_scores(*_table_tails(norm, step))
-        disp -= nodes
+        disp = scores(i0, i1, norm) - nodes
         disp += block_offsets
         norm /= (norm * weights).sum(axis=1, keepdims=True)
 
@@ -258,5 +264,5 @@ def costs_to_standard_gaussian_rows(
 
     n_rows = log_rows.shape[0]
     offsets = np.broadcast_to(np.reshape(offsets, (-1, 1)), (n_rows, 1))
-    blocks = [block_costs(log_rows[i0:i1], offsets[i0:i1]) for i0, i1 in row_blocks(n_rows)]
+    blocks = [block_costs(i0, i1, offsets[i0:i1]) for i0, i1 in row_blocks(n_rows)]
     return [np.concatenate(parts) for parts in zip(*blocks)]

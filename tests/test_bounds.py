@@ -111,6 +111,21 @@ class TestEqualityFamilies:
         cert = evaluate_bound("lsi", GaussianDensity(shift, 1.0))
         assert abs(cert.slack) <= 1e-8
 
+    @pytest.mark.parametrize("mean", [(0.0, 0.0), (0.7, -1.3)])
+    def test_gaussian_grid_translates_certify_tightly(self, mean):
+        # gamma_2 and a translate as Gaussian grids: scores, row maps and
+        # means are read off the law, so every applicable bound is tight to
+        # roundoff (eq1.4 takes a square root of w2sq_upper, which must be
+        # exactly 0 at gamma)
+        entries = certify_suite([bivariate_gaussian_grid(0.0, mean=mean)], tol=1e-9)
+        certs = {e.bound_id: e.certificate for e in entries if e.certificate is not None}
+        assert {"eq1.4", "talagrand", "lsi", "thm1.4"} <= set(certs)
+        if mean != (0.0, 0.0):
+            # Pinsker is tight only at gamma itself
+            assert certs.pop("pinsker").slack > 0.1
+        for bound_id, cert in certs.items():
+            assert cert.passed and abs(cert.slack) <= 1e-12, bound_id
+
     def test_heat_flow_time_recovers_interpolated_bound(self):
         ws = Workspace()
         mu = GaussianDensity(0.0, 4.0)

@@ -9,13 +9,14 @@ from scipy.interpolate import CubicSpline
 from lsdeficit.bounds import Workspace, evaluate_bound
 from lsdeficit.densities import (
     GaussianDensity,
+    Grid2DDensity,
     MixtureDensity,
     ProductDensity,
     bivariate_gaussian_grid,
     standard_gaussian,
 )
 from lsdeficit.errors import ArgumentError
-from lsdeficit.functionals import relative_entropy
+from lsdeficit.functionals import fisher_information, relative_entropy, relative_fisher
 from lsdeficit import recentering
 from lsdeficit.quadrature import GridSpec
 from lsdeficit.recentering import (
@@ -243,11 +244,14 @@ _CENTERED_GRIDS = [
 class TestCenteredParts2D:
     """Certificates read the recentered parts of a 2D grid against gamma
     moved by the conditional means; the materialised recentered grid is
-    the reference."""
+    the reference.  Both read the table, so the subject is a grid given as
+    data: a Gaussian grid reads its parts off its law
+    (``TestGaussianGridClosedForms``)."""
 
     @pytest.mark.parametrize("rho,var,mean", _CENTERED_GRIDS)
     def test_against_recentered_grid(self, rho, var, mean):
-        mu = bivariate_gaussian_grid(rho, var=var, mean=mean)
+        law = bivariate_gaussian_grid(rho, var=var, mean=mean)
+        mu = Grid2DDensity(law.spec_x, law.spec_y, law.log_values)
         got = Workspace().stats(mu).centered
         ref = tensorise(recenter(mu).recentered, costs=(COST_DELTA, COST_SQ, COST_ABS))
         for value, parts in ((got["D"], ref.D_parts), (got["sq"], ref.cost_parts["sq"])):
@@ -273,3 +277,28 @@ class TestW2sqUpper2D:
         got = Workspace().stats(mu).w2sq_upper
         want = math.fsum(tensorise(mu, costs=(COST_SQ,)).T_parts)
         assert abs(got - want) <= 4.0 * np.finfo(float).eps * abs(want)
+
+
+class TestGaussianGridClosedForms:
+    """A Gaussian grid N(m, Sigma) reads its scores, row maps and means off
+    its law, so its per-coordinate transport parts and Fisher informations
+    meet their closed forms to roundoff.  The marginal is N(m1, s1^2) and
+    the rows N(mu_{2|1}(x), sigma^2), sigma = s2 sqrt(1 - rho^2), with
+    E mu_{2|1}(X1)^2 = m2^2 + rho^2 v2."""
+
+    @pytest.mark.parametrize("rho,var,mean", _CENTERED_GRIDS)
+    def test_against_closed_forms(self, rho, var, mean):
+        mu = bivariate_gaussian_grid(rho, var=var, mean=mean)
+        s = Workspace().stats(mu)
+        s1, sigma = math.sqrt(var[0]), math.sqrt(var[1] * (1.0 - rho * rho))
+        centered_sq = (s1 - 1.0) ** 2 + (sigma - 1.0) ** 2
+        m_sq = mean[0] ** 2 + mean[1] ** 2
+        tr_inv = (1.0 / var[0] + 1.0 / var[1]) / (1.0 - rho * rho)
+        pins = [
+            (s.w2sq_upper, centered_sq + m_sq + rho * rho * var[1]),
+            (s.centered["sq"], centered_sq),
+            (fisher_information(mu).value, tr_inv),
+            (relative_fisher(mu).value, tr_inv - 4.0 + var[0] + var[1] + m_sq),
+        ]
+        for got, want in pins:
+            assert abs(got - want) <= 1e-15 * (1.0 + abs(want))

@@ -18,9 +18,9 @@ import pytest
 from scipy import special
 
 import lsdeficit
-from lsdeficit import config, transport
+from lsdeficit import config, densities, transport
 from lsdeficit.battery import BATTERY_LABELS, standard_battery
-from lsdeficit.bounds import Workspace, _Stats, evaluate_bound
+from lsdeficit.bounds import Workspace, _Stats, certify_suite, evaluate_bound
 from lsdeficit.densities import (
     GaussianDensity,
     Grid2DDensity,
@@ -186,6 +186,26 @@ def _whole_row_costs(log_rows, spec, costs, offsets):
     return [row_costs(c) for c in costs]
 
 
+def _whole_gaussian_log_p(rho, var, mean, n, r):
+    """Unnormalised log values of ``bivariate_gaussian_grid``, whole grid."""
+    s1, s2 = math.sqrt(var[0]), math.sqrt(var[1])
+    spec_x = GridSpec(mean[0] - r * s1, mean[0] + r * s1, n)
+    spec_y = GridSpec(mean[1] - r * s2, mean[1] + r * s2, n)
+    z1 = ((spec_x.nodes() - mean[0]) / s1)[:, None]
+    z2 = ((spec_y.nodes() - mean[1]) / s2)[None, :]
+    quad = (z1 * z1 - 2.0 * rho * z1 * z2 + z2 * z2) / (2.0 * (1.0 - rho * rho))
+    return -quad - math.log(2.0 * math.pi * s1 * s2 * math.sqrt(1.0 - rho * rho))
+
+
+def _kink_panels(f) -> int:
+    """Simpson panels of ``_kink_defect`` on which f changes sign."""
+    sign = np.signbit(np.atleast_2d(f))
+    n = sign.shape[-1]
+    sign = sign[:, : n if n % 2 == 1 else n - 3]
+    s0, s1, s2 = sign[:, :-2:2], sign[:, 1:-1:2], sign[:, 2::2]
+    return int(np.count_nonzero((s0 != s1) | (s1 != s2)))
+
+
 def _whole_d_rows(log_rows, log_mass, spec, offsets):
     w = simpson_weights(spec.n_points, spec.step)
     log_cond = log_rows - log_mass[:, None]
@@ -271,6 +291,10 @@ class TestBlockedPassesMatchWholeGrid:
     @pytest.mark.parametrize("name", sorted(_FUNCTIONALS))
     def test_functional(self, grid, name):
         blocked, whole = _FUNCTIONALS[name]
+        if "fisher" in name:
+            # the difference scores are the oracle's: a Gaussian grid reads
+            # its scores off its law, so the subject is given as data
+            grid = Grid2DDensity(grid.spec_x, grid.spec_y, grid.log_values)
         want = _whole_integrate(whole(grid), grid.spec_x, grid.spec_y, refine=True)
         assert _same(blocked(grid), want)
 
@@ -377,6 +401,68 @@ class TestMemoryGuard:
         mu = _GRIDS["513"]()
         assert mu.log_values.shape == (513, 513)
         assert _peak_bytes(lambda: _Stats(mu)._grid2d_pass()) < mu.log_values.nbytes / 4
+
+
+# -- Gaussian grids read their law ---------------------------------------------
+
+class TestGaussianGrids:
+    @pytest.mark.parametrize(
+        "rho,var,mean,n",
+        [
+            (0.0, (1.0, 1.0), (0.0, 0.0), 513),
+            (0.5, (0.8, 1.6), (0.4, -0.7), 513),
+            (-0.3, (1.2, 0.7), (0.0, 0.0), 4 * ROW_BLOCK + 1),
+            (0.2, (1.0, 1.0), (1.5, -0.2), 4 * ROW_BLOCK + 3),
+        ],
+    )
+    def test_tabulated_in_row_blocks(self, rho, var, mean, n):
+        mu = bivariate_gaussian_grid(rho, var=var, mean=mean, n_points=n)
+        raw = _whole_gaussian_log_p(rho, var, mean, n, config.support_radius())
+        assert np.array_equal(mu.log_values, Grid2DDensity(mu.spec_x, mu.spec_y, raw).log_values)
+
+    @staticmethod
+    def _counted_pass(monkeypatch, mu) -> dict[str, int]:
+        """Calls of the table score steps and of the row kernel's kink
+        correction, and the panels it corrects, over a full certificate
+        pass."""
+        counts = dict.fromkeys(("_normal_scores", "_table_tails", "score_fields", "kinks", "panels"), 0)
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("_normal_scores", "_table_tails"):
+            monkeypatch.setattr(densities, name, counted(name, getattr(densities, name)))
+        monkeypatch.setattr(
+            Grid2DDensity, "score_fields", counted("score_fields", Grid2DDensity.score_fields)
+        )
+
+        def kink_defect(f, step, _real=transport._kink_defect):
+            counts["panels"] += _kink_panels(f)
+            return _real(f, step)
+
+        monkeypatch.setattr(transport, "_kink_defect", counted("kinks", kink_defect))
+        certify_suite([mu])
+        return counts
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_certificates_read_the_law(self, monkeypatch, rho):
+        # no normal-score table, no difference scores; at rho = 0 every row
+        # displacement is exactly 0, so no panel has a kink
+        counts = self._counted_pass(monkeypatch, bivariate_gaussian_grid(rho))
+        assert counts["_normal_scores"] == counts["_table_tails"] == counts["score_fields"] == 0
+        assert counts["kinks"] > 0
+        if rho == 0.0:
+            assert counts["panels"] == 0
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_data_grid_reads_its_table(self, monkeypatch, rho):
+        law = bivariate_gaussian_grid(rho)
+        counts = self._counted_pass(monkeypatch, Grid2DDensity(law.spec_x, law.spec_y, law.log_values))
+        assert all(count > 0 for count in counts.values())
 
 
 # -- the map bounds read the map once per node array ---------------------------
