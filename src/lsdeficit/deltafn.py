@@ -1,8 +1,8 @@
 """The convex gap function delta(t) = t - log(1 + t) and its sharp bounds.
 
 delta is nonnegative on (-1, inf), vanishes only at 0, and controls every
-quantitative estimate in the bounds registry.  The helpers below expose the
-elementary comparison inequalities used when assembling certificates:
+quantitative estimate in the bounds registry.  The helpers below are the
+paper's elementary comparison inequalities:
 
   scaling        delta(c*t) >= min(c, c^2) * delta(t)        (c, t >= 0)
   left quadratic delta(t)  >= t^2 / 2                        (-1 < t <= 0)
@@ -10,6 +10,9 @@ elementary comparison inequalities used when assembling certificates:
   linear band    (1 - log 2) * min(t, t^2) <= delta(t) <= t  (t >= 0)
 
 All accept scalars or arrays and are exact up to log1p rounding.
+Certificates use only ``delta``, ``delta_quadratic_floor`` (the cap
+quadratic) and ``LINEAR_BAND_CONSTANT``; ``delta_scale`` and
+``delta_lower_min`` state the scaling and linear-band lemmas as functions.
 """
 
 from __future__ import annotations

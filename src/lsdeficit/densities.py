@@ -1,20 +1,21 @@
 """Probability densities on R, coordinate products, and R^2 grids.
 
-Every variant exposes the same evaluation surface: ``log_pdf``, ``pdf``,
-``score`` (derivative of log density), ``cdf``, ``quantile``, ``mean``,
-``variance``, plus a canonical uniform evaluation grid used by all
-quadrature-backed functionals.  Analytic forms are used where they exist
-(Gaussian and mixture CDFs, polynomial-potential scores); grid variants
-interpolate ``log_p`` linearly, which keeps densities positive and CDFs
-monotone.
+The common evaluation surface is that of the 1D variants: ``log_pdf``,
+``pdf``, ``score`` (derivative of log density), ``cdf``, ``quantile``,
+``mean``, ``variance``, plus a canonical uniform evaluation grid used by all
+quadrature-backed functionals; products and 2D grids keep what their
+functionals read.  Analytic forms are used where they exist (Gaussian and
+mixture CDFs, polynomial-potential scores); grid variants interpolate
+``log_p`` linearly, which keeps densities positive and CDFs monotone.
 
 Each 1D density has one map to the standard Gaussian, its normal scores
 z = Phi^-1(F(x)) on the table nodes (``normal_scores``), and one inverse,
 x(z) (``score_inverse``), which also reads z(x) back (``scores``).  For a
 Gaussian both are exact, z = (x - m) / s and x = m + s z; otherwise z comes
-from the CDF (a mixture's analytic one, or Simpson-accumulated tables) and
-x(z) is a quintic Hermite interpolant in z.  ``quantile(u)`` is
-x(Phi^-1(u)); ``cdf(x)`` is Phi(z(x)), except for a mixture's analytic CDF.
+from the CDF (a mixture's analytic one, or the ``Density1D`` default, the
+Simpson-accumulated tables) and x(z) is a quintic Hermite interpolant in z.
+``quantile(u)`` is x(Phi^-1(u)); ``cdf(x)`` is Phi(z(x)), except for a
+mixture's analytic CDF.
 
 A 2D grid gives its scores (``score_fields``) and the normal scores of its
 rows and x1-marginal (``row_scores``, ``marginal_scores``) row block by row
@@ -238,12 +239,6 @@ class Density1D:
     def score(self, x):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    @property
-    def normal_scores(self) -> NormalScores:  # pragma: no cover - abstract
-        """Phi^-1(F(x)) on the table nodes: the map to gamma that
-        ``score_inverse`` inverts."""
-        raise NotImplementedError
-
     def _support_hint(self) -> tuple[float, float]:  # pragma: no cover
         raise NotImplementedError
 
@@ -277,6 +272,27 @@ class Density1D:
         for arr in (nodes, log_p, p, score):
             arr.flags.writeable = False
         return NodeTable(spec, nodes, log_p, p, score)
+
+    @cached_property
+    def normal_scores(self) -> NormalScores:
+        """Phi^-1(F(x)) on the table nodes, the map to gamma that
+        ``score_inverse`` inverts, read off the Simpson-accumulated CDF and
+        survival tables.  The error bound per node is the change of the
+        scores when the tables are built on every second node: the
+        accumulation is O(h^4), so that is about 15 times the error of the
+        full tables at those nodes.  Shapes with an analytic CDF override it."""
+        t = self.table
+        n, step = t.spec.n_points, t.spec.step
+        z = _table_scores(t.p, step)
+        half = t.p[::2] if n % 2 == 1 else t.p[:-1:2]
+        coarse = _table_scores(half, 2.0 * step)
+        diff = np.abs(z[: 2 * half.size : 2] - coarse)
+        # a node between two coarse nodes takes the larger of their errors
+        error = np.repeat(diff, 2)[:n]
+        error[1 : 2 * half.size - 1 : 2] = np.maximum(diff[:-1], diff[1:])
+        for arr in (z, error):
+            arr.flags.writeable = False
+        return NormalScores(z, error)
 
     @cached_property
     def score_inverse(self) -> ScoreInverse | _AffineInverse:
@@ -498,31 +514,7 @@ class MixtureDensity(Density1D):
         return f"MixtureDensity({list(self.components)!r})"
 
 
-class _TabulatedCDF(Density1D):
-    """For densities without an analytic CDF: the normal scores come from
-    the Simpson-accumulated CDF and survival tables."""
-
-    @cached_property
-    def normal_scores(self) -> NormalScores:
-        """Phi^-1 of the CDF and survival tables.  The error bound per node is
-        the change of the scores when the tables are built on every second
-        node: the accumulation is O(h^4), so that is about 15 times the
-        error of the full tables at those nodes."""
-        t = self.table
-        n, step = t.spec.n_points, t.spec.step
-        z = _table_scores(t.p, step)
-        half = t.p[::2] if n % 2 == 1 else t.p[:-1:2]
-        coarse = _table_scores(half, 2.0 * step)
-        diff = np.abs(z[: 2 * half.size : 2] - coarse)
-        # a node between two coarse nodes takes the larger of their errors
-        error = np.repeat(diff, 2)[:n]
-        error[1 : 2 * half.size - 1 : 2] = np.maximum(diff[:-1], diff[1:])
-        for arr in (z, error):
-            arr.flags.writeable = False
-        return NormalScores(z, error)
-
-
-class TiltedDensity(_TabulatedCDF):
+class TiltedDensity(Density1D):
     """exp(-v(x)) / Z for a polynomial potential v with even positive leading term.
 
     ``convexity_lower_bound`` is verified analytically: the exact minimum of
@@ -563,8 +555,6 @@ class TiltedDensity(_TabulatedCDF):
     def _mode(self) -> float:
         roots = self._dpoly.roots()
         real = roots[np.abs(roots.imag) < 1e-9].real
-        if real.size == 0:
-            return 0.0
         vals = self._poly(real)
         return float(real[np.argmin(vals)])
 
@@ -633,7 +623,7 @@ class TiltedDensity(_TabulatedCDF):
         return f"TiltedDensity(coeffs={self.potential_coeffs!r}, eps={self._eps!r})"
 
 
-class GridDensity(_TabulatedCDF):
+class GridDensity(Density1D):
     """Density stored as log values on a uniform grid, renormalised on build.
 
     Queries interpolate log_p linearly; outside the support the log density
@@ -696,9 +686,6 @@ class GridDensity(_TabulatedCDF):
         t = self.table
         return _maybe_scalar(np.interp(pts, t.nodes, t.score), scalar)
 
-    def _support_hint(self) -> tuple[float, float]:
-        return self._spec.x_lo, self._spec.x_hi
-
     def shifted(self, offset: float) -> "GridDensity":
         spec = GridSpec(
             self._spec.x_lo + offset, self._spec.x_hi + offset, self._spec.n_points
@@ -735,16 +722,6 @@ class ProductDensity:
     def convexity_lower_bound(self) -> float | None:
         eps = [f.convexity_lower_bound for f in self._factors]
         return None if any(e is None for e in eps) else float(min(eps))
-
-    def log_pdf(self, point):
-        pts = np.asarray(point, dtype=float)
-        if pts.shape[-1] != self.dim:
-            raise ArgumentError(f"point must have {self.dim} coordinates")
-        parts = [
-            np.asarray(f.log_pdf(pts[..., i])) for i, f in enumerate(self._factors)
-        ]
-        out = np.sum(parts, axis=0)
-        return float(out) if out.ndim == 0 else out
 
     def mean(self) -> np.ndarray:
         return np.array([f.mean() for f in self._factors])
@@ -905,16 +882,10 @@ class Grid2DDensity:
         law's map toward gamma, read off its CDF and survival tables."""
         return _table_scores(p, self._spec_y.step)
 
-    def marginal_scores(self, p: np.ndarray) -> np.ndarray:
-        """Normal scores of the x1-marginal, as a one-row stack, from its
-        density values ``p`` (one row, any positive factor)."""
+    def marginal_scores(self, i0: int, i1: int, p: np.ndarray) -> np.ndarray:
+        """Normal scores of the x1-marginal, as a one-row stack (i0:i1 is
+        0:1), from its density values ``p`` (one row, any positive factor)."""
         return _table_scores(p, self._spec_x.step)
-
-    def swapped(self) -> "Grid2DDensity":
-        """Coordinates exchanged: rows become columns."""
-        return Grid2DDensity(
-            self._spec_y, self._spec_x, self._log_p.T, convexity_lower_bound=self._eps
-        )
 
     def mean(self) -> np.ndarray:
         """(E X1, E X2) from the row statistics."""
@@ -1045,7 +1016,7 @@ class _GaussianGrid2D(Grid2DDensity):
         X1 = x is N(mu_{2|1}(x), s2^2 (1 - rho^2))."""
         return (self._ys - self._cond[i0:i1, None]) / self._cond_sd
 
-    def marginal_scores(self, p: np.ndarray) -> np.ndarray:
+    def marginal_scores(self, i0: int, i1: int, p: np.ndarray) -> np.ndarray:
         """(x - m1) / s1, exact: X1 is N(m1, s1^2)."""
         return self._z[0][None, :]
 

@@ -287,6 +287,10 @@ def total_variation(mu, nu=None) -> FunctionalValue:
             raise ArgumentError(
                 "total_variation joint integral is implemented for 2 coordinates"
             )
+        if nu is not None:
+            raise ArgumentError(
+                "total_variation: product densities support only the standard Gaussian reference"
+            )
         fx, fy = mu.factors
         n = config.DEFAULT_GRID_POINTS_2D
         sx, sy = fx.eval_spec(), fy.eval_spec()
@@ -296,10 +300,6 @@ def total_variation(mu, nu=None) -> FunctionalValue:
         py = np.asarray(fy.pdf(spec_y.nodes()))[None, :]
         qx = np.exp(_std_log_pdf_1d(spec_x.nodes()))[:, None]
         qy = np.exp(_std_log_pdf_1d(spec_y.nodes()))[None, :]
-        if nu is not None:
-            raise ArgumentError(
-                "total_variation: product densities support only the standard Gaussian reference"
-            )
         r = integrate_rows_2d(
             lambda i0, i1: np.abs(px[i0:i1] * py - qx[i0:i1] * qy), spec_x, spec_y, refine=True
         )

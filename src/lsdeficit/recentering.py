@@ -188,9 +188,7 @@ def decompose_grid2d(
     marginal, t1 = mu.marginal_x().log_values[None, :], np.array([t1])
     d1 = _d_rows(marginal, np.zeros(1), sx, t1)[0]
     d2 = _exact_sum(weights * _d_rows(mu.log_values, mu._row_log_mass, sy, t2))
-    marg_costs = costs_to_standard_gaussian_rows(
-        marginal, sx, costs, t1, lambda i0, i1, p: mu.marginal_scores(p)
-    )
+    marg_costs = costs_to_standard_gaussian_rows(marginal, sx, costs, t1, mu.marginal_scores)
     row_costs = costs_to_standard_gaussian_rows(mu.log_values, sy, costs, t2, mu.row_scores)
     parts = {
         c.id: (float(m[0]), _exact_sum(weights * r))

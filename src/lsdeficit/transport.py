@@ -43,7 +43,6 @@ from .densities import (
     Density1D,
     GaussianDensity,
     ProductDensity,
-    _table_scores,
     standard_gaussian,
 )
 from .errors import ArgumentError, DegeneratePlanError
@@ -223,8 +222,8 @@ def costs_to_standard_gaussian_rows(
     log_rows: np.ndarray,
     spec: GridSpec,
     costs: tuple[CostFn, ...],
-    offsets: np.ndarray | float = 0.0,
-    scores: Callable[[int, int, np.ndarray], np.ndarray] | None = None,
+    offsets: np.ndarray | float,
+    scores: Callable[[int, int, np.ndarray], np.ndarray],
 ) -> list[np.ndarray]:
     """Per-row optimal costs to the standard Gaussian moved by offsets[i] on
     row i (0 gives gamma itself), one array per cost.
@@ -233,15 +232,13 @@ def costs_to_standard_gaussian_rows(
     kernel, every row is mapped toward gamma, T(x) = Phi^-1(F_row(x)), and
     integrated with the row's own weights; the map toward the moved Gaussian
     is offsets[i] + T.  ``scores(i0, i1, p)`` gives T on rows i0:i1 from p,
-    their values scaled to a row maximum of 1 (a 2D grid's ``row_scores``);
-    by default T is read off each row's CDF and survival tables.  A kinked
-    cost gets the kink correction at each row's own sign changes.
+    their values scaled to a row maximum of 1 (a 2D grid's ``row_scores``
+    or ``marginal_scores``).  A kinked cost gets the kink correction at each
+    row's own sign changes.
     """
     step = spec.step
     nodes = spec.nodes()
     weights = simpson_weights(spec.n_points, step)
-    if scores is None:
-        scores = lambda i0, i1, p: _table_scores(p, step)
 
     def block_costs(i0: int, i1: int, block_offsets: np.ndarray) -> list[np.ndarray]:
         """The costs of rows i0:i1.  Every step is per row, so the blocks

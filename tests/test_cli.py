@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +153,20 @@ class TestDistance:
         code = main(["distance", "--dist", str(bad), "--metric", "kl"])
         assert code == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_vanishing_interior_is_a_numerical_failure(self, tmp_path, capsys):
+        # log p = -x^2/2 except -800 on nodes 100-109: p underflows to 0 there
+        x = np.linspace(-8.0, 8.0, 257)
+        log_p = -0.5 * x * x
+        log_p[100:110] = -800.0
+        path = tmp_path / "vanish.json"
+        path.write_text(json.dumps({"type": "grid", "x_lo": -8, "x_hi": 8, "log_p": log_p.tolist()}))
+        for metric in ("fisher", "deficit"):
+            assert main(["distance", "--dist", str(path), "--metric", metric]) == 4
+            err = capsys.readouterr().err
+            assert "density vanishes in the interior of its support (node 100)" in err
+        # the entropy needs no score: it is still computed
+        assert main(["distance", "--dist", str(path), "--metric", "kl"]) == 0
 
     def test_exact_cost_needs_tractable_shape(self, spec_file, capsys):
         mu = spec_file("g.json", bivariate_gaussian_grid(0.5, n_points=33))
@@ -392,3 +409,27 @@ class TestNumericFlags:
     def test_tol_validation(self, spec_file, capsys):
         path = spec_file("g.json", standard_gaussian())
         assert main(["certify", "--dist", path, "--tol", "-0.5"]) == 2
+
+
+def test_corpus_unchanged_by_an_earlier_call(tmp_path):
+    """The whole ``cli_corpus`` listing, run twice in one process with a
+    flagged ``lsd certify`` between the passes, reads the same: one call
+    leaves nothing behind that changes the next."""
+    probe = (
+        "import sys, cli_corpus\n"
+        "from lsdeficit import cli\n"
+        "first = cli_corpus.listing(sys.argv[1])\n"
+        "cli.main(['certify', '--dist', sys.argv[1] + '/tilted.json', '--grid-points', '1025',\n"
+        "          '--support-radius', '8', '--out', sys.argv[3]])\n"
+        "print('\\n'.join(first + ['--'] + cli_corpus.listing(sys.argv[2])))\n"
+    )
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), str(tests)])
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "a"), str(tmp_path / "b"), str(tmp_path / "c")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    ).stdout
+    first, second = out.split("--\n")
+    assert len(first.splitlines()) == 73
+    assert first == second

@@ -272,6 +272,14 @@ class TestTiltedConvexityFloor:
         with pytest.raises(ArgumentError):
             TiltedDensity([0.0, 0.0, 0.0, 1.0])
 
+    def test_trailing_zero_coefficients_trimmed(self):
+        mu, trimmed = TiltedDensity([0, 0, 0.5, 0, 0]), TiltedDensity([0, 0, 0.5])
+        assert mu.potential_coeffs == trimmed.potential_coeffs == (0.0, 0.0, 0.5)
+        for got, want in zip(mu.table, trimmed.table):
+            assert got == want if isinstance(got, GridSpec) else np.array_equal(got, want)
+        parsed = specio.parse_density({"type": "tilted", "coeffs": [0, 0, 0.5, 0, 0]})
+        assert parsed.potential_coeffs == trimmed.potential_coeffs
+
 
 class TestTabulatedConvexityFloor:
     """Mixtures and 1D grids check a claimed floor on (-log p)'' against the
@@ -505,7 +513,8 @@ class TestClosedFormHeatFlow:
         mu = bivariate_gaussian_grid(0.5, var=(0.8, 1.6), mean=(0.3, -0.4), n_points=65)
         data = Grid2DDensity(mu.spec_x, mu.spec_y, mu.log_values)
         loaded = specio.loads(specio.dumps(mu))
-        for grid in (data, loaded, mu.swapped()):
+        swapped = Grid2DDensity(mu.spec_y, mu.spec_x, mu.log_values.T)
+        for grid in (data, loaded, swapped):
             assert type(grid) is Grid2DDensity
             want = gaussian_convolve_2d(grid, 1.0)
             got = grid.heat_flow(1.0)
@@ -596,11 +605,6 @@ class TestBivariateGrid:
         x = x[np.abs(x) < 4.0]
         ref = standard_gaussian()
         assert np.max(np.abs(np.asarray(marg.log_pdf(x)) - np.asarray(ref.log_pdf(x)))) < 1e-9
-
-    def test_swapped_symmetry(self):
-        rho = bivariate_gaussian_grid(0.5)
-        sw = rho.swapped()
-        assert np.allclose(sw.log_values, rho.log_values.T)
 
     def test_exact_convexity_bound_is_not_rechecked(self, monkeypatch):
         # a Gaussian grid keeps the smallest eigenvalue of its precision

@@ -260,6 +260,12 @@ class TestTotalVariation:
         with pytest.raises(ArgumentError):
             total_variation(bivariate_gaussian_grid(0.5), standard_gaussian())
 
+    def test_product_reference_refused_before_tabulating(self, monkeypatch):
+        p = ProductDensity([standard_gaussian(), standard_gaussian()])
+        monkeypatch.setattr(GaussianDensity, "pdf", lambda self, x: pytest.fail("tabulated"))
+        with pytest.raises(ArgumentError, match="only the standard Gaussian reference"):
+            total_variation(p, p)
+
 
 class TestDeficit:
     """Half relative Fisher information minus relative entropy."""

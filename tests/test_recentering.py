@@ -160,7 +160,7 @@ class TestShiftRows:
     def test_matches_per_row_splines(self, grid, swap):
         mu = grid()
         if swap:
-            mu = mu.swapped()
+            mu = Grid2DDensity(mu.spec_y, mu.spec_x, mu.log_values.T)
         offsets = mu.conditional_means()
         got = _shift_rows(mu.log_values, mu.spec_y, offsets)
         assert np.array_equal(got, _shift_rows_per_row(mu.log_values, mu.spec_y, offsets))

@@ -28,6 +28,7 @@ from lsdeficit.densities import (
     ProductDensity,
     TiltedDensity,
     _normal_scores,
+    _table_scores,
     _table_tails,
     bivariate_gaussian_grid,
     gaussian_convolve_2d,
@@ -168,6 +169,11 @@ def _whole_verify_eps(mu, eps):
     radius = np.sqrt(0.25 * (vxx - vyy) ** 2 + vxy**2)
     min_eig = float((half_tr - radius).min())
     return eps if min_eig >= eps - 1e-6 else None
+
+
+def _table_rule(spec):
+    """The tables' score step as a row kernel's score source."""
+    return lambda i0, i1, p: _table_scores(p, spec.step)
 
 
 def _whole_row_costs(log_rows, spec, costs, offsets):
@@ -350,14 +356,18 @@ class TestBlockedPassesMatchWholeGrid:
     def test_row_costs(self, grid):
         costs = (COST_SQ, COST_ABS, COST_DELTA)
         for offsets in (0.0, grid.conditional_means()):
-            got = costs_to_standard_gaussian_rows(grid.log_values, grid.spec_y, costs, offsets)
+            got = costs_to_standard_gaussian_rows(
+                grid.log_values, grid.spec_y, costs, offsets, _table_rule(grid.spec_y)
+            )
             want = _whole_row_costs(grid.log_values, grid.spec_y, costs, offsets)
             assert len(got) == len(want) == 3
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
         # one row with a scalar offset, as for the marginal
         marginal = grid.marginal_x()
         one = marginal.log_values[None, :]
-        got = costs_to_standard_gaussian_rows(one, marginal.spec, costs, 0.3)
+        got = costs_to_standard_gaussian_rows(
+            one, marginal.spec, costs, 0.3, _table_rule(marginal.spec)
+        )
         want = _whole_row_costs(one, marginal.spec, costs, 0.3)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 

@@ -122,6 +122,25 @@ class TestParseErrors:
                 }
             )
 
+    def test_grid2d_nested_rows_match_flat(self):
+        mu = Grid2DDensity(
+            GridSpec(-2.0, 2.0, 17),
+            GridSpec(-1.5, 2.5, 19),
+            -0.5 * np.add.outer(np.linspace(-2.0, 2.0, 17) ** 2, np.linspace(-1.5, 2.5, 19) ** 2),
+        )
+        flat = density_to_spec(mu)
+        nested = {k: v for k, v in flat.items() if k not in ("n_x", "n_y")}
+        nested["log_p"] = mu.log_values.tolist()
+        a, b = parse_density(flat), parse_density(nested)
+        assert (a.spec_x, a.spec_y) == (b.spec_x, b.spec_y) == (mu.spec_x, mu.spec_y)
+        assert np.array_equal(a.log_values, b.log_values)
+
+    def test_grid2d_unequal_rows_refused(self):
+        spec = {"type": "grid2d", "x_lo": -1.0, "x_hi": 1.0, "y_lo": -1.0, "y_hi": 1.0,
+                "log_p": [[0.0] * 17] * 16 + [[0.0] * 16]}
+        with pytest.raises(SpecParseError, match="log_p rows have unequal lengths"):
+            parse_density(spec)
+
     def test_top_level_must_be_object(self):
         with pytest.raises(SpecParseError):
             loads("[1, 2, 3]")

@@ -20,6 +20,7 @@ from lsdeficit.densities import (
     MixtureDensity,
     ProductDensity,
     TiltedDensity,
+    _table_scores,
     bivariate_gaussian_grid,
     standard_gaussian,
 )
@@ -424,6 +425,11 @@ class TestProductBound:
             transport_cost(standard_gaussian(), p)
 
 
+def _table_rule(spec):
+    """The tables' score step as a row kernel's score source."""
+    return lambda i0, i1, p: _table_scores(p, spec.step)
+
+
 class TestRowFastPath:
     """Vectorised per-row costs agree with the scalar transport route."""
 
@@ -438,7 +444,7 @@ class TestRowFastPath:
         ]
         log_rows = np.stack([np.asarray(m.log_pdf(nodes)) for m in members])
         costs = (COST_SQ, COST_ABS, COST_DELTA)
-        rows = costs_to_standard_gaussian_rows(log_rows, spec, costs)
+        rows = costs_to_standard_gaussian_rows(log_rows, spec, costs, 0.0, _table_rule(spec))
         for cost, arr in zip(costs, rows):
             for j, m in enumerate(members):
                 want = transport_cost(m, None, cost).value
@@ -449,7 +455,7 @@ class TestRowFastPath:
         spec = GridSpec(-10.0, 10.0, 2049)
         params = [(0.3, 0.5), (1.4, 0.3), (-0.7, 0.6), (0.05, 2.0)]
         log_rows = np.stack([GaussianDensity(m, v).log_pdf(spec.nodes()) for m, v in params])
-        (w1,) = costs_to_standard_gaussian_rows(log_rows, spec, (COST_ABS,))
+        (w1,) = costs_to_standard_gaussian_rows(log_rows, spec, (COST_ABS,), 0.0, _table_rule(spec))
         np.testing.assert_allclose(w1, [gaussian_w1(m, v) for m, v in params], rtol=0, atol=1e-9)
 
     def test_wide_row_limited_by_window(self):
@@ -457,7 +463,7 @@ class TestRowFastPath:
         # renormalisation biases the cost by ~3e-5 independent of resolution
         spec = GridSpec(-10.0, 10.0, 4097)
         log_row = np.asarray(GaussianDensity(0.0, 4.0).log_pdf(spec.nodes()))[None, :]
-        (sq,) = costs_to_standard_gaussian_rows(log_row, spec, (COST_SQ,))
+        (sq,) = costs_to_standard_gaussian_rows(log_row, spec, (COST_SQ,), 0.0, _table_rule(spec))
         np.testing.assert_allclose(sq[0], 1.0, atol=5e-5)
 
 
