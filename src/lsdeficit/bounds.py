@@ -43,6 +43,9 @@ from .densities import (
 )
 from .errors import ArgumentError, HypothesisError, NumericalError
 from .functionals import (
+    _GRID2D_NAMES,
+    _entropy_power,
+    _grid2d_integrals,
     dim_of,
     entropy_power,
     fisher_information,
@@ -135,10 +138,11 @@ class _Stats:
 
     Evaluators read every transport cost, transport plan, heat flow and
     centered quantity of their density through this memo, so one Workspace
-    computes each of them once.  Mean-zero input reads its centered
-    quantities from the as-is entries.  Entries are keyed by this density
-    and the reference object; nothing is shared with another density by
-    value.
+    computes each of them once.  On a 2D grid the first read of D, I_rel,
+    I_plain, the entropy power or TV computes all five from one row pass.
+    Mean-zero input reads its centered quantities from the as-is entries.
+    Entries are keyed by this density and the reference object; nothing is
+    shared with another density by value.
     """
 
     def __init__(self, mu: Density):
@@ -152,17 +156,33 @@ class _Stats:
         return self._memo[key]
 
     # -- scalar functionals ------------------------------------------------
+    def _scalar(self, key: str, fn: Callable[[], float]) -> float:
+        """The memoised scalar ``key``; a 2D grid reads it off its one pass."""
+        if isinstance(self.mu, Grid2DDensity):
+            return self._get("grid2d_integrals", self._grid2d_scalars)[key]
+        return self._get(key, fn)
+
+    def _grid2d_scalars(self) -> dict[str, float]:
+        v = _grid2d_integrals(self.mu, _GRID2D_NAMES)
+        return {
+            "d": v["D"].value,
+            "i_rel": v["I_rel"].value,
+            "i_plain": v["I_plain"].value,
+            "epow": _entropy_power(v["h"], self.n).value,
+            "tv": v["TV"].value,
+        }
+
     @property
     def d(self) -> float:
-        return self._get("d", lambda: relative_entropy(self.mu, None).value)
+        return self._scalar("d", lambda: relative_entropy(self.mu, None).value)
 
     @property
     def i_rel(self) -> float:
-        return self._get("i_rel", lambda: relative_fisher(self.mu, None).value)
+        return self._scalar("i_rel", lambda: relative_fisher(self.mu, None).value)
 
     @property
     def i_plain(self) -> float:
-        return self._get("i_plain", lambda: fisher_information(self.mu).value)
+        return self._scalar("i_plain", lambda: fisher_information(self.mu).value)
 
     @property
     def deficit(self) -> float:
@@ -178,11 +198,11 @@ class _Stats:
 
     @property
     def entropy_power(self) -> float:
-        return self._get("epow", lambda: entropy_power(self.mu).value)
+        return self._scalar("epow", lambda: entropy_power(self.mu).value)
 
     @property
     def tv(self) -> float:
-        return self._get("tv", lambda: total_variation(self.mu, None).value)
+        return self._scalar("tv", lambda: total_variation(self.mu, None).value)
 
     def evolved(self, t: float) -> Density:
         """Law of X + sqrt(t) Z (the heat flow at time t), memoised per t."""

@@ -774,12 +774,12 @@ class Grid2DDensity:
         shift = float(log_p.max())
         if not (math.isfinite(shift) and math.isfinite(float(log_p.min()))):
             raise ArgumentError("grid log-density values must be finite")
-        total = integrate_rows_2d(
-            lambda i0, i1: np.exp(log_p[i0:i1] - shift), spec_x, spec_y
-        ).value
+        (total,) = integrate_rows_2d(
+            lambda i0, i1: (np.exp(log_p[i0:i1] - shift),), spec_x, spec_y
+        )
         self._spec_x = spec_x
         self._spec_y = spec_y
-        self._log_p = log_p - (math.log(total) + shift)
+        self._log_p = log_p - (math.log(total.value) + shift)
         self._log_p.flags.writeable = False
         self._eps = None
         if convexity_lower_bound is not None:
@@ -898,11 +898,12 @@ class Grid2DDensity:
     def second_moment(self) -> float:
         xs = self._spec_x.nodes()[:, None]
         ys = self._spec_y.nodes()[None, :]
-        return integrate_rows_2d(
-            lambda i0, i1: (xs[i0:i1] * xs[i0:i1] + ys * ys) * np.exp(self._log_p[i0:i1]),
+        (m2,) = integrate_rows_2d(
+            lambda i0, i1: ((xs[i0:i1] * xs[i0:i1] + ys * ys) * np.exp(self._log_p[i0:i1]),),
             self._spec_x,
             self._spec_y,
-        ).value
+        )
+        return m2.value
 
     def heat_flow(self, t: float) -> "Grid2DDensity":
         """X + sqrt(t) Z on the grid's own lattice (``gaussian_convolve_2d``),

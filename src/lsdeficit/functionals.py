@@ -13,7 +13,10 @@ canonical grid and carry a Richardson error estimate:
 
 The reference defaults to the standard Gaussian of matching dimension.
 Products decompose coordinate-wise (entropy and divergence are additive
-for independent coordinates); bivariate grids integrate in 2D.
+for independent coordinates); bivariate grids integrate in 2D, every
+requested integral of D, I_plain, I_rel, h and TV from one row-block pass
+(``_grid2d_integrals``) that exponentiates each block of log values once
+and builds its score fields once, only when a Fisher integral is asked.
 
 Convention: contributions where p < 1e-300 are treated as exact zeros
 (the x log x limit); Fisher integrands additionally exclude nodes with
@@ -24,7 +27,7 @@ p < 1e-290, and a density vanishing strictly inside its support raises
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -96,21 +99,7 @@ def relative_entropy(mu, nu=None) -> FunctionalValue:
     if isinstance(mu, ProductDensity):
         return _per_factor(_relative_entropy_1d, mu, nu, "relative_entropy")
     if isinstance(mu, Grid2DDensity):
-        log_q = _reference_log_pdf_2d(mu, nu)
-
-        def block(i0: int, i1: int) -> np.ndarray:
-            log_p = mu.log_values[i0:i1]
-            p = np.exp(log_p)
-            live = p >= config.LOG_ZERO_FLOOR
-            q = log_q(i0, i1)
-            if (live & np.isneginf(q)).any():
-                raise SupportError(
-                    "relative entropy undefined: mass where the 2D reference vanishes"
-                )
-            return np.where(live, p * (log_p - np.where(live, q, 0.0)), 0.0)
-
-        r = integrate_rows_2d(block, mu.spec_x, mu.spec_y, refine=True)
-        return FunctionalValue("D", r.value, r.abs_error_estimate)
+        return _grid2d_integrals(mu, ("D",), nu)["D"]
     raise ArgumentError(f"unsupported density type {type(mu).__name__}")
 
 
@@ -135,6 +124,60 @@ def _reference_log_pdf_2d(mu: Grid2DDensity, nu) -> Callable[[int, int], np.ndar
 
         return rows
     raise ArgumentError("2D reference must be None, a 2-factor product, or a 2D grid")
+
+
+_GRID2D_NAMES = ("D", "I_plain", "I_rel", "h", "TV")
+
+
+def _grid2d_integrals(mu: Grid2DDensity, names, nu=None) -> dict[str, FunctionalValue]:
+    """The 2D integrals named in ``names`` (of ``_GRID2D_NAMES``), from one
+    row-block pass; D and TV are against ``nu`` (default gamma_2), the
+    Fisher integrals against gamma_2 (score -x) for I_rel and score 0 for
+    I_plain.
+
+    Each block exponentiates its log values once and builds one
+    ``LOG_ZERO_FLOOR`` mask, and, when a Fisher integral is asked, one
+    ``FISHER_DENSITY_FLOOR`` mask and one block of score fields; each
+    integrand then has the arithmetic it has alone, and ``integrate_rows_2d``
+    sums each on its own, so every value has the bits of a one-name pass.
+    The integrands of a block are yielded one by one, so each is summed
+    before the next is built.
+    """
+    wanted = tuple(name for name in _GRID2D_NAMES if name in names)
+    log_q = _reference_log_pdf_2d(mu, nu) if {"D", "TV"} & set(wanted) else None
+    fisher = {"I_plain", "I_rel"} & set(wanted)
+    xs, ys = mu.spec_x.nodes()[:, None], mu.spec_y.nodes()[None, :]
+
+    def block(i0: int, i1: int) -> Iterator[np.ndarray]:
+        log_p = mu.log_values[i0:i1]
+        p = np.exp(log_p)
+        live = p >= config.LOG_ZERO_FLOOR
+        q = log_q(i0, i1) if log_q is not None else None
+        if fisher:
+            gx, gy = mu.score_fields(i0, i1)
+            fisher_live = p >= config.FISHER_DENSITY_FLOOR
+        for name in wanted:
+            if name == "D":
+                if (live & np.isneginf(q)).any():
+                    raise SupportError(
+                        "relative entropy undefined: mass where the 2D reference vanishes"
+                    )
+                yield np.where(live, p * (log_p - np.where(live, q, 0.0)), 0.0)
+            elif name == "I_plain":
+                yield np.where(fisher_live, (gx**2 + gy**2) * p, 0.0)
+            elif name == "I_rel":
+                yield np.where(fisher_live, ((gx + xs[i0:i1]) ** 2 + (gy + ys) ** 2) * p, 0.0)
+            elif name == "h":
+                yield np.where(live, -p * log_p, 0.0)
+            else:
+                yield np.abs(p - np.exp(q))
+
+    results = integrate_rows_2d(block, mu.spec_x, mu.spec_y, refine=True)
+    values = {}
+    for name, r in zip(wanted, results):
+        value = min(r.value, 2.0) if name == "TV" else r.value
+        values[name] = FunctionalValue(name, value, r.abs_error_estimate)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -182,24 +225,6 @@ def _relative_fisher_1d(mu: Density1D, nu: Density1D) -> FunctionalValue:
     return _fisher_1d("I_rel", mu, np.asarray(nu.score(mu.table.nodes), dtype=float))
 
 
-def _fisher_2d(
-    name: str, mu: Grid2DDensity, shift_x: np.ndarray, shift_y: np.ndarray
-) -> FunctionalValue:
-    """int |grad log p + (shift_x, shift_y)|^2 dmu, row block by row block;
-    ``shift_x`` is a column over the rows and ``shift_y`` a row over the
-    columns.  Zero shifts give the plain Fisher information, the node
-    coordinates the relative one against gamma_2 (score -x)."""
-
-    def block(i0: int, i1: int) -> np.ndarray:
-        p = np.exp(mu.log_values[i0:i1])
-        gx, gy = mu.score_fields(i0, i1)
-        live = p >= config.FISHER_DENSITY_FLOOR
-        return np.where(live, ((gx + shift_x[i0:i1]) ** 2 + (gy + shift_y) ** 2) * p, 0.0)
-
-    r = integrate_rows_2d(block, mu.spec_x, mu.spec_y, refine=True)
-    return FunctionalValue(name, r.value, r.abs_error_estimate)
-
-
 def fisher_information(mu) -> FunctionalValue:
     """Plain Fisher information I(X) = int |grad log p|^2 dmu."""
     if isinstance(mu, Density1D):
@@ -207,8 +232,7 @@ def fisher_information(mu) -> FunctionalValue:
     if isinstance(mu, ProductDensity):
         return _per_factor(lambda f, _: _fisher_information_1d(f), mu, None, "fisher_information")
     if isinstance(mu, Grid2DDensity):
-        zero_x, zero_y = np.zeros((mu.spec_x.n_points, 1)), np.zeros((1, mu.spec_y.n_points))
-        return _fisher_2d("I_plain", mu, zero_x, zero_y)
+        return _grid2d_integrals(mu, ("I_plain",))["I_plain"]
     raise ArgumentError(f"unsupported density type {type(mu).__name__}")
 
 
@@ -223,7 +247,7 @@ def relative_fisher(mu, nu=None) -> FunctionalValue:
             raise ArgumentError(
                 "relative_fisher: 2D grids support only the standard Gaussian reference"
             )
-        return _fisher_2d("I_rel", mu, mu.spec_x.nodes()[:, None], mu.spec_y.nodes()[None, :])
+        return _grid2d_integrals(mu, ("I_rel",))["I_rel"]
     raise ArgumentError(f"unsupported density type {type(mu).__name__}")
 
 
@@ -246,21 +270,17 @@ def shannon_entropy(mu) -> FunctionalValue:
     if isinstance(mu, ProductDensity):
         return additive(_shannon_entropy_1d(f) for f in mu.factors)
     if isinstance(mu, Grid2DDensity):
-
-        def block(i0: int, i1: int) -> np.ndarray:
-            log_p = mu.log_values[i0:i1]
-            p = np.exp(log_p)
-            return np.where(p >= config.LOG_ZERO_FLOOR, -p * log_p, 0.0)
-
-        r = integrate_rows_2d(block, mu.spec_x, mu.spec_y, refine=True)
-        return FunctionalValue("h", r.value, r.abs_error_estimate)
+        return _grid2d_integrals(mu, ("h",))["h"]
     raise ArgumentError(f"unsupported density type {type(mu).__name__}")
 
 
 def entropy_power(mu) -> FunctionalValue:
     """N(X) = exp(2 h(X) / n) for an n-coordinate density."""
-    h = shannon_entropy(mu)
-    n = dim_of(mu)
+    return _entropy_power(shannon_entropy(mu), dim_of(mu))
+
+
+def _entropy_power(h: FunctionalValue, n: int) -> FunctionalValue:
+    """N = exp(2 h / n) from an entropy h of n coordinates."""
     value = math.exp(2.0 * h.value / n)
     return FunctionalValue("N", value, value * 2.0 * h.error_estimate / n)
 
@@ -300,19 +320,12 @@ def total_variation(mu, nu=None) -> FunctionalValue:
         py = np.asarray(fy.pdf(spec_y.nodes()))[None, :]
         qx = np.exp(_std_log_pdf_1d(spec_x.nodes()))[:, None]
         qy = np.exp(_std_log_pdf_1d(spec_y.nodes()))[None, :]
-        r = integrate_rows_2d(
-            lambda i0, i1: np.abs(px[i0:i1] * py - qx[i0:i1] * qy), spec_x, spec_y, refine=True
+        (r,) = integrate_rows_2d(
+            lambda i0, i1: (np.abs(px[i0:i1] * py - qx[i0:i1] * qy),), spec_x, spec_y, refine=True
         )
         return FunctionalValue("TV", min(r.value, 2.0), r.abs_error_estimate)
     if isinstance(mu, Grid2DDensity):
-        log_q = _reference_log_pdf_2d(mu, nu)
-        r = integrate_rows_2d(
-            lambda i0, i1: np.abs(np.exp(mu.log_values[i0:i1]) - np.exp(log_q(i0, i1))),
-            mu.spec_x,
-            mu.spec_y,
-            refine=True,
-        )
-        return FunctionalValue("TV", min(r.value, 2.0), r.abs_error_estimate)
+        return _grid2d_integrals(mu, ("TV",), nu)["TV"]
     raise ArgumentError(f"unsupported density type {type(mu).__name__}")
 
 
@@ -322,8 +335,12 @@ def total_variation(mu, nu=None) -> FunctionalValue:
 
 def lsi_deficit(mu) -> FunctionalValue:
     """I(mu|gamma)/2 - D(mu|gamma): nonnegative, zero only at translates."""
-    i_rel = relative_fisher(mu)
-    d = relative_entropy(mu)
+    if isinstance(mu, Grid2DDensity):
+        both = _grid2d_integrals(mu, ("I_rel", "D"))
+        i_rel, d = both["I_rel"], both["D"]
+    else:
+        i_rel = relative_fisher(mu)
+        d = relative_entropy(mu)
     return FunctionalValue(
         "deficit",
         0.5 * i_rel.value - d.value,

@@ -26,14 +26,23 @@ An integrand holding |f| for a smooth f has a kink wherever f changes sign,
 which costs Simpson O(h^2) that Richardson does not see.  Given f's node
 values, ``integrate_values`` integrates |f| exactly on f's cubic interpolant
 over each Simpson panel where f changes sign, at both resolutions, and adds
-the change from the quadratic interpolant to the estimate.
+the change from the quadratic interpolant to the estimate.  Locating those
+panels (``_kink_panels``) and pricing them (``_kink_price``) are separate
+steps, so a row kernel can gather the panels of many row blocks and price
+them in one call.
+
+A 2D integral is a tensor-product Simpson sum built ``ROW_BLOCK`` rows at a
+time (``integrate_rows_2d``).  One pass can carry a stack of integrands:
+each block function returns one row block per integrand, and every
+integrand keeps its own row sums, coarse rows, finite check and exact sums,
+so it has the same bits in a stack as alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -206,19 +215,16 @@ def _abs_integral(t1: np.ndarray, t2: np.ndarray, coef: tuple) -> np.ndarray:
     return np.abs(q1) + np.abs(q2 - q1) + np.abs(antider(2.0) - q2)
 
 
-def _kink_defect(f: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Simpson's kink error for |f|, per row of ``f``.
+def _kink_panels(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Locate the Simpson panels of |f| that hold a kink, per row of ``f``.
 
-    ``f`` holds node values of a smooth function along its last axis.  For
-    the Simpson panels [x_2k, x_2k+2] of ``simpson_weights`` where f changes
-    sign (a 3/8 closing panel keeps its kinks), returns per row: the
-    integral of |q| minus Simpson's value for |f|, q the cubic through the
-    panel's nodes and the next (the previous at the grid's end); and the
-    change of that integral from the quadratic through the panel's nodes,
-    which bounds how far it can be from the integral of |f| (the cubic's
-    own error is an order of h smaller).  Both split the panel at the
-    quadratic's roots; the cubic's lie within O(h^3) of them, which moves
-    its integral by O(h^6) only.
+    ``f`` holds node values of a smooth function along its last axis.  The
+    panels are the [x_2k, x_2k+2] of ``simpson_weights`` where f changes
+    sign (a 3/8 closing panel keeps its kinks).  Returns their rows and a
+    (5, panels) array: f at the panel's nodes t = 0, 1, 2 (x = x_2k + t h),
+    f at the next node t3 = 3 (at the previous, t3 = -1, at the grid's
+    end), and t3.  ``_kink_price`` prices them; panels gathered from row
+    blocks price as one stack when their rows are offset to the stack's.
     """
     f = np.atleast_2d(f)
     n = f.shape[-1]
@@ -226,16 +232,33 @@ def _kink_defect(f: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
     sign = np.signbit(f)
     s0, s1, s2 = sign[:, 0 : head - 2 : 2], sign[:, 1 : head - 1 : 2], sign[:, 2:head:2]
     rows, panels = np.nonzero((s0 != s1) | (s1 != s2))
-    if rows.size == 0:
-        zero = np.zeros(f.shape[0])
-        return zero, zero
     start = 2 * panels
-    a0, a1, a2 = f[rows, start], f[rows, start + 1], f[rows, start + 2]
     after = start + 3 < n
-    t3 = np.where(after, 3.0, -1.0)
-    a3 = f[rows, np.where(after, start + 3, start - 1)]
-    # quadratic a0 + b t + c t^2 through t = 0, 1, 2 (x = x_2k + t h); the
-    # cubic through t3 as well adds e t (t - 1) (t - 2)
+    cols = np.stack((start, start + 1, start + 2, np.where(after, start + 3, start - 1)))
+    return rows, np.vstack((f[rows, cols], np.where(after, 3.0, -1.0)))
+
+
+def _kink_price(
+    rows: np.ndarray, panels: np.ndarray, step: float, n_rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simpson's kink error for |f| on located panels (``_kink_panels``),
+    per row of n_rows.
+
+    Returns per row: the integral of |q| minus Simpson's value for |f|, q
+    the cubic through the panel's nodes and t3; and the change of that
+    integral from the quadratic through the panel's nodes, which bounds how
+    far it can be from the integral of |f| (the cubic's own error is an
+    order of h smaller).  Both split the panel at the quadratic's roots; the
+    cubic's lie within O(h^3) of them, which moves its integral by O(h^6)
+    only.  Each panel is priced on its own and each row sums its panels in
+    order, so a row's bits do not depend on which other rows share the call.
+    """
+    if rows.size == 0:
+        zero = np.zeros(n_rows)
+        return zero, zero
+    a0, a1, a2, a3, t3 = panels
+    # quadratic a0 + b t + c t^2 through t = 0, 1, 2; the cubic through t3
+    # as well adds e t (t - 1) (t - 2)
     b = 0.5 * (4.0 * a1 - 3.0 * a0 - a2)
     c = 0.5 * (a0 - 2.0 * a1 + a2)
     e = (a3 - (a0 + t3 * (b + t3 * c))) / (t3 * (t3 - 1.0) * (t3 - 2.0))
@@ -247,7 +270,7 @@ def _kink_defect(f: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
     quadratic = _abs_integral(t1, t2, (a0, b, c, 0.0))
     exact = _abs_integral(t1, t2, (a0, b + 2.0 * e, c - 3.0 * e, e))
     simpson = (np.abs(a0) + 4.0 * np.abs(a1) + np.abs(a2)) / 3.0
-    per_row = lambda v: np.bincount(rows, weights=step * v, minlength=f.shape[0])
+    per_row = lambda v: np.bincount(rows, weights=step * v, minlength=n_rows)
     return per_row(exact - simpson), per_row(np.abs(exact - quadratic))
 
 
@@ -263,7 +286,8 @@ def integrate_values(
     (every second node), scaled by the Richardson order factor.
     ``kinked`` holds the node values of a smooth f whose absolute value is
     a term of the integrand: the panels where f changes sign integrate |f|
-    on its cubic interpolant, at both resolutions (``_kink_defect``).
+    on its cubic interpolant, at both resolutions (``_kink_panels``, then
+    ``_kink_price``).
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (spec.n_points,):
@@ -274,7 +298,7 @@ def integrate_values(
     total, mass = _weighted_sum(values, simpson_weights(spec.n_points, spec.step))
     floor = _ROUNDOFF * mass
     if kinked is not None:
-        defect, interp = _kink_defect(kinked, spec.step)
+        defect, interp = _kink_price(*_kink_panels(kinked), spec.step, 1)
         total += float(defect[0])
         floor += float(interp[0])
     if not refine:
@@ -288,7 +312,7 @@ def integrate_values(
     if spec.n_points % 2 == 0:
         coarse += 0.5 * spec.step * (values[-2] + values[-1])
     if kinked is not None:
-        coarse += float(_kink_defect(kinked[half], 2.0 * spec.step)[0][0])
+        coarse += float(_kink_price(*_kink_panels(kinked[half]), 2.0 * spec.step, 1)[0][0])
     est = _RICHARDSON * abs(total - coarse) + floor
     return QuadResult(total, est, spec.n_points)
 
@@ -345,16 +369,22 @@ def row_blocks(n_rows: int) -> list[tuple[int, int]]:
 
 
 def integrate_rows_2d(
-    block: Callable[[int, int], np.ndarray],
+    block: Callable[[int, int], Iterable[np.ndarray]],
     spec_x: GridSpec,
     spec_y: GridSpec,
     refine: bool = False,
-) -> QuadResult:
-    """Tensor-product Simpson over a 2D integrand built in row blocks.
+) -> tuple[QuadResult, ...]:
+    """Tensor-product Simpson over a stack of 2D integrands built in row
+    blocks.
 
-    ``block(i0, i1)`` returns the integrand's rows i0:i1 (rows = x, cols =
-    y) for the ranges of ``row_blocks``; each block is summed over y as it
-    comes, so no whole-grid array is held.  With ``refine`` the estimate
+    ``block(i0, i1)`` returns the rows i0:i1 (rows = x, cols = y) of each
+    of k integrands, in order, for the ranges of ``row_blocks``: a tuple,
+    or a generator, which builds each integrand's rows only after the one
+    before has been summed.  Each is summed over y as it comes, so no
+    whole-grid array is held, and the k results come back in order.  Every
+    integrand keeps its own row sums, coarse rows, finite check and exact
+    sums, so stacking it with others leaves its bits as they are alone.
+    With ``refine`` the estimate
     compares against halved resolution in both axes, or along one axis when
     the other has an even node count; an odd axis needs 31 nodes for that.
     """
@@ -370,33 +400,47 @@ def integrate_rows_2d(
         cx = GridSpec(spec_x.x_lo, spec_x.x_hi, (nx + 1) // 2) if half_x else spec_x
         cy = GridSpec(spec_y.x_lo, spec_y.x_hi, (ny + 1) // 2) if half_y else spec_y
         wy_coarse = simpson_weights(cy.n_points, cy.step)
-    rows = np.empty(nx)
-    coarse_rows = []
+    rows: list[np.ndarray] = []  # per integrand, its row sums over y
+    coarse_rows: list[list[np.ndarray]] = []
     for i0, i1 in row_blocks(nx):
-        values = np.asarray(block(i0, i1), dtype=float)
-        if values.shape != (i1 - i0, ny):
+        k = -1
+        for k, values in enumerate(block(i0, i1)):
+            if i0 == 0:
+                rows.append(np.empty(nx))
+                coarse_rows.append([])
+            elif k == len(rows):
+                break
+            values = np.asarray(values, dtype=float)
+            if values.shape != (i1 - i0, ny):
+                raise ArgumentError(
+                    f"2D value block of shape {values.shape} does not match "
+                    f"rows {i0}:{i1} of a {nx} x {ny} grid"
+                )
+            if not np.isfinite(values).all():
+                i, j = np.unravel_index(int(np.argmax(~np.isfinite(values))), values.shape)
+                i += i0
+                raise IntegrandError(
+                    f"non-finite integrand at node ({i}, {j}), "
+                    f"x={float(spec_x.nodes()[i])}, y={float(spec_y.nodes()[j])}"
+                )
+            rows[k][i0:i1] = values @ wy  # BLAS matvec: one fixed-order dot per row
+            if halved:
+                sub = values[::2] if half_x else values
+                coarse_rows[k].append((sub[:, ::2] if half_y else sub) @ wy_coarse)
+        if k + 1 != len(rows):
             raise ArgumentError(
-                f"2D value block of shape {values.shape} does not match "
-                f"rows {i0}:{i1} of a {nx} x {ny} grid"
+                f"rows {i0}:{i1} do not give the {len(rows)} integrands of the first block"
             )
-        if not np.isfinite(values).all():
-            i, j = np.unravel_index(int(np.argmax(~np.isfinite(values))), values.shape)
-            i += i0
-            raise IntegrandError(
-                f"non-finite integrand at node ({i}, {j}), "
-                f"x={float(spec_x.nodes()[i])}, y={float(spec_y.nodes()[j])}"
-            )
-        rows[i0:i1] = values @ wy  # BLAS matvec: one fixed-order dot per row
+    wx = simpson_weights(nx, spec_x.step)
+    results = []
+    for row_sums, coarse_sums in zip(rows, coarse_rows):
+        row_total, mass = _weighted_sum(row_sums, wx)
+        est = _ROUNDOFF * (mass + abs(row_total))
         if halved:
-            sub = values[::2] if half_x else values
-            coarse_rows.append((sub[:, ::2] if half_y else sub) @ wy_coarse)
-    row_total, mass = _weighted_sum(rows, simpson_weights(nx, spec_x.step))
-    floor = _ROUNDOFF * (mass + abs(row_total))
-    if not halved:
-        return QuadResult(row_total, floor, nx * ny)
-    coarse = _exact_sum(np.concatenate(coarse_rows) * simpson_weights(cx.n_points, cx.step))
-    est = _RICHARDSON * abs(row_total - coarse) + floor
-    return QuadResult(row_total, est, nx * ny)
+            coarse = _exact_sum(np.concatenate(coarse_sums) * simpson_weights(cx.n_points, cx.step))
+            est += _RICHARDSON * abs(row_total - coarse)
+        results.append(QuadResult(row_total, est, nx * ny))
+    return tuple(results)
 
 
 def integrate_values_2d(
@@ -409,4 +453,4 @@ def integrate_values_2d(
             f"2D value array of shape {values.shape} does not match "
             f"{spec_x.n_points} x {spec_y.n_points} grid"
         )
-    return integrate_rows_2d(lambda i0, i1: values[i0:i1], spec_x, spec_y, refine)
+    return integrate_rows_2d(lambda i0, i1: (values[i0:i1],), spec_x, spec_y, refine)[0]

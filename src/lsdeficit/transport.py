@@ -19,9 +19,10 @@ argument order.  The 2D row path (``costs_to_standard_gaussian_rows``)
 takes each row's normal scores from its grid (``row_scores``: a Gaussian
 grid's exact conditional scores, else the tables' score step) and prices one
 list of costs per row, against gamma moved by that row's offset (offset + T,
-so 0 gives gamma itself).  W1 has
-its Simpson kink error removed at every sign change of the displacement
-(``quadrature._kink_defect``).
+so 0 gives gamma itself).  W1 has its Simpson kink error removed at every
+sign change of the displacement: the row path locates the panels block by
+block and prices them once per row stack (``quadrature._kink_panels``,
+``_kink_price``).
 ``TransportPlan1D`` is the map as a callable at any x, T(x) =
 x_target(z_source(x)), z_source the source inverse's own scores ((x - m) / s
 for a Gaussian, x itself for gamma), for ``cheeger`` and ``talagrand-map``.
@@ -46,7 +47,15 @@ from .densities import (
     standard_gaussian,
 )
 from .errors import ArgumentError, DegeneratePlanError
-from .quadrature import GridSpec, _kink_defect, integrate_values, row_blocks, simpson_weights
+from .quadrature import (
+    ROW_BLOCK,
+    GridSpec,
+    _kink_panels,
+    _kink_price,
+    integrate_values,
+    row_blocks,
+    simpson_weights,
+)
 from .functionals import _per_factor
 from .values import FunctionalValue
 
@@ -234,32 +243,38 @@ def costs_to_standard_gaussian_rows(
     is offsets[i] + T.  ``scores(i0, i1, p)`` gives T on rows i0:i1 from p,
     their values scaled to a row maximum of 1 (a 2D grid's ``row_scores``
     or ``marginal_scores``).  A kinked cost gets the kink correction at each
-    row's own sign changes.
+    row's own sign changes: each block locates its panels, and the panels
+    gathered are priced when the stack ends, or at the end of a block once
+    they reach ``ROW_BLOCK`` panels per column, so a row's panels are
+    priced in one call and its temporaries stay block-sized.
     """
     step = spec.step
     nodes = spec.nodes()
     weights = simpson_weights(spec.n_points, step)
-
-    def block_costs(i0: int, i1: int, block_offsets: np.ndarray) -> list[np.ndarray]:
-        """The costs of rows i0:i1.  Every step is per row, so the blocks
-        give the bits of the whole array."""
+    n_rows = log_rows.shape[0]
+    offsets = np.broadcast_to(np.reshape(offsets, (-1, 1)), (n_rows, 1))
+    out = [np.zeros(n_rows) for _ in costs]
+    # per kinked cost, the (rows, panels) located and not yet priced
+    pending = {k: [] for k, cost in enumerate(costs) if cost.kink}
+    limit = ROW_BLOCK * spec.n_points
+    for i0, i1 in row_blocks(n_rows):
+        # every step is per row, so the blocks give the bits of the whole array
         block = log_rows[i0:i1]
         norm = np.exp(block - block.max(axis=1, keepdims=True))
         disp = scores(i0, i1, norm) - nodes
-        disp += block_offsets
+        disp += offsets[i0:i1]
         norm /= (norm * weights).sum(axis=1, keepdims=True)
-
-        def row_costs(cost: CostFn) -> np.ndarray:
+        for k, cost in enumerate(costs):
             terms = cost(disp) * norm
             terms *= weights
-            sums = terms.sum(axis=1)
-            if cost.kink:
-                sums += _kink_defect(cost.kink * disp * norm, step)[0]
-            return sums
-
-        return [row_costs(cost) for cost in costs]
-
-    n_rows = log_rows.shape[0]
-    offsets = np.broadcast_to(np.reshape(offsets, (-1, 1)), (n_rows, 1))
-    blocks = [block_costs(i0, i1, offsets[i0:i1]) for i0, i1 in row_blocks(n_rows)]
-    return [np.concatenate(parts) for parts in zip(*blocks)]
+            out[k][i0:i1] = terms.sum(axis=1)
+            if k in pending:
+                rows, panels = _kink_panels(cost.kink * disp * norm)
+                pending[k].append((rows + i0, panels))
+        for k, located in pending.items():
+            if i1 == n_rows or sum(rows.size for rows, _ in located) >= limit:
+                rows = np.concatenate([rows for rows, _ in located])
+                panels = np.concatenate([panels for _, panels in located], axis=1)
+                out[k] += _kink_price(rows, panels, step, n_rows)[0]
+                located.clear()
+    return out

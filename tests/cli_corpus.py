@@ -1,11 +1,14 @@
 """Byte corpus of the ``lsd`` command line.
 
-Writes six density specs into a directory (gaussian, mixture, tilted with a
-convexity floor, a 1025-node grid, a product, and a 129-node correlated
-Gaussian grid dumped as ``grid2d``) and runs, through ``cli.main`` with
-``--out``, ``lsd certify`` and all ten ``lsd distance`` metrics on each spec,
-``lsd sweep`` for each family in csv and json over short ranges, and
-``lsd report``.  It prints one ``command exit-code sha256`` line per output;
+Writes seven density specs into a directory (gaussian, mixture, tilted with
+a convexity floor, a 1025-node grid, a product, a 129-node correlated
+Gaussian grid dumped as ``grid2d``, and a 129-node uncorrelated one, whose
+rows read table noise as their map to gamma and so change sign on thousands
+of kink panels) and runs, through ``cli.main`` with ``--out``, ``lsd
+certify`` and all ten ``lsd distance`` metrics on each spec, ``lsd certify
+--bounds`` of one bound that reads a 2D grid's information integrals
+(``pinsker``, ``lsi``), ``lsd sweep`` for each family in csv and json over
+short ranges, and ``lsd report``.  It prints one ``command exit-code sha256`` line per output;
 the hash covers the ``--out`` file and stderr, with the directory's name
 removed from stderr.
 
@@ -54,6 +57,7 @@ def _specs() -> dict:
             [GaussianDensity(0.3, 0.8), MixtureDensity([(0.5, -1.0, 1.0), (0.5, 1.0, 1.0)])]
         ),
         "grid2d": bivariate_gaussian_grid(0.4, var=(0.9, 1.3), n_points=129),
+        "grid2d-flat": bivariate_gaussian_grid(0.0, n_points=129),
     }
 
 
@@ -73,6 +77,7 @@ def commands(names) -> list[list[str]]:
     for name in names:
         out.append(["certify", "--dist", f"{name}.json"])
         out += [["distance", "--dist", f"{name}.json", "--metric", m] for m in METRICS]
+    out += [["certify", "--dist", "grid2d.json", "--bounds", bound] for bound in ("pinsker", "lsi")]
     for family, values in SWEEPS.items():
         out += [["sweep", "--family", family, "--range", values, "--format", f] for f in ("csv", "json")]
     out.append(["report"])

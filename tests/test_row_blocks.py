@@ -2,9 +2,12 @@
 
 Every 2D integrand and row statistic is built ``quadrature.ROW_BLOCK`` rows
 at a time.  Each reduction involved is per row, so the blocked results must
-equal, bit for bit, the whole-array formulas kept here as oracles.  A
-memory guard holds the blocked passes below a quarter of one whole-grid
-float array under ``tracemalloc``.
+equal, bit for bit, the whole-array formulas kept here as oracles: so must
+the stacked information pass (``functionals._grid2d_integrals``) for each of
+its integrands, and the row kernel's kink panels, priced once per row stack,
+must equal the per-block kink correction (``_kink_defect`` below).  A memory
+guard holds the blocked passes below a quarter of one whole-grid float array
+under ``tracemalloc``.
 """
 
 import math
@@ -18,7 +21,7 @@ import pytest
 from scipy import special
 
 import lsdeficit
-from lsdeficit import config, densities, transport
+from lsdeficit import bounds, config, densities, functionals, transport
 from lsdeficit.battery import BATTERY_LABELS, standard_battery
 from lsdeficit.bounds import Workspace, _Stats, certify_suite, evaluate_bound
 from lsdeficit.densities import (
@@ -36,7 +39,10 @@ from lsdeficit.densities import (
 from lsdeficit.deltafn import delta
 from lsdeficit.errors import ArgumentError, IntegrandError, SupportError
 from lsdeficit.functionals import (
+    _GRID2D_NAMES,
+    _grid2d_integrals,
     fisher_information,
+    lsi_deficit,
     relative_entropy,
     relative_fisher,
     shannon_entropy,
@@ -48,7 +54,10 @@ from lsdeficit.quadrature import (
     QuadResult,
     _RICHARDSON,
     _ROUNDOFF,
+    _abs_integral,
     _exact_sum,
+    _kink_panels,
+    _kink_price,
     _weighted_sum,
     integrate,
     integrate_rows_2d,
@@ -61,7 +70,6 @@ from lsdeficit.transport import (
     COST_ABS,
     COST_DELTA,
     COST_SQ,
-    _kink_defect,
     costs_to_standard_gaussian_rows,
     monotone_plan,
 )
@@ -171,6 +179,38 @@ def _whole_verify_eps(mu, eps):
     return eps if min_eig >= eps - 1e-6 else None
 
 
+def _kink_defect(f, step):
+    """Simpson's kink error for |f| per row of ``f``, located and priced in
+    one call on the whole array: the reference that panels priced per row
+    stack must match bit for bit."""
+    f = np.atleast_2d(f)
+    n = f.shape[-1]
+    head = n if n % 2 == 1 else n - 3
+    sign = np.signbit(f)
+    s0, s1, s2 = sign[:, 0 : head - 2 : 2], sign[:, 1 : head - 1 : 2], sign[:, 2:head:2]
+    rows, panels = np.nonzero((s0 != s1) | (s1 != s2))
+    if rows.size == 0:
+        zero = np.zeros(f.shape[0])
+        return zero, zero
+    start = 2 * panels
+    a0, a1, a2 = f[rows, start], f[rows, start + 1], f[rows, start + 2]
+    after = start + 3 < n
+    t3 = np.where(after, 3.0, -1.0)
+    a3 = f[rows, np.where(after, start + 3, start - 1)]
+    b = 0.5 * (4.0 * a1 - 3.0 * a0 - a2)
+    c = 0.5 * (a0 - 2.0 * a1 + a2)
+    e = (a3 - (a0 + t3 * (b + t3 * c))) / (t3 * (t3 - 1.0) * (t3 - 2.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qq = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * c * a0, 0.0)), b))
+        r1, r2 = (np.where(np.isfinite(r), np.clip(r, 0.0, 2.0), 0.0) for r in (qq / c, a0 / qq))
+    t1, t2 = np.minimum(r1, r2), np.maximum(r1, r2)
+    quadratic = _abs_integral(t1, t2, (a0, b, c, 0.0))
+    exact = _abs_integral(t1, t2, (a0, b + 2.0 * e, c - 3.0 * e, e))
+    simpson = (np.abs(a0) + 4.0 * np.abs(a1) + np.abs(a2)) / 3.0
+    per_row = lambda v: np.bincount(rows, weights=step * v, minlength=f.shape[0])
+    return per_row(exact - simpson), per_row(np.abs(exact - quadratic))
+
+
 def _table_rule(spec):
     """The tables' score step as a row kernel's score source."""
     return lambda i0, i1, p: _table_scores(p, spec.step)
@@ -201,15 +241,6 @@ def _whole_gaussian_log_p(rho, var, mean, n, r):
     z2 = ((spec_y.nodes() - mean[1]) / s2)[None, :]
     quad = (z1 * z1 - 2.0 * rho * z1 * z2 + z2 * z2) / (2.0 * (1.0 - rho * rho))
     return -quad - math.log(2.0 * math.pi * s1 * s2 * math.sqrt(1.0 - rho * rho))
-
-
-def _kink_panels(f) -> int:
-    """Simpson panels of ``_kink_defect`` on which f changes sign."""
-    sign = np.signbit(np.atleast_2d(f))
-    n = sign.shape[-1]
-    sign = sign[:, : n if n % 2 == 1 else n - 3]
-    s0, s1, s2 = sign[:, :-2:2], sign[:, 1:-1:2], sign[:, 2::2]
-    return int(np.count_nonzero((s0 != s1) | (s1 != s2)))
 
 
 def _whole_d_rows(log_rows, log_mass, spec, offsets):
@@ -268,8 +299,17 @@ class TestRowBlocks:
         values = rng.standard_normal(shape) * np.exp(rng.standard_normal(shape))
         sx, sy = GridSpec(-1.0, 2.0, shape[0]), GridSpec(0.5, 1.5, shape[1])
         assert integrate_values_2d(values, sx, sy, refine) == _whole_integrate(values, sx, sy, refine)
-        blocked = integrate_rows_2d(lambda i0, i1: values[i0:i1].copy(), sx, sy, refine)
+        (blocked,) = integrate_rows_2d(lambda i0, i1: (values[i0:i1].copy(),), sx, sy, refine)
         assert blocked == _whole_integrate(values, sx, sy, refine)
+
+    @pytest.mark.parametrize("shape", [(513, 513), (65, 97), (66, 33), (50, 52)])
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_stacked_integrands_each_match_the_whole_formula(self, shape, refine):
+        rng = np.random.default_rng(shape[0] + shape[1])
+        stack = [rng.standard_normal(shape) * np.exp(rng.standard_normal(shape)) for _ in range(3)]
+        sx, sy = GridSpec(-1.0, 2.0, shape[0]), GridSpec(0.5, 1.5, shape[1])
+        got = integrate_rows_2d(lambda i0, i1: tuple(v[i0:i1] for v in stack), sx, sy, refine)
+        assert got == tuple(_whole_integrate(v, sx, sy, refine) for v in stack)
 
     def test_non_finite_integrand_names_its_global_node(self):
         sx, sy = GridSpec(0.0, 4.0, 65), GridSpec(0.0, 1.0, 17)
@@ -279,7 +319,7 @@ class TestRowBlocks:
 
         def block(i0, i1):
             seen.append(i0)
-            return values[i0:i1]
+            return (values[i0:i1],)
 
         with pytest.raises(IntegrandError) as info:
             integrate_rows_2d(block, sx, sy)
@@ -287,10 +327,36 @@ class TestRowBlocks:
         assert f"node ({i}, 9), x={float(sx.nodes()[i])}, y=0.5625" in str(info.value)
         assert seen[-1] == 2 * ROW_BLOCK  # blocks after the bad one are never built
 
+    def test_non_finite_value_of_a_later_integrand_names_its_node(self):
+        sx, sy = GridSpec(0.0, 4.0, 65), GridSpec(0.0, 1.0, 17)
+        values = np.ones((65, 17))
+        values[3 * ROW_BLOCK + 1, 4] = np.inf
+        ones = np.ones((65, 17))
+        with pytest.raises(IntegrandError) as info:
+            integrate_rows_2d(lambda i0, i1: (ones[i0:i1], ones[i0:i1], values[i0:i1]), sx, sy)
+        i = 3 * ROW_BLOCK + 1
+        assert f"node ({i}, 4), x={float(sx.nodes()[i])}, y=0.25" in str(info.value)
+
     def test_block_of_wrong_shape_is_refused(self):
         spec = GridSpec(0.0, 1.0, 33)
+        with pytest.raises(ArgumentError, match="does not match rows 0:16"):
+            integrate_rows_2d(lambda i0, i1: (np.ones((i1 - i0, 32)),), spec, spec)
+        # the wrong shape in the second integrand of a stack
+        ok = lambda i0, i1: np.ones((i1 - i0, 33))
+        with pytest.raises(ArgumentError, match=r"shape \(16, 32\)"):
+            integrate_rows_2d(lambda i0, i1: (ok(i0, i1), np.ones((i1 - i0, 32))), spec, spec)
+        # a bare array is not a stack: its rows are refused as blocks
         with pytest.raises(ArgumentError):
-            integrate_rows_2d(lambda i0, i1: np.ones((i1 - i0, 32)), spec, spec)
+            integrate_rows_2d(ok, spec, spec)
+
+    def test_stack_of_changing_length_is_refused(self):
+        spec = GridSpec(0.0, 1.0, 33)
+        stack = lambda i0, i1: (np.ones((i1 - i0, 33)),) * (1 if i0 == 0 else 2)
+        with pytest.raises(ArgumentError, match="do not give the 1 integrands"):
+            integrate_rows_2d(stack, spec, spec)
+        fewer = lambda i0, i1: (np.ones((i1 - i0, 33)),) * (2 if i0 == 0 else 1)
+        with pytest.raises(ArgumentError, match="do not give the 2 integrands"):
+            integrate_rows_2d(fewer, spec, spec)
 
 
 class TestBlockedPassesMatchWholeGrid:
@@ -385,6 +451,171 @@ class TestBlockedPassesMatchWholeGrid:
         assert dec.D_parts[0] == d_marginal[0]
 
 
+# -- one information pass per grid ------------------------------------------------
+
+def _whole_score_fisher(mu, relative):
+    """The Fisher integrand of the scores ``mu`` gives, read for the whole
+    grid in one call (the law's for a Gaussian grid, central differences
+    for a grid given as data)."""
+    p = np.exp(mu.log_values)
+    gx, gy = mu.score_fields(0, mu.spec_x.n_points)
+    if relative:
+        gx, gy = gx + mu.spec_x.nodes()[:, None], gy + mu.spec_y.nodes()[None, :]
+    return np.where(p >= config.FISHER_DENSITY_FLOOR, (gx * gx + gy * gy) * p, 0.0)
+
+
+def _whole_integrands(mu, nu=None):
+    """Each integrand of the one pass as one whole-grid array; the Fisher
+    integrands only against gamma_2."""
+    out = {"D": _whole_relative_entropy(mu, nu), "TV": _whole_total_variation(mu, nu)}
+    if nu is None:
+        out.update(
+            I_plain=_whole_score_fisher(mu, False),
+            I_rel=_whole_score_fisher(mu, True),
+            h=_whole_entropy(mu),
+        )
+    return out
+
+
+def _same_as_whole(got, values, mu):
+    want = integrate_values_2d(values, mu.spec_x, mu.spec_y, refine=True)
+    value = min(want.value, 2.0) if got.name == "TV" else want.value
+    return got.value == value and got.error_estimate == want.abs_error_estimate
+
+
+class TestOneInformationPass:
+    """``_grid2d_integrals`` gives each integrand the bits of
+    ``integrate_values_2d`` over its whole-grid array, whichever other
+    integrands share the pass."""
+
+    @pytest.mark.parametrize("as_data", [False, True], ids=["law", "data"])
+    def test_each_integral_matches_its_whole_grid_array(self, grid, as_data):
+        mu = Grid2DDensity(grid.spec_x, grid.spec_y, grid.log_values) if as_data else grid
+        got = _grid2d_integrals(mu, _GRID2D_NAMES)
+        assert tuple(got) == _GRID2D_NAMES
+        for name, values in _whole_integrands(mu).items():
+            assert _same_as_whole(got[name], values, mu), name
+
+    def test_one_name_passes_and_public_functionals_match(self):
+        mu = _GRIDS["one-row-tail"]()
+        both = _grid2d_integrals(mu, _GRID2D_NAMES)
+        public = {
+            "D": relative_entropy(mu),
+            "I_plain": fisher_information(mu),
+            "I_rel": relative_fisher(mu),
+            "h": shannon_entropy(mu),
+            "TV": total_variation(mu),
+        }
+        for name in _GRID2D_NAMES:
+            assert _grid2d_integrals(mu, (name,)) == {name: both[name]} == {name: public[name]}
+        deficit = lsi_deficit(mu)
+        i_rel, d = both["I_rel"], both["D"]
+        assert deficit.value == 0.5 * i_rel.value - d.value
+        assert deficit.error_estimate == 0.5 * i_rel.error_estimate + d.error_estimate + 1e-10
+
+    @pytest.mark.parametrize("kind", ["product", "grid"])
+    def test_d_and_tv_against_a_reference(self, kind):
+        mu = _GRIDS["one-row-tail"]()
+        if kind == "product":
+            nu = ProductDensity([GaussianDensity(0.1, 1.2), MixtureDensity([(0.5, -1.0, 1.0), (0.5, 1.0, 1.0)])])
+        else:
+            nu = bivariate_gaussian_grid(-0.4, var=(1.5, 1.5), n_points=6 * ROW_BLOCK + 1)
+        got = _grid2d_integrals(mu, ("TV", "D"), nu)
+        assert tuple(got) == ("D", "TV")
+        for name, values in _whole_integrands(mu, nu).items():
+            assert _same_as_whole(got[name], values, mu), name
+
+    def test_stats_ask_once(self, monkeypatch):
+        calls = []
+        real = bounds._grid2d_integrals
+
+        def counted(mu, names, nu=None):
+            calls.append(tuple(names))
+            return real(mu, names, nu)
+
+        monkeypatch.setattr(bounds, "_grid2d_integrals", counted)
+        mu = _GRIDS["one-row-tail"]()
+        s = _Stats(mu)
+        got = (s.tv, s.d, s.i_rel, s.i_plain, s.entropy_power)
+        assert calls == [_GRID2D_NAMES]
+        want = (
+            total_variation(mu).value,
+            relative_entropy(mu).value,
+            relative_fisher(mu).value,
+            fisher_information(mu).value,
+            functionals.entropy_power(mu).value,
+        )
+        assert got == want
+
+
+# -- kink panels priced once per row stack -------------------------------------
+
+def _priced_per_stack(f, step, blocks):
+    """Kink panels located block by block over ``blocks`` row ranges of f,
+    then priced in one call."""
+    located = [_kink_panels(f[i0:i1]) for i0, i1 in blocks]
+    rows = np.concatenate([r + i0 for (r, _), (i0, _) in zip(located, blocks)])
+    panels = np.concatenate([a for _, a in located], axis=1)
+    return _kink_price(rows, panels, step, f.shape[0])
+
+
+def _several_sign_changes(n_rows, n_cols):
+    x = np.linspace(-3.0, 3.0, n_cols)[None, :]
+    k = np.arange(n_rows)[:, None]
+    return np.sin((1.0 + 0.37 * k) * x + 0.1 * k) * np.exp(-0.2 * x * x)
+
+
+class TestKinkPanelsPricedPerStack:
+    @pytest.mark.parametrize("n_cols", [513, 130], ids=["odd", "even"])
+    def test_stack_pricing_matches_per_block_correction(self, n_cols):
+        f = _several_sign_changes(3 * ROW_BLOCK + 5, n_cols)
+        blocks = row_blocks(f.shape[0])
+        want = [np.concatenate(parts) for parts in zip(*(_kink_defect(f[i0:i1], 0.01) for i0, i1 in blocks))]
+        got = _priced_per_stack(f, 0.01, blocks)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        # several panels on most rows, and the whole-array call agrees too
+        assert np.count_nonzero(got[0]) == f.shape[0]
+        assert all(np.array_equal(g, w) for g, w in zip(got, _kink_defect(f, 0.01)))
+
+    def test_closing_panel_reads_the_node_before(self):
+        # odd count: the last Simpson panel has no node after it, so its
+        # cubic goes through the node before (t3 = -1); even count: the
+        # Simpson head ends before the 3/8 panel and every panel has a next
+        for n in (33, 34):
+            x = np.linspace(0.0, 1.0, n)
+            head = n if n % 2 == 1 else n - 3
+            root = 0.5 * (x[head - 3] + x[head - 2])
+            f = np.stack([(x - root) * (1.0 + x), (x - 0.31) * (2.0 - x)])
+            rows, panels = _kink_panels(f)
+            last = np.flatnonzero(rows == 0)[-1]
+            assert panels[4, last] == (-1.0 if n % 2 == 1 else 3.0)
+            assert panels[3, last] == f[0, head - 4 if n % 2 == 1 else head]
+            want = _kink_defect(f, x[1] - x[0])
+            got = _kink_price(rows, panels, x[1] - x[0], 2)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_data_grid_stack_crosses_the_flush(self, monkeypatch):
+        law = bivariate_gaussian_grid(0.0)
+        mu = Grid2DDensity(law.spec_x, law.spec_y, law.log_values)
+        priced = []
+        real = transport._kink_price
+
+        def counted(rows, panels, step, n_rows):
+            priced.append(rows.size)
+            return real(rows, panels, step, n_rows)
+
+        monkeypatch.setattr(transport, "_kink_price", counted)
+        costs = (COST_SQ, COST_ABS, COST_DELTA)
+        got = costs_to_standard_gaussian_rows(mu.log_values, mu.spec_y, costs, 0.0, mu.row_scores)
+        want = _whole_row_costs(mu.log_values, mu.spec_y, costs, 0.0)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        # W1 alone is kinked; its table-noise panels are priced in several
+        # calls, none over a block's worth past the threshold
+        limit = ROW_BLOCK * mu.spec_y.n_points
+        assert len(priced) > 2 and sum(priced) > 4 * limit
+        assert all(n < limit + ROW_BLOCK * mu.spec_y.n_points // 2 for n in priced)
+
+
 def _peak_bytes(fn) -> int:
     tracemalloc.start()
     try:
@@ -406,6 +637,12 @@ class TestMemoryGuard:
         assert mu.log_values.shape == (1025, 1025)
         blocked = _FUNCTIONALS[name][0]
         assert _peak_bytes(lambda: blocked(mu)) < mu.log_values.nbytes / 4
+
+    def test_one_information_pass_on_heat_flowed_grid(self):
+        if "heat-1025" not in _CACHE:
+            _CACHE["heat-1025"] = _GRIDS["heat-1025"]()
+        mu = _CACHE["heat-1025"]
+        assert _peak_bytes(lambda: _grid2d_integrals(mu, _GRID2D_NAMES)) < mu.log_values.nbytes / 4
 
     def test_grid2d_row_pass(self):
         mu = _GRIDS["513"]()
@@ -431,11 +668,14 @@ class TestGaussianGrids:
         assert np.array_equal(mu.log_values, Grid2DDensity(mu.spec_x, mu.spec_y, raw).log_values)
 
     @staticmethod
-    def _counted_pass(monkeypatch, mu) -> dict[str, int]:
-        """Calls of the table score steps and of the row kernel's kink
-        correction, and the panels it corrects, over a full certificate
-        pass."""
-        counts = dict.fromkeys(("_normal_scores", "_table_tails", "score_fields", "kinks", "panels"), 0)
+    def _counted_pass(monkeypatch, build) -> dict[str, int]:
+        """Calls of the table score steps, of the difference scores
+        (``score_fields``) and the law's (``law_scores``), of the 2D
+        integrator and of the row kernel's kink seam (``locate`` per block,
+        ``price`` per stack), the panels it locates and the decompositions,
+        over building a grid with ``build()`` and a full certificate pass."""
+        names = ("_normal_scores", "_table_tails", "score_fields", "law_scores", "passes", "locate", "price")
+        counts = dict.fromkeys(names + ("panels", "decompositions"), 0)
 
         def counted(name, real):
             def wrapper(*args, **kwargs):
@@ -449,30 +689,53 @@ class TestGaussianGrids:
         monkeypatch.setattr(
             Grid2DDensity, "score_fields", counted("score_fields", Grid2DDensity.score_fields)
         )
+        law = densities._GaussianGrid2D
+        monkeypatch.setattr(law, "score_fields", counted("law_scores", law.score_fields))
+        for module in (densities, functionals):
+            monkeypatch.setattr(module, "integrate_rows_2d", counted("passes", module.integrate_rows_2d))
 
-        def kink_defect(f, step, _real=transport._kink_defect):
-            counts["panels"] += _kink_panels(f)
-            return _real(f, step)
+        def locate(f, _real=transport._kink_panels):
+            rows, panels = _real(f)
+            counts["panels"] += rows.size
+            return rows, panels
 
-        monkeypatch.setattr(transport, "_kink_defect", counted("kinks", kink_defect))
-        certify_suite([mu])
+        monkeypatch.setattr(transport, "_kink_panels", counted("locate", locate))
+        monkeypatch.setattr(transport, "_kink_price", counted("price", transport._kink_price))
+        monkeypatch.setattr(bounds, "decompose_grid2d", counted("decompositions", bounds.decompose_grid2d))
+        certify_suite([build()])
         return counts
 
     @pytest.mark.parametrize("rho", [0.0, 0.5])
     def test_certificates_read_the_law(self, monkeypatch, rho):
         # no normal-score table, no difference scores; at rho = 0 every row
         # displacement is exactly 0, so no panel has a kink
-        counts = self._counted_pass(monkeypatch, bivariate_gaussian_grid(rho))
+        counts = self._counted_pass(monkeypatch, lambda: bivariate_gaussian_grid(rho))
         assert counts["_normal_scores"] == counts["_table_tails"] == counts["score_fields"] == 0
-        assert counts["kinks"] > 0
+        assert counts["locate"] > 0
         if rho == 0.0:
             assert counts["panels"] == 0
 
     @pytest.mark.parametrize("rho", [0.0, 0.5])
     def test_data_grid_reads_its_table(self, monkeypatch, rho):
         law = bivariate_gaussian_grid(rho)
-        counts = self._counted_pass(monkeypatch, Grid2DDensity(law.spec_x, law.spec_y, law.log_values))
-        assert all(count > 0 for count in counts.values())
+        counts = self._counted_pass(
+            monkeypatch, lambda: Grid2DDensity(law.spec_x, law.spec_y, law.log_values)
+        )
+        table = ("_normal_scores", "_table_tails", "score_fields", "locate", "price", "panels")
+        assert all(counts[name] > 0 for name in table)
+        assert counts["law_scores"] == 0
+
+    def test_one_information_pass_per_grid(self, monkeypatch):
+        # 2D passes: the normalisations of the grid and of its flow, the
+        # second moment, the one information pass, and the flow's h (epi)
+        # and I (lem3.3); score fields: one call per row block in the
+        # grid's pass and in the flow's I; kink panels: priced once per
+        # row stack, the marginal's and the rows'
+        counts = self._counted_pass(monkeypatch, lambda: bivariate_gaussian_grid(0.5))
+        assert counts["passes"] == 6
+        assert counts["law_scores"] == 2 * len(row_blocks(513)) == 64
+        assert counts["decompositions"] == 1
+        assert 0 < counts["price"] <= 2 * counts["decompositions"]
 
 
 # -- the map bounds read the map once per node array ---------------------------
