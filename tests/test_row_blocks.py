@@ -496,6 +496,22 @@ class TestOneInformationPass:
         for name, values in _whole_integrands(mu).items():
             assert _same_as_whole(got[name], values, mu), name
 
+    @pytest.mark.parametrize("as_data", [False, True], ids=["law", "data"])
+    def test_nodes_below_the_floors_are_zeroed(self, as_data):
+        # a support radius of 40 sd puts nodes below LOG_ZERO_FLOOR with a
+        # nonzero density, and nodes between it and FISHER_DENSITY_FLOOR,
+        # so both masks zero terms that are not zero already
+        law = bivariate_gaussian_grid(
+            0.5, var=(0.8, 1.6), mean=(0.4, -0.7), n_points=8 * ROW_BLOCK + 1, support_radius=40.0
+        )
+        mu = Grid2DDensity(law.spec_x, law.spec_y, law.log_values) if as_data else law
+        p = np.exp(mu.log_values)
+        assert ((p > 0.0) & (p < config.LOG_ZERO_FLOOR)).any()
+        assert ((p >= config.LOG_ZERO_FLOOR) & (p < config.FISHER_DENSITY_FLOOR)).any()
+        got = _grid2d_integrals(mu, _GRID2D_NAMES)
+        for name, values in _whole_integrands(mu).items():
+            assert _same_as_whole(got[name], values, mu), name
+
     def test_one_name_passes_and_public_functionals_match(self):
         mu = _GRIDS["one-row-tail"]()
         both = _grid2d_integrals(mu, _GRID2D_NAMES)
