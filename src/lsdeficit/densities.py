@@ -982,8 +982,7 @@ class _GaussianGrid2D(Grid2DDensity):
             np.multiply(cross[i0:i1, None], z2, out=block)
             np.subtract(z1_sq[i0:i1, None], block, out=block)
             block += z2_sq
-            block /= denom
-            np.negative(block, out=block)
+            block /= -denom  # a / -b is -(a / b), bit for bit
             block -= log_norm
         super().__init__(spec_x, spec_y, log_p)
         self._eps = convexity_lower_bound
@@ -1006,11 +1005,12 @@ class _GaussianGrid2D(Grid2DDensity):
     def score_fields(self, i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
         """-Sigma^-1 (x - m) on rows i0:i1, exact, in the standardised
         z_i = (x_i - m_i) / s_i: -(z1 - rho z2) / ((1 - rho^2) s1) and
-        -(z2 - rho z1) / ((1 - rho^2) s2)."""
+        -(z2 - rho z1) / ((1 - rho^2) s2), the sign folded into the divisor
+        (a / -b is -(a / b), bit for bit)."""
         rho, (s1, s2) = self._law[0], self._sd
         z1, z2 = self._z[0][i0:i1, None], self._z[1]
         c = 1.0 - rho * rho
-        return -(z1 - rho * z2) / (c * s1), -(z2 - rho * z1) / (c * s2)
+        return (z1 - rho * z2) / -(c * s1), (z2 - rho * z1) / -(c * s2)
 
     def row_scores(self, i0: int, i1: int, p: np.ndarray) -> np.ndarray:
         """(y - mu_{2|1}(x_i)) / sigma_{2|1} on rows i0:i1, exact: X2 given

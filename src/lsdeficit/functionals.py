@@ -135,13 +135,15 @@ def _grid2d_integrals(mu: Grid2DDensity, names, nu=None) -> dict[str, Functional
     Fisher integrals against gamma_2 (score -x) for I_rel and score 0 for
     I_plain.
 
-    Each block exponentiates its log values once and builds one
-    ``LOG_ZERO_FLOOR`` mask, and, when a Fisher integral is asked, one
-    ``FISHER_DENSITY_FLOOR`` mask and one block of score fields; each
-    integrand then has the arithmetic it has alone, and ``integrate_rows_2d``
-    sums each on its own, so every value has the bits of a one-name pass.
-    The integrands of a block are yielded one by one, so each is summed
-    before the next is built.
+    Each block exponentiates its log values once and builds one mask of the
+    nodes below ``LOG_ZERO_FLOOR``, and, when a Fisher integral is asked,
+    one of those below ``FISHER_DENSITY_FLOOR`` and one block of score
+    fields; each integrand is built with the arithmetic it has alone and
+    its masked nodes are zeroed in place, and ``integrate_rows_2d`` sums
+    each on its own, so every value has the bits of a one-name pass.  D
+    looks for mass where the reference vanishes only in a block whose
+    reference reaches -inf.  The integrands of a block are yielded one by
+    one, so each is summed before the next is built.
     """
     wanted = tuple(name for name in _GRID2D_NAMES if name in names)
     log_q = _reference_log_pdf_2d(mu, nu) if {"D", "TV"} & set(wanted) else None
@@ -152,25 +154,34 @@ def _grid2d_integrals(mu: Grid2DDensity, names, nu=None) -> dict[str, Functional
         log_p = mu.log_values[i0:i1]
         p = np.exp(log_p)
         live = p >= config.LOG_ZERO_FLOOR
+        dead = ~live
         q = log_q(i0, i1) if log_q is not None else None
         if fisher:
             gx, gy = mu.score_fields(i0, i1)
-            fisher_live = p >= config.FISHER_DENSITY_FLOOR
+            # the complement of p >= floor: p, the exp of finite values, is never nan
+            fisher_dead = p < config.FISHER_DENSITY_FLOOR
         for name in wanted:
             if name == "D":
-                if (live & np.isneginf(q)).any():
+                # only a block whose reference reaches -inf (or nan) can
+                # put mass where the reference vanishes
+                if not q.min() > -np.inf and (live & np.isneginf(q)).any():
                     raise SupportError(
                         "relative entropy undefined: mass where the 2D reference vanishes"
                     )
-                yield np.where(live, p * (log_p - np.where(live, q, 0.0)), 0.0)
+                v = p * (log_p - np.where(live, q, 0.0))
+                np.copyto(v, 0.0, where=dead)
             elif name == "I_plain":
-                yield np.where(fisher_live, (gx**2 + gy**2) * p, 0.0)
+                v = (gx**2 + gy**2) * p
+                np.copyto(v, 0.0, where=fisher_dead)
             elif name == "I_rel":
-                yield np.where(fisher_live, ((gx + xs[i0:i1]) ** 2 + (gy + ys) ** 2) * p, 0.0)
+                v = ((gx + xs[i0:i1]) ** 2 + (gy + ys) ** 2) * p
+                np.copyto(v, 0.0, where=fisher_dead)
             elif name == "h":
-                yield np.where(live, -p * log_p, 0.0)
+                v = -p * log_p
+                np.copyto(v, 0.0, where=dead)
             else:
-                yield np.abs(p - np.exp(q))
+                v = np.abs(p - np.exp(q))
+            yield v
 
     results = integrate_rows_2d(block, mu.spec_x, mu.spec_y, refine=True)
     values = {}

@@ -35,7 +35,9 @@ A 2D integral is a tensor-product Simpson sum built ``ROW_BLOCK`` rows at a
 time (``integrate_rows_2d``).  One pass can carry a stack of integrands:
 each block function returns one row block per integrand, and every
 integrand keeps its own row sums, coarse rows, finite check and exact sums,
-so it has the same bits in a stack as alone.
+so it has the same bits in a stack as alone.  The finite check reads the
+row sums, which a non-finite value always makes non-finite (the weights are
+positive); only such a block is scanned for the node to name.
 """
 
 from __future__ import annotations
@@ -384,9 +386,13 @@ def integrate_rows_2d(
     whole-grid array is held, and the k results come back in order.  Every
     integrand keeps its own row sums, coarse rows, finite check and exact
     sums, so stacking it with others leaves its bits as they are alone.
-    With ``refine`` the estimate
-    compares against halved resolution in both axes, or along one axis when
-    the other has an even node count; an odd axis needs 31 nodes for that.
+    The finite check reads the row sums: Simpson weights are positive, so
+    a non-finite value makes its row's sum non-finite, and only then is the
+    block scanned for the node to name; a finite block whose row sums
+    overflow integrates as its sums fall, without a refusal.  With
+    ``refine`` the estimate compares against halved resolution in both axes,
+    or along one axis when the other has an even node count; an odd axis
+    needs 31 nodes for that.
     """
     nx, ny = spec_x.n_points, spec_y.n_points
     for axis, n in (("x", nx), ("y", ny)):
@@ -416,14 +422,22 @@ def integrate_rows_2d(
                     f"2D value block of shape {values.shape} does not match "
                     f"rows {i0}:{i1} of a {nx} x {ny} grid"
                 )
-            if not np.isfinite(values).all():
-                i, j = np.unravel_index(int(np.argmax(~np.isfinite(values))), values.shape)
-                i += i0
-                raise IntegrandError(
-                    f"non-finite integrand at node ({i}, {j}), "
-                    f"x={float(spec_x.nodes()[i])}, y={float(spec_y.nodes()[j])}"
-                )
-            rows[k][i0:i1] = values @ wy  # BLAS matvec: one fixed-order dot per row
+            # BLAS matvec: one fixed-order dot per row.  The weights are
+            # positive, so a non-finite value makes its row sum non-finite
+            # (inf - inf is nan, quietly: the refusal below names it); a
+            # finite row whose sum overflows is no refusal
+            with np.errstate(invalid="ignore"):
+                row = values @ wy
+            if not np.isfinite(row).all():
+                bad = ~np.isfinite(values)
+                if bad.any():
+                    i, j = np.unravel_index(int(np.argmax(bad)), values.shape)
+                    i += i0
+                    raise IntegrandError(
+                        f"non-finite integrand at node ({i}, {j}), "
+                        f"x={float(spec_x.nodes()[i])}, y={float(spec_y.nodes()[j])}"
+                    )
+            rows[k][i0:i1] = row
             if halved:
                 sub = values[::2] if half_x else values
                 coarse_rows[k].append((sub[:, ::2] if half_y else sub) @ wy_coarse)

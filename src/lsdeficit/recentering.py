@@ -184,12 +184,20 @@ def decompose_grid2d(
     wx = simpson_weights(sx.n_points, sx.step)
     # integrates row functionals against the x1-marginal
     weights = wx * mu.row_marginal()
-    # the marginal, normalised on its own grid, as a one-row stack
+    # the marginal, normalised on its own grid, as a one-row stack, with
+    # its maximum and mass summed as ``row_stats`` sums a grid's rows
     marginal, t1 = mu.marginal_x().log_values[None, :], np.array([t1])
+    marg_max = marginal.max(axis=1)
+    marg_mass = (np.exp(marginal - marg_max[:, None]) * wx).sum(axis=1)
     d1 = _d_rows(marginal, np.zeros(1), sx, t1)[0]
     d2 = _exact_sum(weights * _d_rows(mu.log_values, mu._row_log_mass, sy, t2))
-    marg_costs = costs_to_standard_gaussian_rows(marginal, sx, costs, t1, mu.marginal_scores)
-    row_costs = costs_to_standard_gaussian_rows(mu.log_values, sy, costs, t2, mu.row_scores)
+    marg_costs = costs_to_standard_gaussian_rows(
+        marginal, sx, costs, t1, mu.marginal_scores, marg_max, marg_mass
+    )
+    rows = mu.row_stats
+    row_costs = costs_to_standard_gaussian_rows(
+        mu.log_values, sy, costs, t2, mu.row_scores, rows.shift, rows.mass
+    )
     parts = {
         c.id: (float(m[0]), _exact_sum(weights * r))
         for c, m, r in zip(costs, marg_costs, row_costs)

@@ -17,8 +17,9 @@ Every 1D cost is one nodewise kernel on mu's table, T(x) = x_ref(z_mu(x));
 a lone Gaussian side is the reference, T(x) = m + s z_mu(x), in either
 argument order.  The 2D row path (``costs_to_standard_gaussian_rows``)
 takes each row's normal scores from its grid (``row_scores``: a Gaussian
-grid's exact conditional scores, else the tables' score step) and prices one
-list of costs per row, against gamma moved by that row's offset (offset + T,
+grid's exact conditional scores, else the tables' score step) and each row's
+maximum and mass from the grid's ``row_stats``, and prices one list of costs
+per row, against gamma moved by that row's offset (offset + T,
 so 0 gives gamma itself).  W1 has its Simpson kink error removed at every
 sign change of the displacement: the row path locates the panels block by
 block and prices them once per row stack (``quadrature._kink_panels``,
@@ -233,14 +234,19 @@ def costs_to_standard_gaussian_rows(
     costs: tuple[CostFn, ...],
     offsets: np.ndarray | float,
     scores: Callable[[int, int, np.ndarray], np.ndarray],
+    row_max: np.ndarray,
+    row_mass: np.ndarray,
 ) -> list[np.ndarray]:
     """Per-row optimal costs to the standard Gaussian moved by offsets[i] on
     row i (0 gives gamma itself), one array per cost.
 
-    Each row of ``log_rows`` is a log density on ``spec``.  As in the 1D
-    kernel, every row is mapped toward gamma, T(x) = Phi^-1(F_row(x)), and
-    integrated with the row's own weights; the map toward the moved Gaussian
-    is offsets[i] + T.  ``scores(i0, i1, p)`` gives T on rows i0:i1 from p,
+    Each row of ``log_rows`` is a log density on ``spec``, with its maximum
+    ``row_max[i]`` and the Simpson sum ``row_mass[i]`` of exp(log p -
+    row_max[i]) over ``spec`` (a 2D grid's ``row_stats.shift`` and
+    ``.mass``).  As in the 1D kernel, every row is mapped toward gamma,
+    T(x) = Phi^-1(F_row(x)), and integrated with the row's own weights,
+    normalised by its mass; the map toward the moved Gaussian is
+    offsets[i] + T.  ``scores(i0, i1, p)`` gives T on rows i0:i1 from p,
     their values scaled to a row maximum of 1 (a 2D grid's ``row_scores``
     or ``marginal_scores``).  A kinked cost gets the kink correction at each
     row's own sign changes: each block locates its panels, and the panels
@@ -259,11 +265,10 @@ def costs_to_standard_gaussian_rows(
     limit = ROW_BLOCK * spec.n_points
     for i0, i1 in row_blocks(n_rows):
         # every step is per row, so the blocks give the bits of the whole array
-        block = log_rows[i0:i1]
-        norm = np.exp(block - block.max(axis=1, keepdims=True))
+        norm = np.exp(log_rows[i0:i1] - row_max[i0:i1, None])
         disp = scores(i0, i1, norm) - nodes
         disp += offsets[i0:i1]
-        norm /= (norm * weights).sum(axis=1, keepdims=True)
+        norm /= row_mass[i0:i1, None]
         for k, cost in enumerate(costs):
             terms = cost(disp) * norm
             terms *= weights

@@ -216,6 +216,13 @@ def _table_rule(spec):
     return lambda i0, i1, p: _table_scores(p, spec.step)
 
 
+def _max_and_mass(log_rows, spec):
+    """Each row's maximum and Simpson mass of exp(log p - maximum), the
+    row kernel's inputs, summed as ``Grid2DDensity.row_stats`` sums them."""
+    shift = log_rows.max(axis=1)
+    return shift, (np.exp(log_rows - shift[:, None]) * simpson_weights(spec.n_points, spec.step)).sum(axis=1)
+
+
 def _whole_row_costs(log_rows, spec, costs, offsets):
     rows = np.exp(log_rows - log_rows.max(axis=1, keepdims=True))
     disp = _normal_scores(*_table_tails(rows, spec.step)) - spec.nodes()[None, :]
@@ -337,6 +344,49 @@ class TestRowBlocks:
         i = 3 * ROW_BLOCK + 1
         assert f"node ({i}, 4), x={float(sx.nodes()[i])}, y=0.25" in str(info.value)
 
+    def test_nan_in_a_later_integrand_stops_the_pass_at_its_block(self):
+        sx, sy = GridSpec(0.0, 4.0, 65), GridSpec(0.0, 1.0, 33)
+        values = np.ones((65, 33))
+        values[2 * ROW_BLOCK + 5, 18] = np.nan
+        ones = np.ones((65, 33))
+        seen = []
+
+        def block(i0, i1):
+            seen.append(i0)
+            return (ones[i0:i1], 2.0 * ones[i0:i1], values[i0:i1])
+
+        with pytest.raises(IntegrandError) as info:
+            integrate_rows_2d(block, sx, sy, refine=True)
+        i = 2 * ROW_BLOCK + 5
+        assert f"node ({i}, 18), x={float(sx.nodes()[i])}, y=0.5625" in str(info.value)
+        assert seen[-1] == 2 * ROW_BLOCK  # blocks after the bad one are never built
+
+    def test_row_of_both_infinities_names_its_first_node(self):
+        # +inf and -inf in one row sum to nan: still a refusal, naming the
+        # row's first non-finite node
+        sx, sy = GridSpec(0.0, 4.0, 65), GridSpec(0.0, 1.0, 17)
+        values = np.ones((65, 17))
+        i = ROW_BLOCK + 3
+        values[i, 11], values[i, 6] = np.inf, -np.inf
+        with pytest.raises(IntegrandError) as info:
+            integrate_rows_2d(lambda i0, i1: (values[i0:i1],), sx, sy)
+        assert f"non-finite integrand at node ({i}, 6), x={float(sx.nodes()[i])}, y=0.375" in str(info.value)
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_finite_rows_whose_sums_overflow_are_integrated(self, refine):
+        # every value is finite, so there is no refusal: two rows' sums
+        # overflow and the result is what the whole-grid arithmetic gives
+        sx, sy = GridSpec(0.0, 4.0, 65), GridSpec(0.0, 64.0, 33)
+        values = np.ones((65, 33))
+        values[ROW_BLOCK + 2 : ROW_BLOCK + 4] = np.finfo(float).max
+        with np.errstate(over="ignore", invalid="ignore"):
+            (got,) = integrate_rows_2d(lambda i0, i1: (values[i0:i1],), sx, sy, refine)
+            want = _whole_integrate(values, sx, sy, refine)
+        assert got.value == math.inf and got.n_evals == want.n_evals
+        assert np.array_equal(
+            [got.value, got.abs_error_estimate], [want.value, want.abs_error_estimate], equal_nan=True
+        )
+
     def test_block_of_wrong_shape_is_refused(self):
         spec = GridSpec(0.0, 1.0, 33)
         with pytest.raises(ArgumentError, match="does not match rows 0:16"):
@@ -423,7 +473,8 @@ class TestBlockedPassesMatchWholeGrid:
         costs = (COST_SQ, COST_ABS, COST_DELTA)
         for offsets in (0.0, grid.conditional_means()):
             got = costs_to_standard_gaussian_rows(
-                grid.log_values, grid.spec_y, costs, offsets, _table_rule(grid.spec_y)
+                grid.log_values, grid.spec_y, costs, offsets, _table_rule(grid.spec_y),
+                grid.row_stats.shift, grid.row_stats.mass,
             )
             want = _whole_row_costs(grid.log_values, grid.spec_y, costs, offsets)
             assert len(got) == len(want) == 3
@@ -432,7 +483,7 @@ class TestBlockedPassesMatchWholeGrid:
         marginal = grid.marginal_x()
         one = marginal.log_values[None, :]
         got = costs_to_standard_gaussian_rows(
-            one, marginal.spec, costs, 0.3, _table_rule(marginal.spec)
+            one, marginal.spec, costs, 0.3, _table_rule(marginal.spec), *_max_and_mass(one, marginal.spec)
         )
         want = _whole_row_costs(one, marginal.spec, costs, 0.3)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -622,7 +673,9 @@ class TestKinkPanelsPricedPerStack:
 
         monkeypatch.setattr(transport, "_kink_price", counted)
         costs = (COST_SQ, COST_ABS, COST_DELTA)
-        got = costs_to_standard_gaussian_rows(mu.log_values, mu.spec_y, costs, 0.0, mu.row_scores)
+        got = costs_to_standard_gaussian_rows(
+            mu.log_values, mu.spec_y, costs, 0.0, mu.row_scores, mu.row_stats.shift, mu.row_stats.mass
+        )
         want = _whole_row_costs(mu.log_values, mu.spec_y, costs, 0.0)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         # W1 alone is kinked; its table-noise panels are priced in several
@@ -682,6 +735,22 @@ class TestGaussianGrids:
         mu = bivariate_gaussian_grid(rho, var=var, mean=mean, n_points=n)
         raw = _whole_gaussian_log_p(rho, var, mean, n, config.support_radius())
         assert np.array_equal(mu.log_values, Grid2DDensity(mu.spec_x, mu.spec_y, raw).log_values)
+
+    @pytest.mark.parametrize("name", ["513", "one-row-tail", "three-row-tail", "flowed"])
+    def test_score_fields_fold_the_sign_into_the_divisor(self, name):
+        # (a) / -(b) has the bits of -(a) / (b) on every block
+        if name == "flowed":
+            mu = bivariate_gaussian_grid(0.5, var=(0.8, 1.6), mean=(0.4, -0.7)).heat_flow(1.0)
+        else:
+            mu = _CACHE[name] if name in _CACHE else _GRIDS[name]()
+        assert isinstance(mu, densities._GaussianGrid2D)
+        rho, (s1, s2) = mu._law[0], mu._sd
+        c = 1.0 - rho * rho
+        for i0, i1 in row_blocks(mu.spec_x.n_points):
+            z1, z2 = mu._z[0][i0:i1, None], mu._z[1]
+            want = (-(z1 - rho * z2) / (c * s1), -(z2 - rho * z1) / (c * s2))
+            got = mu.score_fields(i0, i1)
+            assert all(g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
     @staticmethod
     def _counted_pass(monkeypatch, build) -> dict[str, int]:
