@@ -244,7 +244,7 @@ class _Stats:
             plan = self.plan
             points = _gamma_points()
             mapped = [np.asarray(plan.map_at(x)) for x in points]
-            return mapped, np.asarray(plan.derivative(points[0], mapped[0]), dtype=float)
+            return mapped, np.asarray(plan.derivative(points[0]), dtype=float)
 
         return self._get("gamma_map", build)
 

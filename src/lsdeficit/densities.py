@@ -200,6 +200,11 @@ class ScoreInverse:
         derivatives -x'' / x'^3: it reads x(z) back to O(h^6)."""
         return _hermite(x, *self._forward)
 
+    def slope(self, z) -> np.ndarray:
+        """x'(z), the interpolant's own derivative: phi(z) / p(x) at the
+        nodes, so a map read through this inverse has its derivative here."""
+        return _hermite(z, *self._nodes, derivative=True)
+
     def error(self, z, z_error) -> np.ndarray:
         """Error bound of x(z) for z off by ``z_error``: x'(z) times z_error
         and the scores' table error, plus the change of x(z) when built on
@@ -208,7 +213,7 @@ class ScoreInverse:
         coarse = [a[np.r_[0 : n - 1 : 2, n - 1]] for a in self._nodes]
         z_error = z_error + np.interp(z, self._nodes[0], self._table_error)
         moved = np.abs(self(z) - _hermite(z, *coarse))
-        return _hermite(z, *self._nodes, derivative=True) * z_error + moved
+        return self.slope(z) * z_error + moved
 
 
 class _AffineInverse(NamedTuple):
@@ -222,6 +227,9 @@ class _AffineInverse(NamedTuple):
 
     def scores(self, x):
         return (x - self.m) / self.s
+
+    def slope(self, z):
+        return np.full(np.shape(z), self.s)
 
     def error(self, z, z_error):
         return self.s * z_error

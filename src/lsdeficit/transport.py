@@ -26,7 +26,9 @@ block and prices them once per row stack (``quadrature._kink_panels``,
 ``_kink_price``).
 ``TransportPlan1D`` is the map as a callable at any x, T(x) =
 x_target(z_source(x)), z_source the source inverse's own scores ((x - m) / s
-for a Gaussian, x itself for gamma), for ``cheeger`` and ``talagrand-map``.
+for a Gaussian, x itself for gamma), for ``cheeger`` and ``talagrand-map``;
+its derivative T' = x_target'(z) / x_source'(z) reads the two inverses'
+slopes, so it is the derivative of the map it evaluates.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import numpy as np
 from .deltafn import delta
 from .densities import (
     _U_LO,
-    _AffineInverse,
     Density1D,
     GaussianDensity,
     ProductDensity,
@@ -124,18 +125,14 @@ class TransportPlan1D:
         z = self._source.score_inverse.scores(np.asarray(x, dtype=float))
         return self._target.score_inverse(z)
 
-    def derivative(self, x, mapped=None):
-        """T'(x).  From gamma onto a target with an affine inverse, T(x) =
-        m + s x and T' is that inverse's own s, exact; otherwise T' =
-        p_source(x) / p_target(T(x)) wherever both are positive.
-        ``mapped`` is T(x) when the caller already holds it."""
-        inverse = self._target.score_inverse
-        if isinstance(inverse, _AffineInverse) and self._source.score_inverse == _AffineInverse(0.0, 1.0):
-            return np.full(np.shape(x), inverse.s)
-        t = self.map_at(x) if mapped is None else mapped
-        num = np.asarray(self._source.pdf(x), dtype=float)
-        den = np.asarray(self._target.pdf(t), dtype=float)
-        return num / np.maximum(den, 1e-300)
+    def derivative(self, x):
+        """T'(x) = x_target'(z) / x_source'(z) at z = z_source(x), each
+        inverse's own slope (``slope``), so T' is the derivative of the map
+        ``map_at`` reads.  From gamma (slope 1) onto a Gaussian it is the
+        target's s, exactly."""
+        source = self._source.score_inverse
+        z = source.scores(np.asarray(x, dtype=float))
+        return self._target.score_inverse.slope(z) / source.slope(z)
 
 
 def monotone_plan(target: Density1D, source: Density1D | None = None) -> TransportPlan1D:
