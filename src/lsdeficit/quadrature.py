@@ -422,10 +422,8 @@ def integrate_rows_2d(
                     f"2D value block of shape {values.shape} does not match "
                     f"rows {i0}:{i1} of a {nx} x {ny} grid"
                 )
-            # BLAS matvec: one fixed-order dot per row.  The weights are
-            # positive, so a non-finite value makes its row sum non-finite
-            # (inf - inf is nan, quietly: the refusal below names it); a
-            # finite row whose sum overflows is no refusal
+            # BLAS matvec: one fixed-order dot per row.  A row holding +inf
+            # and -inf sums to nan without a warning: the refusal names it
             with np.errstate(invalid="ignore"):
                 row = values @ wy
             if not np.isfinite(row).all():
