@@ -34,10 +34,8 @@ import numpy as np
 from . import config, densities
 from .values import FunctionalValue, additive
 from .densities import Density, Density1D, Grid2DDensity, ProductDensity, standard_gaussian
-from .errors import ArgumentError, InfiniteInformationError, SupportError
+from .errors import ArgumentError, InfiniteInformationError, NumericalError, SupportError
 from .quadrature import GridSpec, integrate, integrate_rows_2d, integrate_values
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 # The 1D lattice flow stays bound under this module too: the benchmark's
 # tracer test (perfbench/tests) checks that it is wrapped here.
@@ -46,10 +44,6 @@ gaussian_convolve = densities.gaussian_convolve
 
 def dim_of(density) -> int:
     return getattr(density, "dim", 1)
-
-
-def _std_log_pdf_1d(x: np.ndarray) -> np.ndarray:
-    return -0.5 * x * x - 0.5 * _LOG_2PI
 
 
 def _require_1d(nu, caller: str) -> Density1D:
@@ -109,7 +103,8 @@ def _reference_log_pdf_2d(mu: Grid2DDensity, nu) -> Callable[[int, int], np.ndar
     xs = mu.spec_x.nodes()[:, None]
     ys = mu.spec_y.nodes()[None, :]
     if nu is None:
-        qx, qy = _std_log_pdf_1d(xs), _std_log_pdf_1d(ys)
+        log_phi = standard_gaussian().log_pdf
+        qx, qy = log_phi(xs), log_phi(ys)
         return lambda i0, i1: qx[i0:i1] + qy
     if isinstance(nu, ProductDensity) and nu.dim == 2:
         fx, fy = nu.factors
@@ -224,8 +219,6 @@ def _fisher_information_1d(mu: Density1D) -> FunctionalValue:
     r = _fisher_1d("I_plain", mu, 0.0)
     var = mu.variance()
     if var > 0 and r.value < 1.0 / var - r.error_estimate - 1e-6:
-        from .errors import NumericalError
-
         raise NumericalError(
             f"Fisher information {r.value} below the Cramer-Rao floor 1/Var = {1.0 / var}"
         )
@@ -329,8 +322,9 @@ def total_variation(mu, nu=None) -> FunctionalValue:
         spec_y = GridSpec(sy.x_lo, sy.x_hi, n)
         px = np.asarray(fx.pdf(spec_x.nodes()))[:, None]
         py = np.asarray(fy.pdf(spec_y.nodes()))[None, :]
-        qx = np.exp(_std_log_pdf_1d(spec_x.nodes()))[:, None]
-        qy = np.exp(_std_log_pdf_1d(spec_y.nodes()))[None, :]
+        log_phi = standard_gaussian().log_pdf
+        qx = np.exp(log_phi(spec_x.nodes()))[:, None]
+        qy = np.exp(log_phi(spec_y.nodes()))[None, :]
         (r,) = integrate_rows_2d(
             lambda i0, i1: (np.abs(px[i0:i1] * py - qx[i0:i1] * qy),), spec_x, spec_y, refine=True
         )

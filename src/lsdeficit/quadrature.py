@@ -56,6 +56,12 @@ _RICHARDSON = 16.0 / 15.0
 _ROUNDOFF = 64.0 * np.finfo(float).eps
 
 
+def _error_bar(est: float) -> float:
+    """The error estimate ``est``, or inf where sums that overflowed made it
+    nan (inf - inf in a Richardson difference or a row sum)."""
+    return math.inf if math.isnan(est) else est
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid: n_points equally spaced nodes on [x_lo, x_hi]."""
@@ -91,8 +97,8 @@ class QuadResult:
     n_evals: int
 
     def __post_init__(self) -> None:
-        if self.abs_error_estimate < 0:
-            raise ArgumentError("abs_error_estimate must be >= 0")
+        if not self.abs_error_estimate >= 0:
+            raise ArgumentError(f"abs_error_estimate must be >= 0, got {self.abs_error_estimate!r}")
 
 
 def simpson_weights(n_points: int, step: float) -> np.ndarray:
@@ -316,7 +322,7 @@ def integrate_values(
     if kinked is not None:
         coarse += float(_kink_price(*_kink_panels(kinked[half]), 2.0 * spec.step, 1)[0][0])
     est = _RICHARDSON * abs(total - coarse) + floor
-    return QuadResult(total, est, spec.n_points)
+    return QuadResult(total, _error_bar(est), spec.n_points)
 
 
 def integrate(
@@ -344,7 +350,7 @@ def integrate(
         fine_values * simpson_weights(fine_spec.n_points, fine_spec.step)
     )
     est = _RICHARDSON * abs(fine_total - total) + floor
-    return QuadResult(total, est, spec.n_points + fine_spec.n_points)
+    return QuadResult(total, _error_bar(est), spec.n_points + fine_spec.n_points)
 
 
 # Rows per block of a 2D pass.  Every 2D integrand and row statistic is
@@ -451,7 +457,7 @@ def integrate_rows_2d(
         if halved:
             coarse = _exact_sum(np.concatenate(coarse_sums) * simpson_weights(cx.n_points, cx.step))
             est += _RICHARDSON * abs(row_total - coarse)
-        results.append(QuadResult(row_total, est, nx * ny))
+        results.append(QuadResult(row_total, _error_bar(est), nx * ny))
     return tuple(results)
 
 

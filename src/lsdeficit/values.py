@@ -22,8 +22,8 @@ class FunctionalValue:
     error_estimate: float
 
     def __post_init__(self) -> None:
-        if self.error_estimate < 0:
-            raise ArgumentError("error_estimate must be >= 0")
+        if not self.error_estimate >= 0:
+            raise ArgumentError(f"error_estimate must be >= 0, got {self.error_estimate!r}")
         nonneg = self.name in _NONNEGATIVE or self.name.startswith("T[")
         if nonneg and self.value < -(self.error_estimate + 1e-9):
             raise NumericalError(

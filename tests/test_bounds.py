@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lsdeficit import bounds, densities, recentering, transport
+from lsdeficit import bounds, densities, functionals, recentering, transport
 from lsdeficit.battery import standard_battery
 from lsdeficit.bounds import (
     BOUND_IDS,
@@ -53,11 +53,16 @@ class TestCertificateRecord:
 
     def test_rejects_non_finite_sides(self):
         with pytest.raises(NumericalError):
-            BoundCertificate("x", math.nan, 0.0, 0.0, {}, True, 1e-6)
+            BoundCertificate("x", math.nan, 0.0, {}, 1e-6)
 
-    def test_rejects_inconsistent_flag(self):
-        with pytest.raises(NumericalError):
-            BoundCertificate("x", 0.0, 1.0, -1.0, {}, True, 1e-6)
+    def test_pass_rule_boundary(self):
+        # slack exactly -tol passes; the next float below it fails
+        tol = 1e-6
+        at = BoundCertificate("x", 0.0, tol, {}, tol)
+        below = BoundCertificate("x", 0.0, math.nextafter(tol, math.inf), {}, tol)
+        assert at.slack == -tol and at.passed and at.as_dict()["pass"] is True
+        assert below.slack == math.nextafter(-tol, -math.inf)
+        assert not below.passed and below.as_dict()["pass"] is False
 
     def test_registry_size_and_lookup(self):
         assert len(BOUND_IDS) == 25
@@ -400,6 +405,7 @@ class TestSuiteAndProbe:
         entries = certify_suite(standard_battery())
         failed = [e for e in entries if e.passed is False]
         assert failed == []
+        assert all(e.certificate.bound_id == e.bound_id for e in entries if e.certificate)
         ran = {e.bound_id for e in entries if e.certificate is not None}
         assert ran == set(BOUND_IDS)
 
@@ -697,6 +703,29 @@ def test_gaussian_grid_certificates_ignore_blas_threads():
     assert outs[0] == outs[1]
 
 
+def test_certificate_digest_unchanged_by_an_earlier_run():
+    """The ``certificate_digest`` listing of two members (a mixture and a 2D
+    grid given as data), run twice in one process on fresh densities, reads
+    the same: one run leaves nothing behind that changes the next."""
+    probe = (
+        "import certificate_digest as cd\n"
+        "pairs = lambda: [cd.standard_battery()[7], cd.data_grids()[0]]\n"
+        "print('\\n'.join(cd.listing(pairs()) + ['--'] + cd.listing(pairs())))\n"
+    )
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(Path(densities.__file__).parents[1]), str(tests)])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    ).stdout
+    first, second = out.split("--\n")
+    lines = first.splitlines()
+    assert len(lines) == 2 * len(BOUND_IDS)
+    assert {line.split()[0] for line in lines} == {"mixture-gap2", "grid2d-data"}
+    assert all(len(line.split()[2]) == 64 for line in lines)
+    assert first == second
+
+
 def _count_transport(monkeypatch) -> tuple[Counter, Counter]:
     costs, plans = Counter(), Counter()
 
@@ -742,3 +771,43 @@ class TestTransportMemo:
             with pytest.raises(HypothesisError, match="-zero hypothesis"):
                 evaluate_bound("thm4.1", GaussianDensity(1.0, 1.0), opts=opts)
         assert costs == Counter()
+
+
+_FUNCTIONAL_NAMES = (
+    "relative_entropy", "relative_fisher", "fisher_information", "shannon_entropy", "total_variation"
+)
+
+
+class TestFunctionalMemo:
+    """One Workspace computes each functional of a density once."""
+
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            GaussianDensity(0.5, 2.0),
+            MIX2,
+            ProductDensity([GaussianDensity(0.0, 0.25), MIX2]),
+        ],
+        ids=["gaussian", "mixture", "product"],
+    )
+    def test_full_registry_computes_each_functional_once(self, monkeypatch, mu):
+        # counted under every name a call can go through: the bounds read
+        # them from their module, entropy_power reads shannon_entropy from its
+        calls = Counter()
+        for name in _FUNCTIONAL_NAMES:
+            for module in (bounds, functionals):
+
+                def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
+                    if args[0] is mu:
+                        calls[(_name, repr(args[1:]))] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        ws = Workspace()
+        for bid in BOUND_IDS:
+            try:
+                evaluate_bound(bid, mu, workspace=ws)
+            except HypothesisError:
+                pass
+        assert {name for name, _ in calls} == set(_FUNCTIONAL_NAMES)
+        assert {k: n for k, n in calls.items() if n > 1} == {}

@@ -231,7 +231,7 @@ class TestCertify:
         import lsdeficit.cli as cli_mod
 
         def always_fail(bid, mu, tol, workspace):
-            return BoundCertificate(bid, 0.0, 1.0, -1.0, {}, False, tol)
+            return BoundCertificate(bid, 0.0, 1.0, {}, tol)
 
         monkeypatch.setattr(cli_mod, "evaluate_bound", always_fail)
         path = spec_file("g1.json", standard_gaussian())

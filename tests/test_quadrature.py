@@ -19,6 +19,7 @@ from lsdeficit.quadrature import (
     integrate_values_2d,
     simpson_weights,
 )
+from lsdeficit.values import FunctionalValue
 
 
 class TestGridSpec:
@@ -144,6 +145,48 @@ class TestIntegrateValues:
         res = integrate_values(np.abs(f), spec, refine=True, kinked=f)
         assert abs(res.value - exact) <= res.abs_error_estimate
         assert abs(res.value - exact) < 1e-2 * abs(plain.value - exact)
+
+
+class TestOverflowedTotals:
+    """Finite values whose weighted sums overflow integrate to inf with an
+    inf error bar: the Richardson difference inf - inf is nan, and no
+    result carries a nan bar."""
+
+    SPEC = GridSpec(0.0, 64.0, 33)  # step 2: Simpson weights up to 8/3
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_stored_values(self, refine):
+        values = np.full(self.SPEC.n_points, np.finfo(float).max)
+        with np.errstate(over="ignore"):
+            res = integrate_values(values, self.SPEC, refine=refine)
+        assert (res.value, res.abs_error_estimate) == (math.inf, math.inf)
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_callable(self, refine):
+        biggest = lambda x: np.full(x.shape, np.finfo(float).max)
+        with np.errstate(over="ignore"):
+            res = integrate(biggest, self.SPEC, refine=refine)
+        assert (res.value, res.abs_error_estimate) == (math.inf, math.inf)
+
+    def test_mixed_signs_leave_no_nan_bar(self):
+        # sums of +inf and -inf products are nan; the bar still reads inf
+        n = self.SPEC.n_points
+        signed = lambda x: np.where(x < 40.0, 1.0, -1.0) * np.finfo(float).max
+        values = signed(self.SPEC.nodes())
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = (
+                integrate_values(values, self.SPEC, refine=True),
+                integrate(signed, self.SPEC, refine=True),
+                integrate_values_2d(np.tile(values, (n, 1)), self.SPEC, self.SPEC, refine=True),
+            )
+        assert [r.abs_error_estimate for r in results] == [math.inf] * 3
+
+    @pytest.mark.parametrize("bad", [math.nan, -5e-324])
+    def test_results_refuse_a_bar_that_is_not_nonnegative(self, bad):
+        with pytest.raises(ArgumentError, match="must be >= 0"):
+            quadrature.QuadResult(0.0, bad, 1)
+        with pytest.raises(ArgumentError, match="must be >= 0"):
+            FunctionalValue("D", 0.0, bad)
 
 
 class Test2D:
