@@ -152,7 +152,8 @@ class _Stats:
     stores all five from one row pass.  Mean-zero input reads its centered
     quantities from the as-is entries.  Entries are keyed by this density
     and the reference object; nothing is shared with another density by
-    value.
+    value.  Every cost, plan and default summand against gamma_n reads one
+    gamma_n object (``gamma``), so its pushforward probe runs once.
     """
 
     def __init__(self, mu: Density):
@@ -164,6 +165,15 @@ class _Stats:
         if key not in self._memo:
             self._memo[key] = fn()
         return self._memo[key]
+
+    @property
+    def gamma(self) -> Density:
+        """gamma_n, one object for every use against this density."""
+
+        def build():
+            return standard_gaussian() if self.n == 1 else standard_gaussian_product(self.n)
+
+        return self._get("gamma", build)
 
     # -- functionals -------------------------------------------------------
     def functional(self, name: str) -> FunctionalValue:
@@ -212,10 +222,15 @@ class _Stats:
         """Law of X + sqrt(t) Z (the heat flow at time t), memoised per t."""
         return self._get(("evolved", t), lambda: self.mu.heat_flow(t))
 
+    def gamma_evolved(self, t: float) -> Density:
+        """``gamma`` under the heat flow at time t, memoised per t."""
+        return self._get(("gamma_evolved", t), lambda: self.gamma.heat_flow(t))
+
     # -- transport against gamma -------------------------------------------
     def cost(self, cost: CostFn, ref: Density | None = None) -> float:
         """Exact optimal ``cost`` from 1D or product input to ``ref``
         (default: gamma_n), memoised whole per ``ref`` object."""
+        ref = self.gamma if ref is None else ref
         return self._get(("cost", cost.id, ref), lambda: transport_cost(self.mu, ref, cost)).value
 
     @property
@@ -237,7 +252,7 @@ class _Stats:
     @property
     def plan(self) -> TransportPlan1D:
         """Monotone map carrying the standard Gaussian onto a 1D density."""
-        return self._get("plan", lambda: monotone_plan(self.mu, None))
+        return self._get("plan", lambda: monotone_plan(self.mu, self.gamma))
 
     @property
     def gamma_map(self) -> tuple[list[np.ndarray], np.ndarray]:
@@ -375,10 +390,6 @@ def _require_exact_w2(s: _Stats) -> None:
         )
 
 
-def _default_other(s: _Stats) -> Density:
-    return standard_gaussian() if s.n == 1 else standard_gaussian_product(s.n)
-
-
 # ---------------------------------------------------------------------------
 # Evaluators: each returns (lhs, rhs, constants) or (lhs, rhs, constants,
 # notes) of its inequality lhs >= rhs
@@ -483,7 +494,7 @@ def _sum_law(s: _Stats, other: Density | None) -> Density:
 def _eval_epi(s, opts):
     other = opts.get("other")
     lhs = entropy_power(_sum_law(s, other)).value
-    rhs = s.entropy_power + entropy_power(other or _default_other(s)).value
+    rhs = s.entropy_power + entropy_power(other or s.gamma).value
     return lhs, rhs, {}
 
 
@@ -512,7 +523,8 @@ def _eval_lem32(s, opts):
             "exact quadratic transport distance unavailable for this pair of shapes"
         )
     lhs = s.cost(COST_SQ, other) / (2.0 * t)
-    rhs = relative_entropy(s.evolved(t), (other or _default_other(s)).heat_flow(t)).value
+    ref = s.gamma_evolved(t) if other is None else other.heat_flow(t)
+    rhs = relative_entropy(s.evolved(t), ref).value
     return lhs, rhs, {"t": t}
 
 
@@ -674,27 +686,33 @@ def _eval_thm14(s, opts):
 
 
 _CHEEGER_LAMBDA = math.sqrt(2.0 / math.pi)
-# Gamma integrals of the map bounds: Simpson on these nodes.
+# Gamma integrals of the map bounds: Simpson on these nodes, against phi
+# there; the median reads the 8191 midpoint quantiles of gamma.  All three
+# arrays are read-only.
 _GAMMA_SPEC = GridSpec(-10.0, 10.0, 4097)
+_GAMMA_NODES = _GAMMA_SPEC.nodes()
+_GAMMA_PHI = np.exp(-0.5 * _GAMMA_NODES**2) / math.sqrt(2.0 * math.pi)
+_GAMMA_QUANTILES = special.ndtri((np.arange(8191) + 0.5) / 8191.0)
+_GAMMA_NODES.flags.writeable = False
+_GAMMA_PHI.flags.writeable = False
+_GAMMA_QUANTILES.flags.writeable = False
 
 
 def _gamma_points() -> tuple[np.ndarray, np.ndarray]:
     """Where the map bounds read their functions: the nodes of the gamma
     integrals and the 8191 midpoint quantiles of gamma for the median."""
-    us = (np.arange(8191) + 0.5) / 8191.0
-    return _GAMMA_SPEC.nodes(), special.ndtri(us)
+    return _GAMMA_NODES, _GAMMA_QUANTILES
 
 
 def _gamma_integral(values: np.ndarray) -> float:
     """int g dgamma from g's values at the nodes of ``_GAMMA_SPEC``."""
-    phi = np.exp(-0.5 * _GAMMA_SPEC.nodes() ** 2) / math.sqrt(2.0 * math.pi)
-    return integrate_values(values * phi, _GAMMA_SPEC).value
+    return integrate_values(values * _GAMMA_PHI, _GAMMA_SPEC).value
 
 
 def _gamma_median(values: np.ndarray) -> float:
     """Median of g(X), X ~ gamma, from g at the quantiles of ``_gamma_points``."""
-    vals = np.sort(values)
-    return float(vals[vals.size // 2])
+    k = values.size // 2
+    return float(np.partition(values, k)[k])
 
 
 def _eval_cheeger(s, opts):

@@ -69,6 +69,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # (~1e-300) sits far below every quadrature weight it could multiply.
 _U_LO = 1e-300
 
+# The 20 midpoint levels (k + 1/2) / 20 of the pushforward probe.
+_PROBE_LEVELS = (np.arange(20) + 0.5) / 20.0
+_PROBE_LEVELS.flags.writeable = False
+
 
 def _table_tails(p: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
     """(F, 1 - F) on table nodes along the last axis, each forced monotone
@@ -137,6 +141,15 @@ def _as_points(x) -> tuple[np.ndarray, bool]:
 
 def _maybe_scalar(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
+
+
+class PushforwardProbe(NamedTuple):
+    """A density's own quantile/CDF round trip at the 20 midpoint levels u:
+    the largest |F(Q(u)) - u| (inf where a quantile is not finite), and
+    whether the pdf is finite and positive at every Q(u)."""
+
+    cdf_error: float
+    pdf_positive: bool
 
 
 class NodeTable(NamedTuple):
@@ -270,13 +283,18 @@ class Density1D:
         lo, hi = self._support_hint()
         return GridSpec(lo, hi, config.default_grid_points())
 
+    def _log_pdf_and_score(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log p and the score at the table nodes; a shape whose two share
+        work overrides it."""
+        log_p = np.asarray(self.log_pdf(nodes), dtype=float)
+        return log_p, np.asarray(self.score(nodes), dtype=float)
+
     @cached_property
     def table(self) -> NodeTable:
         spec = self.eval_spec()
         nodes = spec.nodes()
-        log_p = np.asarray(self.log_pdf(nodes), dtype=float)
+        log_p, score = self._log_pdf_and_score(nodes)
         p = np.exp(log_p)
-        score = np.asarray(self.score(nodes), dtype=float)
         for arr in (nodes, log_p, p, score):
             arr.flags.writeable = False
         return NodeTable(spec, nodes, log_p, p, score)
@@ -313,6 +331,18 @@ class Density1D:
         if np.any(pts <= 0.0) or np.any(pts >= 1.0):
             raise ArgumentError("quantile argument must lie strictly inside (0, 1)")
         return _maybe_scalar(self.score_inverse(special.ndtri(pts)), scalar)
+
+    @cached_property
+    def pushforward_probe(self) -> PushforwardProbe:
+        """What a transport map to or from this density checks of it, read
+        through its public ``quantile``, ``cdf`` and ``pdf``: once per
+        object, whatever it is paired with."""
+        xs = np.asarray(self.quantile(_PROBE_LEVELS), dtype=float)
+        if not np.isfinite(xs).all():
+            return PushforwardProbe(math.inf, False)
+        error = float(np.abs(np.asarray(self.cdf(xs), dtype=float) - _PROBE_LEVELS).max())
+        p = np.asarray(self.pdf(xs), dtype=float)
+        return PushforwardProbe(error, bool((np.isfinite(p) & (p > 0.0)).all()))
 
     def heat_flow(self, t: float) -> "Density1D":
         """Law of X + sqrt(t) Z.  Shapes whose flow has a closed form return
@@ -463,6 +493,11 @@ class MixtureDensity(Density1D):
         peak = logs.max(axis=0)
         return peak, np.exp(logs - peak)
 
+    def _score_of(self, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The score at the points from their ``_shifted_components``."""
+        comp_score = -(pts[None, :] - self._m[:, None]) / self._v[:, None]
+        return (r * comp_score).sum(axis=0) / r.sum(axis=0)
+
     def log_pdf(self, x):
         pts, scalar = _as_points(x)
         peak, r = self._shifted_components(pts)
@@ -470,10 +505,12 @@ class MixtureDensity(Density1D):
 
     def score(self, x):
         pts, scalar = _as_points(x)
-        _, r = self._shifted_components(pts)
-        comp_score = -(pts[None, :] - self._m[:, None]) / self._v[:, None]
-        out = (r * comp_score).sum(axis=0) / r.sum(axis=0)
-        return _maybe_scalar(out, scalar)
+        return _maybe_scalar(self._score_of(pts, self._shifted_components(pts)[1]), scalar)
+
+    def _log_pdf_and_score(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One set of shifted components for both."""
+        peak, r = self._shifted_components(nodes)
+        return peak + np.log(r.sum(axis=0)), self._score_of(nodes, r)
 
     def cdf(self, x):
         pts, scalar = _as_points(x)

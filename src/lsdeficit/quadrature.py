@@ -35,13 +35,17 @@ A 2D integral is a tensor-product Simpson sum built ``ROW_BLOCK`` rows at a
 time (``integrate_rows_2d``).  One pass can carry a stack of integrands:
 each block function returns one row block per integrand, and every
 integrand keeps its own row sums, coarse rows, finite check and exact sums,
-so it has the same bits in a stack as alone.  The finite check reads the
-row sums, which a non-finite value always makes non-finite (the weights are
-positive); only such a block is scanned for the node to name.
+so it has the same bits in a stack as alone.
+
+Every finite check reads a sum the integral makes anyway, which a non-finite
+value always makes non-finite (the weights are positive): the mass sum
+|w f| of a 1D integral, the row sums of a 2D one.  Only then are the values
+(in 2D, that row block) scanned for the node to name.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -101,27 +105,35 @@ class QuadResult:
             raise ArgumentError(f"abs_error_estimate must be >= 0, got {self.abs_error_estimate!r}")
 
 
+_CLOSING_38 = np.array([1.0, 3.0, 3.0, 1.0])
+_CLOSING_38.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=64)
+def _simpson_pattern(n_points: int) -> np.ndarray:
+    """The 1-4-2-...-4-1 Simpson pattern over the odd-count head of an
+    n_points grid (all of it when n_points is odd, zeros on the last three
+    nodes otherwise), read-only."""
+    head = n_points if n_points % 2 == 1 else n_points - 3
+    w = np.zeros(n_points)
+    w[0] = w[head - 1] = 1.0
+    w[1:head - 1:2] = 4.0
+    w[2:head - 1:2] = 2.0
+    w.flags.writeable = False
+    return w
+
+
 def simpson_weights(n_points: int, step: float) -> np.ndarray:
-    """Composite Simpson weights for a uniform grid.
+    """Composite Simpson weights for a uniform grid, as a fresh array.
 
     Odd n_points: pure Simpson.  Even n_points: Simpson over the first
     n_points-3 intervals plus the 3/8 rule on the final three.
     """
     if n_points < 4:
         raise ArgumentError("need at least 4 nodes for Simpson weights")
-    w = np.zeros(n_points)
-    if n_points % 2 == 1:
-        w[0] = w[-1] = 1.0
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w *= step / 3.0
-    else:
-        head = n_points - 3  # odd node count -> even interval count
-        w[0] = w[head - 1] = 1.0
-        w[1:head - 1:2] = 4.0
-        w[2:head - 1:2] = 2.0
-        w *= step / 3.0
-        w[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * step / 8.0)
+    w = _simpson_pattern(n_points) * (step / 3.0)
+    if n_points % 2 == 0:
+        w[-4:] += _CLOSING_38 * (3.0 * step / 8.0)
     return w
 
 
@@ -185,11 +197,12 @@ def _exact_sum(terms: np.ndarray) -> float:
     result too large for a float"), and partial sums never overflow, so
     terms that ``math.fsum`` refuses with "intermediate overflow" get their
     finite exact sum.  A non-finite term makes the result the IEEE sum of
-    the terms (inf or nan).
+    the terms (inf or nan, without a warning for +inf plus -inf).
     """
     x = np.asarray(terms, dtype=float).ravel()
     if not np.isfinite(x).all():
-        return float(x.sum())
+        with np.errstate(invalid="ignore"):
+            return float(x.sum())
     pos, neg = _binned_sums(x)
     return (pos - neg) / (1 << _SUM_LSB)
 
@@ -206,10 +219,14 @@ def _check_finite(values: np.ndarray, spec: GridSpec) -> None:
 
 def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     """Correctly rounded weighted sum plus its roundoff mass sum |w f|, both
-    from one binned pass: the sum is pos - neg and the mass pos + neg."""
+    from one binned pass: the sum is pos - neg and the mass pos + neg.  The
+    weights are positive, so the mass is finite only if every value is."""
     prod = values * weights
     if not np.isfinite(prod).all():
-        return float(prod.sum()), float(np.abs(prod).sum())
+        # +inf and -inf terms sum to nan without a warning: the caller's
+        # finite check names the node
+        with np.errstate(invalid="ignore"):
+            return float(prod.sum()), float(np.abs(prod).sum())
     pos, neg = _binned_sums(prod)
     return (pos - neg) / (1 << _SUM_LSB), (pos + neg) / (1 << _SUM_LSB)
 
@@ -302,8 +319,9 @@ def integrate_values(
         raise ArgumentError(
             f"value array of shape {values.shape} does not match grid of {spec.n_points} nodes"
         )
-    _check_finite(values, spec)
     total, mass = _weighted_sum(values, simpson_weights(spec.n_points, spec.step))
+    if not math.isfinite(mass):
+        _check_finite(values, spec)
     floor = _ROUNDOFF * mass
     if kinked is not None:
         defect, interp = _kink_price(*_kink_panels(kinked), spec.step, 1)
@@ -338,17 +356,20 @@ def integrate(
     values = np.asarray(f(nodes), dtype=float)
     if values.shape != nodes.shape:
         raise ArgumentError("integrand must return one value per node")
-    _check_finite(values, spec)
     total, mass = _weighted_sum(values, simpson_weights(spec.n_points, spec.step))
+    if not math.isfinite(mass):
+        _check_finite(values, spec)
     floor = _ROUNDOFF * mass
     if not refine:
         return QuadResult(total, floor, spec.n_points)
     fine_spec = spec.refined()
     fine_values = np.asarray(f(fine_spec.nodes()), dtype=float)
-    _check_finite(fine_values, fine_spec)
     fine_total = _exact_sum(
         fine_values * simpson_weights(fine_spec.n_points, fine_spec.step)
     )
+    # a non-finite value leaves the total inf or nan as well
+    if not math.isfinite(fine_total):
+        _check_finite(fine_values, fine_spec)
     est = _RICHARDSON * abs(fine_total - total) + floor
     return QuadResult(total, _error_bar(est), spec.n_points + fine_spec.n_points)
 

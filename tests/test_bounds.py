@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 from lsdeficit import bounds, densities, functionals, recentering, transport
 from lsdeficit.battery import standard_battery
@@ -811,3 +812,53 @@ class TestFunctionalMemo:
                 pass
         assert {name for name, _ in calls} == set(_FUNCTIONAL_NAMES)
         assert {k: n for k, n in calls.items() if n > 1} == {}
+
+
+class TestPushforwardProbeOnce:
+    """One Workspace probes each density object's quantile/CDF round trip
+    once: every cost and plan of a density reads one gamma_n, and each
+    side's probe is cached on its object."""
+
+    @pytest.mark.parametrize(
+        "label", ["gauss-shift-pos", "mixture-gap2", "tilted-quartic", "product-tilted"]
+    )
+    def test_full_registry_probes_each_density_once(self, monkeypatch, label):
+        probed = []
+        real = Density1D.quantile
+        monkeypatch.setattr(
+            Density1D, "quantile", lambda self, u: probed.append(self) or real(self, u)
+        )
+        mu = dict(standard_battery())[label]
+        ws = Workspace()
+        for bid in BOUND_IDS:
+            try:
+                evaluate_bound(bid, mu, workspace=ws)
+            except HypothesisError:
+                pass
+        # the list holds every probed object, so no two share an id
+        assert max(Counter(map(id, probed)).values()) == 1
+        for side in getattr(mu, "factors", (mu,)):
+            assert any(d is side for d in probed)
+
+
+class TestGammaTables:
+    """The map bounds' gamma nodes, phi weights and median quantiles."""
+
+    def test_constants_are_read_only_and_match_their_formulas(self):
+        nodes = GridSpec(-10.0, 10.0, 4097).nodes()
+        want = {
+            "_GAMMA_NODES": nodes,
+            "_GAMMA_PHI": np.exp(-0.5 * nodes**2) / math.sqrt(2.0 * math.pi),
+            "_GAMMA_QUANTILES": special.ndtri((np.arange(8191) + 0.5) / 8191.0),
+        }
+        for name, values in want.items():
+            got = getattr(bounds, name)
+            assert got.tobytes() == values.tobytes(), name
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0.0
+        assert bounds._gamma_points() == (bounds._GAMMA_NODES, bounds._GAMMA_QUANTILES)
+
+    def test_median_is_the_sorted_middle(self):
+        rng = np.random.default_rng(5)
+        for values in (rng.normal(size=8191), rng.integers(0, 4, size=8191).astype(float)):
+            assert bounds._gamma_median(values) == np.sort(values)[values.size // 2]

@@ -46,7 +46,37 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, 8)
 
 
+def _simpson_weights_oracle(n_points: int, step: float) -> np.ndarray:
+    """The weights built whole on every call, as before the 1-4-2 pattern
+    was cached, kept as the oracle."""
+    w = np.zeros(n_points)
+    if n_points % 2 == 1:
+        w[0] = w[-1] = 1.0
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        w *= step / 3.0
+    else:
+        head = n_points - 3  # odd node count -> even interval count
+        w[0] = w[head - 1] = 1.0
+        w[1:head - 1:2] = 4.0
+        w[2:head - 1:2] = 2.0
+        w *= step / 3.0
+        w[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * step / 8.0)
+    return w
+
+
 class TestSimpsonWeights:
+    @pytest.mark.parametrize("n", [16, 17, 513, 2048, 4096, 4097, 8193])
+    def test_cached_pattern_gives_the_direct_construction(self, n):
+        for step in (0.25, 1.0 / 3.0, 20.0 / (n - 1), 2.0 * 20.0 / (n - 1)):
+            assert simpson_weights(n, step).tobytes() == _simpson_weights_oracle(n, step).tobytes()
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_returned_weights_are_a_fresh_array(self, n):
+        w = simpson_weights(n, 0.5)
+        w[:] = -1.0
+        assert simpson_weights(n, 0.5).tobytes() == _simpson_weights_oracle(n, 0.5).tobytes()
+
     def test_total_mass_is_interval_length(self):
         for n in (17, 18, 64, 101):
             w = simpson_weights(n, 0.25)
@@ -230,6 +260,22 @@ class TestIntegrandErrorText:
         with pytest.raises(IntegrandError) as info:
             integrate_values(values, GridSpec(0.0, 1.0, 17))
         assert str(info.value) == "non-finite integrand value nan at node index 4, x=0.25"
+
+    def test_1d_message_with_both_infinities(self):
+        # +inf and -inf sum to nan before the scan: no warning, same message
+        values = np.ones(17)
+        values[[3, 9]] = np.inf, -np.inf
+        with pytest.raises(IntegrandError) as info:
+            integrate_values(values, GridSpec(0.0, 1.0, 17))
+        assert str(info.value) == "non-finite integrand value inf at node index 3, x=0.1875"
+
+    def test_refined_grid_message(self):
+        # the only non-finite value sits on a node of the doubled grid
+        spec = GridSpec(0.0, 1.0, 17)
+        f = lambda x: np.where(x == 0.03125, -np.inf, 1.0)
+        with pytest.raises(IntegrandError) as info:
+            integrate(f, spec, refine=True)
+        assert str(info.value) == "non-finite integrand value -inf at node index 1, x=0.03125"
 
     def test_2d_message(self):
         vals = np.ones((17, 17))
