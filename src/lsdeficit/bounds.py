@@ -25,12 +25,12 @@ density is built.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
 from .deltafn import LINEAR_BAND_CONSTANT, delta, delta_quadratic_floor
 from .densities import (
@@ -687,21 +687,24 @@ def _eval_thm14(s, opts):
 
 _CHEEGER_LAMBDA = math.sqrt(2.0 / math.pi)
 # Gamma integrals of the map bounds: Simpson on these nodes, against phi
-# there; the median reads the 8191 midpoint quantiles of gamma.  All three
-# arrays are read-only.
+# there.  Both arrays are read-only.
 _GAMMA_SPEC = GridSpec(-10.0, 10.0, 4097)
 _GAMMA_NODES = _GAMMA_SPEC.nodes()
 _GAMMA_PHI = np.exp(-0.5 * _GAMMA_NODES**2) / math.sqrt(2.0 * math.pi)
-_GAMMA_QUANTILES = special.ndtri((np.arange(8191) + 0.5) / 8191.0)
 _GAMMA_NODES.flags.writeable = False
 _GAMMA_PHI.flags.writeable = False
-_GAMMA_QUANTILES.flags.writeable = False
 
 
+@functools.lru_cache(maxsize=1)
 def _gamma_points() -> tuple[np.ndarray, np.ndarray]:
     """Where the map bounds read their functions: the nodes of the gamma
-    integrals and the 8191 midpoint quantiles of gamma for the median."""
-    return _GAMMA_NODES, _GAMMA_QUANTILES
+    integrals and the 8191 midpoint quantiles of gamma for the median, a
+    read-only table built on the first map bound, where Phi^-1 is first read."""
+    from scipy.special import ndtri
+
+    quantiles = ndtri((np.arange(8191) + 0.5) / 8191.0)
+    quantiles.flags.writeable = False
+    return _GAMMA_NODES, quantiles
 
 
 def _gamma_integral(values: np.ndarray) -> float:

@@ -43,12 +43,18 @@ from .specio import load as load_density_file
 from .transport import COST_ABS, COST_DELTA, COST_SQ, transport_cost
 from .values import FunctionalValue
 
-try:  # version string only decorates report metadata
-    from importlib.metadata import version as _dist_version
 
-    _VERSION = _dist_version("lsdeficit")
-except Exception:  # pragma: no cover - not installed
-    _VERSION = "unknown"
+@functools.lru_cache(maxsize=1)
+def _version() -> str:
+    """The installed package's version, or "unknown": it only decorates the
+    ``report`` and ``sweep --format json`` metadata, so only they read it."""
+    try:
+        from importlib.metadata import version
+
+        return version("lsdeficit")
+    except Exception:  # pragma: no cover - not installed
+        return "unknown"
+
 
 _METRICS = (
     "kl",
@@ -259,7 +265,7 @@ def _cmd_sweep(args) -> int:
             "grid_points_2d": config.DEFAULT_GRID_POINTS_2D,
             "support_radius": config.support_radius(),
             "tol": args.tol,
-            "tool": f"lsdeficit {_VERSION}",
+            "tool": f"lsdeficit {_version()}",
         }
         _emit({"family": family, "parameter": parameter, "values": values,
                "columns": columns, "metadata": metadata}, args.out)
@@ -307,7 +313,7 @@ def _cmd_report(args) -> int:
         "metadata": {
             "grid_points": config.default_grid_points(),
             "support_radius": config.support_radius(),
-            "tool": f"lsdeficit {_VERSION}",
+            "tool": f"lsdeficit {_version()}",
         },
     }
     _emit(report, args.out)

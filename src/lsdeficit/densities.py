@@ -15,7 +15,10 @@ Gaussian both are exact, z = (x - m) / s and x = m + s z; otherwise z comes
 from the CDF (a mixture's analytic one, or the ``Density1D`` default, the
 Simpson-accumulated tables) and x(z) is a quintic Hermite interpolant in z.
 ``quantile(u)`` is x(Phi^-1(u)); ``cdf(x)`` is Phi(z(x)), except for a
-mixture's analytic CDF.
+mixture's analytic CDF.  Phi and Phi^-1 come from ``scipy.special``, imported
+inside the functions that read them: it is most of a cold start, and a
+process that reads no normal score (KL, Fisher information, entropy) never
+loads it.
 
 A 2D grid gives its scores (``score_fields``) and the normal scores of its
 rows and x1-marginal (``row_scores``, ``marginal_scores``) row block by row
@@ -49,7 +52,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import special
 
 from . import config
 from .errors import ArgumentError
@@ -112,9 +114,11 @@ def _table_tails(p: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
 def _normal_scores(cdf: np.ndarray, sf: np.ndarray) -> np.ndarray:
     """Phi^-1 of a CDF, read off the survival function above the median:
     each tail keeps the relative accuracy of its own probabilities."""
+    from scipy.special import ndtri
+
     upper = cdf > 0.5
     z = np.where(upper, sf, cdf)
-    z = special.ndtri(np.clip(z, _U_LO, 1.0, out=z), out=z)
+    z = ndtri(np.clip(z, _U_LO, 1.0, out=z), out=z)
     return np.negative(z, out=z, where=upper)
 
 
@@ -276,8 +280,10 @@ class Density1D:
     def cdf(self, x):
         """Phi(z(x)), z the inverse's own scores (``score_inverse.scores``),
         so ``cdf`` and ``quantile`` invert each other."""
+        from scipy.special import ndtr
+
         pts, scalar = _as_points(x)
-        return _maybe_scalar(special.ndtr(self.score_inverse.scores(pts)), scalar)
+        return _maybe_scalar(ndtr(self.score_inverse.scores(pts)), scalar)
 
     def eval_spec(self) -> GridSpec:
         lo, hi = self._support_hint()
@@ -327,10 +333,12 @@ class Density1D:
 
     def quantile(self, u):
         """x(Phi^-1(u)) for u strictly inside (0, 1)."""
+        from scipy.special import ndtri
+
         pts, scalar = _as_points(u)
         if np.any(pts <= 0.0) or np.any(pts >= 1.0):
             raise ArgumentError("quantile argument must lie strictly inside (0, 1)")
-        return _maybe_scalar(self.score_inverse(special.ndtri(pts)), scalar)
+        return _maybe_scalar(self.score_inverse(ndtri(pts)), scalar)
 
     @cached_property
     def pushforward_probe(self) -> PushforwardProbe:
@@ -513,17 +521,21 @@ class MixtureDensity(Density1D):
         return peak + np.log(r.sum(axis=0)), self._score_of(nodes, r)
 
     def cdf(self, x):
+        from scipy.special import ndtr
+
         pts, scalar = _as_points(x)
         z = (pts[:, None] - self._m[None, :]) / self._s[None, :]
-        out = special.ndtr(z) @ self._w
+        out = ndtr(z) @ self._w
         return _maybe_scalar(out, scalar)
 
     @cached_property
     def normal_scores(self) -> NormalScores:
         """Phi^-1 of the analytic CDF on the table nodes, each tail read off
         its own probabilities."""
+        from scipy.special import ndtr
+
         z = (self.table.nodes[:, None] - self._m[None, :]) / self._s[None, :]
-        out = _normal_scores(special.ndtr(z) @ self._w, special.ndtr(-z) @ self._w)
+        out = _normal_scores(ndtr(z) @ self._w, ndtr(-z) @ self._w)
         out.flags.writeable = False
         return NormalScores(out, 0.0)
 

@@ -40,7 +40,11 @@ so it has the same bits in a stack as alone.
 Every finite check reads a sum the integral makes anyway, which a non-finite
 value always makes non-finite (the weights are positive): the mass sum
 |w f| of a 1D integral, the row sums of a 2D one.  Only then are the values
-(in 2D, that row block) scanned for the node to name.
+(in 2D, that row block) scanned for the node to name.  Finite values whose
+exact sum passes the float range integrate to inf of its sign with an inf
+error bar, as do products that overflow one by one; only the summing
+kernels themselves (``_exact_sum``, ``_weighted_sum``) raise
+``OverflowError`` there.
 """
 
 from __future__ import annotations
@@ -231,6 +235,38 @@ def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> tuple[float, float
     return (pos - neg) / (1 << _SUM_LSB), (pos + neg) / (1 << _SUM_LSB)
 
 
+def _integral_sums(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+    """``_weighted_sum`` for an integral: a sum or mass past the float range
+    reads as inf of its sign, as when a product overflows on its own, so the
+    integral reports it with an inf bar instead of raising."""
+    try:
+        return _weighted_sum(values, weights)
+    except OverflowError:
+        return _overflowed_sums(values * weights)
+
+
+def _integral_total(terms: np.ndarray) -> float:
+    """``_exact_sum`` for a Richardson pass, past the float range read as
+    ``_integral_sums`` reads it."""
+    try:
+        return _exact_sum(terms)
+    except OverflowError:
+        return _overflowed_sums(terms)[0]
+
+
+def _overflowed_sums(terms: np.ndarray) -> tuple[float, float]:
+    """Sum and mass of finite terms, each the nearest float, or inf of its
+    sign past the float range."""
+    pos, neg = _binned_sums(terms)
+    sums = []
+    for units in (pos - neg, pos + neg):
+        try:
+            sums.append(units / (1 << _SUM_LSB))
+        except OverflowError:
+            sums.append(math.inf if units > 0 else -math.inf)
+    return sums[0], sums[1]
+
+
 def _abs_integral(t1: np.ndarray, t2: np.ndarray, coef: tuple) -> np.ndarray:
     """Integral of |q| over a panel t in [0, 2], q the cubic with monomial
     coefficients ``coef``, split at 0 <= t1 <= t2 <= 2, which hold q's roots."""
@@ -319,7 +355,7 @@ def integrate_values(
         raise ArgumentError(
             f"value array of shape {values.shape} does not match grid of {spec.n_points} nodes"
         )
-    total, mass = _weighted_sum(values, simpson_weights(spec.n_points, spec.step))
+    total, mass = _integral_sums(values, simpson_weights(spec.n_points, spec.step))
     if not math.isfinite(mass):
         _check_finite(values, spec)
     floor = _ROUNDOFF * mass
@@ -334,7 +370,7 @@ def integrate_values(
     # folded into the Richardson difference).
     half = slice(None, None, 2) if spec.n_points % 2 == 1 else slice(None, -1, 2)
     head = values[half]
-    coarse = _exact_sum(head * simpson_weights(head.size, 2.0 * spec.step))
+    coarse = _integral_total(head * simpson_weights(head.size, 2.0 * spec.step))
     if spec.n_points % 2 == 0:
         coarse += 0.5 * spec.step * (values[-2] + values[-1])
     if kinked is not None:
@@ -356,7 +392,7 @@ def integrate(
     values = np.asarray(f(nodes), dtype=float)
     if values.shape != nodes.shape:
         raise ArgumentError("integrand must return one value per node")
-    total, mass = _weighted_sum(values, simpson_weights(spec.n_points, spec.step))
+    total, mass = _integral_sums(values, simpson_weights(spec.n_points, spec.step))
     if not math.isfinite(mass):
         _check_finite(values, spec)
     floor = _ROUNDOFF * mass
@@ -364,7 +400,7 @@ def integrate(
         return QuadResult(total, floor, spec.n_points)
     fine_spec = spec.refined()
     fine_values = np.asarray(f(fine_spec.nodes()), dtype=float)
-    fine_total = _exact_sum(
+    fine_total = _integral_total(
         fine_values * simpson_weights(fine_spec.n_points, fine_spec.step)
     )
     # a non-finite value leaves the total inf or nan as well
@@ -473,10 +509,10 @@ def integrate_rows_2d(
     wx = simpson_weights(nx, spec_x.step)
     results = []
     for row_sums, coarse_sums in zip(rows, coarse_rows):
-        row_total, mass = _weighted_sum(row_sums, wx)
+        row_total, mass = _integral_sums(row_sums, wx)
         est = _ROUNDOFF * (mass + abs(row_total))
         if halved:
-            coarse = _exact_sum(np.concatenate(coarse_sums) * simpson_weights(cx.n_points, cx.step))
+            coarse = _integral_total(np.concatenate(coarse_sums) * simpson_weights(cx.n_points, cx.step))
             est += _RICHARDSON * abs(row_total - coarse)
         results.append(QuadResult(row_total, _error_bar(est), nx * ny))
     return tuple(results)

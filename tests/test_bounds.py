@@ -846,17 +846,19 @@ class TestGammaTables:
 
     def test_constants_are_read_only_and_match_their_formulas(self):
         nodes = GridSpec(-10.0, 10.0, 4097).nodes()
+        points, quantiles = bounds._gamma_points()
         want = {
-            "_GAMMA_NODES": nodes,
-            "_GAMMA_PHI": np.exp(-0.5 * nodes**2) / math.sqrt(2.0 * math.pi),
-            "_GAMMA_QUANTILES": special.ndtri((np.arange(8191) + 0.5) / 8191.0),
+            "_GAMMA_NODES": (bounds._GAMMA_NODES, nodes),
+            "_GAMMA_PHI": (bounds._GAMMA_PHI, np.exp(-0.5 * nodes**2) / math.sqrt(2.0 * math.pi)),
+            "quantiles": (quantiles, special.ndtri((np.arange(8191) + 0.5) / 8191.0)),
         }
-        for name, values in want.items():
-            got = getattr(bounds, name)
+        for name, (got, values) in want.items():
             assert got.tobytes() == values.tobytes(), name
             with pytest.raises(ValueError, match="read-only"):
                 got[0] = 0.0
-        assert bounds._gamma_points() == (bounds._GAMMA_NODES, bounds._GAMMA_QUANTILES)
+        assert points is bounds._GAMMA_NODES
+        again = bounds._gamma_points()
+        assert again[0] is points and again[1] is quantiles
 
     def test_median_is_the_sorted_middle(self):
         rng = np.random.default_rng(5)

@@ -9,7 +9,10 @@ body of a module-level class, must be read somewhere in the package: as a
 name, an attribute or an imported name.
 
 A fresh interpreter also imports the package and its CLI without loading
-``scipy.interpolate``, which costs about 0.3 s of every cold start.
+``scipy.interpolate``, ``scipy.special`` or ``importlib.metadata``, which
+together cost about half a second of every cold start.  ``scipy.special`` is
+loaded where a normal score is first read: ``lsd distance --metric w2`` loads
+it, ``--metric kl`` does not.
 """
 
 import ast
@@ -131,9 +134,37 @@ def test_every_private_name_is_read():
     assert unread == []
 
 
-def test_cold_import_skips_scipy_interpolate():
-    code = "import sys, lsdeficit, lsdeficit.cli; print('scipy.interpolate' in sys.modules)"
+def _fresh_stdout(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter on this checkout's package."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cold_import_skips_scipy_interpolate():
+    code = "import sys, lsdeficit, lsdeficit.cli; print('scipy.interpolate' in sys.modules)"
+    assert _fresh_stdout(code) == "False"
+
+
+def test_cold_start_loads_phi_only_for_a_normal_score(tmp_path):
+    code = (
+        "import sys, lsdeficit, lsdeficit.cli\n"
+        "print([m for m in ('scipy.interpolate', 'scipy.special', 'importlib.metadata')"
+        " if m in sys.modules])"
+    )
+    assert _fresh_stdout(code) == "[]"
+    spec = tmp_path / "mixture.json"
+    spec.write_text(
+        '{"components": [{"mean": -1.2, "var": 0.6, "w": 0.4}, '
+        '{"mean": 0.9, "var": 1.1, "w": 0.6}], "type": "mixture"}'
+    )
+    for metric, loaded in (("kl", False), ("w2", True)):
+        code = (
+            "import contextlib, io, sys\n"
+            "from lsdeficit import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main(['distance', '--dist', {str(spec)!r}, '--metric', {metric!r}])\n"
+            "print(code, 'scipy.special' in sys.modules)"
+        )
+        assert _fresh_stdout(code) == f"0 {loaded}", metric

@@ -211,6 +211,30 @@ class TestOverflowedTotals:
             )
         assert [r.abs_error_estimate for r in results] == [math.inf] * 3
 
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_finite_products_whose_exact_sum_overflows(self, refine, sign):
+        # every product is finite (at most 8/3 * 1e307); their exact sum is not
+        n = self.SPEC.n_points
+        results = (
+            integrate_values(np.full(n, sign * 1e307), self.SPEC, refine=refine),
+            integrate(lambda x: np.full(x.shape, sign * 1e307), self.SPEC, refine=refine),
+            integrate_values_2d(np.full((n, n), sign * 1e305), self.SPEC, self.SPEC, refine=refine),
+        )
+        assert [(r.value, r.abs_error_estimate) for r in results] == [(sign * math.inf, math.inf)] * 3
+        # the summing kernel itself still refuses a sum it cannot round
+        with pytest.raises(OverflowError):
+            quadrature._weighted_sum(np.full(n, 1e307), simpson_weights(n, self.SPEC.step))
+
+    def test_finite_sum_whose_mass_overflows(self):
+        # products of alternating sign and equal size: the sum is about one
+        # product, the mass |w f| about 33 of them
+        w = simpson_weights(self.SPEC.n_points, self.SPEC.step)
+        values = np.where(np.arange(w.size) % 2 == 0, 1e307, -1e307) / w
+        res = integrate_values(values, self.SPEC)
+        assert res.value == pytest.approx(1e307, rel=1e-12)
+        assert res.abs_error_estimate == math.inf
+
     @pytest.mark.parametrize("bad", [math.nan, -5e-324])
     def test_results_refuse_a_bar_that_is_not_nonnegative(self, bad):
         with pytest.raises(ArgumentError, match="must be >= 0"):
