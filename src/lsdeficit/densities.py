@@ -796,11 +796,27 @@ class ProductDensity:
 
 
 class RowStats(NamedTuple):
-    """Per-row Simpson sums over x2 of exp(log p - shift) for a 2D grid."""
+    """Per-row Simpson sums over y of exp(log p - shift) for a stack of rows."""
 
     shift: np.ndarray  # row maximum of log p
     mass: np.ndarray  # sum of w_y exp(log p - shift)
     first: np.ndarray  # sum of w_y y exp(log p - shift)
+
+
+def _row_stats(log_rows: np.ndarray, spec: GridSpec) -> RowStats:
+    """One Simpson pass over ``spec`` per row of ``log_rows``: shift, mass
+    and first moment, read-only."""
+    w = simpson_weights(spec.n_points, spec.step)
+    w_y = w * spec.nodes()
+    shift = log_rows.max(axis=1)
+    mass, first = np.empty_like(shift), np.empty_like(shift)
+    for i0, i1 in row_blocks(shift.size):
+        p = np.exp(log_rows[i0:i1] - shift[i0:i1, None])
+        mass[i0:i1] = (p * w).sum(axis=1)
+        first[i0:i1] = (p * w_y).sum(axis=1)
+    for arr in (shift, mass, first):
+        arr.flags.writeable = False
+    return RowStats(shift, mass, first)
 
 
 class Grid2DDensity:
@@ -890,17 +906,7 @@ class Grid2DDensity:
     @cached_property
     def row_stats(self) -> RowStats:
         """One Simpson pass over x2 per row: shift, mass and first moment."""
-        wy = simpson_weights(self._spec_y.n_points, self._spec_y.step)
-        wy_y = wy * self._spec_y.nodes()
-        shift = self._log_p.max(axis=1)
-        mass, first = np.empty_like(shift), np.empty_like(shift)
-        for i0, i1 in row_blocks(shift.size):
-            p = np.exp(self._log_p[i0:i1] - shift[i0:i1, None])
-            mass[i0:i1] = (p * wy).sum(axis=1)
-            first[i0:i1] = (p * wy_y).sum(axis=1)
-        for arr in (shift, mass, first):
-            arr.flags.writeable = False
-        return RowStats(shift, mass, first)
+        return _row_stats(self._log_p, self._spec_y)
 
     @cached_property
     def _row_log_mass(self) -> np.ndarray:

@@ -5,7 +5,7 @@ count uses the classic 1-4-2-...-4-1 stencil; an odd interval count keeps
 Simpson on the leading intervals and closes with the 3/8 rule, so the
 global O(h^4) order holds for every grid size >= 16 points.
 
-Every sum of weighted node values is correctly rounded: ``_exact_sum``
+Every sum of weighted node values is correctly rounded: ``_exact_sums``
 returns the float nearest the exact sum (ties to even), the value
 ``math.fsum`` gives, so results are bit-stable across runs.  One kernel,
 ``_binned_sums``, writes each term's magnitude as an integer mantissa times
@@ -40,11 +40,11 @@ so it has the same bits in a stack as alone.
 Every finite check reads a sum the integral makes anyway, which a non-finite
 value always makes non-finite (the weights are positive): the mass sum
 |w f| of a 1D integral, the row sums of a 2D one.  Only then are the values
-(in 2D, that row block) scanned for the node to name.  Finite values whose
-exact sum passes the float range integrate to inf of its sign with an inf
-error bar, as do products that overflow one by one; only the summing
-kernels themselves (``_exact_sum``, ``_weighted_sum``) raise
-``OverflowError`` there.
+(in 2D, that row block) scanned for the node to name.  No sum raises: past
+the float range a sum or mass reads as inf of its sign, so values whose
+exact sum or one-signed products overflow integrate to that inf with an inf
+error bar.  Products that overflow with both signs leave a nan total, which
+the integral refuses with an ``IntegrandError`` naming the overflow.
 """
 
 from __future__ import annotations
@@ -61,13 +61,7 @@ from .errors import ArgumentError, IntegrandError
 # Richardson factor for an order-4 rule: e_n ~ 16 e_2n, so
 # |I_2n - I_n| ~ 15 e_2n = (15/16) e_n.
 _RICHARDSON = 16.0 / 15.0
-_ROUNDOFF = 64.0 * np.finfo(float).eps
-
-
-def _error_bar(est: float) -> float:
-    """The error estimate ``est``, or inf where sums that overflowed made it
-    nan (inf - inf in a Richardson difference or a row sum)."""
-    return math.inf if math.isnan(est) else est
+_ROUNDOFF = 64.0 * math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -193,71 +187,18 @@ def _binned_sums(x: np.ndarray) -> tuple[int, int]:
     return both & ((1 << half) - 1), both >> half
 
 
-def _exact_sum(terms: np.ndarray) -> float:
-    """Correctly rounded sum of a float array: what ``math.fsum`` returns.
-
-    Two differences from ``math.fsum`` on finite terms: an exact sum
-    outside the float range raises ``OverflowError`` ("integer division
-    result too large for a float"), and partial sums never overflow, so
-    terms that ``math.fsum`` refuses with "intermediate overflow" get their
-    finite exact sum.  A non-finite term makes the result the IEEE sum of
-    the terms (inf or nan, without a warning for +inf plus -inf).
-    """
+def _exact_sums(terms: np.ndarray) -> tuple[float, float]:
+    """Sum and roundoff mass sum |t| of a float array from one binned pass,
+    as pos - neg and pos + neg, each correctly rounded: the sum is what
+    ``math.fsum`` returns.  Never raises: each reads inf of its sign past the
+    float range, and partial sums never overflow (``math.fsum`` refuses with
+    "intermediate overflow").  With a non-finite term both are IEEE sums,
+    inf or nan, without a warning for +inf plus -inf."""
     x = np.asarray(terms, dtype=float).ravel()
     if not np.isfinite(x).all():
         with np.errstate(invalid="ignore"):
-            return float(x.sum())
+            return float(x.sum()), float(np.abs(x).sum())
     pos, neg = _binned_sums(x)
-    return (pos - neg) / (1 << _SUM_LSB)
-
-
-def _check_finite(values: np.ndarray, spec: GridSpec) -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise IntegrandError(
-            f"non-finite integrand value {float(values[i])} at node index {i}, "
-            f"x={float(spec.nodes()[i])}"
-        )
-
-
-def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    """Correctly rounded weighted sum plus its roundoff mass sum |w f|, both
-    from one binned pass: the sum is pos - neg and the mass pos + neg.  The
-    weights are positive, so the mass is finite only if every value is."""
-    prod = values * weights
-    if not np.isfinite(prod).all():
-        # +inf and -inf terms sum to nan without a warning: the caller's
-        # finite check names the node
-        with np.errstate(invalid="ignore"):
-            return float(prod.sum()), float(np.abs(prod).sum())
-    pos, neg = _binned_sums(prod)
-    return (pos - neg) / (1 << _SUM_LSB), (pos + neg) / (1 << _SUM_LSB)
-
-
-def _integral_sums(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    """``_weighted_sum`` for an integral: a sum or mass past the float range
-    reads as inf of its sign, as when a product overflows on its own, so the
-    integral reports it with an inf bar instead of raising."""
-    try:
-        return _weighted_sum(values, weights)
-    except OverflowError:
-        return _overflowed_sums(values * weights)
-
-
-def _integral_total(terms: np.ndarray) -> float:
-    """``_exact_sum`` for a Richardson pass, past the float range read as
-    ``_integral_sums`` reads it."""
-    try:
-        return _exact_sum(terms)
-    except OverflowError:
-        return _overflowed_sums(terms)[0]
-
-
-def _overflowed_sums(terms: np.ndarray) -> tuple[float, float]:
-    """Sum and mass of finite terms, each the nearest float, or inf of its
-    sign past the float range."""
-    pos, neg = _binned_sums(terms)
     sums = []
     for units in (pos - neg, pos + neg):
         try:
@@ -265,6 +206,36 @@ def _overflowed_sums(terms: np.ndarray) -> tuple[float, float]:
         except OverflowError:
             sums.append(math.inf if units > 0 else -math.inf)
     return sums[0], sums[1]
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """The correctly rounded sum of ``_exact_sums``."""
+    return _exact_sums(terms)[0]
+
+
+def _simpson(values: np.ndarray, spec: GridSpec) -> tuple[float, float]:
+    """Simpson total of node values over spec's grid and its roundoff floor,
+    from one exact pass.  A non-finite value makes the mass |w f|
+    non-finite; only then are the values scanned for the node to name."""
+    total, mass = _exact_sums(values * simpson_weights(spec.n_points, spec.step))
+    if not math.isfinite(mass):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise IntegrandError(
+                f"non-finite integrand value {float(values[i])} at node index {i}, "
+                f"x={float(spec.nodes()[i])}"
+            )
+    return total, _ROUNDOFF * mass
+
+
+def _result(total: float, est: float, n_evals: int) -> QuadResult:
+    """An integral's result, in plain floats.  A nan total (products past
+    the float range with both signs) is refused; a nan estimate (inf - inf
+    in a Richardson difference) reads as inf."""
+    if math.isnan(total):
+        raise IntegrandError("Simpson products overflow the float range with both signs")
+    return QuadResult(float(total), math.inf if math.isnan(est) else float(est), n_evals)
 
 
 def _abs_integral(t1: np.ndarray, t2: np.ndarray, coef: tuple) -> np.ndarray:
@@ -355,28 +326,24 @@ def integrate_values(
         raise ArgumentError(
             f"value array of shape {values.shape} does not match grid of {spec.n_points} nodes"
         )
-    total, mass = _integral_sums(values, simpson_weights(spec.n_points, spec.step))
-    if not math.isfinite(mass):
-        _check_finite(values, spec)
-    floor = _ROUNDOFF * mass
+    total, floor = _simpson(values, spec)
     if kinked is not None:
         defect, interp = _kink_price(*_kink_panels(kinked), spec.step, 1)
         total += float(defect[0])
         floor += float(interp[0])
     if not refine:
-        return QuadResult(total, floor, spec.n_points)
+        return _result(total, floor, spec.n_points)
     # Halve the odd-count head exactly; with an even node count, close the
     # last interval with a trapezoid (its own error is O(h^3) on one cell,
     # folded into the Richardson difference).
     half = slice(None, None, 2) if spec.n_points % 2 == 1 else slice(None, -1, 2)
     head = values[half]
-    coarse = _integral_total(head * simpson_weights(head.size, 2.0 * spec.step))
+    coarse = _exact_sum(head * simpson_weights(head.size, 2.0 * spec.step))
     if spec.n_points % 2 == 0:
         coarse += 0.5 * spec.step * (values[-2] + values[-1])
     if kinked is not None:
         coarse += float(_kink_price(*_kink_panels(kinked[half]), 2.0 * spec.step, 1)[0][0])
-    est = _RICHARDSON * abs(total - coarse) + floor
-    return QuadResult(total, _error_bar(est), spec.n_points)
+    return _result(total, _RICHARDSON * abs(total - coarse) + floor, spec.n_points)
 
 
 def integrate(
@@ -392,22 +359,13 @@ def integrate(
     values = np.asarray(f(nodes), dtype=float)
     if values.shape != nodes.shape:
         raise ArgumentError("integrand must return one value per node")
-    total, mass = _integral_sums(values, simpson_weights(spec.n_points, spec.step))
-    if not math.isfinite(mass):
-        _check_finite(values, spec)
-    floor = _ROUNDOFF * mass
+    total, floor = _simpson(values, spec)
     if not refine:
-        return QuadResult(total, floor, spec.n_points)
+        return _result(total, floor, spec.n_points)
     fine_spec = spec.refined()
-    fine_values = np.asarray(f(fine_spec.nodes()), dtype=float)
-    fine_total = _integral_total(
-        fine_values * simpson_weights(fine_spec.n_points, fine_spec.step)
-    )
-    # a non-finite value leaves the total inf or nan as well
-    if not math.isfinite(fine_total):
-        _check_finite(fine_values, fine_spec)
+    fine_total = _simpson(np.asarray(f(fine_spec.nodes()), dtype=float), fine_spec)[0]
     est = _RICHARDSON * abs(fine_total - total) + floor
-    return QuadResult(total, _error_bar(est), spec.n_points + fine_spec.n_points)
+    return _result(total, est, spec.n_points + fine_spec.n_points)
 
 
 # Rows per block of a 2D pass.  Every 2D integrand and row statistic is
@@ -451,8 +409,8 @@ def integrate_rows_2d(
     sums, so stacking it with others leaves its bits as they are alone.
     The finite check reads the row sums: Simpson weights are positive, so
     a non-finite value makes its row's sum non-finite, and only then is the
-    block scanned for the node to name; a finite block whose row sums
-    overflow integrates as its sums fall, without a refusal.  With
+    block scanned for the node to name; finite values whose row sums
+    overflow integrate as 1D sums past the float range do.  With
     ``refine`` the estimate compares against halved resolution in both axes,
     or along one axis when the other has an even node count; an odd axis
     needs 31 nodes for that.
@@ -509,12 +467,12 @@ def integrate_rows_2d(
     wx = simpson_weights(nx, spec_x.step)
     results = []
     for row_sums, coarse_sums in zip(rows, coarse_rows):
-        row_total, mass = _integral_sums(row_sums, wx)
+        row_total, mass = _exact_sums(row_sums * wx)
         est = _ROUNDOFF * (mass + abs(row_total))
         if halved:
-            coarse = _integral_total(np.concatenate(coarse_sums) * simpson_weights(cx.n_points, cx.step))
+            coarse = _exact_sum(np.concatenate(coarse_sums) * simpson_weights(cx.n_points, cx.step))
             est += _RICHARDSON * abs(row_total - coarse)
-        results.append(QuadResult(row_total, _error_bar(est), nx * ny))
+        results.append(_result(row_total, est, nx * ny))
     return tuple(results)
 
 

@@ -35,6 +35,7 @@ from .densities import (
     Density1D,
     Grid2DDensity,
     ProductDensity,
+    _row_stats,
     standard_gaussian,
 )
 from .errors import ArgumentError, NumericalError
@@ -184,15 +185,13 @@ def decompose_grid2d(
     wx = simpson_weights(sx.n_points, sx.step)
     # integrates row functionals against the x1-marginal
     weights = wx * mu.row_marginal()
-    # the marginal, normalised on its own grid, as a one-row stack, with
-    # its maximum and mass summed as ``row_stats`` sums a grid's rows
+    # the marginal, normalised on its own grid, as a one-row stack
     marginal, t1 = mu.marginal_x().log_values[None, :], np.array([t1])
-    marg_max = marginal.max(axis=1)
-    marg_mass = (np.exp(marginal - marg_max[:, None]) * wx).sum(axis=1)
+    marg = _row_stats(marginal, sx)
     d1 = _d_rows(marginal, np.zeros(1), sx, t1)[0]
     d2 = _exact_sum(weights * _d_rows(mu.log_values, mu._row_log_mass, sy, t2))
     marg_costs = costs_to_standard_gaussian_rows(
-        marginal, sx, costs, t1, mu.marginal_scores, marg_max, marg_mass
+        marginal, sx, costs, t1, mu.marginal_scores, marg.shift, marg.mass
     )
     rows = mu.row_stats
     row_costs = costs_to_standard_gaussian_rows(

@@ -8,6 +8,10 @@ A private name (one leading underscore) defined at module level, or in the
 body of a module-level class, must be read somewhere in the package: as a
 name, an attribute or an imported name.
 
+A third scan keeps one exact-sum kernel: ``quadrature._binned_sums`` has
+one caller in the package, and ``quadrature`` catches ``OverflowError`` at
+most once.
+
 A fresh interpreter also imports the package and its CLI without loading
 ``scipy.interpolate``, ``scipy.special`` or ``importlib.metadata``, which
 together cost about half a second of every cold start.  ``scipy.special`` is
@@ -132,6 +136,38 @@ def test_every_private_name_is_read():
         if name not in read
     )
     assert unread == []
+
+
+def _callers(tree: ast.AST, name: str, owner: str = "") -> set[str]:
+    """Dotted names of the innermost defs (``""`` for module level) that
+    call ``name``, as a name or an attribute."""
+    found = set()
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= _callers(child, name, f"{owner}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                found.add(owner)
+        found |= _callers(child, name, owner)
+    return found
+
+
+def test_one_exact_sum_kernel():
+    """Every exact sum goes through one binned pass, and past the float
+    range that kernel reads inf instead of raising to a wrapper that catches
+    ``OverflowError``."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
+    callers = sorted(f"{path}:{fn}" for path, tree in trees.items() for fn in _callers(tree, "_binned_sums"))
+    assert len(callers) == 1, callers
+    handlers = [
+        h.lineno
+        for h in ast.walk(trees["quadrature.py"])
+        if isinstance(h, ast.ExceptHandler) and h.type is not None
+        and "OverflowError" in {n.id for n in ast.walk(h.type) if isinstance(n, ast.Name)}
+    ]
+    assert len(handlers) <= 1, handlers
 
 
 def _fresh_stdout(code: str) -> str:

@@ -56,9 +56,9 @@ from lsdeficit.quadrature import (
     _ROUNDOFF,
     _abs_integral,
     _exact_sum,
+    _exact_sums,
     _kink_panels,
     _kink_price,
-    _weighted_sum,
     integrate,
     integrate_rows_2d,
     integrate_values_2d,
@@ -83,7 +83,7 @@ def _whole_integrate(values, spec_x, spec_y, refine=False):
         raise IntegrandError("non-finite integrand")
     wy = simpson_weights(spec_y.n_points, spec_y.step)
     rows = values @ wy
-    row_total, mass = _weighted_sum(rows, simpson_weights(spec_x.n_points, spec_x.step))
+    row_total, mass = _exact_sums(rows * simpson_weights(spec_x.n_points, spec_x.step))
     floor = _ROUNDOFF * (mass + abs(row_total))
     if not refine:
         return QuadResult(row_total, floor, values.size)
