@@ -822,6 +822,11 @@ def _row_stats(log_rows: np.ndarray, spec: GridSpec) -> RowStats:
 class Grid2DDensity:
     """Bivariate density as log values on a rectangular grid (rows = x1).
 
+    A grid holds one whole-grid array, its normalised log values, which
+    ``log_values`` gives read-only.  The constructor copies ``log_p`` once,
+    as the normalised values, and never writes to it; the package's own
+    builders hand their fresh arrays over to be normalised in place.
+
     ``convexity_lower_bound`` is verified against the finite-difference
     Hessian of the potential -log p: its smallest eigenvalue over the grid
     interior must reach the claimed bound, else the bound is cleared.
@@ -836,7 +841,32 @@ class Grid2DDensity:
         log_p: np.ndarray,
         convexity_lower_bound: float | None = None,
     ):
-        log_p = np.asarray(log_p, dtype=float)
+        self._normalise(spec_x, spec_y, np.asarray(log_p, dtype=float), False, convexity_lower_bound)
+
+    @classmethod
+    def _owning(
+        cls,
+        spec_x: GridSpec,
+        spec_y: GridSpec,
+        log_p: np.ndarray,
+        convexity_lower_bound: float | None = None,
+    ) -> "Grid2DDensity":
+        """The grid of a builder's fresh float array, which it takes over and
+        normalises in place: nothing else may hold ``log_p``."""
+        grid = cls.__new__(cls)
+        grid._normalise(spec_x, spec_y, log_p, True, convexity_lower_bound)
+        return grid
+
+    def _normalise(
+        self,
+        spec_x: GridSpec,
+        spec_y: GridSpec,
+        log_p: np.ndarray,
+        in_place: bool,
+        convexity_lower_bound: float | None,
+    ) -> None:
+        """Check ``log_p`` and keep it less its log mass and maximum: in
+        place, or as one new array (the same bits either way)."""
         if log_p.shape != (spec_x.n_points, spec_y.n_points):
             raise ArgumentError(
                 f"log_p of shape {log_p.shape} does not match "
@@ -852,7 +882,9 @@ class Grid2DDensity:
         )
         self._spec_x = spec_x
         self._spec_y = spec_y
-        self._log_p = log_p - (math.log(total.value) + shift)
+        # a new array is made only after the last read of the input, so the
+        # constructor holds no more than its input and its output
+        self._log_p = np.subtract(log_p, math.log(total.value) + shift, out=log_p if in_place else None)
         self._log_p.flags.writeable = False
         self._eps = None
         if convexity_lower_bound is not None:
@@ -1047,7 +1079,7 @@ class _GaussianGrid2D(Grid2DDensity):
             block += z2_sq
             block /= -denom  # a / -b is -(a / b), bit for bit
             block -= log_norm
-        super().__init__(spec_x, spec_y, log_p)
+        self._normalise(spec_x, spec_y, log_p, True, None)
         self._eps = convexity_lower_bound
         self._law = (rho, var, mean, n, r)
         # mu_{2|1}(x) = m2 + rho (s2 / s1) (x - m1) and sigma_{2|1}
@@ -1130,7 +1162,8 @@ def bivariate_gaussian_grid(
 # as two whole-array BLAS products with each axis's Toeplitz matrix, a view
 # of its kernel vector.  The products are not split into row blocks, since a
 # blocked matrix product rounds differently (heat-flowed log values moved by
-# about 3e-14); the floor and the log run in place on the product.
+# about 3e-14); the floor, the log and the normalisation run in place on the
+# product.
 
 # A pad is rounded up to whole steps only past this relative tolerance: the
 # window ends carry roundoff that depends on where the grid sits, and the
@@ -1230,6 +1263,8 @@ def gaussian_convolve_2d(density: Grid2DDensity, t: float) -> Grid2DDensity:
         out_specs.append(out_spec)
         # k(y_i - x_j) as a strided view of the sampled kernel
         toeplitz.append(sliding_window_view(kernel(offsets), spec.n_points)[:, ::-1])
-    out = toeplitz[0] @ weighted @ toeplitz[1].T  # rows, then columns
+    rows = toeplitz[0] @ weighted
+    del weighted  # freed before the second product, which sets the peak
+    out = rows @ toeplitz[1].T
     np.maximum(out, 1e-320, out=out)
-    return Grid2DDensity(*out_specs, np.log(out, out=out))
+    return Grid2DDensity._owning(*out_specs, np.log(out, out=out))

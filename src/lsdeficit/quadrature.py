@@ -444,7 +444,8 @@ def integrate_rows_2d(
                     f"rows {i0}:{i1} of a {nx} x {ny} grid"
                 )
             # BLAS matvec: one fixed-order dot per row.  A row holding +inf
-            # and -inf sums to nan without a warning: the refusal names it
+            # and -inf sums to nan without a warning, on the fine grid and on
+            # the halved one: the refusal names it
             with np.errstate(invalid="ignore"):
                 row = values @ wy
             if not np.isfinite(row).all():
@@ -459,7 +460,8 @@ def integrate_rows_2d(
             rows[k][i0:i1] = row
             if halved:
                 sub = values[::2] if half_x else values
-                coarse_rows[k].append((sub[:, ::2] if half_y else sub) @ wy_coarse)
+                with np.errstate(invalid="ignore"):
+                    coarse_rows[k].append((sub[:, ::2] if half_y else sub) @ wy_coarse)
         if k + 1 != len(rows):
             raise ArgumentError(
                 f"rows {i0}:{i1} do not give the {len(rows)} integrands of the first block"

@@ -108,7 +108,7 @@ def _recenter_grid2d(mu: Grid2DDensity) -> RecenteredDensity:
     t2 = mu.conditional_means()
     new_spec_x = GridSpec(sx.x_lo - t1, sx.x_hi - t1, sx.n_points)
     log_rows = _shift_rows(mu.log_values, mu.spec_y, t2)
-    recentered = Grid2DDensity(new_spec_x, mu.spec_y, log_rows)
+    recentered = Grid2DDensity._owning(new_spec_x, mu.spec_y, log_rows)
 
     mean1 = float(recentered.mean()[0])
     marg_r = recentered.row_marginal()

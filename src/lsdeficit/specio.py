@@ -179,9 +179,8 @@ def parse_density(obj: Any, ctx: str = "density spec") -> Density:
                 log_p = flat.reshape(n_x, n_y)
             spec_x = GridSpec(_number(obj, "x_lo", ctx), _number(obj, "x_hi", ctx), log_p.shape[0])
             spec_y = GridSpec(_number(obj, "y_lo", ctx), _number(obj, "y_hi", ctx), log_p.shape[1])
-            return Grid2DDensity(
-                spec_x, spec_y, log_p, convexity_lower_bound=_optional_eps(obj, ctx)
-            )
+            # log_p is this parse's own array: the grid normalises it in place
+            return Grid2DDensity._owning(spec_x, spec_y, log_p, _optional_eps(obj, ctx))
     except SpecParseError:
         raise
     except ArgumentError as exc:  # constructor-level validation

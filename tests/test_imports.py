@@ -12,6 +12,10 @@ A third scan keeps one exact-sum kernel: ``quadrature._binned_sums`` has
 one caller in the package, and ``quadrature`` catches ``OverflowError`` at
 most once.
 
+A fourth scan keeps one whole-grid array per 2D grid: no module of the
+package calls the public ``Grid2DDensity`` constructor, which copies its
+input, so every builder hands its fresh array over to be normalised in place.
+
 A fresh interpreter also imports the package and its CLI without loading
 ``scipy.interpolate``, ``scipy.special`` or ``importlib.metadata``, which
 together cost about half a second of every cold start.  ``scipy.special`` is
@@ -168,6 +172,12 @@ def test_one_exact_sum_kernel():
         and "OverflowError" in {n.id for n in ast.walk(h.type) if isinstance(n, ast.Name)}
     ]
     assert len(handlers) <= 1, handlers
+
+
+def test_builders_hand_their_grids_over():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
+    callers = sorted(f"{path}:{fn}" for path, tree in trees.items() for fn in _callers(tree, "Grid2DDensity"))
+    assert callers == []
 
 
 def _fresh_stdout(code: str) -> str:

@@ -7,9 +7,11 @@ the stacked information pass (``functionals._grid2d_integrals``) for each of
 its integrands, and the row kernel's kink panels, priced once per row stack,
 must equal the per-block kink correction (``_kink_defect`` below).  A memory
 guard holds the blocked passes below a quarter of one whole-grid float array
-under ``tracemalloc``.
+under ``tracemalloc``, and a grid's build near its one whole-grid array: a
+Gaussian tabulation below 1.25 of it, a lattice flow below 1.75.
 """
 
+import json
 import math
 import subprocess
 import sys
@@ -21,7 +23,7 @@ import pytest
 from scipy import special
 
 import lsdeficit
-from lsdeficit import bounds, config, densities, functionals, transport
+from lsdeficit import bounds, config, densities, functionals, specio, transport
 from lsdeficit.battery import BATTERY_LABELS, standard_battery
 from lsdeficit.bounds import Workspace, _Stats, certify_suite, evaluate_bound
 from lsdeficit.densities import (
@@ -448,6 +450,21 @@ class TestBlockedPassesMatchWholeGrid:
         rebuilt = Grid2DDensity(grid.spec_x, grid.spec_y, raw)
         assert np.array_equal(rebuilt.log_values, raw - (math.log(total) + shift))
 
+    @pytest.mark.parametrize("name", ["one-row-tail", "even-odd"])
+    def test_constructor_never_writes_to_its_input(self, name):
+        # builders normalise their own arrays in place; the public
+        # constructor copies, with the bits of that owned path
+        grid = _CACHE[name] if name in _CACHE else _GRIDS[name]()
+        raw = grid.log_values + 3.25
+        before = raw.tobytes()
+        rebuilt = Grid2DDensity(grid.spec_x, grid.spec_y, raw)
+        assert raw.flags.writeable and raw.tobytes() == before
+        assert not rebuilt.log_values.flags.writeable
+        assert not np.shares_memory(rebuilt.log_values, raw)
+        spec = {**specio.density_to_spec(grid), "log_p": raw.tolist()}
+        parsed = specio.loads(json.dumps(spec))
+        assert parsed.log_values.tobytes() == rebuilt.log_values.tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_log_values_refused(self, bad):
         spec = GridSpec(-3.0, 3.0, 4 * ROW_BLOCK + 1)
@@ -695,7 +712,9 @@ def _peak_bytes(fn) -> int:
 
 class TestMemoryGuard:
     """Each pass stays below a quarter of one whole-grid float array, so its
-    temporaries are reused rather than paged in afresh on every call."""
+    temporaries are reused rather than paged in afresh on every call.  A
+    grid is built as one whole-grid array: its builder normalises it in
+    place, with no normalised copy beside it."""
 
     @pytest.mark.parametrize("name", sorted(_FUNCTIONALS))
     def test_functionals_on_heat_flowed_grid(self, name):
@@ -716,6 +735,20 @@ class TestMemoryGuard:
         mu = _GRIDS["513"]()
         assert mu.log_values.shape == (513, 513)
         assert _peak_bytes(lambda: _Stats(mu)._grid2d_pass()) < mu.log_values.nbytes / 4
+
+    def test_gaussian_grid_tabulates_into_its_own_array(self):
+        built = []
+        peak = _peak_bytes(lambda: built.append(bivariate_gaussian_grid(0.5, n_points=1025)))
+        assert peak < 1.25 * built[0].log_values.nbytes
+
+    def test_lattice_flow_of_a_grid_given_as_data(self):
+        # the two whole products and the output: the input's weighted copy is
+        # dropped before the second product, and the output is not copied
+        law = _GRIDS["513"]()
+        mu = Grid2DDensity(law.spec_x, law.spec_y, law.log_values)
+        flowed = []
+        peak = _peak_bytes(lambda: flowed.append(mu.heat_flow(1.0)))
+        assert peak < 1.75 * flowed[0].log_values.nbytes
 
 
 # -- Gaussian grids read their law ---------------------------------------------
