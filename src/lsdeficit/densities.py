@@ -12,18 +12,20 @@ Each 1D density has one map to the standard Gaussian, its normal scores
 z = Phi^-1(F(x)) on the table nodes (``normal_scores``), and one inverse,
 x(z) (``score_inverse``), which also reads z(x) back (``scores``).  For a
 Gaussian both are exact, z = (x - m) / s and x = m + s z; otherwise z comes
-from the CDF (a mixture's analytic one, or the ``Density1D`` default, the
-Simpson-accumulated tables) and x(z) is a quintic Hermite interpolant in z.
-``quantile(u)`` is x(Phi^-1(u)); ``cdf(x)`` is Phi(z(x)), except for a
-mixture's analytic CDF.  Phi and Phi^-1 come from ``scipy.special``, imported
-inside the functions that read them: it is most of a cold start, and a
-process that reads no normal score (KL, Fisher information, entropy) never
-loads it.
+from the CDF (a mixture's analytic one, or the ``Density1D`` default, tables
+summed with the end-corrected trapezoid h (p_i + p_i+1) / 2 + h^2 (p'_i -
+p'_i+1) / 12, p' = p s read off the table's own score) and x(z) is a quintic
+Hermite interpolant in z.  ``quantile(u)`` is x(Phi^-1(u)); ``cdf(x)`` is
+Phi(z(x)), except for a mixture's analytic CDF.  Phi and Phi^-1 come from
+``scipy.special``, imported inside the functions that read them: it is most
+of a cold start, and a process that reads no normal score (KL, Fisher
+information, entropy) never loads it.
 
 A 2D grid gives its scores (``score_fields``) and the normal scores of its
 rows and x1-marginal (``row_scores``, ``marginal_scores``) row block by row
-block.  A grid given as data takes central differences of its log values and
-the Simpson-accumulated tables of each row; a ``bivariate_gaussian_grid``
+block.  A grid given as data takes central differences of its log values,
+and each row's tables summed with the same rule on those differences (along
+x2 for a row, along x1 for the log marginal); a ``bivariate_gaussian_grid``
 reads its scores, row maps and means off its law: -Sigma^-1 (x - m),
 z = (y - mu_{2|1}(x)) / sigma_{2|1} along each row, (x - m1) / s1 along
 x1, m and mu_{2|1}(x) = m2 + rho (s2 / s1) (x - m1).
@@ -76,27 +78,28 @@ _PROBE_LEVELS = (np.arange(20) + 0.5) / 20.0
 _PROBE_LEVELS.flags.writeable = False
 
 
-def _table_tails(p: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+def _table_tails(p: np.ndarray, score: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
     """(F, 1 - F) on table nodes along the last axis, each forced monotone
-    and normalised.
+    and normalised, from density values ``p`` and the score (log p)' at the
+    same nodes.
 
-    Each interval's integral is Simpson's on the quadratic through its two
-    nodes and one neighbour: the right one on even intervals, the left one
-    on odd intervals and on the last (what ``cumulative_simpson`` sums, bit
-    for bit).  F adds them from the left end and 1 - F from the right end,
-    so each tail keeps full relative accuracy.
+    Every interval takes the end-corrected trapezoid, the Euler-Maclaurin
+    rule h (p_i + p_i+1) / 2 + h^2 (p'_i - p'_i+1) / 12 with p' = p s: its
+    local error is O(h^5) with no sign pattern from node to node, and the
+    corrections telescope, so an O(h^2) error in a differenced score enters
+    F once, at its own node.  F adds the intervals from the left end and
+    1 - F from the right end, so each tail keeps full relative accuracy.
     """
-    d = step / 3.0
-    a, b, c = p[..., :-2:2], p[..., 1:-1:2], p[..., 2::2]
-    pieces = np.empty(p.shape[:-1] + (p.shape[-1] - 1,))
-    pieces[..., :-1:2] = d * (5 * a / 4 + 2 * b - c / 4)
-    pieces[..., 1::2] = d * (5 * c / 4 + 2 * b - a / 4)
-    pieces[..., -1] = d * (5 * p[..., -1] / 4 + 2 * p[..., -2] - p[..., -3] / 4)
+    slope = p * score
+    pieces = p[..., :-1] + p[..., 1:]
+    pieces *= 0.5 * step
+    pieces += (step * step / 12.0) * (slope[..., :-1] - slope[..., 1:])
     cdf, sf = np.empty(p.shape), np.empty(p.shape)
     cdf[..., 0] = sf[..., 0] = 0.0
     np.cumsum(pieces, axis=-1, out=cdf[..., 1:])
     np.cumsum(pieces[..., ::-1], axis=-1, out=sf[..., 1:])
-    if (pieces < 0.0).any():  # a quadratic dipped: force monotone sums
+    # a correction can outweigh its interval: force monotone sums
+    if (pieces < 0.0).any():
         cdf = np.maximum.accumulate(np.maximum(cdf, 0.0), axis=-1)
         sf = np.maximum.accumulate(np.maximum(sf, 0.0), axis=-1)
     sf = sf[..., ::-1]
@@ -122,11 +125,12 @@ def _normal_scores(cdf: np.ndarray, sf: np.ndarray) -> np.ndarray:
     return np.negative(z, out=z, where=upper)
 
 
-def _table_scores(p: np.ndarray, step: float) -> np.ndarray:
+def _table_scores(p: np.ndarray, score: np.ndarray, step: float) -> np.ndarray:
     """Normal scores along the last axis of density values ``p`` (any
-    positive factor per row), read off each row's own CDF and survival
-    tables: the score step of every density without a closed-form CDF."""
-    return _normal_scores(*_table_tails(p, step))
+    positive factor per row) with scores ``score``, read off each row's own
+    CDF and survival tables: the score step of every density without a
+    closed-form CDF."""
+    return _normal_scores(*_table_tails(p, score, step))
 
 
 class NormalScores(NamedTuple):
@@ -308,20 +312,22 @@ class Density1D:
     @cached_property
     def normal_scores(self) -> NormalScores:
         """Phi^-1(F(x)) on the table nodes, the map to gamma that
-        ``score_inverse`` inverts, read off the Simpson-accumulated CDF and
-        survival tables.  The error bound per node is the change of the
-        scores when the tables are built on every second node: the
-        accumulation is O(h^4), so that is about 15 times the error of the
-        full tables at those nodes.  Shapes with an analytic CDF override it."""
+        ``score_inverse`` inverts, read off CDF and survival tables summed
+        with the end-corrected trapezoid, whose end slopes p' = p s come
+        from the table's own score.  The error bound per node is the change
+        of the scores when the tables are built on every second node (of p
+        and of the score): the accumulation is O(h^4), so that is about 15
+        times the error of the full tables at those nodes.  Shapes with an
+        analytic CDF override it."""
         t = self.table
         n, step = t.spec.n_points, t.spec.step
-        z = _table_scores(t.p, step)
-        half = t.p[::2] if n % 2 == 1 else t.p[:-1:2]
-        coarse = _table_scores(half, 2.0 * step)
-        diff = np.abs(z[: 2 * half.size : 2] - coarse)
+        z = _table_scores(t.p, t.score, step)
+        end = n if n % 2 == 1 else n - 1  # the last node is a coarse node when n is odd
+        coarse = _table_scores(t.p[:end:2], t.score[:end:2], 2.0 * step)
+        diff = np.abs(z[: 2 * coarse.size : 2] - coarse)
         # a node between two coarse nodes takes the larger of their errors
         error = np.repeat(diff, 2)[:n]
-        error[1 : 2 * half.size - 1 : 2] = np.maximum(diff[:-1], diff[1:])
+        error[1 : 2 * coarse.size - 1 : 2] = np.maximum(diff[:-1], diff[1:])
         for arr in (z, error):
             arr.flags.writeable = False
         return NormalScores(z, error)
@@ -969,18 +975,25 @@ class Grid2DDensity:
         g = self._log_p
         lo, hi = max(i0 - 1, 0), min(i1 + 1, g.shape[0])
         gx = np.gradient(g[lo:hi], self._spec_x.step, axis=0)[i0 - lo : i1 - lo]
-        return gx, np.gradient(g[i0:i1], self._spec_y.step, axis=1)
+        return gx, self._score_y(i0, i1)
+
+    def _score_y(self, i0: int, i1: int) -> np.ndarray:
+        """Rows i0:i1 of d/dx2 log p, the x2 half of ``score_fields``."""
+        return np.gradient(self._log_p[i0:i1], self._spec_y.step, axis=1)
 
     def row_scores(self, i0: int, i1: int, p: np.ndarray) -> np.ndarray:
         """Normal scores Phi^-1(F) along x2 of rows i0:i1, whose density
         values (any positive factor per row) are ``p``: each conditional
-        law's map toward gamma, read off its CDF and survival tables."""
-        return _table_scores(p, self._spec_y.step)
+        law's map toward gamma, read off its CDF and survival tables, summed
+        with the end-corrected trapezoid on p and d/dx2 log p."""
+        return _table_scores(p, self._score_y(i0, i1), self._spec_y.step)
 
     def marginal_scores(self, i0: int, i1: int, p: np.ndarray) -> np.ndarray:
         """Normal scores of the x1-marginal, as a one-row stack (i0:i1 is
-        0:1), from its density values ``p`` (one row, any positive factor)."""
-        return _table_scores(p, self._spec_x.step)
+        0:1), from its density values ``p`` (one row, any positive factor)
+        and the central differences of its log density."""
+        score = np.gradient(self._row_log_mass, self._spec_x.step)
+        return _table_scores(p, score, self._spec_x.step)
 
     def mean(self) -> np.ndarray:
         """(E X1, E X2) from the row statistics."""

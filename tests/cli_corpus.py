@@ -3,8 +3,8 @@
 Writes seven density specs into a directory (gaussian, mixture, tilted with
 a convexity floor, a 1025-node grid, a product, a 129-node correlated
 Gaussian grid dumped as ``grid2d``, and a 129-node uncorrelated one, whose
-rows read table noise as their map to gamma and so change sign on thousands
-of kink panels) and runs, through ``cli.main`` with ``--out``, ``lsd
+rows read their tables' error as their map to gamma and so change sign on
+a few hundred kink panels) and runs, through ``cli.main`` with ``--out``, ``lsd
 certify`` and all ten ``lsd distance`` metrics on each spec, ``lsd certify
 --bounds`` of one bound that reads a 2D grid's information integrals
 (``pinsker``, ``lsi``), ``lsd sweep`` for each family in csv and json over

@@ -141,6 +141,35 @@ class TestCdfQuantile:
         assert np.array_equal(mu.score_inverse.scores(mu.table.nodes), scores.z)
 
 
+class TestCorrectedTrapezoidTables:
+    """The CDF tables sum every interval with one end-corrected trapezoid,
+    so their error is smooth from node to node, not a zig-zag."""
+
+    _COEFFS = (0.0, 0.0, 0.25, 0.0, 0.05)
+
+    def test_tilt_scores_against_a_finer_table(self):
+        # the Simpson tables' error changed sign 1460 times here and reached 5.1e-8
+        mu = TiltedDensity(list(self._COEFFS))
+        n = mu.table.spec.n_points
+        with config.scoped_policy(config.NumericPolicy(grid_points=16 * (n - 1) + 1)):
+            fine = TiltedDensity(list(self._COEFFS))
+            assert np.array_equal(fine.table.nodes[::16], mu.table.nodes)
+            z_fine = fine.normal_scores.z[::16]
+        inside = np.abs(z_fine) < 5.0
+        err = (mu.normal_scores.z - z_fine)[inside]
+        assert np.max(np.abs(err)) <= 1e-8
+        assert np.count_nonzero(np.diff(np.sign(err))) <= 10
+
+    def test_tilt_map_slope_between_nodes(self):
+        # x'(z) = phi(z) / p(x(z)) off the nodes too: 5.6e-6 relative with
+        # the Simpson tables, a bump at every interval
+        mu = TiltedDensity(list(self._COEFFS))
+        z = np.linspace(-4.5, 4.5, 20001)
+        inv = mu.score_inverse
+        want = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / np.asarray(mu.pdf(inv(z)))
+        assert np.max(np.abs(inv.slope(z) / want - 1.0)) <= 1e-7
+
+
 class TestScore:
     def test_matches_log_pdf_gradient(self):
         rng = np.random.default_rng(3)

@@ -213,9 +213,16 @@ def _kink_defect(f, step):
     return per_row(exact - simpson), per_row(np.abs(exact - quadratic))
 
 
-def _table_rule(spec):
-    """The tables' score step as a row kernel's score source."""
-    return lambda i0, i1, p: _table_scores(p, spec.step)
+def _row_score(log_rows, spec):
+    """d/dy log p of each row: central differences, one-sided at the ends,
+    as a data grid's ``row_scores`` reads them."""
+    return np.gradient(log_rows, spec.step, axis=1)
+
+
+def _table_rule(log_rows, spec):
+    """The tables' score step, on the rows' difference scores, as a row
+    kernel's score source."""
+    return lambda i0, i1, p: _table_scores(p, _row_score(log_rows[i0:i1], spec), spec.step)
 
 
 def _max_and_mass(log_rows, spec):
@@ -227,7 +234,7 @@ def _max_and_mass(log_rows, spec):
 
 def _whole_row_costs(log_rows, spec, costs, offsets):
     rows = np.exp(log_rows - log_rows.max(axis=1, keepdims=True))
-    disp = _normal_scores(*_table_tails(rows, spec.step)) - spec.nodes()[None, :]
+    disp = _normal_scores(*_table_tails(rows, _row_score(log_rows, spec), spec.step)) - spec.nodes()[None, :]
     disp = disp + np.reshape(offsets, (-1, 1))
     weights = simpson_weights(spec.n_points, spec.step)[None, :]
     norm = rows / (rows * weights).sum(axis=1, keepdims=True)
@@ -489,7 +496,7 @@ class TestBlockedPassesMatchWholeGrid:
         costs = (COST_SQ, COST_ABS, COST_DELTA)
         for offsets in (0.0, grid.conditional_means()):
             got = costs_to_standard_gaussian_rows(
-                grid.log_values, grid.spec_y, costs, offsets, _table_rule(grid.spec_y),
+                grid.log_values, grid.spec_y, costs, offsets, _table_rule(grid.log_values, grid.spec_y),
                 grid.row_stats.shift, grid.row_stats.mass,
             )
             want = _whole_row_costs(grid.log_values, grid.spec_y, costs, offsets)
@@ -499,7 +506,7 @@ class TestBlockedPassesMatchWholeGrid:
         marginal = grid.marginal_x()
         one = marginal.log_values[None, :]
         got = costs_to_standard_gaussian_rows(
-            one, marginal.spec, costs, 0.3, _table_rule(marginal.spec), *_max_and_mass(one, marginal.spec)
+            one, marginal.spec, costs, 0.3, _table_rule(one, marginal.spec), *_max_and_mass(one, marginal.spec)
         )
         want = _whole_row_costs(one, marginal.spec, costs, 0.3)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -678,8 +685,14 @@ class TestKinkPanelsPricedPerStack:
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_data_grid_stack_crosses_the_flush(self, monkeypatch):
+        # rows phi(y) (1 + sin(k y + x) / 2) with k from 10 to 14: each row's
+        # map to gamma crosses the identity about every pi / k, some 75
+        # times per row, so the located panels reach the flush threshold
         law = bivariate_gaussian_grid(0.0)
-        mu = Grid2DDensity(law.spec_x, law.spec_y, law.log_values)
+        x, y = law.spec_x.nodes()[:, None], law.spec_y.nodes()[None, :]
+        k = 10.0 + (np.arange(law.spec_x.n_points) % 5)[:, None]
+        log_p = -0.5 * (x * x + y * y) + np.log1p(0.5 * np.sin(k * y + x))
+        mu = Grid2DDensity(law.spec_x, law.spec_y, log_p)
         priced = []
         real = transport._kink_price
 
@@ -694,8 +707,8 @@ class TestKinkPanelsPricedPerStack:
         )
         want = _whole_row_costs(mu.log_values, mu.spec_y, costs, 0.0)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        # W1 alone is kinked; its table-noise panels are priced in several
-        # calls, none over a block's worth past the threshold
+        # W1 alone is kinked; its panels are priced in several calls, none
+        # over a block's worth past the threshold
         limit = ROW_BLOCK * mu.spec_y.n_points
         assert len(priced) > 2 and sum(priced) > 4 * limit
         assert all(n < limit + ROW_BLOCK * mu.spec_y.n_points // 2 for n in priced)
@@ -841,6 +854,16 @@ class TestGaussianGrids:
         table = ("_normal_scores", "_table_tails", "score_fields", "locate", "price", "panels")
         assert all(counts[name] > 0 for name in table)
         assert counts["law_scores"] == 0
+
+    def test_flat_data_grid_prices_few_kink_panels(self, monkeypatch):
+        # rows whose law is gamma: their displacement is the tables' error,
+        # which changes sign on few panels when every interval takes one
+        # rule (119248 panels when the rule alternated from node to node)
+        law = bivariate_gaussian_grid(0.0)
+        counts = self._counted_pass(
+            monkeypatch, lambda: Grid2DDensity(law.spec_x, law.spec_y, law.log_values)
+        )
+        assert 0 < counts["panels"] < 5000
 
     def test_one_information_pass_per_grid(self, monkeypatch):
         # 2D passes: the normalisations of the grid and of its flow, the

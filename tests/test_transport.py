@@ -198,7 +198,7 @@ class TestPushforwardCheck:
             transport_cost(*pair, COST_ABS)
 
     @pytest.mark.parametrize("n, shape", [
-        (33, TiltedDensity([0.0, 0.0, 0.25, 0.0, 0.05])),
+        (25, TiltedDensity([0.0, 0.0, 0.25, 0.0, 0.05])),
         (65, MixtureDensity([(0.5, -2.0, 0.3025), (0.5, 2.0, 0.3025)])),
     ], ids=["unimodal-tilt", "bimodal-mixture"])
     def test_coarse_grid_refusal_names_the_densities(self, n, shape):
@@ -427,11 +427,15 @@ class TestProductBound:
 
 def _table_inputs(log_rows, spec):
     """A row kernel's inputs for rows given as arrays: the tables' score
-    step as its score source, and each row's maximum and Simpson mass of
-    exp(log p - maximum)."""
+    step, on the rows' central-difference scores, as its score source, and
+    each row's maximum and Simpson mass of exp(log p - maximum)."""
     shift = log_rows.max(axis=1)
     mass = (np.exp(log_rows - shift[:, None]) * simpson_weights(spec.n_points, spec.step)).sum(axis=1)
-    return (lambda i0, i1, p: _table_scores(p, spec.step)), shift, mass
+
+    def scores(i0, i1, p):
+        return _table_scores(p, np.gradient(log_rows[i0:i1], spec.step, axis=1), spec.step)
+
+    return scores, shift, mass
 
 
 class TestRowFastPath:
