@@ -103,6 +103,14 @@ def _exact_cost(mu: Density, ref: Density | None, cost) -> FunctionalValue:
     )
 
 
+def _sqrt_error(a: float, e: float) -> float:
+    """A bar for sqrt(a) when a >= 0 is known to within e: the root is
+    concave, so its larger change is the downside sqrt(a) - sqrt(a - e),
+    written without cancellation; no change exceeds sqrt(e)."""
+    root = math.sqrt(a) + math.sqrt(max(a - e, 0.0))
+    return min(e / root, math.sqrt(e)) if root > 0.0 else math.sqrt(e)
+
+
 def _metric_value(metric: str, mu: Density, ref: Density | None) -> tuple[float, float]:
     no_ref = {"deficit", "entropy", "entropy-power"}
     if metric in no_ref and ref is not None:
@@ -127,9 +135,8 @@ def _metric_value(metric: str, mu: Density, ref: Density | None) -> tuple[float,
         v = _exact_cost(mu, ref, COST_DELTA)
     elif metric == "w2":
         sq = _exact_cost(mu, ref, COST_SQ)
-        val = math.sqrt(max(sq.value, 0.0))
-        err = sq.error_estimate / (2.0 * val) if val > 1e-12 else math.sqrt(sq.error_estimate)
-        return val, err
+        a = max(sq.value, 0.0)
+        return math.sqrt(a), _sqrt_error(a, sq.error_estimate)
     else:  # pragma: no cover - argparse restricts choices
         raise ArgumentError(f"unknown metric {metric!r}")
     return v.value, v.error_estimate

@@ -28,7 +28,8 @@ and each row's tables summed with the same rule on those differences (along
 x2 for a row, along x1 for the log marginal); a ``bivariate_gaussian_grid``
 reads its scores, row maps and means off its law: -Sigma^-1 (x - m),
 z = (y - mu_{2|1}(x)) / sigma_{2|1} along each row, (x - m1) / s1 along
-x1, m and mu_{2|1}(x) = m2 + rho (s2 / s1) (x - m1).
+x1, m and mu_{2|1}(x) = m2 + rho (s2 / s1) (x - m1).  The x1-marginal and
+second moment read the one row-statistics pass (``row_stats``).
 
 ``heat_flow(t)`` is the law of X + sqrt(t) Z.  A Gaussian's is N(m, v + t)
 and a mixture's sum_i w_i N(m_i, v_i + t), both exact, and a
@@ -807,22 +808,7 @@ class RowStats(NamedTuple):
     shift: np.ndarray  # row maximum of log p
     mass: np.ndarray  # sum of w_y exp(log p - shift)
     first: np.ndarray  # sum of w_y y exp(log p - shift)
-
-
-def _row_stats(log_rows: np.ndarray, spec: GridSpec) -> RowStats:
-    """One Simpson pass over ``spec`` per row of ``log_rows``: shift, mass
-    and first moment, read-only."""
-    w = simpson_weights(spec.n_points, spec.step)
-    w_y = w * spec.nodes()
-    shift = log_rows.max(axis=1)
-    mass, first = np.empty_like(shift), np.empty_like(shift)
-    for i0, i1 in row_blocks(shift.size):
-        p = np.exp(log_rows[i0:i1] - shift[i0:i1, None])
-        mass[i0:i1] = (p * w).sum(axis=1)
-        first[i0:i1] = (p * w_y).sum(axis=1)
-    for arr in (shift, mass, first):
-        arr.flags.writeable = False
-    return RowStats(shift, mass, first)
+    second: np.ndarray  # sum of w_y y^2 exp(log p - shift)
 
 
 class Grid2DDensity:
@@ -943,8 +929,21 @@ class Grid2DDensity:
 
     @cached_property
     def row_stats(self) -> RowStats:
-        """One Simpson pass over x2 per row: shift, mass and first moment."""
-        return _row_stats(self._log_p, self._spec_y)
+        """One Simpson pass over x2 per row: shift, mass, first and second moment."""
+        spec = self._spec_y
+        w, ys = simpson_weights(spec.n_points, spec.step), spec.nodes()
+        w_y = w * ys
+        w_yy = w_y * ys
+        shift = self._log_p.max(axis=1)
+        mass, first, second = (np.empty_like(shift) for _ in range(3))
+        for i0, i1 in row_blocks(shift.size):
+            p = np.exp(self._log_p[i0:i1] - shift[i0:i1, None])
+            mass[i0:i1] = (p * w).sum(axis=1)
+            first[i0:i1] = (p * w_y).sum(axis=1)
+            second[i0:i1] = (p * w_yy).sum(axis=1)
+        for arr in (shift, mass, first, second):
+            arr.flags.writeable = False
+        return RowStats(shift, mass, first, second)
 
     @cached_property
     def _row_log_mass(self) -> np.ndarray:
@@ -1004,14 +1003,11 @@ class Grid2DDensity:
         return np.array([m1, m2])
 
     def second_moment(self) -> float:
-        xs = self._spec_x.nodes()[:, None]
-        ys = self._spec_y.nodes()[None, :]
-        (m2,) = integrate_rows_2d(
-            lambda i0, i1: ((xs[i0:i1] * xs[i0:i1] + ys * ys) * np.exp(self._log_p[i0:i1]),),
-            self._spec_x,
-            self._spec_y,
-        )
-        return m2.value
+        """E|X|^2 = sum over x1 of w_x (x1^2 mass + second) exp(shift)."""
+        rows = self.row_stats
+        xs = self._spec_x.nodes()
+        wx = simpson_weights(self._spec_x.n_points, self._spec_x.step)
+        return _exact_sum(wx * (xs * xs * rows.mass + rows.second) * np.exp(rows.shift))
 
     def heat_flow(self, t: float) -> "Grid2DDensity":
         """X + sqrt(t) Z on the grid's own lattice (``gaussian_convolve_2d``),

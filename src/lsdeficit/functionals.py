@@ -284,9 +284,10 @@ def entropy_power(mu) -> FunctionalValue:
 
 
 def _entropy_power(h: FunctionalValue, n: int) -> FunctionalValue:
-    """N = exp(2 h / n) from an entropy h of n coordinates."""
+    """N = exp(2 h / n) from an entropy h of n coordinates; its bar
+    N (exp(2 e / n) - 1) covers the convex map's larger side, upward."""
     value = math.exp(2.0 * h.value / n)
-    return FunctionalValue("N", value, value * 2.0 * h.error_estimate / n)
+    return FunctionalValue("N", value, value * math.expm1(2.0 * h.error_estimate / n))
 
 
 def _merged_spec(a: Density1D, b: Density1D) -> GridSpec:

@@ -16,11 +16,13 @@ marginal plus averaged contributions of the conditional slices.  For
 true products the D split is exact; for coupled 2D grids the transport
 split is the upper bound obtained by coupling slice by slice.  On 2D grids
 one row pass, ``decompose_grid2d``, gives the split against gamma moved by
-given shifts (zero: as is; the conditional means: recentered).  The
-marginal goes through the same row code as the conditional rows, for D and
-for every cost.  Gamma has mean zero, so a part's W2^2 to gamma itself is
-its W2^2 to gamma moved by the part's mean plus that mean squared; the
-as-is W2^2 of a recentered pass needs no second cost list.
+given shifts (zero: as is; the conditional means: recentered).  It makes
+two calls of the one row kernel, ``costs_to_standard_gaussian_rows``, which
+gives D and every cost of a stack of rows from one loop: the normalised
+marginal as a one-row stack of log mass 0, and the conditional rows with
+the grid's log row masses.  Gamma has mean zero, so a part's W2^2 to gamma
+itself is its W2^2 to gamma moved by the part's mean plus that mean
+squared; the as-is W2^2 of a recentered pass needs no second cost list.
 """
 
 from __future__ import annotations
@@ -35,12 +37,10 @@ from .densities import (
     Density1D,
     Grid2DDensity,
     ProductDensity,
-    _row_stats,
-    standard_gaussian,
 )
 from .errors import ArgumentError, NumericalError
 from .functionals import relative_entropy
-from .quadrature import GridSpec, _exact_sum, row_blocks, simpson_weights
+from .quadrature import GridSpec, _exact_sum, simpson_weights
 from .transport import COST_DELTA, CostFn, costs_to_standard_gaussian_rows, transport_cost
 
 # Shifted row values that land outside the grid window are floored here,
@@ -151,30 +151,12 @@ class TensorDecomposition:
     cost_parts: Mapping[str, tuple[float, ...]]
 
 
-def _d_rows(
-    log_rows: np.ndarray, log_mass: np.ndarray, spec: GridSpec, offsets: np.ndarray
-) -> np.ndarray:
-    """D of each row of ``log_rows``, a log density on ``spec`` of total
-    mass exp(log_mass[i]), against gamma moved by offsets[i]."""
-    w, nodes = simpson_weights(spec.n_points, spec.step), spec.nodes()
-    gamma = standard_gaussian()
-
-    def block(i0: int, i1: int) -> np.ndarray:
-        log_cond = log_rows[i0:i1] - log_mass[i0:i1, None]
-        terms = log_cond - gamma.log_pdf(nodes[None, :] - offsets[i0:i1, None])
-        terms *= np.exp(log_cond, out=log_cond)
-        terms *= w
-        return terms.sum(axis=1)
-
-    return np.concatenate([block(i0, i1) for i0, i1 in row_blocks(log_rows.shape[0])])
-
-
 def decompose_grid2d(
     mu: Grid2DDensity, costs: tuple[CostFn, ...], shifts: tuple[float, np.ndarray]
 ) -> TensorDecomposition:
     """One row pass: the marginal and each row are mapped toward gamma once,
     through the normal scores the grid gives (``marginal_scores``,
-    ``row_scores``).
+    ``row_scores``), in two calls of the row kernel, which also gives D.
 
     Splits D and ``costs`` against gamma moved by t1 along x1 and by t2[i]
     along row i, for ``shifts`` = (t1, t2).  Zero shifts give the split as
@@ -186,22 +168,19 @@ def decompose_grid2d(
     # integrates row functionals against the x1-marginal
     weights = wx * mu.row_marginal()
     # the marginal, normalised on its own grid, as a one-row stack
-    marginal, t1 = mu.marginal_x().log_values[None, :], np.array([t1])
-    marg = _row_stats(marginal, sx)
-    d1 = _d_rows(marginal, np.zeros(1), sx, t1)[0]
-    d2 = _exact_sum(weights * _d_rows(mu.log_values, mu._row_log_mass, sy, t2))
-    marg_costs = costs_to_standard_gaussian_rows(
-        marginal, sx, costs, t1, mu.marginal_scores, marg.shift, marg.mass
+    marginal = mu.marginal_x().log_values[None, :]
+    d1, marg_costs = costs_to_standard_gaussian_rows(
+        marginal, sx, costs, t1, mu.marginal_scores, np.zeros(1)
     )
-    rows = mu.row_stats
-    row_costs = costs_to_standard_gaussian_rows(
-        mu.log_values, sy, costs, t2, mu.row_scores, rows.shift, rows.mass
+    d_rows, row_costs = costs_to_standard_gaussian_rows(
+        mu.log_values, sy, costs, t2, mu.row_scores, mu._row_log_mass
     )
     parts = {
         c.id: (float(m[0]), _exact_sum(weights * r))
         for c, m, r in zip(costs, marg_costs, row_costs)
     }
-    return TensorDecomposition((float(d1), d2), parts[costs[0].id], costs[0].id, parts)
+    d_parts = (float(d1[0]), _exact_sum(weights * d_rows))
+    return TensorDecomposition(d_parts, parts[costs[0].id], costs[0].id, parts)
 
 
 def tensorise(mu: Density, costs: Sequence[CostFn] = (COST_DELTA,)) -> TensorDecomposition:

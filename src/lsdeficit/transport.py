@@ -15,15 +15,15 @@ Each density has one map to the standard Gaussian, z(x) = Phi^-1(F(x)), and
 one inverse of it, x(z) (``Density1D.normal_scores``, ``score_inverse``).
 Every 1D cost is one nodewise kernel on mu's table, T(x) = x_ref(z_mu(x));
 a lone Gaussian side is the reference, T(x) = m + s z_mu(x), in either
-argument order.  The 2D row path (``costs_to_standard_gaussian_rows``)
-takes each row's normal scores from its grid (``row_scores``: a Gaussian
-grid's exact conditional scores, else the tables' score step) and each row's
-maximum and mass from the grid's ``row_stats``, and prices one list of costs
-per row, against gamma moved by that row's offset (offset + T,
-so 0 gives gamma itself).  W1 has its Simpson kink error removed at every
-sign change of the displacement: the row path locates the panels block by
-block and prices them once per row stack (``quadrature._kink_panels``,
-``_kink_price``).
+argument order.  The 2D row path (``costs_to_standard_gaussian_rows``), the
+one loop over a grid's conditional rows, exponentiates each block once, as
+exp(log p - log mass), takes each row's normal scores from its grid
+(``row_scores``: a Gaussian grid's exact conditional scores, else the
+tables' score step) and gives each row's D and costs against gamma moved
+by its offset (offset + T, so 0 gives gamma itself).  W1 has its Simpson
+kink error removed at every sign change of the displacement: the row path
+locates the panels block by block and prices them once per row stack
+(``quadrature._kink_panels``, ``_kink_price``).
 ``TransportPlan1D`` is the map as a callable at any x, T(x) =
 x_target(z_source(x)), z_source the source inverse's own scores ((x - m) / s
 for a Gaussian, x itself for gamma), for ``cheeger`` and ``talagrand-map``;
@@ -48,6 +48,7 @@ import numpy as np
 
 from .deltafn import delta
 from .densities import (
+    _LOG_2PI,
     Density1D,
     GaussianDensity,
     ProductDensity,
@@ -229,47 +230,54 @@ def costs_to_standard_gaussian_rows(
     costs: tuple[CostFn, ...],
     offsets: np.ndarray | float,
     scores: Callable[[int, int, np.ndarray], np.ndarray],
-    row_max: np.ndarray,
-    row_mass: np.ndarray,
-) -> list[np.ndarray]:
-    """Per-row optimal costs to the standard Gaussian moved by offsets[i] on
-    row i (0 gives gamma itself), one array per cost.
+    log_mass: np.ndarray,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(D per row, [cost per row, ...]) against the standard Gaussian moved
+    by offsets[i] on row i (0 gives gamma itself).
 
-    Each row of ``log_rows`` is a log density on ``spec``, with its maximum
-    ``row_max[i]`` and the Simpson sum ``row_mass[i]`` of exp(log p -
-    row_max[i]) over ``spec`` (a 2D grid's ``row_stats.shift`` and
-    ``.mass``).  As in the 1D kernel, every row is mapped toward gamma,
-    T(x) = Phi^-1(F_row(x)), and integrated with the row's own weights,
-    normalised by its mass; the map toward the moved Gaussian is
-    offsets[i] + T.  ``scores(i0, i1, p)`` gives T on rows i0:i1 from p,
-    their values scaled to a row maximum of 1 (a 2D grid's ``row_scores``
-    or ``marginal_scores``).  A kinked cost gets the kink correction at each
-    row's own sign changes: each block locates its panels, and the panels
-    gathered are priced when the stack ends, or at the end of a block once
-    they reach ``ROW_BLOCK`` panels per column, so a row's panels are
-    priced in one call and its temporaries stay block-sized.
+    Each row of ``log_rows`` is a log density on ``spec`` of total mass
+    exp(log_mass[i]) (a 2D grid's ``_row_log_mass``, or 0 for a normalised
+    row); each block is exponentiated once, as the conditional density
+    p = exp(log_rows - log_mass), and D sums (log p - log phi(y - offset)) p.
+    As in the 1D kernel, every row is mapped toward gamma, T(x) =
+    Phi^-1(F_row(x)), with ``scores(i0, i1, p)`` giving T on rows i0:i1 (a
+    2D grid's ``row_scores`` or ``marginal_scores``); the map toward the
+    moved Gaussian is offsets[i] + T.  A kinked cost gets the kink
+    correction at each row's own sign changes: each block locates its
+    panels, and the panels gathered are priced when the stack ends, or at
+    the end of a block once they reach ``ROW_BLOCK`` panels per column, so a
+    row's panels are priced in one call and its temporaries stay block-sized.
     """
     step = spec.step
     nodes = spec.nodes()
     weights = simpson_weights(spec.n_points, step)
     n_rows = log_rows.shape[0]
     offsets = np.broadcast_to(np.reshape(offsets, (-1, 1)), (n_rows, 1))
+    d = np.zeros(n_rows)
     out = [np.zeros(n_rows) for _ in costs]
     # per kinked cost, the (rows, panels) located and not yet priced
     pending = {k: [] for k, cost in enumerate(costs) if cost.kink}
     limit = ROW_BLOCK * spec.n_points
     for i0, i1 in row_blocks(n_rows):
         # every step is per row, so the blocks give the bits of the whole array
-        norm = np.exp(log_rows[i0:i1] - row_max[i0:i1, None])
-        disp = scores(i0, i1, norm) - nodes
+        p = log_rows[i0:i1] - log_mass[i0:i1, None]
+        # log phi(y - offset) as gamma's log_pdf rounds it, then D's terms,
+        # in the displacement's buffer; p is exponentiated in place
+        disp = np.subtract(nodes, offsets[i0:i1])
+        disp *= disp
+        disp *= -0.5
+        disp -= 0.5 * _LOG_2PI
+        np.subtract(p, disp, out=disp)
+        np.exp(p, out=p)
+        disp *= p
+        disp *= weights
+        d[i0:i1] = disp.sum(axis=1)
+        np.subtract(scores(i0, i1, p), nodes, out=disp)
         disp += offsets[i0:i1]
-        norm /= row_mass[i0:i1, None]
         for k, cost in enumerate(costs):
-            terms = cost(disp) * norm
-            terms *= weights
-            out[k][i0:i1] = terms.sum(axis=1)
+            out[k][i0:i1] = (cost(disp) * p * weights).sum(axis=1)
             if k in pending:
-                rows, panels = _kink_panels(cost.kink * disp * norm)
+                rows, panels = _kink_panels(cost.kink * disp * p)
                 pending[k].append((rows + i0, panels))
         for k, located in pending.items():
             if i1 == n_rows or sum(rows.size for rows, _ in located) >= limit:
@@ -277,4 +285,4 @@ def costs_to_standard_gaussian_rows(
                 panels = np.concatenate([panels for _, panels in located], axis=1)
                 out[k] += _kink_price(rows, panels, step, n_rows)[0]
                 located.clear()
-    return out
+    return d, out

@@ -1,5 +1,6 @@
 """Command line interface: outputs, exit codes, determinism."""
 
+import decimal
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from lsdeficit.errors import ArgumentError
 from lsdeficit.functionals import relative_entropy
 from lsdeficit.specio import dumps
 from lsdeficit.transport import transport_cost
+from lsdeficit.values import FunctionalValue
 
 
 @pytest.fixture
@@ -63,6 +65,20 @@ class TestDistance:
         _, td = run_json(capsys, ["distance", "--dist", path, "--metric", "tdelta"])
         _, w1 = run_json(capsys, ["distance", "--dist", path, "--metric", "w1"])
         assert 0.0 < td["value"] <= w1["value"]
+
+    @pytest.mark.parametrize("a,e", [(1.0, 0.5), (1e-20, 1.5e-20), (4.0, 1e-12), (0.0, 1e-14), (0.0, 0.0)])
+    def test_w2_bar_covers_both_sides_of_the_root(self, monkeypatch, a, e):
+        # W2^2 = a +- e puts W2 anywhere in [sqrt(max(a - e, 0)), sqrt(a + e)];
+        # both sides are taken in 40 digits, free of the float cancellation
+        monkeypatch.setattr(cli, "_exact_cost", lambda mu, ref, cost: FunctionalValue("T[sq]", a, e))
+        value, error = cli._metric_value("w2", None, None)
+        assert value == math.sqrt(a)
+        with decimal.localcontext(decimal.Context(prec=40)):
+            da, de = decimal.Decimal(a), decimal.Decimal(e)
+            root = da.sqrt()
+            sides = (root - max(da - de, decimal.Decimal(0)).sqrt(), (da + de).sqrt() - root)
+        assert all(error >= float(side) for side in sides)
+        assert error <= math.sqrt(e)
 
     def test_entropy_power_of_reference(self, spec_file, capsys):
         path = spec_file("g1.json", standard_gaussian())

@@ -21,6 +21,7 @@ from lsdeficit.densities import (
 )
 from lsdeficit.errors import ArgumentError, InfiniteInformationError, SupportError
 from lsdeficit.functionals import (
+    _entropy_power,
     de_bruijn_residual,
     entropy_power,
     fisher_information,
@@ -31,6 +32,7 @@ from lsdeficit.functionals import (
     total_variation,
 )
 from lsdeficit.quadrature import GridSpec, integrate_values_2d
+from lsdeficit.values import FunctionalValue
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -204,6 +206,13 @@ class TestEntropyAndPower:
         a = entropy_power(GaussianDensity(0.0, 1.4)).value
         b = entropy_power(GaussianDensity(2.0, 1.4)).value
         np.testing.assert_allclose(a, b, rtol=1e-10)
+
+    def test_entropy_power_bar_covers_the_convex_map(self):
+        # h = 0 +- 1 in one coordinate puts N = e^(2h) anywhere in
+        # [e^-2, e^2]: the bar must reach e^2 - 1, not the slope's 2
+        n = _entropy_power(FunctionalValue("h", 0.0, 1.0), 1)
+        assert n.value == 1.0
+        assert n.error_estimate >= math.e**2 - 1.0
 
 
 class TestTotalVariation:

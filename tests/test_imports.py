@@ -16,6 +16,10 @@ A fourth scan keeps one whole-grid array per 2D grid: no module of the
 package calls the public ``Grid2DDensity`` constructor, which copies its
 input, so every builder hands its fresh array over to be normalised in place.
 
+A fifth scan keeps one loop over a 2D grid's conditional rows, the row
+kernel: ``recentering`` calls no ``row_blocks``, and ``densities`` defines
+no module-level ``_row_stats``.
+
 A fresh interpreter also imports the package and its CLI without loading
 ``scipy.interpolate``, ``scipy.special`` or ``importlib.metadata``, which
 together cost about half a second of every cold start.  ``scipy.special`` is
@@ -178,6 +182,17 @@ def test_builders_hand_their_grids_over():
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
     callers = sorted(f"{path}:{fn}" for path, tree in trees.items() for fn in _callers(tree, "Grid2DDensity"))
     assert callers == []
+
+
+def test_one_conditional_row_loop():
+    """Only the row kernel, ``transport.costs_to_standard_gaussian_rows``,
+    iterates a grid's conditional rows: ``recentering`` calls no
+    ``row_blocks``, and ``densities`` keeps no module-level ``_row_stats``
+    beside the ``row_stats`` property."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
+    assert _callers(trees["recentering.py"], "row_blocks") == set()
+    module_level = {node.name for node in trees["densities.py"].body if isinstance(node, ast.FunctionDef)}
+    assert "_row_stats" not in module_level
 
 
 def _fresh_stdout(code: str) -> str:

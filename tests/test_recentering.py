@@ -282,9 +282,10 @@ class TestW2sqUpper2D:
 class TestGaussianGridClosedForms:
     """A Gaussian grid N(m, Sigma) reads its scores, row maps and means off
     its law, so its per-coordinate transport parts and Fisher informations
-    meet their closed forms to roundoff.  The marginal is N(m1, s1^2) and
-    the rows N(mu_{2|1}(x), sigma^2), sigma = s2 sqrt(1 - rho^2), with
-    E mu_{2|1}(X1)^2 = m2^2 + rho^2 v2."""
+    meet their closed forms to roundoff, as do its centered D and second
+    moment.  The marginal is N(m1, s1^2) and the rows N(mu_{2|1}(x),
+    sigma^2), sigma = s2 sqrt(1 - rho^2), with E mu_{2|1}(X1)^2 = m2^2 +
+    rho^2 v2."""
 
     @pytest.mark.parametrize("rho,var,mean", _CENTERED_GRIDS)
     def test_against_closed_forms(self, rho, var, mean):
@@ -294,11 +295,14 @@ class TestGaussianGridClosedForms:
         centered_sq = (s1 - 1.0) ** 2 + (sigma - 1.0) ** 2
         m_sq = mean[0] ** 2 + mean[1] ** 2
         tr_inv = (1.0 / var[0] + 1.0 / var[1]) / (1.0 - rho * rho)
+        kl = lambda v: 0.5 * (v - 1.0 - math.log(v))
         pins = [
             (s.w2sq_upper, centered_sq + m_sq + rho * rho * var[1]),
             (s.centered["sq"], centered_sq),
+            (s.centered["D"], kl(var[0]) + kl(sigma * sigma)),
             (fisher_information(mu).value, tr_inv),
             (relative_fisher(mu).value, tr_inv - 4.0 + var[0] + var[1] + m_sq),
+            (mu.second_moment(), var[0] + var[1] + m_sq),
         ]
         for got, want in pins:
             assert abs(got - want) <= 1e-15 * (1.0 + abs(want))

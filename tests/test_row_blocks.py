@@ -162,11 +162,13 @@ _FUNCTIONALS = {
 
 def _whole_row_stats(mu):
     wy = simpson_weights(mu.spec_y.n_points, mu.spec_y.step)
+    ys = mu.spec_y.nodes()
     shift = mu.log_values.max(axis=1)
     p = np.exp(mu.log_values - shift[:, None])
     mass = (p * wy[None, :]).sum(axis=1)
-    first = (p * (wy * mu.spec_y.nodes())[None, :]).sum(axis=1)
-    return shift, mass, first
+    first = (p * (wy * ys)[None, :]).sum(axis=1)
+    second = (p * (wy * ys * ys)[None, :]).sum(axis=1)
+    return shift, mass, first, second
 
 
 def _whole_verify_eps(mu, eps):
@@ -225,27 +227,26 @@ def _table_rule(log_rows, spec):
     return lambda i0, i1, p: _table_scores(p, _row_score(log_rows[i0:i1], spec), spec.step)
 
 
-def _max_and_mass(log_rows, spec):
-    """Each row's maximum and Simpson mass of exp(log p - maximum), the
-    row kernel's inputs, summed as ``Grid2DDensity.row_stats`` sums them."""
-    shift = log_rows.max(axis=1)
-    return shift, (np.exp(log_rows - shift[:, None]) * simpson_weights(spec.n_points, spec.step)).sum(axis=1)
-
-
-def _whole_row_costs(log_rows, spec, costs, offsets):
-    rows = np.exp(log_rows - log_rows.max(axis=1, keepdims=True))
-    disp = _normal_scores(*_table_tails(rows, _row_score(log_rows, spec), spec.step)) - spec.nodes()[None, :]
-    disp = disp + np.reshape(offsets, (-1, 1))
+def _whole_row_costs(log_rows, spec, costs, offsets, log_mass):
+    """D and the costs of each row against gamma moved by its offset, from
+    the conditional densities exp(log p - log_mass) of the whole stack at
+    once; the scores are the tables' score step on the difference scores."""
     weights = simpson_weights(spec.n_points, spec.step)[None, :]
-    norm = rows / (rows * weights).sum(axis=1, keepdims=True)
+    offsets = np.reshape(offsets, (-1, 1))
+    log_cond = log_rows - np.reshape(log_mass, (-1, 1))
+    p = np.exp(log_cond)
+    log_ref = GaussianDensity(0.0, 1.0).log_pdf(spec.nodes()[None, :] - offsets)
+    d = ((log_cond - log_ref) * p * weights).sum(axis=1)
+    disp = _normal_scores(*_table_tails(p, _row_score(log_rows, spec), spec.step)) - spec.nodes()[None, :]
+    disp = disp + offsets
 
     def row_costs(cost):
-        out = (cost(disp) * norm * weights).sum(axis=1)
+        out = (cost(disp) * p * weights).sum(axis=1)
         if cost.kink:
-            out += _kink_defect(cost.kink * disp * norm, spec.step)[0]
+            out += _kink_defect(cost.kink * disp * p, spec.step)[0]
         return out
 
-    return [row_costs(c) for c in costs]
+    return d, [row_costs(c) for c in costs]
 
 
 def _whole_gaussian_log_p(rho, var, mean, n, r):
@@ -257,13 +258,6 @@ def _whole_gaussian_log_p(rho, var, mean, n, r):
     z2 = ((spec_y.nodes() - mean[1]) / s2)[None, :]
     quad = (z1 * z1 - 2.0 * rho * z1 * z2 + z2 * z2) / (2.0 * (1.0 - rho * rho))
     return -quad - math.log(2.0 * math.pi * s1 * s2 * math.sqrt(1.0 - rho * rho))
-
-
-def _whole_d_rows(log_rows, log_mass, spec, offsets):
-    w = simpson_weights(spec.n_points, spec.step)
-    log_cond = log_rows - log_mass[:, None]
-    log_ref = GaussianDensity(0.0, 1.0).log_pdf(spec.nodes()[None, :] - offsets[:, None])
-    return ((log_cond - log_ref) * np.exp(log_cond) * w[None, :]).sum(axis=1)
 
 
 # -- grids -------------------------------------------------------------------
@@ -484,9 +478,9 @@ class TestBlockedPassesMatchWholeGrid:
         fresh = Grid2DDensity(grid.spec_x, grid.spec_y, grid.log_values)
         for got, want in zip(fresh.row_stats, _whole_row_stats(fresh)):
             assert np.array_equal(got, want)
-        xs, ys = grid.spec_x.nodes()[:, None], grid.spec_y.nodes()[None, :]
-        r2 = (xs * xs + ys * ys) * np.exp(grid.log_values)
-        assert grid.second_moment() == _whole_integrate(r2, grid.spec_x, grid.spec_y).value
+        shift, mass, _, second = _whole_row_stats(grid)
+        xs, wx = grid.spec_x.nodes(), simpson_weights(grid.spec_x.n_points, grid.spec_x.step)
+        assert grid.second_moment() == _exact_sum(wx * (xs * xs * mass + second) * np.exp(shift))
 
     @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5, 0.6, 5.0])
     def test_verify_eps(self, grid, eps):
@@ -494,34 +488,39 @@ class TestBlockedPassesMatchWholeGrid:
 
     def test_row_costs(self, grid):
         costs = (COST_SQ, COST_ABS, COST_DELTA)
+        rows = grid.row_stats
+        log_mass = np.log(rows.mass) + rows.shift
         for offsets in (0.0, grid.conditional_means()):
-            got = costs_to_standard_gaussian_rows(
-                grid.log_values, grid.spec_y, costs, offsets, _table_rule(grid.log_values, grid.spec_y),
-                grid.row_stats.shift, grid.row_stats.mass,
+            d, got = costs_to_standard_gaussian_rows(
+                grid.log_values, grid.spec_y, costs, offsets, _table_rule(grid.log_values, grid.spec_y), log_mass
             )
-            want = _whole_row_costs(grid.log_values, grid.spec_y, costs, offsets)
+            want_d, want = _whole_row_costs(grid.log_values, grid.spec_y, costs, offsets, log_mass)
             assert len(got) == len(want) == 3
+            assert np.array_equal(d, want_d)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        # one row with a scalar offset, as for the marginal
+        # one normalised row with a scalar offset, as for the marginal
         marginal = grid.marginal_x()
         one = marginal.log_values[None, :]
-        got = costs_to_standard_gaussian_rows(
-            one, marginal.spec, costs, 0.3, _table_rule(one, marginal.spec), *_max_and_mass(one, marginal.spec)
+        d, got = costs_to_standard_gaussian_rows(
+            one, marginal.spec, costs, 0.3, _table_rule(one, marginal.spec), np.zeros(1)
         )
-        want = _whole_row_costs(one, marginal.spec, costs, 0.3)
+        want_d, want = _whole_row_costs(one, marginal.spec, costs, 0.3, np.zeros(1))
+        assert np.array_equal(d, want_d)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_d_rows(self, grid):
+        # D parts only: a Gaussian grid's rows read its law's scores, which
+        # the tables' rule of the reference cannot give
         t1, t2 = float(grid.mean()[0]), grid.conditional_means()
         dec = decompose_grid2d(grid, (COST_SQ,), (t1, t2))
         rows = grid.row_stats
         log_mass = np.log(rows.mass) + rows.shift
-        d_rows = _whole_d_rows(grid.log_values, log_mass, grid.spec_y, t2)
+        d_rows, _ = _whole_row_costs(grid.log_values, grid.spec_y, (), t2, log_mass)
         weights = simpson_weights(grid.spec_x.n_points, grid.spec_x.step) * grid.row_marginal()
         assert dec.D_parts[1] == _exact_sum(weights * d_rows)
         # the marginal, normalised on its own grid, as a one-row stack
         marginal = grid.marginal_x()
-        d_marginal = _whole_d_rows(marginal.log_values[None, :], np.zeros(1), marginal.spec, np.array([t1]))
+        d_marginal, _ = _whole_row_costs(marginal.log_values[None, :], marginal.spec, (), t1, np.zeros(1))
         assert dec.D_parts[0] == d_marginal[0]
 
 
@@ -702,10 +701,11 @@ class TestKinkPanelsPricedPerStack:
 
         monkeypatch.setattr(transport, "_kink_price", counted)
         costs = (COST_SQ, COST_ABS, COST_DELTA)
-        got = costs_to_standard_gaussian_rows(
-            mu.log_values, mu.spec_y, costs, 0.0, mu.row_scores, mu.row_stats.shift, mu.row_stats.mass
+        d, got = costs_to_standard_gaussian_rows(
+            mu.log_values, mu.spec_y, costs, 0.0, mu.row_scores, mu._row_log_mass
         )
-        want = _whole_row_costs(mu.log_values, mu.spec_y, costs, 0.0)
+        want_d, want = _whole_row_costs(mu.log_values, mu.spec_y, costs, 0.0, mu._row_log_mass)
+        assert np.array_equal(d, want_d)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         # W1 alone is kinked; its panels are priced in several calls, none
         # over a block's worth past the threshold
@@ -867,12 +867,12 @@ class TestGaussianGrids:
 
     def test_one_information_pass_per_grid(self, monkeypatch):
         # 2D passes: the normalisations of the grid and of its flow, the
-        # second moment, the one information pass, and the flow's h (epi)
-        # and I (lem3.3); score fields: one call per row block in the
-        # grid's pass and in the flow's I; kink panels: priced once per
-        # row stack, the marginal's and the rows'
+        # one information pass, and the flow's h (epi) and I (lem3.3); the
+        # second moment reads the row statistics; score fields: one call per
+        # row block in the grid's pass and in the flow's I; kink panels:
+        # priced once per row stack, the marginal's and the rows'
         counts = self._counted_pass(monkeypatch, lambda: bivariate_gaussian_grid(0.5))
-        assert counts["passes"] == 6
+        assert counts["passes"] == 5
         assert counts["law_scores"] == 2 * len(row_blocks(513)) == 64
         assert counts["decompositions"] == 1
         assert 0 < counts["price"] <= 2 * counts["decompositions"]

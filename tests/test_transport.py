@@ -428,14 +428,14 @@ class TestProductBound:
 def _table_inputs(log_rows, spec):
     """A row kernel's inputs for rows given as arrays: the tables' score
     step, on the rows' central-difference scores, as its score source, and
-    each row's maximum and Simpson mass of exp(log p - maximum)."""
+    each row's log Simpson mass."""
     shift = log_rows.max(axis=1)
     mass = (np.exp(log_rows - shift[:, None]) * simpson_weights(spec.n_points, spec.step)).sum(axis=1)
 
     def scores(i0, i1, p):
         return _table_scores(p, np.gradient(log_rows[i0:i1], spec.step, axis=1), spec.step)
 
-    return scores, shift, mass
+    return scores, np.log(mass) + shift
 
 
 class TestRowFastPath:
@@ -452,7 +452,7 @@ class TestRowFastPath:
         ]
         log_rows = np.stack([np.asarray(m.log_pdf(nodes)) for m in members])
         costs = (COST_SQ, COST_ABS, COST_DELTA)
-        rows = costs_to_standard_gaussian_rows(log_rows, spec, costs, 0.0, *_table_inputs(log_rows, spec))
+        _, rows = costs_to_standard_gaussian_rows(log_rows, spec, costs, 0.0, *_table_inputs(log_rows, spec))
         for cost, arr in zip(costs, rows):
             for j, m in enumerate(members):
                 want = transport_cost(m, None, cost).value
@@ -463,7 +463,7 @@ class TestRowFastPath:
         spec = GridSpec(-10.0, 10.0, 2049)
         params = [(0.3, 0.5), (1.4, 0.3), (-0.7, 0.6), (0.05, 2.0)]
         log_rows = np.stack([GaussianDensity(m, v).log_pdf(spec.nodes()) for m, v in params])
-        (w1,) = costs_to_standard_gaussian_rows(log_rows, spec, (COST_ABS,), 0.0, *_table_inputs(log_rows, spec))
+        _, (w1,) = costs_to_standard_gaussian_rows(log_rows, spec, (COST_ABS,), 0.0, *_table_inputs(log_rows, spec))
         np.testing.assert_allclose(w1, [gaussian_w1(m, v) for m, v in params], rtol=0, atol=1e-9)
 
     def test_wide_row_limited_by_window(self):
@@ -471,7 +471,7 @@ class TestRowFastPath:
         # renormalisation biases the cost by ~3e-5 independent of resolution
         spec = GridSpec(-10.0, 10.0, 4097)
         log_row = np.asarray(GaussianDensity(0.0, 4.0).log_pdf(spec.nodes()))[None, :]
-        (sq,) = costs_to_standard_gaussian_rows(log_row, spec, (COST_SQ,), 0.0, *_table_inputs(log_row, spec))
+        _, (sq,) = costs_to_standard_gaussian_rows(log_row, spec, (COST_SQ,), 0.0, *_table_inputs(log_row, spec))
         np.testing.assert_allclose(sq[0], 1.0, atol=5e-5)
 
 
