@@ -29,7 +29,8 @@ x2 for a row, along x1 for the log marginal); a ``bivariate_gaussian_grid``
 reads its scores, row maps and means off its law: -Sigma^-1 (x - m),
 z = (y - mu_{2|1}(x)) / sigma_{2|1} along each row, (x - m1) / s1 along
 x1, m and mu_{2|1}(x) = m2 + rho (s2 / s1) (x - m1).  The x1-marginal and
-second moment read the one row-statistics pass (``row_stats``).
+second moment read the one row-statistics pass (``row_stats``), whose
+mass and moments are BLAS row dots of each block with the Simpson weights.
 
 ``heat_flow(t)`` is the law of X + sqrt(t) Z.  A Gaussian's is N(m, v + t)
 and a mixture's sum_i w_i N(m_i, v_i + t), both exact, and a
@@ -929,7 +930,8 @@ class Grid2DDensity:
 
     @cached_property
     def row_stats(self) -> RowStats:
-        """One Simpson pass over x2 per row: shift, mass, first and second moment."""
+        """One Simpson pass over x2 per row: shift, mass, first and second
+        moment, each a BLAS row dot of the block's exp(log p - shift)."""
         spec = self._spec_y
         w, ys = simpson_weights(spec.n_points, spec.step), spec.nodes()
         w_y = w * ys
@@ -937,10 +939,11 @@ class Grid2DDensity:
         shift = self._log_p.max(axis=1)
         mass, first, second = (np.empty_like(shift) for _ in range(3))
         for i0, i1 in row_blocks(shift.size):
-            p = np.exp(self._log_p[i0:i1] - shift[i0:i1, None])
-            mass[i0:i1] = (p * w).sum(axis=1)
-            first[i0:i1] = (p * w_y).sum(axis=1)
-            second[i0:i1] = (p * w_yy).sum(axis=1)
+            p = np.subtract(self._log_p[i0:i1], shift[i0:i1, None])
+            np.exp(p, out=p)
+            mass[i0:i1] = p @ w
+            first[i0:i1] = p @ w_y
+            second[i0:i1] = p @ w_yy
         for arr in (shift, mass, first, second):
             arr.flags.writeable = False
         return RowStats(shift, mass, first, second)

@@ -35,7 +35,7 @@ from . import config, densities
 from .values import FunctionalValue, additive
 from .densities import Density, Density1D, Grid2DDensity, ProductDensity, standard_gaussian
 from .errors import ArgumentError, InfiniteInformationError, NumericalError, SupportError
-from .quadrature import GridSpec, integrate, integrate_rows_2d, integrate_values
+from .quadrature import GridSpec, integrate, integrate_rows_2d, integrate_values, row_blocks
 
 # The 1D lattice flow stays bound under this module too: the benchmark's
 # tracer test (perfbench/tests) checks that it is wrapped here.
@@ -130,52 +130,77 @@ def _grid2d_integrals(mu: Grid2DDensity, names, nu=None) -> dict[str, Functional
     Fisher integrals against gamma_2 (score -x) for I_rel and score 0 for
     I_plain.
 
-    Each block exponentiates its log values once and builds one mask of the
-    nodes below ``LOG_ZERO_FLOOR``, and, when a Fisher integral is asked,
-    one of those below ``FISHER_DENSITY_FLOOR`` and one block of score
-    fields; each integrand is built with the arithmetic it has alone and
-    its masked nodes are zeroed in place, and ``integrate_rows_2d`` sums
-    each on its own, so every value has the bits of a one-name pass.  D
-    looks for mass where the reference vanishes only in a block whose
+    Each block exponentiates its log values once and, when a Fisher
+    integral is asked, builds one block of score fields.  Each integrand is
+    built with the arithmetic it has alone, written into one of two reused
+    block buffers, and the nodes below ``LOG_ZERO_FLOOR`` (below
+    ``FISHER_DENSITY_FLOOR`` for a Fisher integrand) are zeroed in place;
+    ``integrate_rows_2d`` sums each on its own, so every value has the bits
+    of a one-name pass.  A floor's mask is built only in a block whose
+    smallest density is below it: an empty mask zeroes nothing.  The y
+    nodes are tiled to a block once, so no integrand op broadcasts a row.
+    D looks for mass where the reference vanishes only in a block whose
     reference reaches -inf.  The integrands of a block are yielded one by
-    one, so each is summed before the next is built.
+    one, so each is summed before the next is built in its buffer.
     """
     wanted = tuple(name for name in _GRID2D_NAMES if name in names)
     log_q = _reference_log_pdf_2d(mu, nu) if {"D", "TV"} & set(wanted) else None
     fisher = {"I_plain", "I_rel"} & set(wanted)
-    xs, ys = mu.spec_x.nodes()[:, None], mu.spec_y.nodes()[None, :]
+    xs = mu.spec_x.nodes()[:, None]
+    blocks = row_blocks(mu.spec_x.n_points)
+    size = (max(i1 - i0 for i0, i1 in blocks), mu.spec_y.n_points)
+    buffers = np.empty(size), np.empty(size)
+    ys = np.tile(mu.spec_y.nodes(), (size[0], 1)) if "I_rel" in wanted else None
 
     def block(i0: int, i1: int) -> Iterator[np.ndarray]:
-        log_p = mu.log_values[i0:i1]
-        p = np.exp(log_p)
-        live = p >= config.LOG_ZERO_FLOOR
-        dead = ~live
-        q = log_q(i0, i1) if log_q is not None else None
+        # the score fields first, so that their temporaries meet no other
+        # block array than the buffers
         if fisher:
             gx, gy = mu.score_fields(i0, i1)
-            # the complement of p >= floor: p, the exp of finite values, is never nan
-            fisher_dead = p < config.FISHER_DENSITY_FLOOR
+        log_p = mu.log_values[i0:i1]
+        p = np.exp(log_p)
+        v, t = (buf[: i1 - i0] for buf in buffers)
+        # the masks of the nodes below each floor, None when there are
+        # none: p, the exp of finite values, is never nan
+        p_min = p.min()
+        dead = p < config.LOG_ZERO_FLOOR if p_min < config.LOG_ZERO_FLOOR else None
+        fisher_dead = p < config.FISHER_DENSITY_FLOOR if p_min < config.FISHER_DENSITY_FLOOR else None
+        q = log_q(i0, i1) if log_q is not None else None
         for name in wanted:
             if name == "D":
                 # only a block whose reference reaches -inf (or nan) can
                 # put mass where the reference vanishes
-                if not q.min() > -np.inf and (live & np.isneginf(q)).any():
+                if not q.min() > -np.inf and (
+                    (p >= config.LOG_ZERO_FLOOR) & np.isneginf(q)
+                ).any():
                     raise SupportError(
                         "relative entropy undefined: mass where the 2D reference vanishes"
                     )
-                v = p * (log_p - np.where(live, q, 0.0))
-                np.copyto(v, 0.0, where=dead)
+                np.subtract(log_p, q if dead is None else np.where(dead, 0.0, q), out=v)
+                v *= p
+                mask = dead
             elif name == "I_plain":
-                v = (gx**2 + gy**2) * p
-                np.copyto(v, 0.0, where=fisher_dead)
+                np.multiply(gx, gx, out=v)
+                v += np.multiply(gy, gy, out=t)
+                v *= p
+                mask = fisher_dead
             elif name == "I_rel":
-                v = ((gx + xs[i0:i1]) ** 2 + (gy + ys) ** 2) * p
-                np.copyto(v, 0.0, where=fisher_dead)
+                np.add(gx, xs[i0:i1], out=v)
+                v *= v
+                np.add(gy, ys[: i1 - i0], out=t)
+                v += np.multiply(t, t, out=t)
+                v *= p
+                mask = fisher_dead
             elif name == "h":
-                v = -p * log_p
-                np.copyto(v, 0.0, where=dead)
+                np.negative(p, out=v)
+                v *= log_p
+                mask = dead
             else:
-                v = np.abs(p - np.exp(q))
+                np.subtract(p, np.exp(q, out=v), out=v)
+                np.abs(v, out=v)
+                mask = None
+            if mask is not None:
+                np.copyto(v, 0.0, where=mask)
             yield v
 
     results = integrate_rows_2d(block, mu.spec_x, mu.spec_y, refine=True)

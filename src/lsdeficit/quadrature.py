@@ -247,6 +247,11 @@ def _abs_integral(t1: np.ndarray, t2: np.ndarray, coef: tuple) -> np.ndarray:
     return np.abs(q1) + np.abs(q2 - q1) + np.abs(antider(2.0) - q2)
 
 
+# a panel's nodes t = 0, 1, 2, 3 as column offsets from its first node
+_PANEL_NODES = np.arange(4)[:, None]
+_PANEL_NODES.flags.writeable = False
+
+
 def _kink_panels(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Locate the Simpson panels of |f| that hold a kink, per row of ``f``.
 
@@ -261,13 +266,17 @@ def _kink_panels(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     f = np.atleast_2d(f)
     n = f.shape[-1]
     head = n if n % 2 == 1 else n - 3
-    sign = np.signbit(f)
-    s0, s1, s2 = sign[:, 0 : head - 2 : 2], sign[:, 1 : head - 1 : 2], sign[:, 2:head:2]
-    rows, panels = np.nonzero((s0 != s1) | (s1 != s2))
+    # change[:, j]: f changes sign between nodes j and j + 1; panel k holds
+    # the pairs 2k and 2k + 1
+    sign = np.signbit(f[:, :head])
+    change = sign[:, 1:] != sign[:, :-1]
+    found = np.flatnonzero(change[:, 0::2] | change[:, 1::2])
+    rows, panels = np.divmod(found, (head - 1) // 2)
     start = 2 * panels
-    after = start + 3 < n
-    cols = np.stack((start, start + 1, start + 2, np.where(after, start + 3, start - 1)))
-    return rows, np.vstack((f[rows, cols], np.where(after, 3.0, -1.0)))
+    t3 = np.where(start + 3 < n, 3.0, -1.0)
+    cols = start + _PANEL_NODES
+    cols[3] = start + t3.astype(np.intp)
+    return rows, np.vstack((f[rows, cols], t3))
 
 
 def _kink_price(
@@ -373,9 +382,10 @@ def integrate(
 # (130 KB at 1025 columns) and freed memory is reused instead of paged in
 # afresh.  16 rows keep the 513-column row pass, with about six block arrays
 # live at once, below a quarter of one whole-grid array.  Each reduction is
-# per row (BLAS row dots, pairwise row sums, row cumsums), so the blocks give
-# the whole-array bits: a multiple of 8 keeps the matvec's 4-row groups
-# aligned on the full and on the halved grid.
+# per row: every weighted row sum is one BLAS row dot, ``block @ w``, and
+# the tables' row cumsums run along rows, so the blocks give the whole-array
+# bits: a multiple of 8 keeps the matvec's 4-row groups aligned on the full
+# and on the halved grid.
 ROW_BLOCK = 16
 
 

@@ -20,10 +20,11 @@ one loop over a grid's conditional rows, exponentiates each block once, as
 exp(log p - log mass), takes each row's normal scores from its grid
 (``row_scores``: a Gaussian grid's exact conditional scores, else the
 tables' score step) and gives each row's D and costs against gamma moved
-by its offset (offset + T, so 0 gives gamma itself).  W1 has its Simpson
-kink error removed at every sign change of the displacement: the row path
-locates the panels block by block and prices them once per row stack
-(``quadrature._kink_panels``, ``_kink_price``).
+by its offset (offset + T, so 0 gives gamma itself), each a BLAS row dot
+of its terms with the Simpson weights, as every 2D row sum is.  W1 has its
+Simpson kink error removed at every sign change of the displacement: the
+row path locates the panels block by block and prices them once per row
+stack (``quadrature._kink_panels``, ``_kink_price``).
 ``TransportPlan1D`` is the map as a callable at any x, T(x) =
 x_target(z_source(x)), z_source the source inverse's own scores ((x - m) / s
 for a Gaussian, x itself for gamma), for ``cheeger`` and ``talagrand-map``;
@@ -239,6 +240,8 @@ def costs_to_standard_gaussian_rows(
     exp(log_mass[i]) (a 2D grid's ``_row_log_mass``, or 0 for a normalised
     row); each block is exponentiated once, as the conditional density
     p = exp(log_rows - log_mass), and D sums (log p - log phi(y - offset)) p.
+    Every row sum is one BLAS row dot with the Simpson weights, ``terms @
+    w``, which gives a row the bits of one whole-array matvec.
     As in the 1D kernel, every row is mapped toward gamma, T(x) =
     Phi^-1(F_row(x)), with ``scores(i0, i1, p)`` giving T on rows i0:i1 (a
     2D grid's ``row_scores`` or ``marginal_scores``); the map toward the
@@ -270,15 +273,20 @@ def costs_to_standard_gaussian_rows(
         np.subtract(p, disp, out=disp)
         np.exp(p, out=p)
         disp *= p
-        disp *= weights
-        d[i0:i1] = disp.sum(axis=1)
+        d[i0:i1] = disp @ weights
         np.subtract(scores(i0, i1, p), nodes, out=disp)
         disp += offsets[i0:i1]
+        # each cost's terms are one block array, which the kink's f =
+        # kink disp p reuses; it is freed before the next cost runs, whose
+        # temporaries set the pass's peak
         for k, cost in enumerate(costs):
-            out[k][i0:i1] = (cost(disp) * p * weights).sum(axis=1)
+            term = np.multiply(cost(disp), p)
+            out[k][i0:i1] = term @ weights
             if k in pending:
-                rows, panels = _kink_panels(cost.kink * disp * p)
+                np.multiply(disp, cost.kink, out=term)
+                rows, panels = _kink_panels(np.multiply(term, p, out=term))
                 pending[k].append((rows + i0, panels))
+            del term
         for k, located in pending.items():
             if i1 == n_rows or sum(rows.size for rows, _ in located) >= limit:
                 rows = np.concatenate([rows for rows, _ in located])

@@ -704,6 +704,34 @@ def test_gaussian_grid_certificates_ignore_blas_threads():
     assert outs[0] == outs[1]
 
 
+def test_row_dot_certificates_ignore_blas_threads():
+    """The thread contract of the README: a 1025-node Gaussian grid, whose
+    row statistics, row costs and integrals are BLAS row dots over 16-row
+    blocks, and the lattice flow of a tilt at the default table size give
+    the same certificate bytes, and the flow the same log values, under one
+    BLAS thread and under two."""
+    probe = (
+        "import hashlib\n"
+        "import certificate_digest as cd\n"
+        "from lsdeficit import TiltedDensity, bivariate_gaussian_grid\n"
+        "flow = TiltedDensity([0, 0, 0.25, 0, 0.05]).heat_flow(1.0)\n"
+        "print('tilt-flow', hashlib.sha256(flow.log_values.tobytes()).hexdigest())\n"
+        "grid = bivariate_gaussian_grid(0.5, var=(0.8, 1.6), mean=(0.3, -0.4), n_points=1025)\n"
+        "print('\\n'.join(cd.listing([('grid2d-1025', grid), ('tilt-flow', flow)])))\n"
+    )
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(Path(densities.__file__).parents[1]), str(tests)])
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(outs[0].splitlines()) == 1 + 2 * len(BOUND_IDS)
+    assert outs[0] == outs[1]
+
+
 def test_certificate_digest_unchanged_by_an_earlier_run():
     """The ``certificate_digest`` listing of two members (a mixture and a 2D
     grid given as data), run twice in one process on fresh densities, reads

@@ -18,7 +18,9 @@ input, so every builder hands its fresh array over to be normalised in place.
 
 A fifth scan keeps one loop over a 2D grid's conditional rows, the row
 kernel: ``recentering`` calls no ``row_blocks``, and ``densities`` defines
-no module-level ``_row_stats``.
+no module-level ``_row_stats``.  A sixth keeps one rule for a weighted 2D
+row sum, a BLAS row dot: neither ``Grid2DDensity.row_stats`` nor the row
+kernel sums along an axis.
 
 A fresh interpreter also imports the package and its CLI without loading
 ``scipy.interpolate``, ``scipy.special`` or ``importlib.metadata``, which
@@ -193,6 +195,43 @@ def test_one_conditional_row_loop():
     assert _callers(trees["recentering.py"], "row_blocks") == set()
     module_level = {node.name for node in trees["densities.py"].body if isinstance(node, ast.FunctionDef)}
     assert "_row_stats" not in module_level
+
+
+def _definition(tree: ast.Module, dotted: str) -> ast.AST:
+    """The def or class at ``dotted`` (``Class.method``) in a module."""
+    node = tree
+    for name in dotted.split("."):
+        node = next(
+            child for child in node.body
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == name
+        )
+    return node
+
+
+def _axis_sums(node: ast.AST) -> list[int]:
+    """Lines of the calls under ``node`` that sum along an axis:
+    ``x.sum(axis=...)``, ``x.sum(1)``, ``np.sum(x, axis=...)``, ``np.sum(x, 1)``."""
+    lines = []
+    for call in ast.walk(node):
+        func = getattr(call, "func", None)
+        if not (isinstance(func, ast.Attribute) and func.attr == "sum"):
+            continue
+        on_module = isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+        if any(k.arg == "axis" for k in call.keywords) or len(call.args) > on_module:
+            lines.append(call.lineno)
+    return lines
+
+
+def test_weighted_row_sums_are_row_dots():
+    """``Grid2DDensity.row_stats`` and the row kernel sum each weighted row
+    with one BLAS row dot, ``block @ w``, as ``integrate_rows_2d`` does: no
+    pairwise sum along an axis beside it."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
+    for module, dotted in (
+        ("densities.py", "Grid2DDensity.row_stats"),
+        ("transport.py", "costs_to_standard_gaussian_rows"),
+    ):
+        assert _axis_sums(_definition(trees[module], dotted)) == [], f"{module}:{dotted}"
 
 
 def _fresh_stdout(code: str) -> str:

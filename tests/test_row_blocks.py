@@ -2,8 +2,9 @@
 
 Every 2D integrand and row statistic is built ``quadrature.ROW_BLOCK`` rows
 at a time.  Each reduction involved is per row, so the blocked results must
-equal, bit for bit, the whole-array formulas kept here as oracles: so must
-the stacked information pass (``functionals._grid2d_integrals``) for each of
+equal, bit for bit, the whole-array formulas kept here as oracles, whose
+weighted row sums are the whole-array matvec as one BLAS thread computes
+it (``_row_dots``): so must the stacked information pass (``functionals._grid2d_integrals``) for each of
 its integrands, and the row kernel's kink panels, priced once per row stack,
 must equal the per-block kink correction (``_kink_defect`` below).  A memory
 guard holds the blocked passes below a quarter of one whole-grid float array
@@ -79,12 +80,21 @@ from lsdeficit.transport import (
 
 # -- whole-grid oracles ------------------------------------------------------
 
+def _row_dots(a, w):
+    """The whole-array row dots ``a @ w`` as one BLAS thread computes them:
+    a matvec of every four rows, the last four taking the one to three rows
+    left over.  A threaded matvec splits the rows where it likes, and a row
+    that falls outside a group of four there moves in its last bits."""
+    starts = list(range(0, max(a.shape[0] - 3, 1), 4))
+    return np.concatenate([a[i0:i1] @ w for i0, i1 in zip(starts, starts[1:] + [a.shape[0]])])
+
+
 def _whole_integrate(values, spec_x, spec_y, refine=False):
     """Tensor-product Simpson over the whole node array at once."""
     if not np.isfinite(values).all():
         raise IntegrandError("non-finite integrand")
     wy = simpson_weights(spec_y.n_points, spec_y.step)
-    rows = values @ wy
+    rows = _row_dots(values, wy)
     row_total, mass = _exact_sums(rows * simpson_weights(spec_x.n_points, spec_x.step))
     floor = _ROUNDOFF * (mass + abs(row_total))
     if not refine:
@@ -165,9 +175,9 @@ def _whole_row_stats(mu):
     ys = mu.spec_y.nodes()
     shift = mu.log_values.max(axis=1)
     p = np.exp(mu.log_values - shift[:, None])
-    mass = (p * wy[None, :]).sum(axis=1)
-    first = (p * (wy * ys)[None, :]).sum(axis=1)
-    second = (p * (wy * ys * ys)[None, :]).sum(axis=1)
+    mass = _row_dots(p, wy)
+    first = _row_dots(p, wy * ys)
+    second = _row_dots(p, wy * ys * ys)
     return shift, mass, first, second
 
 
@@ -231,17 +241,17 @@ def _whole_row_costs(log_rows, spec, costs, offsets, log_mass):
     """D and the costs of each row against gamma moved by its offset, from
     the conditional densities exp(log p - log_mass) of the whole stack at
     once; the scores are the tables' score step on the difference scores."""
-    weights = simpson_weights(spec.n_points, spec.step)[None, :]
+    weights = simpson_weights(spec.n_points, spec.step)
     offsets = np.reshape(offsets, (-1, 1))
     log_cond = log_rows - np.reshape(log_mass, (-1, 1))
     p = np.exp(log_cond)
     log_ref = GaussianDensity(0.0, 1.0).log_pdf(spec.nodes()[None, :] - offsets)
-    d = ((log_cond - log_ref) * p * weights).sum(axis=1)
+    d = _row_dots((log_cond - log_ref) * p, weights)
     disp = _normal_scores(*_table_tails(p, _row_score(log_rows, spec), spec.step)) - spec.nodes()[None, :]
     disp = disp + offsets
 
     def row_costs(cost):
-        out = (cost(disp) * p * weights).sum(axis=1)
+        out = _row_dots(cost(disp) * p, weights)
         if cost.kink:
             out += _kink_defect(cost.kink * disp * p, spec.step)[0]
         return out
