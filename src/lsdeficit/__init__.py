@@ -18,7 +18,7 @@ from .bounds import (
     equality_probe,
     evaluate_bound,
 )
-from .deltafn import LINEAR_BAND_CONSTANT, delta, delta_lower_min, delta_scale
+from .deltafn import LINEAR_BAND_CONSTANT, delta, delta_scale
 from .densities import (
     Density,
     Density1D,
@@ -65,7 +65,6 @@ from .transport import (
     CostFn,
     TransportPlan1D,
     cost_delta_scaled,
-    delta_transport_cost,
     monotone_plan,
     transport_cost,
     w1_distance,
@@ -117,9 +116,7 @@ __all__ = [
     "cost_delta_scaled",
     "de_bruijn_residual",
     "delta",
-    "delta_lower_min",
     "delta_scale",
-    "delta_transport_cost",
     "density_to_spec",
     "dumps",
     "entropy_power",

@@ -47,15 +47,12 @@ from .errors import ArgumentError, HypothesisError, NumericalError
 from .functionals import (
     _GRID2D_NAMES,
     _entropy_power,
-    _grid2d_integrals,
     dim_of,
     entropy_power,
     fisher_information,
+    integrals,
     lsi_deficit,
     relative_entropy,
-    relative_fisher,
-    shannon_entropy,
-    total_variation,
 )
 from .quadrature import GridSpec, _exact_sum, integrate_values, simpson_weights
 from .recentering import decompose_grid2d
@@ -64,7 +61,6 @@ from .transport import (
     COST_DELTA,
     COST_SQ,
     CostFn,
-    TransportPlan1D,
     cost_delta_scaled,
     monotone_plan,
     transport_cost,
@@ -127,29 +123,17 @@ _TENSOR_COSTS = (COST_DELTA, COST_SQ, COST_ABS)
 _COST_DELTA_SCALED = cost_delta_scaled(math.sqrt(2.0 * math.pi))
 
 
-# Each functional of a 1D or product density against gamma_n, by the name
-# it has in ``_GRID2D_NAMES``.  The lambdas look the functions up when
-# called, so a rebinding of this module's names (a tracer, a counting
-# test) sees every call.
-_FUNCTIONALS: dict[str, Callable[[Density], FunctionalValue]] = {
-    "D": lambda mu: relative_entropy(mu, None),
-    "I_plain": lambda mu: fisher_information(mu),
-    "I_rel": lambda mu: relative_fisher(mu, None),
-    "h": lambda mu: shannon_entropy(mu),
-    "TV": lambda mu: total_variation(mu, None),
-}
-
-
 class _Stats:
     """Lazy, memoised functionals of one density against gamma_n.
 
-    Evaluators read every functional, transport cost, transport plan, heat
+    Evaluators read every functional, transport cost, map to gamma, heat
     flow and centered quantity of their density through this memo, so one
     Workspace computes each of them once.  Functionals and transport costs
     are kept whole, as the ``FunctionalValue`` with its error estimate:
-    D, I_plain, I_rel, h and TV under those names, and the entropy power,
-    read off h, under N.  On a 2D grid the first read of any of the five
-    stores all five from one row pass.  Mean-zero input reads its centered
+    D, I_plain, I_rel, h and TV under those names, each read from
+    ``functionals.integrals``, and the entropy power, read off h, under N.
+    On a 2D grid the first read of any of the five stores all five from one
+    row pass.  Mean-zero input reads its centered
     quantities from the as-is entries.  Entries are keyed by this density
     and the reference object; nothing is shared with another density by
     value.  Every cost, plan and default summand against gamma_n reads one
@@ -177,13 +161,11 @@ class _Stats:
 
     # -- functionals -------------------------------------------------------
     def functional(self, name: str) -> FunctionalValue:
-        """The functional ``name`` (of ``_GRID2D_NAMES``) against gamma_n."""
+        """The integral ``name`` (of ``_GRID2D_NAMES``) against gamma_n."""
         memo = self._memo
         if name not in memo:
-            if isinstance(self.mu, Grid2DDensity):
-                memo.update(_grid2d_integrals(self.mu, _GRID2D_NAMES))
-            else:
-                memo[name] = _FUNCTIONALS[name](self.mu)
+            grid = isinstance(self.mu, Grid2DDensity)
+            memo.update(integrals(self.mu, _GRID2D_NAMES if grid else (name,)))
         return memo[name]
 
     @property
@@ -222,10 +204,6 @@ class _Stats:
         """Law of X + sqrt(t) Z (the heat flow at time t), memoised per t."""
         return self._get(("evolved", t), lambda: self.mu.heat_flow(t))
 
-    def gamma_evolved(self, t: float) -> Density:
-        """``gamma`` under the heat flow at time t, memoised per t."""
-        return self._get(("gamma_evolved", t), lambda: self.gamma.heat_flow(t))
-
     # -- transport against gamma -------------------------------------------
     def cost(self, cost: CostFn, ref: Density | None = None) -> float:
         """Exact optimal ``cost`` from 1D or product input to ``ref``
@@ -250,17 +228,13 @@ class _Stats:
         return self.cost(COST_DELTA)
 
     @property
-    def plan(self) -> TransportPlan1D:
-        """Monotone map carrying the standard Gaussian onto a 1D density."""
-        return self._get("plan", lambda: monotone_plan(self.mu, self.gamma))
-
-    @property
     def gamma_map(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """The plan's map T at each point array of ``_gamma_points`` and its
-        derivative T' on the integration nodes, each evaluated once."""
+        """The monotone map T carrying gamma onto a 1D density, at each point
+        array of ``_gamma_points``, and its derivative T' on the integration
+        nodes, each evaluated once."""
 
         def build():
-            plan = self.plan
+            plan = monotone_plan(self.mu, self.gamma)
             points = _gamma_points()
             mapped = [np.asarray(plan.map_at(x)) for x in points]
             return mapped, np.asarray(plan.derivative(points[0]), dtype=float)
@@ -523,7 +497,10 @@ def _eval_lem32(s, opts):
             "exact quadratic transport distance unavailable for this pair of shapes"
         )
     lhs = s.cost(COST_SQ, other) / (2.0 * t)
-    ref = s.gamma_evolved(t) if other is None else other.heat_flow(t)
+    if other is None:
+        ref = s._get(("gamma_evolved", t), lambda: s.gamma.heat_flow(t))
+    else:
+        ref = other.heat_flow(t)
     rhs = relative_entropy(s.evolved(t), ref).value
     return lhs, rhs, {"t": t}
 

@@ -31,14 +31,7 @@ from .errors import (
     SpecParseError,
     SupportError,
 )
-from .functionals import (
-    entropy_power,
-    lsi_deficit,
-    relative_entropy,
-    relative_fisher,
-    shannon_entropy,
-    total_variation,
-)
+from .functionals import entropy_power, integrals, lsi_deficit
 from .specio import load as load_density_file
 from .transport import COST_ABS, COST_DELTA, COST_SQ, transport_cost
 from .values import FunctionalValue
@@ -111,20 +104,19 @@ def _sqrt_error(a: float, e: float) -> float:
     return min(e / root, math.sqrt(e)) if root > 0.0 else math.sqrt(e)
 
 
+# The metrics that are one integral of ``functionals.integrals``, by name.
+_INTEGRALS = {"kl": "D", "fisher": "I_rel", "tv": "TV", "entropy": "h"}
+
+
 def _metric_value(metric: str, mu: Density, ref: Density | None) -> tuple[float, float]:
     no_ref = {"deficit", "entropy", "entropy-power"}
     if metric in no_ref and ref is not None:
         raise ArgumentError(f"metric {metric!r} is defined against the standard Gaussian only")
-    if metric == "kl":
-        v = relative_entropy(mu, ref)
-    elif metric == "fisher":
-        v = relative_fisher(mu, ref)
-    elif metric == "tv":
-        v = total_variation(mu, ref)
+    if metric in _INTEGRALS:
+        name = _INTEGRALS[metric]
+        v = integrals(mu, (name,), ref)[name]
     elif metric == "deficit":
         v = lsi_deficit(mu)
-    elif metric == "entropy":
-        v = shannon_entropy(mu)
     elif metric == "entropy-power":
         v = entropy_power(mu)
     elif metric == "w2sq":

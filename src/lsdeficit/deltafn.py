@@ -11,8 +11,9 @@ paper's elementary comparison inequalities:
 
 All accept scalars or arrays and are exact up to log1p rounding.
 Certificates use only ``delta``, ``delta_quadratic_floor`` (the cap
-quadratic) and ``LINEAR_BAND_CONSTANT``; ``delta_scale`` and
-``delta_lower_min`` state the scaling and linear-band lemmas as functions.
+quadratic) and ``LINEAR_BAND_CONSTANT``; ``delta_scale`` states the scaling
+lemma as a function.  The linear band is the constant alone: its minorant
+is ``LINEAR_BAND_CONSTANT * min(t, t^2)``, written out where it is read.
 """
 
 from __future__ import annotations
@@ -51,12 +52,3 @@ def delta_quadratic_floor(a: float) -> float:
     if not a > 0:
         raise ArgumentError("cap must be positive")
     return delta(a) / (a * a)
-
-
-def delta_lower_min(t):
-    """(1 - log 2) * min(t, t^2), the sharp piecewise minorant for t >= 0."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ArgumentError("linear band needs t >= 0")
-    out = LINEAR_BAND_CONSTANT * np.minimum(t, t * t)
-    return float(out) if out.ndim == 0 else out

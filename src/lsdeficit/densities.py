@@ -80,6 +80,15 @@ _PROBE_LEVELS = (np.arange(20) + 0.5) / 20.0
 _PROBE_LEVELS.flags.writeable = False
 
 
+def _support_radius(radius: float | None) -> float:
+    """A constructor's support radius: the scope's (``config.support_radius``)
+    for None, else the value given, refused unless positive and finite."""
+    r = config.support_radius() if radius is None else float(radius)
+    if not (r > 0 and math.isfinite(r)):
+        raise ArgumentError(f"support radius must be positive and finite, got {r}")
+    return r
+
+
 def _table_tails(p: np.ndarray, score: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
     """(F, 1 - F) on table nodes along the last axis, each forced monotone
     and normalised, from density values ``p`` and the score (log p)' at the
@@ -400,7 +409,7 @@ class GaussianDensity(Density1D):
         self._mean = mean
         self._var = var
         self._sigma = math.sqrt(var)
-        self._radius = float(support_radius or config.support_radius())
+        self._radius = _support_radius(support_radius)
         self._eps = 1.0 / var  # exact: the potential is quadratic
 
     @property
@@ -482,7 +491,7 @@ class MixtureDensity(Density1D):
         self._m = np.array([c[1] for c in comps])
         self._v = np.array([c[2] for c in comps])
         self._s = np.sqrt(self._v)
-        self._radius = float(support_radius or config.support_radius())
+        self._radius = _support_radius(support_radius)
         self._eps = None
         if convexity_lower_bound is not None:
             self._eps = self._verify_eps(float(convexity_lower_bound))
@@ -606,7 +615,7 @@ class TiltedDensity(Density1D):
             )
         self._poly = np.polynomial.Polynomial(coeffs)
         self._dpoly = self._poly.deriv()
-        self._radius = float(support_radius or config.support_radius())
+        self._radius = _support_radius(support_radius)
         self._lo, self._hi = self._fit_support()
         self._log_z = self._normalise()
         self._eps = None
@@ -1155,8 +1164,8 @@ def bivariate_gaussian_grid(
         raise ArgumentError("gaussian parameters must be finite")
     if min(var) <= 0:
         raise ArgumentError(f"variance must be positive, got {var}")
-    n = n_points or config.DEFAULT_GRID_POINTS_2D
-    r = support_radius or config.support_radius()
+    n = config.DEFAULT_GRID_POINTS_2D if n_points is None else n_points
+    r = _support_radius(support_radius)
     # Exact smallest Hessian eigenvalue of the potential: the precision
     # matrix of unit-variance correlated Gaussians has eigenvalue
     # 1 / (1 + |rho|) in the worst direction (after scaling by variances).

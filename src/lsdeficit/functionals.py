@@ -12,11 +12,14 @@ canonical grid and carry a Richardson error estimate:
   lsi_deficit                   = I(mu|gamma)/2 - D(mu|gamma)
 
 The reference defaults to the standard Gaussian of matching dimension.
-Products decompose coordinate-wise (entropy and divergence are additive
-for independent coordinates); bivariate grids integrate in 2D, every
-requested integral of D, I_plain, I_rel, h and TV from one row-block pass
-(``_grid2d_integrals``) that exponentiates each block of log values once
-and builds its score fields once, only when a Fisher integral is asked.
+One entry, ``integrals(mu, names, nu)``, alone decides how a density's
+shape reaches the five integrals D, I_plain, I_rel, h and TV; the
+functionals above are views of it.  A 1D density runs each name's table
+body, and a product sums it over its coordinates (``_per_factor``), except
+TV, a joint 2D integral.  A bivariate grid runs every requested integral in
+one row-block pass (``_grid2d_integrals``) that exponentiates each block of
+log values once and builds its score fields once, only for a Fisher
+integral.
 
 Convention: contributions where p < 1e-300 are treated as exact zeros
 (the x log x limit); Fisher integrands additionally exclude nodes with
@@ -84,17 +87,6 @@ def _relative_entropy_1d(mu: Density1D, nu: Density1D) -> FunctionalValue:
     integrand = np.where(live, t.p * (t.log_p - np.where(live, log_q, 0.0)), 0.0)
     r = integrate_values(integrand, t.spec, refine=True)
     return FunctionalValue("D", r.value, r.abs_error_estimate)
-
-
-def relative_entropy(mu, nu=None) -> FunctionalValue:
-    """D(mu | nu); nu defaults to the standard Gaussian of mu's dimension."""
-    if isinstance(mu, Density1D):
-        return _relative_entropy_1d(mu, _require_1d(nu, "relative_entropy"))
-    if isinstance(mu, ProductDensity):
-        return _per_factor(_relative_entropy_1d, mu, nu, "relative_entropy")
-    if isinstance(mu, Grid2DDensity):
-        return _grid2d_integrals(mu, ("D",), nu)["D"]
-    raise ArgumentError(f"unsupported density type {type(mu).__name__}")
 
 
 def _reference_log_pdf_2d(mu: Grid2DDensity, nu) -> Callable[[int, int], np.ndarray]:
@@ -240,7 +232,8 @@ def _fisher_1d(name: str, mu: Density1D, score_q) -> FunctionalValue:
     return FunctionalValue(name, r.value, r.abs_error_estimate)
 
 
-def _fisher_information_1d(mu: Density1D) -> FunctionalValue:
+def _fisher_information_1d(mu: Density1D, nu: Density1D) -> FunctionalValue:
+    """Plain I: ``nu``, which every 1D body takes, is not read."""
     r = _fisher_1d("I_plain", mu, 0.0)
     var = mu.variance()
     if var > 0 and r.value < 1.0 / var - r.error_estimate - 1e-6:
@@ -254,53 +247,17 @@ def _relative_fisher_1d(mu: Density1D, nu: Density1D) -> FunctionalValue:
     return _fisher_1d("I_rel", mu, np.asarray(nu.score(mu.table.nodes), dtype=float))
 
 
-def fisher_information(mu) -> FunctionalValue:
-    """Plain Fisher information I(X) = int |grad log p|^2 dmu."""
-    if isinstance(mu, Density1D):
-        return _fisher_information_1d(mu)
-    if isinstance(mu, ProductDensity):
-        return _per_factor(lambda f, _: _fisher_information_1d(f), mu, None, "fisher_information")
-    if isinstance(mu, Grid2DDensity):
-        return _grid2d_integrals(mu, ("I_plain",))["I_plain"]
-    raise ArgumentError(f"unsupported density type {type(mu).__name__}")
-
-
-def relative_fisher(mu, nu=None) -> FunctionalValue:
-    """I(mu | nu) = int |score_mu - score_nu|^2 dmu."""
-    if isinstance(mu, Density1D):
-        return _relative_fisher_1d(mu, _require_1d(nu, "relative_fisher"))
-    if isinstance(mu, ProductDensity):
-        return _per_factor(_relative_fisher_1d, mu, nu, "relative_fisher")
-    if isinstance(mu, Grid2DDensity):
-        if nu is not None:
-            raise ArgumentError(
-                "relative_fisher: 2D grids support only the standard Gaussian reference"
-            )
-        return _grid2d_integrals(mu, ("I_rel",))["I_rel"]
-    raise ArgumentError(f"unsupported density type {type(mu).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Entropy, entropy power, total variation
 # ---------------------------------------------------------------------------
 
-def _shannon_entropy_1d(mu: Density1D) -> FunctionalValue:
+def _shannon_entropy_1d(mu: Density1D, nu: Density1D) -> FunctionalValue:
+    """h: ``nu`` is not read, as for plain I."""
     t = mu.table
     live = t.p >= config.LOG_ZERO_FLOOR
     integrand = np.where(live, -t.p * t.log_p, 0.0)
     r = integrate_values(integrand, t.spec, refine=True)
     return FunctionalValue("h", r.value, r.abs_error_estimate)
-
-
-def shannon_entropy(mu) -> FunctionalValue:
-    """Differential entropy h(X) = -int p log p."""
-    if isinstance(mu, Density1D):
-        return _shannon_entropy_1d(mu)
-    if isinstance(mu, ProductDensity):
-        return additive(_shannon_entropy_1d(f) for f in mu.factors)
-    if isinstance(mu, Grid2DDensity):
-        return _grid2d_integrals(mu, ("h",))["h"]
-    raise ArgumentError(f"unsupported density type {type(mu).__name__}")
 
 
 def entropy_power(mu) -> FunctionalValue:
@@ -321,43 +278,111 @@ def _merged_spec(a: Density1D, b: Density1D) -> GridSpec:
     return GridSpec(min(sa.x_lo, sb.x_lo), max(sa.x_hi, sb.x_hi), n + (n + 1) % 2)
 
 
+def _total_variation_1d(mu: Density1D, nu: Density1D) -> FunctionalValue:
+    """int |p - q| over a grid covering both supports."""
+    r = integrate(
+        lambda x: np.abs(np.asarray(mu.pdf(x)) - np.asarray(nu.pdf(x))),
+        _merged_spec(mu, nu),
+        refine=True,
+    )
+    return FunctionalValue("TV", min(r.value, 2.0), r.abs_error_estimate)
+
+
+def _total_variation_product(mu: ProductDensity, nu) -> FunctionalValue:
+    """TV of a 2-factor product against gamma_2, a joint 2D integral: TV
+    does not add over coordinates."""
+    if mu.dim != 2:
+        raise ArgumentError("total_variation joint integral is implemented for 2 coordinates")
+    if nu is not None:
+        raise ArgumentError(
+            "total_variation: product densities support only the standard Gaussian reference"
+        )
+    fx, fy = mu.factors
+    n = config.DEFAULT_GRID_POINTS_2D
+    sx, sy = fx.eval_spec(), fy.eval_spec()
+    spec_x = GridSpec(sx.x_lo, sx.x_hi, n)
+    spec_y = GridSpec(sy.x_lo, sy.x_hi, n)
+    px = np.asarray(fx.pdf(spec_x.nodes()))[:, None]
+    py = np.asarray(fy.pdf(spec_y.nodes()))[None, :]
+    log_phi = standard_gaussian().log_pdf
+    qx = np.exp(log_phi(spec_x.nodes()))[:, None]
+    qy = np.exp(log_phi(spec_y.nodes()))[None, :]
+    (r,) = integrate_rows_2d(
+        lambda i0, i1: (np.abs(px[i0:i1] * py - qx[i0:i1] * qy),), spec_x, spec_y, refine=True
+    )
+    return FunctionalValue("TV", min(r.value, 2.0), r.abs_error_estimate)
+
+
+# ---------------------------------------------------------------------------
+# The one entry: each integral of each shape
+# ---------------------------------------------------------------------------
+
+# Each integral's 1D body, and the public function that names it in a
+# refusal.
+_BODIES_1D = {
+    "D": (_relative_entropy_1d, "relative_entropy"),
+    "I_plain": (_fisher_information_1d, "fisher_information"),
+    "I_rel": (_relative_fisher_1d, "relative_fisher"),
+    "h": (_shannon_entropy_1d, "shannon_entropy"),
+    "TV": (_total_variation_1d, "total_variation"),
+}
+
+
+def integrals(mu, names, nu=None) -> dict[str, FunctionalValue]:
+    """The integrals of ``mu`` named in ``names`` (of D, I_plain, I_rel, h
+    and TV), by name.
+
+    D, I_rel and TV are against ``nu``, the standard Gaussian of mu's
+    dimension by default; I_plain and h read no reference.  This is the
+    only code that decides how a density's shape reaches them: a 2D grid
+    runs one row pass for every name (``_grid2d_integrals``, whose I_rel is
+    against gamma_2 only), a 1D density each name's table body, and a
+    product the sum of that body over its coordinates (``_per_factor``),
+    except TV, which stays one joint 2D integral.
+    """
+    if isinstance(mu, Grid2DDensity):
+        if nu is not None and "I_rel" in names:
+            raise ArgumentError(
+                "relative_fisher: 2D grids support only the standard Gaussian reference"
+            )
+        return _grid2d_integrals(mu, names, nu)
+    if not isinstance(mu, (Density1D, ProductDensity)):
+        raise ArgumentError(f"unsupported density type {type(mu).__name__}")
+    out = {}
+    for name in names:
+        body, caller = _BODIES_1D[name]
+        if isinstance(mu, Density1D):
+            out[name] = body(mu, _require_1d(nu, caller))
+        elif name == "TV":
+            out[name] = _total_variation_product(mu, nu)
+        else:
+            out[name] = _per_factor(body, mu, nu, caller)
+    return out
+
+
+def relative_entropy(mu, nu=None) -> FunctionalValue:
+    """D(mu | nu); nu defaults to the standard Gaussian of mu's dimension."""
+    return integrals(mu, ("D",), nu)["D"]
+
+
+def fisher_information(mu) -> FunctionalValue:
+    """Plain Fisher information I(X) = int |grad log p|^2 dmu."""
+    return integrals(mu, ("I_plain",))["I_plain"]
+
+
+def relative_fisher(mu, nu=None) -> FunctionalValue:
+    """I(mu | nu) = int |score_mu - score_nu|^2 dmu."""
+    return integrals(mu, ("I_rel",), nu)["I_rel"]
+
+
+def shannon_entropy(mu) -> FunctionalValue:
+    """Differential entropy h(X) = -int p log p."""
+    return integrals(mu, ("h",))["h"]
+
+
 def total_variation(mu, nu=None) -> FunctionalValue:
     """int |p - q| over a grid covering both supports; lands in [0, 2]."""
-    if isinstance(mu, Density1D):
-        nu = _require_1d(nu, "total_variation")
-        spec = _merged_spec(mu, nu)
-        r = integrate(
-            lambda x: np.abs(np.asarray(mu.pdf(x)) - np.asarray(nu.pdf(x))),
-            spec,
-            refine=True,
-        )
-        return FunctionalValue("TV", min(r.value, 2.0), r.abs_error_estimate)
-    if isinstance(mu, ProductDensity):
-        if mu.dim != 2:
-            raise ArgumentError(
-                "total_variation joint integral is implemented for 2 coordinates"
-            )
-        if nu is not None:
-            raise ArgumentError(
-                "total_variation: product densities support only the standard Gaussian reference"
-            )
-        fx, fy = mu.factors
-        n = config.DEFAULT_GRID_POINTS_2D
-        sx, sy = fx.eval_spec(), fy.eval_spec()
-        spec_x = GridSpec(sx.x_lo, sx.x_hi, n)
-        spec_y = GridSpec(sy.x_lo, sy.x_hi, n)
-        px = np.asarray(fx.pdf(spec_x.nodes()))[:, None]
-        py = np.asarray(fy.pdf(spec_y.nodes()))[None, :]
-        log_phi = standard_gaussian().log_pdf
-        qx = np.exp(log_phi(spec_x.nodes()))[:, None]
-        qy = np.exp(log_phi(spec_y.nodes()))[None, :]
-        (r,) = integrate_rows_2d(
-            lambda i0, i1: (np.abs(px[i0:i1] * py - qx[i0:i1] * qy),), spec_x, spec_y, refine=True
-        )
-        return FunctionalValue("TV", min(r.value, 2.0), r.abs_error_estimate)
-    if isinstance(mu, Grid2DDensity):
-        return _grid2d_integrals(mu, ("TV",), nu)["TV"]
-    raise ArgumentError(f"unsupported density type {type(mu).__name__}")
+    return integrals(mu, ("TV",), nu)["TV"]
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +391,8 @@ def total_variation(mu, nu=None) -> FunctionalValue:
 
 def lsi_deficit(mu) -> FunctionalValue:
     """I(mu|gamma)/2 - D(mu|gamma): nonnegative, zero only at translates."""
-    if isinstance(mu, Grid2DDensity):
-        both = _grid2d_integrals(mu, ("I_rel", "D"))
-        i_rel, d = both["I_rel"], both["D"]
-    else:
-        i_rel = relative_fisher(mu)
-        d = relative_entropy(mu)
+    both = integrals(mu, ("I_rel", "D"))
+    i_rel, d = both["I_rel"], both["D"]
     return FunctionalValue(
         "deficit",
         0.5 * i_rel.value - d.value,

@@ -135,6 +135,17 @@ def simpson_weights(n_points: int, step: float) -> np.ndarray:
     return w
 
 
+def _halved(n_points: int, step: float) -> tuple[slice, np.ndarray, float]:
+    """The half-resolution rule of an n_points axis for the Richardson
+    estimate: Simpson of step 2h on every second node of the odd-count head
+    (a slice and its weights), and with an even count a trapezoid of weight
+    h / 2 on the last two nodes (0 with an odd count): its own error is
+    O(h^3) on one cell, folded into the Richardson difference."""
+    if n_points % 2 == 1:
+        return slice(None, None, 2), simpson_weights((n_points + 1) // 2, 2.0 * step), 0.0
+    return slice(None, -1, 2), simpson_weights(n_points // 2, 2.0 * step), 0.5 * step
+
+
 # Binned exact sums.  frexp writes a nonzero float as mant * 2**exp with
 # 0.5 <= |mant| < 1 and -1073 <= exp <= 1024.  With e = exp + _SUM_BIAS and
 # r = e % 8, |mant| * 2**(26 + r) splits into an integer part below 2**33
@@ -342,14 +353,10 @@ def integrate_values(
         floor += float(interp[0])
     if not refine:
         return _result(total, floor, spec.n_points)
-    # Halve the odd-count head exactly; with an even node count, close the
-    # last interval with a trapezoid (its own error is O(h^3) on one cell,
-    # folded into the Richardson difference).
-    half = slice(None, None, 2) if spec.n_points % 2 == 1 else slice(None, -1, 2)
-    head = values[half]
-    coarse = _exact_sum(head * simpson_weights(head.size, 2.0 * spec.step))
-    if spec.n_points % 2 == 0:
-        coarse += 0.5 * spec.step * (values[-2] + values[-1])
+    half, w_half, trap = _halved(spec.n_points, spec.step)
+    coarse = _exact_sum(values[half] * w_half)
+    if trap:
+        coarse += trap * (values[-2] + values[-1])
     if kinked is not None:
         coarse += float(_kink_price(*_kink_panels(kinked[half]), 2.0 * spec.step, 1)[0][0])
     return _result(total, _RICHARDSON * abs(total - coarse) + floor, spec.n_points)
@@ -421,22 +428,18 @@ def integrate_rows_2d(
     a non-finite value makes its row's sum non-finite, and only then is the
     block scanned for the node to name; finite values whose row sums
     overflow integrate as 1D sums past the float range do.  With
-    ``refine`` the estimate compares against halved resolution in both axes,
-    or along one axis when the other has an even node count; an odd axis
-    needs 31 nodes for that.
+    ``refine`` the estimate compares against the half-resolution rule of
+    both axes, the tensor product of the 1D rule (``_halved``): every second
+    node of each axis's odd-count head, and on an even axis a trapezoid
+    closing its last interval.  An odd axis needs 31 nodes for that.
     """
     nx, ny = spec_x.n_points, spec_y.n_points
     for axis, n in (("x", nx), ("y", ny)):
         if refine and n % 2 == 1 and n < 31:
             raise ArgumentError(f"{axis} axis has {n} nodes; the halved Richardson grid needs 31")
     wy = simpson_weights(ny, spec_y.step)
-    # halved resolution: every second row and column of an odd-sized axis
-    half_x, half_y = nx % 2 == 1, ny % 2 == 1
-    halved = refine and (half_x or half_y)
-    if halved:
-        cx = GridSpec(spec_x.x_lo, spec_x.x_hi, (nx + 1) // 2) if half_x else spec_x
-        cy = GridSpec(spec_y.x_lo, spec_y.x_hi, (ny + 1) // 2) if half_y else spec_y
-        wy_coarse = simpson_weights(cy.n_points, cy.step)
+    _, wx_half, trap_x = _halved(nx, spec_x.step)
+    half_y, wy_half, trap_y = _halved(ny, spec_y.step)
     rows: list[np.ndarray] = []  # per integrand, its row sums over y
     coarse_rows: list[list[np.ndarray]] = []
     for i0, i1 in row_blocks(nx):
@@ -468,10 +471,19 @@ def integrate_rows_2d(
                         f"x={float(spec_x.nodes()[i])}, y={float(spec_y.nodes()[j])}"
                     )
             rows[k][i0:i1] = row
-            if halved:
-                sub = values[::2] if half_x else values
-                with np.errstate(invalid="ignore"):
-                    coarse_rows[k].append((sub[:, ::2] if half_y else sub) @ wy_coarse)
+            if refine:
+                # the half-resolution rule along y of the x head: blocks
+                # start on even rows, so every second row of a block is
+                # every second row of the grid (ending at nx - 2 when nx is
+                # even).  The last row, which a trapezoid closing the x axis
+                # reads too, joins the last block's head, so that no product
+                # has a lone row (see ``row_blocks``)
+                sub = values[np.r_[0 : i1 - i0 : 2, -1]] if trap_x and i1 == nx else values[::2]
+                with np.errstate(invalid="ignore", over="ignore"):
+                    coarse = sub[:, half_y] @ wy_half
+                    if trap_y:
+                        coarse += trap_y * (sub[:, -2] + sub[:, -1])
+                coarse_rows[k].append(coarse)
         if k + 1 != len(rows):
             raise ArgumentError(
                 f"rows {i0}:{i1} do not give the {len(rows)} integrands of the first block"
@@ -481,8 +493,13 @@ def integrate_rows_2d(
     for row_sums, coarse_sums in zip(rows, coarse_rows):
         row_total, mass = _exact_sums(row_sums * wx)
         est = _ROUNDOFF * (mass + abs(row_total))
-        if halved:
-            coarse = _exact_sum(np.concatenate(coarse_sums) * simpson_weights(cx.n_points, cx.step))
+        if refine:
+            coarse_sums = np.concatenate(coarse_sums)
+            head = coarse_sums[: wx_half.size]
+            coarse = _exact_sum(head * wx_half)
+            if trap_x:
+                # Python floats: a sum past the float range reads inf or nan
+                coarse += trap_x * (float(head[-1]) + float(coarse_sums[-1]))
             est += _RICHARDSON * abs(row_total - coarse)
         results.append(_result(row_total, est, nx * ny))
     return tuple(results)

@@ -214,13 +214,6 @@ def w1_distance(target: Density1D, source: Density1D | None = None) -> float:
     return transport_cost(target, source, COST_ABS).value
 
 
-def delta_transport_cost(
-    target: Density1D, source: Density1D | None = None, scale: float | None = None
-) -> FunctionalValue:
-    cost = COST_DELTA if scale is None else cost_delta_scaled(scale)
-    return transport_cost(target, source, cost)
-
-
 # ---------------------------------------------------------------------------
 # Vectorised row fast path (used by the per-coordinate 2D quantities)
 # ---------------------------------------------------------------------------

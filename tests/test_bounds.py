@@ -802,11 +802,6 @@ class TestTransportMemo:
         assert costs == Counter()
 
 
-_FUNCTIONAL_NAMES = (
-    "relative_entropy", "relative_fisher", "fisher_information", "shannon_entropy", "total_variation"
-)
-
-
 class TestFunctionalMemo:
     """One Workspace computes each functional of a density once."""
 
@@ -820,25 +815,27 @@ class TestFunctionalMemo:
         ids=["gaussian", "mixture", "product"],
     )
     def test_full_registry_computes_each_functional_once(self, monkeypatch, mu):
-        # counted under every name a call can go through: the bounds read
-        # them from their module, entropy_power reads shannon_entropy from its
+        # counted per integral name at the one entry, under every name a
+        # call goes through: the bounds read it from their module, the
+        # public functionals (entropy_power's shannon_entropy among them)
+        # from theirs
         calls = Counter()
-        for name in _FUNCTIONAL_NAMES:
-            for module in (bounds, functionals):
+        for module in (bounds, functionals):
 
-                def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
-                    if args[0] is mu:
-                        calls[(_name, repr(args[1:]))] += 1
-                    return _real(*args, **kwargs)
+            def counted(density, names, nu=None, _real=module.integrals):
+                if density is mu:
+                    for name in names:
+                        calls[(name, repr(nu))] += 1
+                return _real(density, names, nu)
 
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, "integrals", counted)
         ws = Workspace()
         for bid in BOUND_IDS:
             try:
                 evaluate_bound(bid, mu, workspace=ws)
             except HypothesisError:
                 pass
-        assert {name for name, _ in calls} == set(_FUNCTIONAL_NAMES)
+        assert {name for name, _ in calls} == set(functionals._GRID2D_NAMES)
         assert {k: n for k, n in calls.items() if n > 1} == {}
 
 

@@ -13,7 +13,6 @@ import pytest
 from lsdeficit.deltafn import (
     LINEAR_BAND_CONSTANT,
     delta,
-    delta_lower_min,
     delta_quadratic_floor,
     delta_scale,
 )
@@ -77,7 +76,7 @@ def test_linear_band():
     """(1 - log 2) min(t, t^2) <= delta(t) <= t on [0, inf)."""
     t = np.linspace(0.0, 200.0, N_GRID)
     vals = delta(t)
-    low = delta_lower_min(t)
+    low = LINEAR_BAND_CONSTANT * np.minimum(t, t * t)
     assert np.all(vals - low >= -1e-12)
     assert np.all(t - vals >= 0.0)
     # sharp at t = 1 on the lower side
@@ -108,5 +107,3 @@ def test_scale_argument_validation():
         delta_scale(1.0, -0.5)
     with pytest.raises(ArgumentError):
         delta_quadratic_floor(0.0)
-    with pytest.raises(ArgumentError):
-        delta_lower_min(np.array([-1.0]))

@@ -683,3 +683,46 @@ class TestValidation:
         spec = GridSpec(-5.0, 5.0, 65)
         with pytest.raises(ArgumentError):
             Grid2DDensity(spec, spec, np.zeros((65, 64)))
+
+
+_RADIUS_BUILDERS = {
+    "gaussian": lambda r: GaussianDensity(0.5, 2.0, support_radius=r),
+    "mixture": lambda r: MixtureDensity([(0.4, -1.0, 0.5), (0.6, 1.0, 1.0)], support_radius=r),
+    "tilted": lambda r: TiltedDensity([0.0, 0.0, 0.25, 0.0, 0.05], support_radius=r),
+    "grid2d": lambda r: bivariate_gaussian_grid(0.3, n_points=65, support_radius=r),
+}
+
+
+def _x_range(mu):
+    spec = mu.spec_x if isinstance(mu, Grid2DDensity) else mu.eval_spec()
+    return spec.x_lo, spec.x_hi
+
+
+class TestSupportRadius:
+    """One rule for a constructor's support radius: None reads the scope's,
+    any other value is taken as given, and a value that is not positive and
+    finite is refused at construction, not at the first table build."""
+
+    @pytest.mark.parametrize("build", _RADIUS_BUILDERS.values(), ids=list(_RADIUS_BUILDERS))
+    @pytest.mark.parametrize("radius", [0.0, -3.0, math.nan, math.inf])
+    def test_refused_at_construction(self, build, radius):
+        with pytest.raises(ArgumentError, match="support radius must be positive and finite"):
+            build(radius)
+
+    @pytest.mark.parametrize("build", _RADIUS_BUILDERS.values(), ids=list(_RADIUS_BUILDERS))
+    def test_none_reads_the_scope(self, build):
+        assert _x_range(build(None)) == _x_range(build(config.DEFAULT_SUPPORT_RADIUS))
+        with config.scoped_policy(config.NumericPolicy(support_radius=6.0)):
+            scoped = _x_range(build(None))
+        assert scoped == _x_range(build(6.0))
+        assert scoped != _x_range(build(None))
+
+    def test_gaussian_spans_its_radius(self):
+        assert _x_range(GaussianDensity(0.0, 4.0, support_radius=3.0)) == (-6.0, 6.0)
+
+    def test_grid2d_node_count_zero_is_refused(self):
+        with pytest.raises(ArgumentError, match="need n_points >= 16, got 0"):
+            bivariate_gaussian_grid(0.0, n_points=0)
+        assert bivariate_gaussian_grid(0.0, n_points=None).log_values.shape == (
+            config.DEFAULT_GRID_POINTS_2D,
+        ) * 2

@@ -12,6 +12,7 @@ from scipy import special
 
 from lsdeficit.densities import (
     GaussianDensity,
+    Grid2DDensity,
     GridDensity,
     MixtureDensity,
     ProductDensity,
@@ -25,6 +26,7 @@ from lsdeficit.functionals import (
     de_bruijn_residual,
     entropy_power,
     fisher_information,
+    integrals,
     lsi_deficit,
     relative_entropy,
     relative_fisher,
@@ -305,6 +307,33 @@ class TestDeficit:
             assert lsi_deficit(MixtureDensity(comps)).value >= -1e-9
 
 
+class TestOneEntry:
+    """``integrals`` serves every shape: one call for several names gives,
+    name by name, what each public functional gives alone."""
+
+    @pytest.mark.parametrize(
+        "mu",
+        [MIX2, ProductDensity([GaussianDensity(0.0, 0.25), MIX2]), bivariate_gaussian_grid(0.3, n_points=65)],
+        ids=["1d", "product", "grid2d"],
+    )
+    def test_names_match_the_public_functionals(self, mu):
+        public = {
+            "D": relative_entropy,
+            "I_plain": fisher_information,
+            "I_rel": relative_fisher,
+            "h": shannon_entropy,
+            "TV": total_variation,
+        }
+        got = integrals(mu, tuple(public))
+        assert got == {name: fn(mu) for name, fn in public.items()}
+        deficit = lsi_deficit(mu)
+        assert deficit.value == 0.5 * got["I_rel"].value - got["D"].value
+
+    def test_refuses_an_unknown_shape(self):
+        with pytest.raises(ArgumentError, match="unsupported density type float"):
+            integrals(1.0, ("D",))
+
+
 class TestHeatFlowResidual:
     """Entropy derivative along the heat semigroup matches half the information."""
 
@@ -364,3 +393,55 @@ class TestSmallGrid2D:
         assert integrate_values_2d(values, spec_x, spec_y).value == pytest.approx(4.0)
         with pytest.raises(ArgumentError, match="y axis has 17 nodes; .* needs 31"):
             integrate_values_2d(values, spec_x, spec_y, refine=True)
+
+
+# N(0, Sigma) on a 2D grid against its closed forms: Sigma has variances
+# (0.8, 1.6) and correlation 0.5, P its inverse
+_VAR, _RHO = (0.8, 1.6), 0.5
+_COV = np.array([[_VAR[0], _RHO * math.sqrt(_VAR[0] * _VAR[1])], [_RHO * math.sqrt(_VAR[0] * _VAR[1]), _VAR[1]]])
+_PREC = np.linalg.inv(_COV)
+_LOG_DET = math.log(np.linalg.det(_COV))
+_CLOSED_2D = {
+    relative_entropy: 0.5 * (np.trace(_COV) - 2.0 - _LOG_DET),
+    shannon_entropy: math.log(TWO_PI_E) + 0.5 * _LOG_DET,
+    fisher_information: np.trace(_PREC),
+    relative_fisher: np.trace(_COV) - 4.0 + np.trace(_PREC),
+}
+
+
+def _gaussian_data_grid(nx: int, ny: int) -> Grid2DDensity:
+    """N(0, Sigma) given as data on nx x ny nodes spanning +-10 sd per axis."""
+    sx, sy = (GridSpec(-10.0 * math.sqrt(v), 10.0 * math.sqrt(v), n) for v, n in zip(_VAR, (nx, ny)))
+    x, y = sx.nodes()[:, None], sy.nodes()[None, :]
+    quad_form = _PREC[0, 0] * x * x + 2.0 * _PREC[0, 1] * x * y + _PREC[1, 1] * y * y
+    return Grid2DDensity(sx, sy, -0.5 * quad_form - math.log(2.0 * math.pi) - 0.5 * _LOG_DET)
+
+
+class TestGrid2DBars:
+    """A 2D bar holds whatever the parity of each axis: the Richardson rule
+    halves an even axis as the 1D rule does (every second node of the
+    odd-count head, a trapezoid on the last interval), so a grid with both
+    axes even gets a truncation bar, not one of roundoff only."""
+
+    @pytest.mark.parametrize(
+        "shape", [(20, 20), (32, 32), (40, 40), (33, 32), (32, 33), (31, 31), (33, 33), (41, 41)],
+        ids=lambda s: "x".join(map(str, s)),
+    )
+    @pytest.mark.parametrize("fn", list(_CLOSED_2D), ids=lambda f: f.__name__)
+    def test_data_grid_bar_holds(self, fn, shape):
+        r = fn(_gaussian_data_grid(*shape))
+        assert abs(r.value - _CLOSED_2D[fn]) <= r.error_estimate
+
+    @pytest.mark.parametrize("n", [20, 32, 40, 31, 33, 41])
+    @pytest.mark.parametrize("fn", list(_CLOSED_2D), ids=lambda f: f.__name__)
+    def test_law_grid_bar_holds(self, fn, n):
+        r = fn(bivariate_gaussian_grid(_RHO, var=_VAR, n_points=n))
+        assert abs(r.value - _CLOSED_2D[fn]) <= r.error_estimate
+
+    @pytest.mark.parametrize("n", [20, 32, 40])
+    def test_even_grid_bar_is_not_roundoff(self, n):
+        # the error itself is 1e-8 at n = 40: a bar of roundoff (1e-14)
+        # would not cover it
+        law = bivariate_gaussian_grid(_RHO, var=_VAR, n_points=n)
+        for mu in (law, _gaussian_data_grid(n, n)):
+            assert relative_entropy(mu).error_estimate > 1e-6

@@ -20,7 +20,11 @@ A fifth scan keeps one loop over a 2D grid's conditional rows, the row
 kernel: ``recentering`` calls no ``row_blocks``, and ``densities`` defines
 no module-level ``_row_stats``.  A sixth keeps one rule for a weighted 2D
 row sum, a BLAS row dot: neither ``Grid2DDensity.row_stats`` nor the row
-kernel sums along an axis.
+kernel sums along an axis.  A seventh keeps one entry for the five
+integrals D, I_plain, I_rel, h and TV: in ``functionals`` only
+``integrals`` tests the measured density's shape (``Density1D``,
+``ProductDensity``, ``Grid2DDensity``), and ``bounds`` keeps no table of
+its own (``_FUNCTIONALS``) and imports no private 2D pass.
 
 A fresh interpreter also imports the package and its CLI without loading
 ``scipy.interpolate``, ``scipy.special`` or ``importlib.metadata``, which
@@ -232,6 +236,41 @@ def test_weighted_row_sums_are_row_dots():
         ("transport.py", "costs_to_standard_gaussian_rows"),
     ):
         assert _axis_sums(_definition(trees[module], dotted)) == [], f"{module}:{dotted}"
+
+
+_SHAPES = {"Density1D", "ProductDensity", "Grid2DDensity"}
+
+
+def _shape_tests(tree: ast.AST, owner: str = "") -> set[tuple[str, str]]:
+    """(innermost def, tested name) of every ``isinstance`` call against one
+    of the density shapes in ``_SHAPES``."""
+    found = set()
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= _shape_tests(child, f"{owner}.{child.name}".lstrip("."))
+            continue
+        if (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Name)
+            and child.func.id == "isinstance"
+            and _SHAPES & {n.id for n in ast.walk(child.args[1]) if isinstance(n, ast.Name)}
+        ):
+            found.add((owner, ast.unparse(child.args[0])))
+        found |= _shape_tests(child, owner)
+    return found
+
+
+def test_one_entry_for_the_integrals():
+    """Only ``functionals.integrals`` decides how a density's shape reaches
+    the five integrals; every other shape test in ``functionals`` reads the
+    reference ``nu``.  ``bounds`` reads the integrals from that entry alone."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
+    tests = _shape_tests(trees["functionals.py"])
+    assert {owner for owner, tested in tests if tested != "nu"} == {"integrals"}, sorted(tests)
+    bounds = trees["bounds.py"]
+    assert "_FUNCTIONALS" not in {name for stmt in bounds.body for name in _assigned(stmt)}
+    imported = {a.name for n in ast.walk(bounds) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "_grid2d_integrals" not in imported
 
 
 def _fresh_stdout(code: str) -> str:

@@ -34,7 +34,6 @@ from lsdeficit.transport import (
     TransportPlan1D,
     cost_delta_scaled,
     costs_to_standard_gaussian_rows,
-    delta_transport_cost,
     monotone_plan,
     transport_cost,
     w1_distance,
@@ -387,7 +386,7 @@ class TestGapCostOrdering:
     def test_chain_on_battery(self):
         for mu in self.one_d_members():
             w1 = w1_distance(mu)
-            t_gap = delta_transport_cost(mu).value
+            t_gap = transport_cost(mu, None, COST_DELTA).value
             lower = LINEAR_BAND_CONSTANT * min(w1, w1 * w1)
             assert lower - 1e-9 <= t_gap <= w1 + 1e-9
 
@@ -395,7 +394,12 @@ class TestGapCostOrdering:
         mu = GaussianDensity(0.0, 4.0)
         s = math.sqrt(2.0 * math.pi)
         direct = transport_cost(mu, None, cost_delta_scaled(s)).value
-        np.testing.assert_allclose(delta_transport_cost(mu, scale=s).value, direct, rtol=1e-12)
+        plain = transport_cost(mu, None, COST_DELTA).value
+        # the default source is gamma, a unit scale is the plain gap cost,
+        # and delta is increasing on [0, inf), so a scale above 1 costs less
+        np.testing.assert_allclose(transport_cost(mu, cost=cost_delta_scaled(s)).value, direct, rtol=1e-12)
+        np.testing.assert_allclose(transport_cost(mu, None, cost_delta_scaled(1.0)).value, plain, rtol=1e-12)
+        assert 0.0 < direct < plain
 
 
 class TestProductBound:
