@@ -492,10 +492,6 @@ def _eval_lem32(s, opts):
     if not t > 0:
         raise ArgumentError(f"lem3.2 needs t > 0, got {t}")
     other = opts.get("other")
-    if other is not None and (isinstance(other, Grid2DDensity) or dim_of(other) != s.n):
-        raise HypothesisError(
-            "exact quadratic transport distance unavailable for this pair of shapes"
-        )
     lhs = s.cost(COST_SQ, other) / (2.0 * t)
     if other is None:
         ref = s._get(("gamma_evolved", t), lambda: s.gamma.heat_flow(t))
@@ -705,10 +701,7 @@ def _eval_cheeger(s, opts):
         f_nodes, f_quantiles, f_prime = t_nodes - nodes, t_quantiles - quantiles, slope - 1.0
     else:
         if f_prime is None:
-            h = 1e-6
-            f_prime = lambda x, _f=f: (
-                np.asarray(_f(np.asarray(x) + h)) - np.asarray(_f(np.asarray(x) - h))
-            ) / (2.0 * h)
+            raise ArgumentError("cheeger: option 'f' needs 'f_prime', its derivative")
         f_nodes, f_quantiles = (np.asarray(f(x), dtype=float) for x in (nodes, quantiles))
         f_prime = np.asarray(f_prime(nodes), dtype=float)
     med = _gamma_median(f_quantiles)
@@ -774,6 +767,13 @@ _REGISTRY: dict[str, tuple[Callable, frozenset[str]]] = {
 BOUND_IDS: tuple[str, ...] = tuple(_REGISTRY)
 
 
+def check_tol(tol) -> float:
+    """The tolerance of every certificate (and ``lsd --tol``) as a float."""
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol >= 0):
+        raise ArgumentError(f"tol must be a nonnegative number, got {tol!r}")
+    return float(tol)
+
+
 def evaluate_bound(
     bound_id: str,
     mu: Density,
@@ -788,8 +788,7 @@ def evaluate_bound(
     """
     if bound_id not in _REGISTRY:
         raise ArgumentError(f"unknown bound id {bound_id!r}")
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol >= 0):
-        raise ArgumentError(f"tol must be a nonnegative number, got {tol!r}")
+    tol = check_tol(tol)
     evaluator, allowed = _REGISTRY[bound_id]
     opts = dict(opts or {})
     if not opts.keys() <= allowed:
@@ -797,7 +796,7 @@ def evaluate_bound(
         raise ArgumentError(f"bound {bound_id!r} does not accept options {extra}")
     ws = workspace or Workspace()
     lhs, rhs, constants, *notes = evaluator(ws.stats(mu), opts)
-    return BoundCertificate(bound_id, float(lhs), float(rhs), constants, float(tol), *notes)
+    return BoundCertificate(bound_id, float(lhs), float(rhs), constants, tol, *notes)
 
 
 @dataclass(frozen=True)

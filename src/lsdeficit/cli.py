@@ -8,7 +8,9 @@ one-parameter family, and ``report`` summarises a battery run.
 Output is JSON (CSV available for sweeps) with sorted keys, so repeated
 runs over the same inputs are byte-identical.  Exit codes: 0 success,
 1 certificate failure, 2 parse or argument error, 3 hypothesis
-violation, 4 numerical failure.
+violation, 4 numerical failure.  ``lsd`` keeps no input rule of its own:
+``transport_cost`` decides which pairs of shapes have an exact cost, and
+``config.NumericPolicy`` and ``check_tol`` check the numeric flags.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ import sys
 
 from . import config
 from .battery import standard_battery
-from .bounds import BOUND_IDS, DEFAULT_TOL, Workspace, _ratio_or_zero, certify_suite, evaluate_bound
-from .densities import Density, Density1D, ProductDensity
+from .bounds import (BOUND_IDS, DEFAULT_TOL, Workspace, _ratio_or_zero, certify_suite, check_tol,
+                     evaluate_bound)
+from .densities import Density
 from .errors import (
     ArgumentError,
     HypothesisError,
@@ -34,7 +37,6 @@ from .errors import (
 from .functionals import entropy_power, integrals, lsi_deficit
 from .specio import load as load_density_file
 from .transport import COST_ABS, COST_DELTA, COST_SQ, transport_cost
-from .values import FunctionalValue
 
 
 @functools.lru_cache(maxsize=1)
@@ -86,16 +88,6 @@ def _write(text: str, out_path: str | None) -> None:
 # distance
 # ---------------------------------------------------------------------------
 
-def _exact_cost(mu: Density, ref: Density | None, cost) -> FunctionalValue:
-    product_ref = ref is None or isinstance(ref, ProductDensity) and ref.dim == mu.dim
-    if isinstance(mu, Density1D) or (isinstance(mu, ProductDensity) and product_ref):
-        return transport_cost(mu, ref, cost)
-    raise HypothesisError(
-        "exact transport distances need one dimensional input, or product input "
-        "with a standard Gaussian or equal-dimension product reference"
-    )
-
-
 def _sqrt_error(a: float, e: float) -> float:
     """A bar for sqrt(a) when a >= 0 is known to within e: the root is
     concave, so its larger change is the downside sqrt(a) - sqrt(a - e),
@@ -104,8 +96,9 @@ def _sqrt_error(a: float, e: float) -> float:
     return min(e / root, math.sqrt(e)) if root > 0.0 else math.sqrt(e)
 
 
-# The metrics that are one integral of ``functionals.integrals``, by name.
+# The metrics that are one integral of ``functionals.integrals`` or one ``transport_cost``.
 _INTEGRALS = {"kl": "D", "fisher": "I_rel", "tv": "TV", "entropy": "h"}
+_COSTS = {"w2sq": COST_SQ, "w2": COST_SQ, "w1": COST_ABS, "tdelta": COST_DELTA}
 
 
 def _metric_value(metric: str, mu: Density, ref: Density | None) -> tuple[float, float]:
@@ -119,18 +112,11 @@ def _metric_value(metric: str, mu: Density, ref: Density | None) -> tuple[float,
         v = lsi_deficit(mu)
     elif metric == "entropy-power":
         v = entropy_power(mu)
-    elif metric == "w2sq":
-        v = _exact_cost(mu, ref, COST_SQ)
-    elif metric == "w1":
-        v = _exact_cost(mu, ref, COST_ABS)
-    elif metric == "tdelta":
-        v = _exact_cost(mu, ref, COST_DELTA)
-    elif metric == "w2":
-        sq = _exact_cost(mu, ref, COST_SQ)
-        a = max(sq.value, 0.0)
-        return math.sqrt(a), _sqrt_error(a, sq.error_estimate)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ArgumentError(f"unknown metric {metric!r}")
+    elif metric in _COSTS:  # argparse admits no other metric
+        v = transport_cost(mu, ref, _COSTS[metric])
+        if metric == "w2":
+            a = max(v.value, 0.0)
+            return math.sqrt(a), _sqrt_error(a, v.error_estimate)
     return v.value, v.error_estimate
 
 
@@ -152,9 +138,6 @@ def _parse_bounds(raw: str) -> list[str]:
     ids = [s.strip() for s in raw.split(",") if s.strip()]
     if not ids:
         raise ArgumentError("empty bounds list")
-    for bid in ids:
-        if bid not in BOUND_IDS:
-            raise ArgumentError(f"unknown bound id {bid!r}")
     return ids
 
 
@@ -331,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="certificate tolerance (default %(default)s)")
     common.add_argument("--grid-points", type=int, default=None,
                         help="override the 1D evaluation grid size")
-    common.add_argument("--support-radius", type=float, default=None,
+    common.add_argument("--support-radius", type=float, default=config.DEFAULT_SUPPORT_RADIUS,
                         help="override the support truncation radius")
     common.add_argument("--out", default=None, help="write output here instead of stdout")
 
@@ -367,20 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _numeric_policy(args) -> config.NumericPolicy:
-    """The policy of one invocation; the flags never outlive it."""
-    if args.grid_points is not None and args.grid_points < 16:
-        raise ArgumentError(f"--grid-points must be >= 16, got {args.grid_points}")
-    if args.support_radius is not None and not args.support_radius > 0:
-        raise ArgumentError(f"--support-radius must be positive, got {args.support_radius}")
-    if not (args.tol >= 0 and math.isfinite(args.tol)):
-        raise ArgumentError(f"--tol must be a nonnegative number, got {args.tol}")
-    return config.NumericPolicy(
-        grid_points=args.grid_points,
-        support_radius=args.support_radius or config.DEFAULT_SUPPORT_RADIUS,
-    )
-
-
 def _fuse_range_flag(argv: list[str]) -> list[str]:
     """Let '--range -2:2:0.5' through argparse by fusing flag and value."""
     out = []
@@ -401,7 +370,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(_fuse_range_flag(argv))
     try:
-        with config.scoped_policy(_numeric_policy(args)):
+        # the policy checks its two flags, and they never outlive the call
+        with config.scoped_policy(config.NumericPolicy(args.grid_points, args.support_radius)):
+            check_tol(args.tol)
             return args.fn(args)
     except (SpecParseError, ArgumentError, SupportError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,14 +3,16 @@
 The module-level values are read-only constants; every closed-form check in
 the test suite runs against them.  Two settings may differ from them, and
 only inside a ``scoped_policy`` block: the 1D grid size and the support
-radius.  The CLI opens one such block per invocation for its
-``--grid-points`` and ``--support-radius`` flags, so no call changes the
-numbers of the next.  ``LSD_GRID_POINTS`` overrides the default 1D grid
-size; it is read at call time and never written.
+radius, which a ``NumericPolicy`` checks when it is built.  The CLI opens
+one such block per invocation for its ``--grid-points`` and
+``--support-radius`` flags, so no call changes the numbers of the next.
+``LSD_GRID_POINTS`` overrides the default 1D grid size (at least 16 nodes,
+as a policy's); it is read at call time and never written.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -35,9 +37,22 @@ NEG_INF = float("-inf")
 ENV_GRID_POINTS = "LSD_GRID_POINTS"
 
 
+def _check_grid_points(n: int, name: str) -> int:
+    if not n >= 16:
+        raise ArgumentError(f"{name} must be >= 16, got {n}")
+    return n
+
+
+def check_support_radius(r: float) -> float:
+    """The rule of every support radius, a scope's or a constructor's."""
+    if not (r > 0 and math.isfinite(r)):
+        raise ArgumentError(f"support radius must be positive and finite, got {r}")
+    return r
+
+
 @dataclass(frozen=True)
 class NumericPolicy:
-    """The settings one scope may override.
+    """The settings one scope may override, checked when the policy is built.
 
     ``grid_points`` None defers to ``LSD_GRID_POINTS``, then to
     ``DEFAULT_GRID_POINTS``.
@@ -45,6 +60,11 @@ class NumericPolicy:
 
     grid_points: int | None = None
     support_radius: float = DEFAULT_SUPPORT_RADIUS
+
+    def __post_init__(self) -> None:
+        if self.grid_points is not None:
+            _check_grid_points(self.grid_points, "grid points")
+        check_support_radius(self.support_radius)
 
 
 _POLICY: ContextVar[NumericPolicy] = ContextVar("numeric_policy", default=NumericPolicy())
@@ -77,6 +97,4 @@ def default_grid_points() -> int:
         n = int(raw)
     except ValueError as exc:
         raise ArgumentError(f"{ENV_GRID_POINTS} must be an integer, got {raw!r}") from exc
-    if n < 16:
-        raise ArgumentError(f"{ENV_GRID_POINTS} must be >= 16, got {n}")
-    return n
+    return _check_grid_points(n, ENV_GRID_POINTS)

@@ -81,12 +81,9 @@ _PROBE_LEVELS.flags.writeable = False
 
 
 def _support_radius(radius: float | None) -> float:
-    """A constructor's support radius: the scope's (``config.support_radius``)
-    for None, else the value given, refused unless positive and finite."""
-    r = config.support_radius() if radius is None else float(radius)
-    if not (r > 0 and math.isfinite(r)):
-        raise ArgumentError(f"support radius must be positive and finite, got {r}")
-    return r
+    """A constructor's support radius: the scope's (``config.support_radius``,
+    checked by its policy) for None, else the value given, by the same rule."""
+    return config.support_radius() if radius is None else config.check_support_radius(float(radius))
 
 
 def _table_tails(p: np.ndarray, score: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -617,7 +614,6 @@ class TiltedDensity(Density1D):
         self._dpoly = self._poly.deriv()
         self._radius = _support_radius(support_radius)
         self._lo, self._hi = self._fit_support()
-        self._log_z = self._normalise()
         self._eps = None
         if convexity_lower_bound is not None:
             self._eps = self._verify_eps(float(convexity_lower_bound))
@@ -649,23 +645,26 @@ class TiltedDensity(Density1D):
         nodes = spec.nodes()
         shifted = self._poly(nodes) - v0
         weights = np.exp(-np.minimum(shifted, 700.0))
-        total = integrate_values(weights, spec).value
-        mean = integrate_values(nodes * weights, spec).value / total
-        second = integrate_values(nodes * nodes * weights, spec).value / total
+        terms = np.array([weights, nodes * weights, nodes * nodes * weights])
+        terms *= simpson_weights(spec.n_points, spec.step)
+        total, first, second = (_exact_sum(row) for row in terms)
+        mean, second = first / total, second / total
         sigma = math.sqrt(max(second - mean * mean, 1e-12))
         r = self._radius * sigma
         return mean - r, mean + r
 
-    def _normalise(self) -> float:
-        spec = GridSpec(self._lo, self._hi, config.default_grid_points())
-        nodes = spec.nodes()
+    def _log_pdf_and_score(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The potential v once on the table nodes: log Z is the log of its
+        Simpson sum of exp(-v) there, and log p = -v - log Z."""
         v = self._poly(nodes)
         shift = v.min()
-        total = integrate_values(np.exp(-(v - shift)), spec).value
-        return math.log(total) - shift
+        total = integrate_values(np.exp(-(v - shift)), self.eval_spec()).value
+        self._log_z = math.log(total) - shift
+        return -v - self._log_z, -self._dpoly(nodes)
 
     def log_pdf(self, x):
         pts, scalar = _as_points(x)
+        _ = self.table  # its build sums log Z
         return _maybe_scalar(-self._poly(pts) - self._log_z, scalar)
 
     def score(self, x):

@@ -338,8 +338,11 @@ def integrals(mu, names, nu=None) -> dict[str, FunctionalValue]:
     runs one row pass for every name (``_grid2d_integrals``, whose I_rel is
     against gamma_2 only), a 1D density each name's table body, and a
     product the sum of that body over its coordinates (``_per_factor``),
-    except TV, which stays one joint 2D integral.
+    except TV, which stays one joint 2D integral.  A name outside the five
+    is refused, for every shape.
     """
+    if unknown := [name for name in names if name not in _BODIES_1D]:
+        raise ArgumentError(f"unknown integral {unknown[0]!r}; known: {', '.join(_BODIES_1D)}")
     if isinstance(mu, Grid2DDensity):
         if nu is not None and "I_rel" in names:
             raise ArgumentError(

@@ -31,6 +31,10 @@ for a Gaussian, x itself for gamma), for ``cheeger`` and ``talagrand-map``;
 its derivative T' = x_target'(z) / x_source'(z) reads the two inverses'
 slopes, so it is the derivative of the map it evaluates.
 
+``transport_cost`` alone decides which pairs of shapes have an exact cost (1D
+with None or 1D, product with None or a product of equal dimension); every
+other pair, in either order, raises ``HypothesisError`` before any table.
+
 Every 1D cost and plan first checks the pushforward (``_check_pushforward``)
 from what each side's ``pushforward_probe`` holds: that density's own
 quantile/CDF round trip at 20 midpoint levels and its pdf there, cached on
@@ -55,7 +59,7 @@ from .densities import (
     ProductDensity,
     standard_gaussian,
 )
-from .errors import ArgumentError, DegeneratePlanError
+from .errors import ArgumentError, DegeneratePlanError, HypothesisError
 from .quadrature import (
     ROW_BLOCK,
     GridSpec,
@@ -65,8 +69,7 @@ from .quadrature import (
     row_blocks,
     simpson_weights,
 )
-from .functionals import _per_factor
-from .values import FunctionalValue
+from .values import FunctionalValue, additive
 
 # Each displacement m + s z - x is charged this many ulps of |x| + |T(x)|
 # for its roundoff.
@@ -149,12 +152,17 @@ def transport_cost(
     cost: CostFn = COST_SQ,
 ) -> FunctionalValue:
     """Optimal cost int c(T(x) - x) d source for the monotone map T; a
-    product sums its factor costs against a product source (default gamma_n)."""
-    if isinstance(target, ProductDensity):
-        return _per_factor(
-            lambda f, g: _transport_cost_1d(f, g, cost), target, source, "transport_cost"
-        )
-    return _transport_cost_1d(target, source, cost)
+    product sums its factor costs against a product source (default gamma_n).
+    Any other pair of shapes is refused (see the module docstring)."""
+    if isinstance(target, Density1D) and (source is None or isinstance(source, Density1D)):
+        return _transport_cost_1d(target, source, cost)
+    if isinstance(target, ProductDensity) and (
+        source is None or isinstance(source, ProductDensity) and source.dim == target.dim
+    ):
+        sources = [None] * target.dim if source is None else source.factors
+        return additive(_transport_cost_1d(f, g, cost) for f, g in zip(target.factors, sources))
+    raise HypothesisError("exact transport distances need one dimensional input, or product input "
+                          "with a standard Gaussian or equal-dimension product reference")
 
 
 def _check_pushforward(mu: Density1D, ref: Density1D) -> None:

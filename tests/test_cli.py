@@ -70,7 +70,7 @@ class TestDistance:
     def test_w2_bar_covers_both_sides_of_the_root(self, monkeypatch, a, e):
         # W2^2 = a +- e puts W2 anywhere in [sqrt(max(a - e, 0)), sqrt(a + e)];
         # both sides are taken in 40 digits, free of the float cancellation
-        monkeypatch.setattr(cli, "_exact_cost", lambda mu, ref, cost: FunctionalValue("T[sq]", a, e))
+        monkeypatch.setattr(cli, "transport_cost", lambda mu, ref, cost: FunctionalValue("T[sq]", a, e))
         value, error = cli._metric_value("w2", None, None)
         assert value == math.sqrt(a)
         with decimal.localcontext(decimal.Context(prec=40)):
@@ -421,6 +421,11 @@ class TestNumericFlags:
         path = spec_file("g.json", standard_gaussian())
         assert main(["distance", "--dist", path, "--metric", "kl",
                      "--support-radius", "-1"]) == 2
+
+    def test_infinite_support_radius_refused(self, spec_file, capsys):
+        path = spec_file("g.json", standard_gaussian())
+        assert main(["distance", "--dist", path, "--metric", "kl", "--support-radius", "inf"]) == 2
+        assert capsys.readouterr().err == "error: support radius must be positive and finite, got inf\n"
 
     def test_tol_validation(self, spec_file, capsys):
         path = spec_file("g.json", standard_gaussian())

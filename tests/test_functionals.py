@@ -307,15 +307,19 @@ class TestDeficit:
             assert lsi_deficit(MixtureDensity(comps)).value >= -1e-9
 
 
+_EACH_SHAPE = pytest.mark.parametrize(
+    "mu",
+    [MIX2, ProductDensity([GaussianDensity(0.0, 0.25), MIX2]), bivariate_gaussian_grid(0.3, n_points=65)],
+    ids=["1d", "product", "grid2d"],
+)
+
+
 class TestOneEntry:
     """``integrals`` serves every shape: one call for several names gives,
-    name by name, what each public functional gives alone."""
+    name by name, what each public functional gives alone, and a name
+    outside the five is refused the same way for each shape."""
 
-    @pytest.mark.parametrize(
-        "mu",
-        [MIX2, ProductDensity([GaussianDensity(0.0, 0.25), MIX2]), bivariate_gaussian_grid(0.3, n_points=65)],
-        ids=["1d", "product", "grid2d"],
-    )
+    @_EACH_SHAPE
     def test_names_match_the_public_functionals(self, mu):
         public = {
             "D": relative_entropy,
@@ -328,6 +332,11 @@ class TestOneEntry:
         assert got == {name: fn(mu) for name, fn in public.items()}
         deficit = lsi_deficit(mu)
         assert deficit.value == 0.5 * got["I_rel"].value - got["D"].value
+
+    @_EACH_SHAPE
+    def test_refuses_an_unknown_name(self, mu):
+        with pytest.raises(ArgumentError, match="unknown integral 'X'; known: D, I_plain, I_rel, h, TV"):
+            integrals(mu, ("D", "X"))
 
     def test_refuses_an_unknown_shape(self):
         with pytest.raises(ArgumentError, match="unsupported density type float"):

@@ -24,7 +24,9 @@ kernel sums along an axis.  A seventh keeps one entry for the five
 integrals D, I_plain, I_rel, h and TV: in ``functionals`` only
 ``integrals`` tests the measured density's shape (``Density1D``,
 ``ProductDensity``, ``Grid2DDensity``), and ``bounds`` keeps no table of
-its own (``_FUNCTIONALS``) and imports no private 2D pass.
+its own (``_FUNCTIONALS``) and imports no private 2D pass.  An eighth
+keeps the input rules in the library: ``cli`` tests no density's class and
+compares no field of ``NumericPolicy`` and no ``tol``.
 
 A fresh interpreter also imports the package and its CLI without loading
 ``scipy.interpolate``, ``scipy.special`` or ``importlib.metadata``, which
@@ -241,22 +243,22 @@ def test_weighted_row_sums_are_row_dots():
 _SHAPES = {"Density1D", "ProductDensity", "Grid2DDensity"}
 
 
-def _shape_tests(tree: ast.AST, owner: str = "") -> set[tuple[str, str]]:
+def _shape_tests(tree: ast.AST, shapes: set[str] = _SHAPES, owner: str = "") -> set[tuple[str, str]]:
     """(innermost def, tested name) of every ``isinstance`` call against one
-    of the density shapes in ``_SHAPES``."""
+    of the density classes in ``shapes``."""
     found = set()
     for child in ast.iter_child_nodes(tree):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            found |= _shape_tests(child, f"{owner}.{child.name}".lstrip("."))
+            found |= _shape_tests(child, shapes, f"{owner}.{child.name}".lstrip("."))
             continue
         if (
             isinstance(child, ast.Call)
             and isinstance(child.func, ast.Name)
             and child.func.id == "isinstance"
-            and _SHAPES & {n.id for n in ast.walk(child.args[1]) if isinstance(n, ast.Name)}
+            and shapes & {n.id for n in ast.walk(child.args[1]) if isinstance(n, ast.Name)}
         ):
             found.add((owner, ast.unparse(child.args[0])))
-        found |= _shape_tests(child, owner)
+        found |= _shape_tests(child, shapes, owner)
     return found
 
 
@@ -271,6 +273,25 @@ def test_one_entry_for_the_integrals():
     assert "_FUNCTIONALS" not in {name for stmt in bounds.body for name in _assigned(stmt)}
     imported = {a.name for n in ast.walk(bounds) if isinstance(n, ast.ImportFrom) for a in n.names}
     assert "_grid2d_integrals" not in imported
+
+
+def test_cli_leaves_input_rules_to_the_library():
+    """``cli`` tests no density's class and compares no policy field or
+    ``tol``: which pairs of shapes have an exact cost is decided by
+    ``transport_cost``, and the flags are checked by ``NumericPolicy`` and
+    ``check_tol``."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
+    classes = {node.name for node in trees["densities.py"].body if isinstance(node, ast.ClassDef)}
+    assert _shape_tests(trees["cli.py"], classes) == set()
+    policy = _definition(trees["config.py"], "NumericPolicy")
+    fields = {node.target.id for node in policy.body if isinstance(node, ast.AnnAssign)} | {"tol"}
+    compared = [
+        ast.unparse(node)
+        for node in ast.walk(trees["cli.py"])
+        if isinstance(node, ast.Compare)
+        and fields & {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    ]
+    assert compared == []
 
 
 def _fresh_stdout(code: str) -> str:

@@ -25,8 +25,9 @@ from lsdeficit.densities import (
     standard_gaussian,
 )
 from lsdeficit.deltafn import LINEAR_BAND_CONSTANT, delta
-from lsdeficit.errors import ArgumentError, DegeneratePlanError
+from lsdeficit.errors import ArgumentError, DegeneratePlanError, HypothesisError
 from lsdeficit.quadrature import GridSpec, simpson_weights
+from lsdeficit.specio import dumps
 from lsdeficit.transport import (
     COST_ABS,
     COST_DELTA,
@@ -211,7 +212,7 @@ class TestPushforwardCheck:
         assert repr(standard_gaussian()) in message
 
     def test_non_1d_density_refused(self):
-        with pytest.raises(ArgumentError, match="1D density"):
+        with pytest.raises(HypothesisError, match="exact transport distances need"):
             transport_cost(bivariate_gaussian_grid(0.0, n_points=33), None, COST_SQ)
 
 
@@ -423,10 +424,106 @@ class TestProductBound:
             standard_gaussian(),
             ProductDensity([standard_gaussian()] * 3),
         ):
-            with pytest.raises(ArgumentError, match="product reference"):
+            with pytest.raises(HypothesisError, match="equal-dimension product reference"):
                 transport_cost(p, source, COST_ABS)
-        with pytest.raises(ArgumentError):
+        with pytest.raises(HypothesisError):
             transport_cost(standard_gaussian(), p)
+
+
+_NO_EXACT_COST = (
+    "exact transport distances need one dimensional input, or product input "
+    "with a standard Gaussian or equal-dimension product reference"
+)
+_SHAPE_NAMES = ("1d", "product2", "product3", "grid2d")
+
+
+def _shapes(side: int) -> dict:
+    """One fresh density of each shape, a different one for each side."""
+    if side == 0:
+        return {
+            "1d": MixtureDensity([(0.4, -1.2, 0.6), (0.6, 0.9, 1.1)]),
+            "product2": ProductDensity(
+                [GaussianDensity(0.3, 0.8), MixtureDensity([(0.5, -1.0, 1.0), (0.5, 1.0, 1.0)])]
+            ),
+            "product3": ProductDensity(
+                [GaussianDensity(0.3, 0.8), GaussianDensity(-0.2, 1.4),
+                 TiltedDensity([0.0, 0.0, 0.25, 0.0, 0.05])]
+            ),
+            "grid2d": bivariate_gaussian_grid(0.4, n_points=33),
+        }
+    return {
+        "1d": TiltedDensity([0.0, 0.3, 0.5, 0.0, 0.02]),
+        "product2": ProductDensity(
+            [MixtureDensity([(0.3, -1.0, 0.5), (0.7, 1.0, 1.0)]), GaussianDensity(-0.4, 1.3)]
+        ),
+        "product3": ProductDensity(
+            [GaussianDensity(0.1, 1.2), TiltedDensity([0.0, 0.0, 0.5]), GaussianDensity(0.5, 0.6)]
+        ),
+        "grid2d": bivariate_gaussian_grid(-0.3, var=(0.9, 1.3), n_points=33),
+    }
+
+
+# W2^2 of every pair with an exact cost, (target side, shape, source side,
+# shape), as the pair rule's first home computed it
+_EXACT_W2SQ = {
+    (0, "1d", 1, None): 0.17671854994686803,
+    (0, "1d", 1, "1d"): 0.33970740211562306,
+    (1, "1d", 0, "1d"): 0.3397074021155114,
+    (0, "product2", 1, None): 0.278521238973644,
+    (0, "product2", 1, "product2"): 0.42461952110094725,
+    (1, "product2", 0, "product2"): 0.42461952110094725,
+    (0, "product3", 1, None): 0.17944664673804528,
+    (0, "product3", 1, "product3"): 0.45985343467382533,
+    (1, "product3", 0, "product3"): 0.45985343467382533,
+}
+
+
+def _orders(target: str, source: str | None) -> list[tuple]:
+    """(target side, shape, source side, shape) in both argument orders."""
+    return [(0, target, 1, source)] + ([(1, source, 0, target)] if source else [])
+
+
+def _tables_built(density) -> bool:
+    factors = getattr(density, "factors", (density,))
+    return any("table" in vars(f) for f in factors)
+
+
+class TestPairRule:
+    """``transport_cost`` alone decides which pairs of shapes have an exact
+    cost: 1D with None or 1D, a product with None or a product of equal
+    dimension.  Every other pair raises one ``HypothesisError`` in either
+    argument order, before any table is built, and ``lsd distance --ref``
+    exits 3 on it."""
+
+    @pytest.mark.parametrize("source", (None,) + _SHAPE_NAMES)
+    @pytest.mark.parametrize("target", _SHAPE_NAMES)
+    def test_library(self, target, source):
+        for key in _orders(target, source):
+            i, a, j, b = key
+            mu, ref = _shapes(i)[a], _shapes(j)[b] if b else None
+            if key in _EXACT_W2SQ:
+                assert transport_cost(mu, ref, COST_SQ).value == _EXACT_W2SQ[key]
+                continue
+            with pytest.raises(HypothesisError) as info:
+                transport_cost(mu, ref, COST_SQ)
+            assert str(info.value) == _NO_EXACT_COST
+            assert not _tables_built(mu) and not (ref is not None and _tables_built(ref))
+
+    @pytest.mark.parametrize("source", (None,) + _SHAPE_NAMES)
+    @pytest.mark.parametrize("target", _SHAPE_NAMES)
+    def test_cli_exits_3(self, target, source, tmp_path, capsys):
+        for key in _orders(target, source):
+            if key in _EXACT_W2SQ:
+                continue
+            i, a, j, b = key
+            argv = ["distance", "--dist", str(tmp_path / f"{a}.json")]
+            (tmp_path / f"{a}.json").write_text(dumps(_shapes(i)[a]))
+            if b:
+                (tmp_path / f"ref-{b}.json").write_text(dumps(_shapes(j)[b]))
+                argv += ["--ref", str(tmp_path / f"ref-{b}.json")]
+            for metric in ("w2sq", "w2", "w1", "tdelta"):
+                assert cli.main(argv + ["--metric", metric]) == 3, (key, metric)
+                assert capsys.readouterr().err == f"error: {_NO_EXACT_COST}\n"
 
 
 def _table_inputs(log_rows, spec):
