@@ -127,13 +127,14 @@ class _Stats:
     """Lazy, memoised functionals of one density against gamma_n.
 
     Evaluators read every functional, transport cost, map to gamma, heat
-    flow and centered quantity of their density through this memo, so one
-    Workspace computes each of them once.  Functionals and transport costs
+    flow, independent sum and centered quantity of their density through
+    this memo, whose one reader is ``_get``, so one Workspace computes each
+    of them once.  Functionals and transport costs
     are kept whole, as the ``FunctionalValue`` with its error estimate:
     D, I_plain, I_rel, h and TV under those names, each read from
     ``functionals.integrals``, and the entropy power, read off h, under N.
     On a 2D grid the first read of any of the five stores all five from one
-    row pass.  Mean-zero input reads its centered
+    row pass, under one key.  Mean-zero input reads its centered
     quantities from the as-is entries.  Entries are keyed by this density
     and the reference object; nothing is shared with another density by
     value.  Every cost, plan and default summand against gamma_n reads one
@@ -161,12 +162,11 @@ class _Stats:
 
     # -- functionals -------------------------------------------------------
     def functional(self, name: str) -> FunctionalValue:
-        """The integral ``name`` (of ``_GRID2D_NAMES``) against gamma_n."""
-        memo = self._memo
-        if name not in memo:
-            grid = isinstance(self.mu, Grid2DDensity)
-            memo.update(integrals(self.mu, _GRID2D_NAMES if grid else (name,)))
-        return memo[name]
+        """The integral ``name`` (of ``_GRID2D_NAMES``) against gamma_n: on a
+        2D grid, one row pass keeps all five under one key."""
+        if isinstance(self.mu, Grid2DDensity):
+            return self._get("integrals", lambda: integrals(self.mu, _GRID2D_NAMES))[name]
+        return self._get(name, lambda: integrals(self.mu, (name,))[name])
 
     @property
     def d(self) -> float:
@@ -452,13 +452,13 @@ def _sum_law(s: _Stats, other: Density | None) -> Density:
     """Law of X + Y for independent X ~ mu and Y ~ other (default: the
     standard Gaussian), up to a translation.  Entropy and Fisher information
     ignore translations, so a Gaussian Y reads the memoised heat flow at its
-    variance."""
+    variance; any other Y is convolved once per ``other`` object."""
     if other is None:
         return s.evolved(1.0)
     if isinstance(s.mu, Density1D) and isinstance(other, Density1D):
         if isinstance(other, GaussianDensity):
             return s.evolved(other.variance())
-        return convolve(s.mu, other)
+        return s._get(("sum", other), lambda: convolve(s.mu, other))
     raise HypothesisError(
         "independent-sum hypothesis unsupported: multi-coordinate input "
         "admits only the standard Gaussian as the second summand"

@@ -86,6 +86,18 @@ def _support_radius(radius: float | None) -> float:
     return config.support_radius() if radius is None else config.check_support_radius(float(radius))
 
 
+def _claimed_eps(density, claim: float | None) -> float | None:
+    """A constructor's convexity floor: None for no claim; a claim that is
+    not positive and finite is refused; any other is what the shape's own
+    ``_verify_eps`` proves of it (the claim, or None)."""
+    if claim is None:
+        return None
+    eps = float(claim)
+    if not (math.isfinite(eps) and eps > 0):
+        raise ArgumentError(f"convexity lower bound must be positive and finite, got {eps}")
+    return density._verify_eps(eps)
+
+
 def _table_tails(p: np.ndarray, score: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
     """(F, 1 - F) on table nodes along the last axis, each forced monotone
     and normalised, from density values ``p`` and the score (log p)' at the
@@ -489,9 +501,7 @@ class MixtureDensity(Density1D):
         self._v = np.array([c[2] for c in comps])
         self._s = np.sqrt(self._v)
         self._radius = _support_radius(support_radius)
-        self._eps = None
-        if convexity_lower_bound is not None:
-            self._eps = self._verify_eps(float(convexity_lower_bound))
+        self._eps = _claimed_eps(self, convexity_lower_bound)
 
     @property
     def components(self) -> tuple[tuple[float, float, float], ...]:
@@ -589,7 +599,7 @@ class TiltedDensity(Density1D):
     """exp(-v(x)) / Z for a polynomial potential v with even positive leading term.
 
     ``convexity_lower_bound`` is verified analytically: the exact minimum of
-    v'' over the support must reach the claimed bound or it is cleared.
+    v'' on the whole line must reach the claimed bound or it is cleared.
     """
 
     def __init__(
@@ -614,9 +624,7 @@ class TiltedDensity(Density1D):
         self._dpoly = self._poly.deriv()
         self._radius = _support_radius(support_radius)
         self._lo, self._hi = self._fit_support()
-        self._eps = None
-        if convexity_lower_bound is not None:
-            self._eps = self._verify_eps(float(convexity_lower_bound))
+        self._eps = _claimed_eps(self, convexity_lower_bound)
 
     @property
     def potential_coeffs(self) -> tuple[float, ...]:
@@ -676,11 +684,11 @@ class TiltedDensity(Density1D):
 
     def _verify_eps(self, eps: float) -> float | None:
         vpp = self._dpoly.deriv()
-        crit = vpp.deriv().roots()
-        candidates = [self._lo, self._hi] + [
-            float(r.real) for r in crit if abs(r.imag) < 1e-9 and self._lo <= r.real <= self._hi
-        ]
-        vmin = min(float(vpp(c)) for c in candidates)
+        # the minimum of v'' on the line sits at a real root of v''' (at any
+        # point when v'' is constant); the real part of a complex root only
+        # adds a point where v'' is no lower than that minimum
+        crit = vpp.deriv().roots().real
+        vmin = float(vpp(crit if crit.size else np.zeros(1)).min())
         return eps if vmin >= eps - 1e-12 else None
 
     def shifted(self, offset: float) -> "TiltedDensity":
@@ -722,9 +730,7 @@ class GridDensity(Density1D):
         self._spec = spec
         self._log_p = log_p - (math.log(total) + shift)
         self._log_p.flags.writeable = False
-        self._eps = None
-        if convexity_lower_bound is not None:
-            self._eps = self._verify_eps(float(convexity_lower_bound))
+        self._eps = _claimed_eps(self, convexity_lower_bound)
 
     @property
     def spec(self) -> GridSpec:
@@ -887,9 +893,7 @@ class Grid2DDensity:
         # constructor holds no more than its input and its output
         self._log_p = np.subtract(log_p, math.log(total.value) + shift, out=log_p if in_place else None)
         self._log_p.flags.writeable = False
-        self._eps = None
-        if convexity_lower_bound is not None:
-            self._eps = self._verify_eps(float(convexity_lower_bound))
+        self._eps = _claimed_eps(self, convexity_lower_bound)
 
     @property
     def spec_x(self) -> GridSpec:

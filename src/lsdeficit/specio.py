@@ -13,9 +13,11 @@ A density file is a single JSON object selected by its "type" key:
 All numbers are plain JSON decimals.  The 2D "log_p" is row-major (rows
 indexed by the first coordinate); a nested list of rows is accepted on
 input, the flat form with explicit "n_x"/"n_y" is canonical on output.
-"eps" is the optional convexity floor of the potential and is verified
-at construction.  Every malformed input raises SpecParseError with the
-offending key path in the message.
+"eps" is the optional convexity floor of the potential: the density's
+constructor refuses it unless it is positive and finite, and keeps it only
+where it proves it.  This module checks the JSON alone (types, keys,
+counts, the 2D reshape); every refusal, its own or a constructor's, raises
+SpecParseError with the offending key path in the message.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 
 from .densities import (
     Density,
-    Density1D,
     GaussianDensity,
     Grid2DDensity,
     GridDensity,
@@ -96,12 +97,7 @@ def _check_keys(obj: dict, allowed: set[str], ctx: str) -> None:
 
 
 def _optional_eps(obj: dict, ctx: str) -> float | None:
-    if "eps" not in obj:
-        return None
-    eps = _number(obj, "eps", ctx)
-    if eps <= 0:
-        raise SpecParseError(f"{ctx}: 'eps' must be positive, got {eps}")
-    return eps
+    return _number(obj, "eps", ctx) if "eps" in obj else None
 
 
 def parse_density(obj: Any, ctx: str = "density spec") -> Density:
@@ -114,10 +110,7 @@ def parse_density(obj: Any, ctx: str = "density spec") -> Density:
     try:
         if kind == "gaussian":
             _check_keys(obj, {"type", "mean", "var"}, ctx)
-            var = _number(obj, "var", ctx)
-            if var <= 0:
-                raise SpecParseError(f"{ctx}: 'var' must be positive, got {var}")
-            return GaussianDensity(_number(obj, "mean", ctx), var)
+            return GaussianDensity(_number(obj, "mean", ctx), _number(obj, "var", ctx))
         if kind == "mixture":
             _check_keys(obj, {"type", "components", "eps"}, ctx)
             comps = obj.get("components")
@@ -146,16 +139,11 @@ def parse_density(obj: Any, ctx: str = "density spec") -> Density:
         if kind == "product":
             _check_keys(obj, {"type", "factors"}, ctx)
             factors = obj.get("factors")
-            if not isinstance(factors, list) or len(factors) < 2:
-                raise SpecParseError(f"{ctx}: 'factors' needs at least two entries")
-            parsed = []
-            for i, f in enumerate(factors):
-                fctx = f"{ctx}: factors[{i}]"
-                sub = parse_density(f, fctx)
-                if not isinstance(sub, Density1D):
-                    raise SpecParseError(f"{fctx}: product factors must be 1D densities")
-                parsed.append(sub)
-            return ProductDensity(parsed)
+            if not isinstance(factors, list):
+                raise SpecParseError(f"{ctx}: 'factors' must be an array")
+            return ProductDensity(
+                [parse_density(f, f"{ctx}: factors[{i}]") for i, f in enumerate(factors)]
+            )
         if kind == "grid2d":
             _check_keys(
                 obj,
@@ -165,10 +153,10 @@ def parse_density(obj: Any, ctx: str = "density spec") -> Density:
             raw = obj.get("log_p")
             if isinstance(raw, list) and raw and isinstance(raw[0], list):
                 rows = [_number_array({"row": r}, "row", f"{ctx}: log_p[{i}]") for i, r in enumerate(raw)]
-                widths = {r.size for r in rows}
-                if len(widths) != 1:
-                    raise SpecParseError(f"{ctx}: log_p rows have unequal lengths")
-                log_p = np.stack(rows)
+                try:
+                    log_p = np.stack(rows)
+                except ValueError:
+                    raise SpecParseError(f"{ctx}: log_p rows have unequal lengths") from None
             else:
                 flat = _number_array(obj, "log_p", ctx)
                 n_x, n_y = _count(obj, "n_x", ctx), _count(obj, "n_y", ctx)

@@ -682,6 +682,20 @@ class TestGaussianSummand:
         for bid in ("epi", "lem3.3"):
             assert evaluate_bound(bid, GaussianDensity(0.2, 1.3), opts={"other": other}).passed
 
+    def test_non_gaussian_summand_is_convolved_once(self, monkeypatch):
+        calls = []
+
+        def counted(a, b, _real=bounds.convolve):
+            calls.append((a, b))
+            return _real(a, b)
+
+        monkeypatch.setattr(bounds, "convolve", counted)
+        mu, other = GaussianDensity(0.2, 1.3), MixtureDensity([(0.5, -0.5, 0.5), (0.5, 0.5, 0.5)])
+        ws = Workspace()
+        for bid in ("epi", "lem3.3"):
+            assert evaluate_bound(bid, mu, opts={"other": other}, workspace=ws).passed
+        assert calls == [(mu, other)]
+
 
 def test_gaussian_grid_certificates_ignore_blas_threads():
     """A Gaussian grid flows in closed form, with no BLAS product, so its
@@ -811,8 +825,9 @@ class TestFunctionalMemo:
             GaussianDensity(0.5, 2.0),
             MIX2,
             ProductDensity([GaussianDensity(0.0, 0.25), MIX2]),
+            bivariate_gaussian_grid(0.5, n_points=33),
         ],
-        ids=["gaussian", "mixture", "product"],
+        ids=["gaussian", "mixture", "product", "grid2d"],
     )
     def test_full_registry_computes_each_functional_once(self, monkeypatch, mu):
         # counted per integral name at the one entry, under every name a

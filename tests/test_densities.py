@@ -22,7 +22,8 @@ from lsdeficit.densities import (
     gaussian_convolve_2d,
     standard_gaussian,
 )
-from lsdeficit.errors import ArgumentError
+from lsdeficit.bounds import evaluate_bound
+from lsdeficit.errors import ArgumentError, HypothesisError
 from lsdeficit.functionals import fisher_information
 from lsdeficit.quadrature import GridSpec, integrate, integrate_values_2d, simpson_weights
 
@@ -297,6 +298,23 @@ class TestTiltedConvexityFloor:
         mu = TiltedDensity([0.0, 0.0, 0.25, 0.0, 0.05], convexity_lower_bound=0.9)
         assert mu.convexity_lower_bound is None
 
+    def test_floor_proved_on_the_whole_line(self):
+        # v'' = 0.2 + 1e-3 (x^2 - 64)^2 is least at x = +-8, past the fitted
+        # support (about +-4.84), where it is 4.29 or more
+        coeffs = [0.0, 0.0, 2.148, 0.0, -0.128 / 12, 0.0, 1e-3 / 30]
+        assert TiltedDensity(coeffs).table.nodes[-1] < 8.0
+        for claim, kept in ((1.8, False), (0.2, True), (0.2 + 1.2e-9, False)):
+            mu = TiltedDensity(coeffs, convexity_lower_bound=claim)
+            assert mu.convexity_lower_bound == (claim if kept else None), claim
+        assert TiltedDensity(coeffs, 0.2).shifted(3.0).convexity_lower_bound == 0.2
+        with pytest.raises(HypothesisError, match="convexity hypothesis"):
+            evaluate_bound("thm4.2", TiltedDensity(coeffs, convexity_lower_bound=1.8))
+
+    def test_constant_second_derivative(self):
+        # v = x^2 / 4 has v'' = 0.5 everywhere, and v''' has no root
+        assert TiltedDensity([0.0, 0.0, 0.25], 0.5).convexity_lower_bound == 0.5
+        assert TiltedDensity([0.0, 0.0, 0.25], 0.5 + 1e-9).convexity_lower_bound is None
+
     def test_odd_degree_rejected(self):
         with pytest.raises(ArgumentError):
             TiltedDensity([0.0, 0.0, 0.0, 1.0])
@@ -320,6 +338,61 @@ class TestTabulatedConvexityFloor:
         mix = MixtureDensity([(0.5, -0.5, 1.0), (0.5, 0.5, 1.0)], convexity_lower_bound=eps)
         grid = GridDensity(mix.table.spec, mix.table.log_p, convexity_lower_bound=eps)
         assert mix.convexity_lower_bound == grid.convexity_lower_bound == (eps if kept else None)
+
+
+_CLAIM_GRID = GridSpec(-8.0, 8.0, 257)
+_CLAIM_GRID_2D = bivariate_gaussian_grid(0.5, n_points=33)
+# one density per constructor that takes a claimed floor on (-log p)''
+_CLAIMANTS = {
+    "mixture": lambda eps: MixtureDensity(
+        [(0.5, -0.5, 1.0), (0.5, 0.5, 1.0)], convexity_lower_bound=eps
+    ),
+    "tilted": lambda eps: TiltedDensity([0.0, 0.0, 0.25, 0.0, 0.05], convexity_lower_bound=eps),
+    "grid": lambda eps: GridDensity(
+        _CLAIM_GRID, -0.5 * _CLAIM_GRID.nodes() ** 2, convexity_lower_bound=eps
+    ),
+    "grid2d": lambda eps: Grid2DDensity(
+        _CLAIM_GRID_2D.spec_x, _CLAIM_GRID_2D.spec_y, _CLAIM_GRID_2D.log_values, eps
+    ),
+}
+
+
+class TestConvexityClaimIntake:
+    """Every constructor reads a claimed convexity floor through one intake:
+    no claim keeps none, a claim that is not positive and finite is refused,
+    and any other claim is what the shape's own check proves."""
+
+    @pytest.mark.parametrize("claim", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("shape", sorted(_CLAIMANTS))
+    def test_claim_not_positive_and_finite_refused(self, shape, claim):
+        with pytest.raises(ArgumentError, match="convexity lower bound must be positive and finite"):
+            _CLAIMANTS[shape](claim)
+
+    # of the claims 0.5, 0.6, 0.7, 0.8, 1.0 and 1.1, the largest each shape
+    # kept before the one intake, and the next, which it cleared
+    @pytest.mark.parametrize(
+        "shape, kept, cleared",
+        [("mixture", 0.7, 0.8), ("tilted", 0.5, 0.6), ("grid", 1.0, 1.1), ("grid2d", 0.6, 0.7)],
+    )
+    def test_valid_claim_keeps_its_floor(self, shape, kept, cleared):
+        assert _CLAIMANTS[shape](None).convexity_lower_bound is None
+        assert _CLAIMANTS[shape](kept).convexity_lower_bound == kept
+        assert _CLAIMANTS[shape](cleared).convexity_lower_bound is None
+
+    @pytest.mark.parametrize("bound_id", ["thm4.2", "cor4.4", "thm1.4"])
+    @pytest.mark.parametrize("shape", sorted(_CLAIMANTS))
+    def test_convexity_bounds_raise_no_value_error(self, shape, bound_id):
+        # a certificate or a named hypothesis, never a math domain error
+        for claim in (-1.0, 0.0, math.nan, math.inf, 1e-3, 0.5, 0.7, 1.8):
+            try:
+                mu = _CLAIMANTS[shape](claim)
+            except ArgumentError:
+                assert not (math.isfinite(claim) and claim > 0), claim
+                continue
+            try:
+                evaluate_bound(bound_id, mu)
+            except HypothesisError:
+                pass
 
 
 class TestConvolution:

@@ -26,7 +26,12 @@ integrals D, I_plain, I_rel, h and TV: in ``functionals`` only
 ``ProductDensity``, ``Grid2DDensity``), and ``bounds`` keeps no table of
 its own (``_FUNCTIONALS``) and imports no private 2D pass.  An eighth
 keeps the input rules in the library: ``cli`` tests no density's class and
-compares no field of ``NumericPolicy`` and no ``tol``.
+compares no field of ``NumericPolicy`` and no ``tol``.  A ninth keeps the
+density rules in the constructors: ``specio`` compares no value against a
+number outside ``_count``.  A tenth keeps one intake for a claimed
+convexity floor: only ``densities._claimed_eps`` calls ``_verify_eps``.  An
+eleventh keeps one reader of the certificate memo: ``_Stats._memo`` is read
+only in ``_Stats._get``.
 
 A fresh interpreter also imports the package and its CLI without loading
 ``scipy.interpolate``, ``scipy.special`` or ``importlib.metadata``, which
@@ -292,6 +297,55 @@ def test_cli_leaves_input_rules_to_the_library():
         and fields & {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
     ]
     assert compared == []
+
+
+def _owned(tree: ast.AST, owner: str = ""):
+    """(innermost def, node) of every node under ``tree``, with ``""`` for
+    module level and ``Class.method`` for a method."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _owned(child, f"{owner}.{child.name}".lstrip("."))
+            continue
+        yield owner, child
+        yield from _owned(child, owner)
+
+
+def test_specio_leaves_density_rules_to_the_constructors():
+    """``specio`` checks JSON alone: outside ``_count`` it compares no value
+    against a number, so every density rule (a positive variance, a
+    positive floor, a product's factors) is its constructor's."""
+    tree = ast.parse((ROOT / "src" / "lsdeficit" / "specio.py").read_text(encoding="utf-8"))
+    compared = sorted(
+        f"{owner}: {ast.unparse(node)}"
+        for owner, node in _owned(tree)
+        if isinstance(node, ast.Compare) and owner != "_count"
+        and any(
+            isinstance(c, ast.Constant) and type(c.value) in (int, float)
+            for side in (node.left, *node.comparators) for c in ast.walk(side)
+        )
+    )
+    assert compared == []
+
+
+def test_one_intake_for_a_convexity_claim():
+    """Only ``densities._claimed_eps`` calls a shape's ``_verify_eps``, so
+    every constructor refuses and proves a claimed floor the same way."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
+    callers = sorted(f"{path}:{fn}" for path, tree in trees.items() for fn in _callers(tree, "_verify_eps"))
+    assert callers == ["densities.py:_claimed_eps"]
+
+
+def test_one_reader_of_the_certificate_memo():
+    """``_Stats`` reads its memo only in ``_get``: every functional, cost,
+    flow and sum a certificate reads goes through that one method."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
+    readers = sorted(
+        f"{path}:{owner}"
+        for path, tree in trees.items()
+        for owner, node in _owned(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_memo" and isinstance(node.ctx, ast.Load)
+    )
+    assert set(readers) == {"bounds.py:_Stats._get"}, readers
 
 
 def _fresh_stdout(code: str) -> str:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from lsdeficit.cli import main
 from lsdeficit.densities import (
     GaussianDensity,
     Grid2DDensity,
@@ -210,3 +211,62 @@ class TestParseErrors:
         assert parse_density({"type": "gaussian", "mean": 2**1024 - 2**970 - 1, "var": 1.0}).mean() == (
             1.7976931348623157e308
         )
+
+
+_SPEC_GRID = GridSpec(-8.0, 8.0, 65)
+_SQUARE = bivariate_gaussian_grid(0.5, n_points=17)
+# one spec per density type that takes an "eps" claim
+_CLAIM_SPECS = {
+    "mixture": {
+        "type": "mixture",
+        "components": [{"w": 0.5, "mean": -0.5, "var": 1.0}, {"w": 0.5, "mean": 0.5, "var": 1.0}],
+    },
+    "tilted": {"type": "tilted", "coeffs": [0.0, 0.0, 0.25, 0.0, 0.05]},
+    "grid": {
+        "type": "grid", "x_lo": -8.0, "x_hi": 8.0, "log_p": (-0.5 * _SPEC_GRID.nodes() ** 2).tolist()
+    },
+    "grid2d": density_to_spec(Grid2DDensity(_SQUARE.spec_x, _SQUARE.spec_y, _SQUARE.log_values)),
+}
+
+
+class TestConstructorRules:
+    """A spec's density rules are its constructor's: the refusal is the
+    constructor's message under the spec's key path."""
+
+    @pytest.mark.parametrize("claim", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("shape", sorted(_CLAIM_SPECS))
+    def test_claim_not_positive_and_finite_refused(self, shape, claim, tmp_path, capsys):
+        spec = {**_CLAIM_SPECS[shape], "eps": claim}
+        # a non-finite JSON number is refused as a number, before any density
+        if math.isfinite(claim):
+            message = "convexity lower bound must be positive and finite"
+        else:
+            message = "'eps' must be finite"
+        with pytest.raises(SpecParseError, match=f"^density spec: {message}"):
+            parse_density(spec)
+        path = tmp_path / "claim.json"
+        path.write_text(json.dumps(spec))
+        assert main(["distance", "--dist", str(path), "--metric", "kl"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", sorted(_CLAIM_SPECS))
+    def test_valid_claim_kept(self, shape):
+        assert parse_density(_CLAIM_SPECS[shape]).convexity_lower_bound is None
+        assert parse_density({**_CLAIM_SPECS[shape], "eps": 0.5}).convexity_lower_bound == 0.5
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"type": "gaussian", "mean": 0.0, "var": 0.0}, "variance must be positive, got 0.0"),
+            ({"type": "product", "factors": []}, "product needs at least two factors"),
+            ({"type": "product", "factors": [_CLAIM_SPECS["tilted"]]},
+             "product needs at least two factors"),
+            ({"type": "product", "factors": [_CLAIM_SPECS["grid2d"]] * 2},
+             "product factors must be 1D densities"),
+            ({"type": "product", "factors": 2}, "'factors' must be an array"),
+        ],
+    )
+    def test_refusal_names_the_spec(self, spec, message):
+        with pytest.raises(SpecParseError) as info:
+            parse_density(spec)
+        assert str(info.value) == f"density spec: {message}"
