@@ -102,8 +102,7 @@ _COSTS = {"w2sq": COST_SQ, "w2": COST_SQ, "w1": COST_ABS, "tdelta": COST_DELTA}
 
 
 def _metric_value(metric: str, mu: Density, ref: Density | None) -> tuple[float, float]:
-    no_ref = {"deficit", "entropy", "entropy-power"}
-    if metric in no_ref and ref is not None:
+    if metric in ("deficit", "entropy-power") and ref is not None:
         raise ArgumentError(f"metric {metric!r} is defined against the standard Gaussian only")
     if metric in _INTEGRALS:
         name = _INTEGRALS[metric]

@@ -13,13 +13,13 @@ canonical grid and carry a Richardson error estimate:
 
 The reference defaults to the standard Gaussian of matching dimension.
 One entry, ``integrals(mu, names, nu)``, alone decides how a density's
-shape reaches the five integrals D, I_plain, I_rel, h and TV; the
-functionals above are views of it.  A 1D density runs each name's table
-body, and a product sums it over its coordinates (``_per_factor``), except
-TV, a joint 2D integral.  A bivariate grid runs every requested integral in
-one row-block pass (``_grid2d_integrals``) that exponentiates each block of
-log values once and builds its score fields once, only for a Fisher
-integral.
+shape reaches the five integrals D, I_plain, I_rel, h and TV and which
+reference each takes, refusing before any table is built; the functionals
+above are views of it.  A 1D density runs each name's table body, and a
+product sums it over its coordinates, except TV, a joint 2D integral.  A
+bivariate grid runs every requested integral in one row-block pass
+(``_grid2d_integrals``) that exponentiates each block of log values once
+and builds its score fields once, only for a Fisher integral.
 
 Convention: contributions where p < 1e-300 are treated as exact zeros
 (the x log x limit); Fisher integrands additionally exclude nodes with
@@ -49,27 +49,6 @@ def dim_of(density) -> int:
     return getattr(density, "dim", 1)
 
 
-def _require_1d(nu, caller: str) -> Density1D:
-    if nu is None:
-        return standard_gaussian()
-    if not isinstance(nu, Density1D):
-        raise ArgumentError(f"{caller}: reference must be a 1D density here")
-    return nu
-
-
-def _per_factor(fn, mu: ProductDensity, nu, caller: str) -> FunctionalValue:
-    """fn(factor, reference factor) summed over the coordinates of a product."""
-    if nu is None:
-        refs = [standard_gaussian() for _ in mu.factors]
-    elif isinstance(nu, ProductDensity) and nu.dim == mu.dim:
-        refs = nu.factors
-    else:
-        raise ArgumentError(
-            f"{caller}: product density needs a product reference of equal dimension"
-        )
-    return additive(fn(f, g) for f, g in zip(mu.factors, refs))
-
-
 # ---------------------------------------------------------------------------
 # Relative entropy
 # ---------------------------------------------------------------------------
@@ -91,26 +70,24 @@ def _relative_entropy_1d(mu: Density1D, nu: Density1D) -> FunctionalValue:
 
 def _reference_log_pdf_2d(mu: Grid2DDensity, nu) -> Callable[[int, int], np.ndarray]:
     """Rows i0:i1 of the reference's log density on mu's nodes, as a function
-    of (i0, i1)."""
+    of (i0, i1); ``nu`` is None, a 2-factor product or a 2D grid."""
     xs = mu.spec_x.nodes()[:, None]
     ys = mu.spec_y.nodes()[None, :]
     if nu is None:
         log_phi = standard_gaussian().log_pdf
         qx, qy = log_phi(xs), log_phi(ys)
         return lambda i0, i1: qx[i0:i1] + qy
-    if isinstance(nu, ProductDensity) and nu.dim == 2:
+    if isinstance(nu, ProductDensity):
         fx, fy = nu.factors
         qx = np.asarray(fx.log_pdf(xs[:, 0]))[:, None]
         qy = np.asarray(fy.log_pdf(ys[0, :]))[None, :]
         return lambda i0, i1: qx[i0:i1] + qy
-    if isinstance(nu, Grid2DDensity):
 
-        def rows(i0: int, i1: int) -> np.ndarray:
-            pts = np.stack(np.broadcast_arrays(xs[i0:i1], ys), axis=-1).reshape(-1, 2)
-            return np.asarray(nu.log_pdf(pts)).reshape(i1 - i0, ys.shape[1])
+    def rows(i0: int, i1: int) -> np.ndarray:
+        pts = np.stack(np.broadcast_arrays(xs[i0:i1], ys), axis=-1).reshape(-1, 2)
+        return np.asarray(nu.log_pdf(pts)).reshape(i1 - i0, ys.shape[1])
 
-        return rows
-    raise ArgumentError("2D reference must be None, a 2-factor product, or a 2D grid")
+    return rows
 
 
 _GRID2D_NAMES = ("D", "I_plain", "I_rel", "h", "TV")
@@ -288,15 +265,9 @@ def _total_variation_1d(mu: Density1D, nu: Density1D) -> FunctionalValue:
     return FunctionalValue("TV", min(r.value, 2.0), r.abs_error_estimate)
 
 
-def _total_variation_product(mu: ProductDensity, nu) -> FunctionalValue:
+def _total_variation_product(mu: ProductDensity) -> FunctionalValue:
     """TV of a 2-factor product against gamma_2, a joint 2D integral: TV
     does not add over coordinates."""
-    if mu.dim != 2:
-        raise ArgumentError("total_variation joint integral is implemented for 2 coordinates")
-    if nu is not None:
-        raise ArgumentError(
-            "total_variation: product densities support only the standard Gaussian reference"
-        )
     fx, fy = mu.factors
     n = config.DEFAULT_GRID_POINTS_2D
     sx, sy = fx.eval_spec(), fy.eval_spec()
@@ -317,50 +288,76 @@ def _total_variation_product(mu: ProductDensity, nu) -> FunctionalValue:
 # The one entry: each integral of each shape
 # ---------------------------------------------------------------------------
 
-# Each integral's 1D body, and the public function that names it in a
-# refusal.
 _BODIES_1D = {
-    "D": (_relative_entropy_1d, "relative_entropy"),
-    "I_plain": (_fisher_information_1d, "fisher_information"),
-    "I_rel": (_relative_fisher_1d, "relative_fisher"),
-    "h": (_shannon_entropy_1d, "shannon_entropy"),
-    "TV": (_total_variation_1d, "total_variation"),
+    "D": _relative_entropy_1d,
+    "I_plain": _fisher_information_1d,
+    "I_rel": _relative_fisher_1d,
+    "h": _shannon_entropy_1d,
+    "TV": _total_variation_1d,
 }
+
+
+def _named(density) -> str:
+    """How the reference rule names a density's shape, and None."""
+    if density is None:
+        return "nu=None"
+    if isinstance(density, Density1D):
+        return "a 1D density"
+    if isinstance(density, ProductDensity):
+        return f"a {density.dim}-factor product"
+    if isinstance(density, Grid2DDensity):
+        return "a 2D grid"
+    return f"a {type(density).__name__}"
+
+
+def _references(shape: str, name: str) -> tuple[str, ...]:
+    """The one reference rule: the references (named by ``_named``; nu=None
+    is gamma of the density's dimension) that integral ``name`` of a density
+    named ``shape`` takes.  I_plain and h read none, and a product's TV is
+    one joint integral against gamma_2, implemented for 2 coordinates."""
+    if name in ("I_plain", "h") or (shape, name) == ("a 2D grid", "I_rel"):
+        return ("nu=None",)
+    if shape == "a 2D grid":
+        return ("nu=None", "a 2-factor product", "a 2D grid")
+    if name == "TV" and shape.endswith("product"):
+        return ("nu=None",) if shape == "a 2-factor product" else ()
+    return ("nu=None", shape)
 
 
 def integrals(mu, names, nu=None) -> dict[str, FunctionalValue]:
     """The integrals of ``mu`` named in ``names`` (of D, I_plain, I_rel, h
-    and TV), by name.
+    and TV), by name, against ``nu`` (default: the standard Gaussian of
+    mu's dimension) where the integral reads one.
 
-    D, I_rel and TV are against ``nu``, the standard Gaussian of mu's
-    dimension by default; I_plain and h read no reference.  This is the
-    only code that decides how a density's shape reaches them: a 2D grid
-    runs one row pass for every name (``_grid2d_integrals``, whose I_rel is
-    against gamma_2 only), a 1D density each name's table body, and a
-    product the sum of that body over its coordinates (``_per_factor``),
-    except TV, which stays one joint 2D integral.  A name outside the five
-    is refused, for every shape.
+    This is the only code that decides how a density's shape reaches them
+    and which reference each takes (``_references``): a name outside the
+    five, or a reference its integral does not take, is refused before any
+    table or row pass.  A 2D grid runs one row pass for every name
+    (``_grid2d_integrals``), a 1D density each name's table body, and a
+    product the sum of that body over its coordinates, except TV, one joint
+    2D integral.
     """
     if unknown := [name for name in names if name not in _BODIES_1D]:
         raise ArgumentError(f"unknown integral {unknown[0]!r}; known: {', '.join(_BODIES_1D)}")
-    if isinstance(mu, Grid2DDensity):
-        if nu is not None and "I_rel" in names:
-            raise ArgumentError(
-                "relative_fisher: 2D grids support only the standard Gaussian reference"
-            )
-        return _grid2d_integrals(mu, names, nu)
-    if not isinstance(mu, (Density1D, ProductDensity)):
+    if not isinstance(mu, (Density1D, ProductDensity, Grid2DDensity)):
         raise ArgumentError(f"unsupported density type {type(mu).__name__}")
-    out = {}
+    shape, given = _named(mu), _named(nu)
     for name in names:
-        body, caller = _BODIES_1D[name]
-        if isinstance(mu, Density1D):
-            out[name] = body(mu, _require_1d(nu, caller))
-        elif name == "TV":
-            out[name] = _total_variation_product(mu, nu)
-        else:
-            out[name] = _per_factor(body, mu, nu, caller)
-    return out
+        if given not in (takes := _references(shape, name)):
+            listed = " or ".join(takes) or "none (it is implemented for 2 coordinates)"
+            raise ArgumentError(f"{name} of {shape} takes {listed}; got {given}")
+    if isinstance(mu, Grid2DDensity):
+        return _grid2d_integrals(mu, names, nu)
+    if isinstance(mu, Density1D):
+        ref = standard_gaussian() if nu is None else nu
+        return {name: _BODIES_1D[name](mu, ref) for name in names}
+    refs = [standard_gaussian() for _ in mu.factors] if nu is None else nu.factors
+    return {
+        name: _total_variation_product(mu)
+        if name == "TV"
+        else additive(_BODIES_1D[name](f, g) for f, g in zip(mu.factors, refs))
+        for name in names
+    }
 
 
 def relative_entropy(mu, nu=None) -> FunctionalValue:

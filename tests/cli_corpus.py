@@ -4,13 +4,16 @@ Writes seven density specs into a directory (gaussian, mixture, tilted with
 a convexity floor, a 1025-node grid, a product, a 129-node correlated
 Gaussian grid dumped as ``grid2d``, and a 129-node uncorrelated one, whose
 rows read their tables' error as their map to gamma and so change sign on
-a few hundred kink panels) and runs, through ``cli.main`` with ``--out``, ``lsd
-certify`` and all ten ``lsd distance`` metrics on each spec, ``lsd certify
---bounds`` of one bound that reads a 2D grid's information integrals
-(``pinsker``, ``lsi``), ``lsd sweep`` for each family in csv and json over
-short ranges, and ``lsd report``.  It prints one ``command exit-code sha256`` line per output;
-the hash covers the ``--out`` file and stderr, with the directory's name
-removed from stderr.
+a few hundred kink panels) and runs, through ``cli.main`` with ``--out``,
+``lsd certify`` and all ten ``lsd distance`` metrics on each spec, ``lsd
+certify --bounds`` of one bound that reads a 2D grid's information
+integrals (``pinsker``, ``lsi``), ``lsd distance --ref`` of the four
+integral metrics (kl, fisher, tv, entropy) on the mixture, product and
+``grid2d`` specs against the gaussian and product specs, admitted pairs
+and refused ones, ``lsd sweep`` for each family in csv and json over short
+ranges, and ``lsd report``.  It prints one ``command exit-code sha256``
+line per output; the hash covers the ``--out`` file and stderr, with the
+directory's name removed from stderr.
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/cli_corpus.py DIR
 
@@ -38,6 +41,7 @@ from lsdeficit.quadrature import GridSpec
 from lsdeficit.specio import dumps
 
 METRICS = ("kl", "w2", "w2sq", "w1", "tdelta", "fisher", "deficit", "entropy", "entropy-power", "tv")
+REF_METRICS = ("kl", "fisher", "tv", "entropy")
 SWEEPS = {
     "gaussian-sigma": "0.8:1.2:0.2",
     "gaussian-shift": "-0.5:0.5:0.5",
@@ -78,6 +82,12 @@ def commands(names) -> list[list[str]]:
         out.append(["certify", "--dist", f"{name}.json"])
         out += [["distance", "--dist", f"{name}.json", "--metric", m] for m in METRICS]
     out += [["certify", "--dist", "grid2d.json", "--bounds", bound] for bound in ("pinsker", "lsi")]
+    out += [
+        ["distance", "--dist", f"{dist}.json", "--metric", m, "--ref", f"{ref}.json"]
+        for dist in ("mixture", "product", "grid2d")
+        for ref in ("gaussian", "product")
+        for m in REF_METRICS
+    ]
     for family, values in SWEEPS.items():
         out += [["sweep", "--family", family, "--range", values, "--format", f] for f in ("csv", "json")]
     out.append(["report"])

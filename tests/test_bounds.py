@@ -853,6 +853,39 @@ class TestFunctionalMemo:
         assert {name for name, _ in calls} == set(functionals._GRID2D_NAMES)
         assert {k: n for k, n in calls.items() if n > 1} == {}
 
+    def test_warm_battery_pass_reads_only_the_memo(self, monkeypatch):
+        # every functional of a flow, sum or summand (epi, lem3.2, lem3.3)
+        # and the thm4.1 median are memoised too: a second pass over the
+        # battery through one Workspace computes no integral and no quantile
+        calls = Counter()
+        for module in (bounds, functionals):
+
+            def counted(*args, _real=module.integrals, **kwargs):
+                calls["integrals"] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "integrals", counted)
+        real_quantile = Density1D.quantile
+        monkeypatch.setattr(
+            Density1D, "quantile", lambda self, u: calls.update(["quantile"]) or real_quantile(self, u)
+        )
+        runs = [(bid, {}) for bid in BOUND_IDS] + [("thm4.1", {"median_variant": True})]
+        members = [mu for _, mu in standard_battery()]
+        ws = Workspace()
+        passes = []
+        for _ in range(2):
+            calls.clear()
+            for mu in members:
+                for bid, opts in runs:
+                    try:
+                        evaluate_bound(bid, mu, opts, workspace=ws)
+                    except HypothesisError:
+                        pass
+            passes.append(dict(calls))
+        cold, warm = passes
+        assert cold["integrals"] > 0 and cold["quantile"] > 0
+        assert warm == {}
+
 
 class TestPushforwardProbeOnce:
     """One Workspace probes each density object's quantile/CDF round trip

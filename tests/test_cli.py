@@ -452,5 +452,5 @@ def test_corpus_unchanged_by_an_earlier_call(tmp_path):
         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
     ).stdout
     first, second = out.split("--\n")
-    assert len(first.splitlines()) == 86
+    assert len(first.splitlines()) == 110
     assert first == second

@@ -5,12 +5,15 @@ density formulas, independently of the library's grid quadrature.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
 from scipy import special
 
+from lsdeficit import functionals
 from lsdeficit.densities import (
+    Density1D,
     GaussianDensity,
     Grid2DDensity,
     GridDensity,
@@ -274,7 +277,7 @@ class TestTotalVariation:
     def test_product_reference_refused_before_tabulating(self, monkeypatch):
         p = ProductDensity([standard_gaussian(), standard_gaussian()])
         monkeypatch.setattr(GaussianDensity, "pdf", lambda self, x: pytest.fail("tabulated"))
-        with pytest.raises(ArgumentError, match="only the standard Gaussian reference"):
+        with pytest.raises(ArgumentError, match="TV of a 2-factor product takes nu=None; got a 2-factor"):
             total_variation(p, p)
 
 
@@ -341,6 +344,128 @@ class TestOneEntry:
     def test_refuses_an_unknown_shape(self):
         with pytest.raises(ArgumentError, match="unsupported density type float"):
             integrals(1.0, ("D",))
+
+
+def _rule_subjects() -> dict:
+    """A density of each shape the reference rule names, built afresh."""
+    mix = MixtureDensity([(0.3, -1.0, 0.5), (0.7, 1.0, 1.0)])
+    return {
+        "1d": mix,
+        "prod2": ProductDensity([GaussianDensity(0.1, 1.1), mix]),
+        "prod3": ProductDensity([GaussianDensity(0.1, 1.1), mix, GaussianDensity(-0.2, 0.7)]),
+        "grid2d": bivariate_gaussian_grid(0.4, var=(0.9, 1.3), n_points=65),
+    }
+
+
+def _rule_references() -> dict:
+    """None and a reference of each shape, other laws than the subjects';
+    the 2D grid spans the subject grid's nodes."""
+    return {
+        None: None,
+        "1d": GaussianDensity(0.2, 1.3),
+        "prod2": ProductDensity([GaussianDensity(0.0, 1.2), GaussianDensity(0.3, 0.9)]),
+        "prod3": ProductDensity(
+            [GaussianDensity(0.0, 1.2), GaussianDensity(0.3, 0.9), GaussianDensity(0.0, 0.8)]
+        ),
+        "grid2d": bivariate_gaussian_grid(0.1, var=(1.5, 1.5), n_points=65),
+    }
+
+
+_RULE_SHAPES = {
+    None: "nu=None",
+    "1d": "a 1D density",
+    "prod2": "a 2-factor product",
+    "prod3": "a 3-factor product",
+    "grid2d": "a 2D grid",
+}
+
+# Every admitted (integral, subject, reference) triple, with its value and
+# bar as float.hex, pinned bit for bit; every other triple is refused.
+_ADMITTED = {
+    ("D", "1d", None): ("0x1.7336d87324841p-3", "0x1.06e499662d448p-47"),
+    ("D", "1d", "1d"): ("0x1.b0bb54763b9abp-5", "0x1.1d737c2c4c1f1p-48"),
+    ("D", "prod2", None): ("0x1.8241b19870d99p-3", "0x1.356edffadfc2bp-47"),
+    ("D", "prod2", "prod2"): ("0x1.3b726af434c77p-3", "0x1.1f761c489cd05p-47"),
+    ("D", "prod3", None): ("0x1.e5407342adc45p-3", "0x1.a01d74e3cdec9p-47"),
+    ("D", "prod3", "prod3"): ("0x1.77621238a71ebp-3", "0x1.7cb355d4116c5p-47"),
+    ("D", "grid2d", None): ("0x1.bd21cea392ecap-4", "0x1.0c68143026085p-16"),
+    ("D", "grid2d", "prod2"): ("0x1.8e15d2bd7b2fcp-3", "0x1.02ae8fe44c026p-16"),
+    ("D", "grid2d", "grid2d"): ("0x1.153adac9914bcp-3", "0x1.00a6c59ab91c3p-11"),
+    ("I_plain", "1d", None): ("0x1.714c41b885da5p-1", "0x1.714c41b885da5p-47"),
+    ("I_plain", "prod2", None): ("0x1.a1604f67e5d5ep+0", "0x1.a1604f67e5d5ep-46"),
+    ("I_plain", "prod3", None): ("0x1.878b956ace58bp+1", "0x1.878b956ace58bp-45"),
+    ("I_plain", "grid2d", None): ("0x1.1e873dc931e88p+1", "0x1.96f7c2b593b69p-14"),
+    ("I_rel", "1d", None): ("0x1.247f74ebb90d8p-1", "0x1.247f74ebb90d8p-47"),
+    ("I_rel", "1d", "1d"): ("0x1.a6e54988b7fa7p-3", "0x1.a6e54988b7fa7p-49"),
+    ("I_rel", "prod2", None): ("0x1.2e45bd881d975p-1", "0x1.2e67dfaa3fb97p-47"),
+    ("I_rel", "prod2", "prod2"): ("0x1.38e039ad07b85p-1", "0x1.38e039ad07b85p-47"),
+    ("I_rel", "prod3", None): ("0x1.8494bc119fc91p-1", "0x1.84b6de33c1eb3p-47"),
+    ("I_rel", "prod3", "prod3"): ("0x1.644df088756f3p-1", "0x1.644df088756f3p-47"),
+    ("I_rel", "grid2d", None): ("0x1.c106bb165c10bp-2", "0x1.8055ec37b0fc6p-16"),
+    ("h", "1d", None): ("0x1.a9a580018e31fp+0", "0x1.a9a580018e31fp-46"),
+    ("h", "prod2", None): ("0x1.908c1700a9258p+1", "0x1.908c1700a9258p-45"),
+    ("h", "prod3", None): ("0x1.17ac0d7ead708p+2", "0x1.17ac0d7ead708p-44"),
+    ("h", "grid2d", None): ("0x1.6a234c9ad62b0p+1", "0x1.772d067ab780cp-15"),
+    ("TV", "1d", None): ("0x1.a9c7ed6be8885p-2", "0x1.187c4c317d41fp-21"),
+    ("TV", "1d", "1d"): ("0x1.10da86839059fp-2", "0x1.19b53e4f740edp-20"),
+    ("TV", "prod2", None): ("0x1.b3ee9000e40e3p-2", "0x1.164b79ed53620p-13"),
+    ("TV", "grid2d", None): ("0x1.2cb82600ebe74p-2", "0x1.977b2b9d627b9p-8"),
+    ("TV", "grid2d", "prod2"): ("0x1.8fb057286bcdap-2", "0x1.752f125716060p-10"),
+    ("TV", "grid2d", "grid2d"): ("0x1.828389407e1c7p-2", "0x1.acc5d7e484507p-12"),
+}
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of 1D tables built and of 1D and 2D quadrature passes run."""
+    counts = {"tables": 0, "passes": 0}
+    table = Density1D.__dict__["table"].func
+
+    def counted_table(self):
+        counts["tables"] += 1
+        return table(self)
+
+    spy = cached_property(counted_table)
+    spy.__set_name__(Density1D, "table")
+    monkeypatch.setattr(Density1D, "table", spy)
+    for name in ("integrate", "integrate_rows_2d"):
+        run = getattr(functionals, name)
+
+        def counted(*args, run=run, **kwargs):
+            counts["passes"] += 1
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(functionals, name, counted)
+    return counts
+
+
+class TestReferenceRule:
+    """One rule decides which reference each integral takes on each shape:
+    an admitted triple keeps its value and bar bit for bit, and every other
+    triple raises one ``ArgumentError`` naming the integral, the shape and
+    the references it takes, before any table or quadrature pass."""
+
+    @pytest.mark.parametrize("ref", list(_RULE_SHAPES), ids=str)
+    @pytest.mark.parametrize("shape", ["1d", "prod2", "prod3", "grid2d"])
+    @pytest.mark.parametrize("name", ["D", "I_plain", "I_rel", "h", "TV"])
+    def test_each_triple(self, name, shape, ref, work):
+        mu, nu = _rule_subjects()[shape], _rule_references()[ref]
+        if (name, shape, ref) in _ADMITTED:
+            v = integrals(mu, (name,), nu)[name]
+            assert (v.value.hex(), v.error_estimate.hex()) == _ADMITTED[name, shape, ref]
+            return
+        with pytest.raises(ArgumentError) as refused:
+            integrals(mu, (name,), nu)
+        message = str(refused.value)
+        assert message.startswith(f"{name} of {_RULE_SHAPES[shape]} takes ")
+        assert message.endswith(f"; got {_RULE_SHAPES[ref]}")
+        assert work == {"tables": 0, "passes": 0}
+
+    def test_mixed_names_refused_before_the_admitted_one_runs(self, work):
+        mu, nu = _rule_subjects()["prod2"], _rule_references()["prod2"]
+        with pytest.raises(ArgumentError, match="^TV of a 2-factor product takes nu=None; got a 2-factor product$"):
+            integrals(mu, ("D", "TV"), nu)
+        assert work == {"tables": 0, "passes": 0}
 
 
 class TestHeatFlowResidual:

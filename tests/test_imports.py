@@ -21,11 +21,13 @@ kernel: ``recentering`` calls no ``row_blocks``, and ``densities`` defines
 no module-level ``_row_stats``.  A sixth keeps one rule for a weighted 2D
 row sum, a BLAS row dot: neither ``Grid2DDensity.row_stats`` nor the row
 kernel sums along an axis.  A seventh keeps one entry for the five
-integrals D, I_plain, I_rel, h and TV: in ``functionals`` only
-``integrals`` tests the measured density's shape (``Density1D``,
-``ProductDensity``, ``Grid2DDensity``), and ``bounds`` keeps no table of
-its own (``_FUNCTIONALS``) and imports no private 2D pass.  An eighth
-keeps the input rules in the library: ``cli`` tests no density's class and
+integrals D, I_plain, I_rel, h and TV and one home for the rule of which
+reference each takes: in ``functionals`` only ``integrals`` dispatches on
+the measured density's shape (``Density1D``, ``ProductDensity``,
+``Grid2DDensity``; ``_named`` tests it only to name it), only it reads the
+rule (``_references``) and only it raises a reference refusal, and ``bounds`` keeps
+no table of its own (``_FUNCTIONALS``) and imports no private 2D pass.  An
+eighth keeps the input rules in the library: ``cli`` tests no density's class and
 compares no field of ``NumericPolicy`` and no ``tol``.  A ninth keeps the
 density rules in the constructors: ``specio`` compares no value against a
 number outside ``_count``.  A tenth keeps one intake for a claimed
@@ -269,11 +271,27 @@ def _shape_tests(tree: ast.AST, shapes: set[str] = _SHAPES, owner: str = "") -> 
 
 def test_one_entry_for_the_integrals():
     """Only ``functionals.integrals`` decides how a density's shape reaches
-    the five integrals; every other shape test in ``functionals`` reads the
-    reference ``nu``.  ``bounds`` reads the integrals from that entry alone."""
+    the five integrals, and which reference each takes.  Elsewhere in
+    ``functionals`` a density's class is tested only to name a shape
+    (``_named``) or to read an admitted reference ``nu``; only
+    ``integrals`` reads the reference rule (``_references``), and no other
+    function raises ``ArgumentError`` but ``de_bruijn_residual``, which
+    takes no reference.  ``bounds`` reads the integrals from that entry
+    alone."""
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
-    tests = _shape_tests(trees["functionals.py"])
-    assert {owner for owner, tested in tests if tested != "nu"} == {"integrals"}, sorted(tests)
+    functionals = trees["functionals.py"]
+    tests = _shape_tests(functionals)
+    assert {owner for owner, tested in tests if tested != "nu"} == {"integrals", "_named"}, sorted(tests)
+    assert _callers(functionals, "_references") == {"integrals"}
+    raisers = {
+        owner
+        for owner, node in _owned(functionals)
+        if isinstance(node, ast.Raise)
+        and "ArgumentError" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    }
+    assert raisers == {"integrals", "de_bruijn_residual"}
+    residual = _definition(functionals, "de_bruijn_residual")
+    assert "nu" not in {a.arg for a in residual.args.args}
     bounds = trees["bounds.py"]
     assert "_FUNCTIONALS" not in {name for stmt in bounds.body for name in _assigned(stmt)}
     imported = {a.name for n in ast.walk(bounds) if isinstance(n, ast.ImportFrom) for a in n.names}
